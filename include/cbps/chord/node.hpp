@@ -127,8 +127,9 @@ class ChordNode final : public overlay::OverlayNode {
 
   /// Best next hop toward `key` among successors, fingers, predecessor
   /// and the location cache; nullopt when this node covers `key` or has
-  /// no live candidate.
-  std::optional<Key> next_hop(Key key) const;
+  /// no live candidate. Not const: a location-cache hit refreshes the
+  /// entry's LRU position.
+  std::optional<Key> next_hop(Key key);
   std::optional<Key> closest_preceding(Key key) const;
 
   // Message handlers.

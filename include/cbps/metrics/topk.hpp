@@ -12,7 +12,7 @@
 //   * every key with true count > N / K is tracked.
 //
 // Determinism contract (the load observatory's fold depends on it):
-//   * storage is an ordered std::map, so iteration and the min-count
+//   * storage is a vector sorted by key, so iteration and the min-count
 //     eviction scan are layout-independent (detlint D1 by construction);
 //   * eviction tie-breaks are total: minimum count first, then the
 //     LARGEST key id among the minima is evicted (small key ids are the
@@ -24,8 +24,8 @@
 //     of permutation invariance.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 namespace cbps::metrics {
@@ -66,16 +66,11 @@ class TopK {
   static constexpr std::size_t kDefaultCapacity = 32;
 
  private:
-  struct Cell {
-    std::uint64_t count = 0;
-    std::uint64_t error = 0;
-  };
-
   std::size_t capacity_;
   std::uint64_t total_ = 0;
-  // Keyed by key id; ordered so every walk (eviction scan, top(), JSON
-  // emission) is independent of insertion history and hash layout.
-  std::map<std::uint64_t, Cell> cells_;
+  // Sorted by key id, so every walk (eviction scan, top(), JSON emission)
+  // is independent of insertion history and hash layout.
+  std::vector<Entry> cells_;
 };
 
 }  // namespace cbps::metrics

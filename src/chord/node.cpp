@@ -266,8 +266,10 @@ void ChordNode::probe_remembered() {
 
 std::optional<Key> ChordNode::closest_preceding(Key key) const {
   // Best candidate: maximal ring distance from us while still in
-  // (id, key]. Scans fingers, successor list, predecessor and the
-  // location cache (all O(log n + cache) candidates).
+  // (id, key]. Scans fingers, successor list and predecessor (O(log n)
+  // candidates); the location cache contributes only its own best, found
+  // by ordered lookup. Distinct ids have distinct distances, so the scan
+  // order cannot change the winner.
   std::optional<Key> best;
   std::uint64_t best_dist = 0;
   const auto consider = [&](Key c) {
@@ -284,16 +286,15 @@ std::optional<Key> ChordNode::closest_preceding(Key key) const {
   }
   for (Key s : succs_) consider(s);
   if (has_pred_) consider(pred_);
-  for (Key c : cache_.nodes()) consider(c);
+  if (const auto c = cache_.closest_preceding(id_, key)) consider(*c);
   return best;
 }
 
-std::optional<Key> ChordNode::next_hop(Key key) const {
+std::optional<Key> ChordNode::next_hop(Key key) {
   if (covers(key)) return std::nullopt;
   // Location-cache shortcut: a peer we believe covers `key` can take the
   // message directly (it re-routes if the belief turned stale).
-  if (auto owner =
-          const_cast<LocationCache&>(cache_).find_owner(key)) {
+  if (auto owner = cache_.find_owner(key)) {
     if (*owner != id_) return owner;
   }
   if (!succs_.empty() &&
