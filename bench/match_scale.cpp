@@ -145,6 +145,15 @@ ScaleRow run_point(const ScaleParams& p) {
     store.insert({s, sim::kSimTimeNever, {}, false});
     subs.push_back(std::move(s));
   }
+  {
+    // The counting index registers bucket entries at the first match;
+    // one match of a fixed event keeps that work inside build_s.
+    pubsub::Event first;
+    for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+      first.values.push_back(schema.domain(a).lo);
+    }
+    (void)store.match(first, /*now=*/1);
+  }
   const double build_s = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - build_start)
                              .count();

@@ -26,10 +26,17 @@ class FingerTable {
     return ring_.add(owner_, std::uint64_t{1} << i);
   }
 
-  void set(std::size_t i, Key node) { entries_[i] = node; }
-  void clear(std::size_t i) { entries_[i] = std::nullopt; }
+  void set(std::size_t i, Key node) {
+    if (entries_[i] != node) ++version_;
+    entries_[i] = node;
+  }
+  void clear(std::size_t i) {
+    if (entries_[i]) ++version_;
+    entries_[i] = std::nullopt;
+  }
   void clear_all() {
     for (auto& e : entries_) e = std::nullopt;
+    ++version_;
   }
 
   std::optional<Key> get(std::size_t i) const { return entries_[i]; }
@@ -42,10 +49,15 @@ class FingerTable {
   /// from the owner. This is the delegation order m-cast uses.
   std::vector<Key> distinct_nodes() const;
 
+  /// Bumped by every set/clear/clear_all/evict that changes an entry, so
+  /// callers can cache values derived from the table.
+  std::uint64_t version() const { return version_; }
+
  private:
   RingParams ring_;
   Key owner_;
   std::vector<std::optional<Key>> entries_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace cbps::chord

@@ -40,7 +40,8 @@ class ChordNode final : public overlay::OverlayNode {
   Key id() const override { return id_; }
   RingParams ring() const override;
   void send(Key key, overlay::PayloadPtr payload) override;
-  void m_cast(std::vector<Key> keys, overlay::PayloadPtr payload) override;
+  void m_cast_runs(std::vector<KeyRange> runs,
+                   overlay::PayloadPtr payload) override;
   void chain_cast(std::vector<Key> keys,
                   overlay::PayloadPtr payload) override;
   void send_to_successor(overlay::PayloadPtr payload) override;
@@ -66,6 +67,11 @@ class ChordNode final : public overlay::OverlayNode {
   }
   const std::vector<Key>& successor_list() const { return succs_; }
   const FingerTable& finger_table() const { return fingers_; }
+
+  /// m-cast delegation candidates: the distinct finger nodes plus the
+  /// successor, by ring distance from this node. Cached; rebuilt when
+  /// the finger table or the successor changed since the last call.
+  const std::vector<Key>& mcast_candidates();
   const LocationCache& location_cache() const { return cache_; }
 
   // --- ring membership (driven by ChordNetwork) ------------------------
@@ -136,10 +142,10 @@ class ChordNode final : public overlay::OverlayNode {
   void handle_route(RouteMsg msg);
   void deliver_route(const RouteMsg& msg);
   void forward_route(RouteMsg msg);
-  void handle_mcast(McastMsg msg);
-  void run_mcast(std::vector<Key> keys, const overlay::PayloadPtr& payload,
-                 std::uint32_t hops, bool initiator,
-                 std::uint64_t parent_span = 0);
+  void handle_mcast(const McastMsg& msg);
+  void run_mcast(const std::vector<KeyRange>& runs,
+                 const overlay::PayloadPtr& payload, std::uint32_t hops,
+                 bool initiator, std::uint64_t parent_span = 0);
   void handle_chain(ChainMsg msg);
   void run_chain(std::vector<Key> keys, const overlay::PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
@@ -173,6 +179,12 @@ class ChordNode final : public overlay::OverlayNode {
   std::vector<Key> succs_;  // nearest first; never contains id_
   FingerTable fingers_;
   LocationCache cache_;
+
+  // mcast_candidates() cache and the state it was built from.
+  std::vector<Key> candidates_;
+  bool candidates_valid_ = false;
+  std::uint64_t candidates_finger_version_ = 0;
+  std::optional<Key> candidates_succ_;
 
   bool joining_ = false;
   Key join_bootstrap_ = 0;

@@ -9,6 +9,7 @@
 #include <variant>
 #include <vector>
 
+#include "cbps/common/key_range.hpp"
 #include "cbps/common/types.hpp"
 #include "cbps/overlay/payload.hpp"
 
@@ -25,11 +26,11 @@ struct RouteMsg {
   std::uint64_t parent_span = 0;  // trace: span of the previous hop
 };
 
-/// Native multicast (paper §4.3.1, Figure 4). `targets` is the subset of
-/// the original key set delegated to the recipient, sorted by ring
-/// distance from the original sender.
+/// Native multicast (paper §4.3.1, Figure 4). `targets` is the part of
+/// the original key runs delegated to the recipient, in ring order from
+/// the delegating sender.
 struct McastMsg {
-  std::vector<Key> targets;
+  std::vector<KeyRange> targets;
   overlay::PayloadPtr payload;
   std::uint32_t hops = 0;  // delegation depth guard
   std::uint64_t seq = 0;   // reliability sequence id (0 = no ack wanted)

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cbps/common/exec_context.hpp"
+#include "cbps/common/key_range.hpp"
 #include "cbps/common/ring.hpp"
 #include "cbps/common/types.hpp"
 #include "cbps/overlay/payload.hpp"
@@ -65,9 +66,17 @@ class OverlayNode {
   virtual void send(Key key, PayloadPtr payload) = 0;
 
   /// Native one-to-many primitive (§4.3.1, Figure 4): deliver `payload`
-  /// to every node covering at least one key in `keys`, at most once per
-  /// node. Keys may be unsorted and contain duplicates.
-  virtual void m_cast(std::vector<Key> keys, PayloadPtr payload) = 0;
+  /// to every node covering at least one key of `runs`, at most once per
+  /// node. Runs may come in any order and overlap; runs in ring order
+  /// (as AkMapping::subscription_ranges emits them) are cheapest.
+  virtual void m_cast_runs(std::vector<KeyRange> runs,
+                           PayloadPtr payload) = 0;
+
+  /// m_cast_runs over a key list, which may be unsorted and contain
+  /// duplicates.
+  void m_cast(std::vector<Key> keys, PayloadPtr payload) {
+    m_cast_runs(compress_keys(ring(), std::move(keys)), std::move(payload));
+  }
 
   /// Conservative unicast-based one-to-many baseline (§4.3.1): route to
   /// the first key, then walk the remaining keys in ring order node by

@@ -68,7 +68,7 @@ struct RouteMsg {
   std::uint64_t parent_span = 0;  // trace: span of the previous hop
 };
 struct McastMsg {
-  std::vector<Key> targets;
+  std::vector<KeyRange> targets;  // in ring order from the sender
   overlay::PayloadPtr payload;
   std::uint32_t hops = 0;
   std::uint64_t seq = 0;
@@ -127,7 +127,8 @@ class PastryNode final : public overlay::OverlayNode {
   Key id() const override { return id_; }
   RingParams ring() const override;
   void send(Key key, overlay::PayloadPtr payload) override;
-  void m_cast(std::vector<Key> keys, overlay::PayloadPtr payload) override;
+  void m_cast_runs(std::vector<KeyRange> runs,
+                   overlay::PayloadPtr payload) override;
   void chain_cast(std::vector<Key> keys,
                   overlay::PayloadPtr payload) override;
   void send_to_successor(overlay::PayloadPtr payload) override;
@@ -174,9 +175,9 @@ class PastryNode final : public overlay::OverlayNode {
 
   void handle_route(RouteMsg msg);
   void deliver_route(const RouteMsg& msg);
-  void run_mcast(std::vector<Key> keys, const overlay::PayloadPtr& payload,
-                 std::uint32_t hops, bool initiator,
-                 std::uint64_t parent_span = 0);
+  void run_mcast(const std::vector<KeyRange>& runs,
+                 const overlay::PayloadPtr& payload, std::uint32_t hops,
+                 bool initiator, std::uint64_t parent_span = 0);
   void run_chain(std::vector<Key> keys, const overlay::PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);

@@ -9,6 +9,14 @@
 // subscription, and reports the subscriptions whose entire conjunction
 // is satisfied. Expected cost is proportional to the number of
 // *satisfied constraints*, not the number of subscriptions.
+//
+// Bucket registration is batched: insert() records the subscription and
+// its dense slot, and the pending bucket entries are registered in
+// insertion order at the next match or remove. Every bucket therefore
+// holds the same entries in the same order as with eager registration,
+// and match output (order included) is unchanged; a node that stores
+// subscriptions but never matches or removes one never pays for their
+// buckets.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +37,8 @@ class CountingIndex final : public MatchIndex {
   explicit CountingIndex(const Schema& schema,
                          std::size_t buckets_per_attribute = 256);
 
-  /// Register a subscription. Duplicate ids are rejected (no-op, false).
+  /// Register a subscription (its bucket entries are registered lazily,
+  /// see above). Duplicate ids are rejected (no-op, false).
   /// A subscription with a constraint range disjoint from its attribute
   /// domain can never match; it is registered (so remove() and duplicate
   /// detection behave) but gets no bucket entries — exactly the
@@ -47,7 +56,8 @@ class CountingIndex final : public MatchIndex {
 
   std::size_t size() const override { return subs_.size(); }
 
-  /// Heap footprint of the bucket/scratch structures in bytes.
+  /// Heap footprint of the bucket/scratch structures in bytes, pending
+  /// registrations included.
   std::size_t memory_bytes() const override;
 
  private:
@@ -67,11 +77,22 @@ class CountingIndex final : public MatchIndex {
   };
 
   std::size_t bucket_of(std::size_t attr, Value v) const;
+  /// Register the bucket entries of every pending insert, in order.
+  void register_pending() const;
 
   Schema schema_;
   std::size_t buckets_per_attribute_;
   // buckets_[attr][bucket] -> entries whose interval overlaps the bucket.
-  std::vector<std::vector<std::vector<Entry>>> buckets_;
+  // Mutable with pending_: the const match registers pending inserts.
+  mutable std::vector<std::vector<std::vector<Entry>>> buckets_;
+  // Inserted subscriptions whose bucket entries are not registered yet,
+  // in insertion order. The pointee stays alive in subs_: remove()
+  // registers everything pending before it erases.
+  struct Pending {
+    const Subscription* sub;
+    std::uint32_t dense;
+  };
+  mutable std::vector<Pending> pending_;
   // Subscriptions with no constraints match every event.
   std::vector<SubscriptionId> match_all_;
   std::unordered_map<SubscriptionId, SubInfo> subs_;

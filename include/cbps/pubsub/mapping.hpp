@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "cbps/common/interval.hpp"
+#include "cbps/common/key_range.hpp"
 #include "cbps/common/ring.hpp"
 #include "cbps/common/types.hpp"
 #include "cbps/pubsub/event.hpp"
@@ -26,20 +27,6 @@
 #include "cbps/pubsub/subscription.hpp"
 
 namespace cbps::pubsub {
-
-/// Closed range of ring keys [lo, hi] (may wrap modulo 2^m).
-struct KeyRange {
-  Key lo = 0;
-  Key hi = 0;
-
-  bool contains(RingParams ring, Key k) const {
-    return ring.in_closed_closed(lo, hi, k);
-  }
-  std::uint64_t size(RingParams ring) const {
-    return ring.closed_interval_size(lo, hi);
-  }
-  friend bool operator==(const KeyRange&, const KeyRange&) = default;
-};
 
 /// The paper's scaling hash h_i(x) = x * 2^l / |Omega_i| (§4.2), shifted
 /// to general domains and composed with the discretization of §4.3.3
@@ -61,6 +48,11 @@ class ScalingHasher {
   /// range [h(lo), h(hi)]; with discretization, one value per overlapped
   /// interval.
   std::vector<std::uint64_t> hash_set(ClosedInterval r) const;
+
+  /// H(c) as maximal runs of consecutive hash values, ascending. Without
+  /// discretization this is the single run [h(lo), h(hi)], computed
+  /// without listing its values.
+  std::vector<KeyRange> hash_runs(ClosedInterval r) const;
 
  private:
   ClosedInterval domain_;
@@ -96,9 +88,9 @@ class AkMapping {
 
   virtual std::string_view name() const = 0;
 
-  /// SK(sigma).  Sorted, deduplicated.
+  /// SK(sigma).  Sorted, deduplicated: the keys of subscription_ranges.
   std::vector<Key> subscription_keys(const Subscription& sub) const {
-    return rotate(subscription_keys_impl(sub));
+    return expand_ascending(ring_, subscription_ranges(sub));
   }
 
   /// EK(e).  Sorted, deduplicated.
@@ -115,17 +107,23 @@ class AkMapping {
     return should_notify_impl(sub, e, ring_.sub(delivered_key, rotation_));
   }
 
-  /// SK(sigma) compressed into maximal runs of consecutive keys; the
+  /// SK(sigma) as maximal runs of consecutive keys, sorted by lo except
+  /// that a run wrapping past 2^m - 1 comes first (see compress_keys).
+  /// This is the form the subscribe path carries end to end; the
   /// collecting optimization elects the node covering each run's middle
   /// key as the run's agent (§4.3.2).
-  std::vector<KeyRange> subscription_ranges(const Subscription& sub) const;
+  std::vector<KeyRange> subscription_ranges(const Subscription& sub) const {
+    return rotate(subscription_ranges_impl(sub));
+  }
 
   const Schema& schema() const { return schema_; }
   RingParams ring() const { return ring_; }
   Key rotation() const { return rotation_; }
 
  protected:
-  virtual std::vector<Key> subscription_keys_impl(
+  /// Unrotated SK(sigma) as runs in any order; they may overlap, touch
+  /// or wrap.
+  virtual std::vector<KeyRange> subscription_ranges_impl(
       const Subscription& sub) const = 0;
   virtual std::vector<Key> event_keys_impl(const Event& e) const = 0;
   virtual bool should_notify_impl(const Subscription& sub, const Event& e,
@@ -137,6 +135,7 @@ class AkMapping {
   }
 
   std::vector<Key> rotate(std::vector<Key> keys) const;
+  std::vector<KeyRange> rotate(std::vector<KeyRange> runs) const;
 
   Schema schema_;
   RingParams ring_;

@@ -331,6 +331,11 @@ class PubSubNode final : public overlay::OverlayApp {
   void send_to_keys(const std::vector<Key>& keys,
                     overlay::PayloadPtr payload,
                     PubSubConfig::Transport transport);
+  /// send_to_keys for SK runs: m-cast carries the runs, the unicast and
+  /// chain transports get their keys in ascending order.
+  void send_to_runs(const std::vector<KeyRange>& runs,
+                    overlay::PayloadPtr payload,
+                    PubSubConfig::Transport transport);
 
   // Ring geometry helpers for collecting (§4.3.2).
   bool covers_key(Key k) const;

@@ -6,7 +6,10 @@ namespace cbps::chord {
 
 void FingerTable::evict(Key node) {
   for (auto& e : entries_) {
-    if (e && *e == node) e = std::nullopt;
+    if (e && *e == node) {
+      e = std::nullopt;
+      ++version_;
+    }
   }
 }
 

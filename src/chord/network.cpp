@@ -254,15 +254,17 @@ void ChordNetwork::stop_maintenance_all() {
 namespace {
 
 /// Approximate wire size of a message: the application payload plus
-/// 8 bytes per carried key.
-std::size_t wire_size_bytes(const WireMessage& msg) {
+/// 8 bytes per carried key (an m-cast message is charged for every key
+/// its runs cover).
+std::size_t wire_size_bytes(RingParams ring, const WireMessage& msg) {
   return std::visit(
-      [](const auto& m) -> std::size_t {
+      [ring](const auto& m) -> std::size_t {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, RouteMsg>) {
           return m.payload->size_bytes() + 8;
-        } else if constexpr (std::is_same_v<T, McastMsg> ||
-                             std::is_same_v<T, ChainMsg>) {
+        } else if constexpr (std::is_same_v<T, McastMsg>) {
+          return m.payload->size_bytes() + 8 * key_count(ring, m.targets);
+        } else if constexpr (std::is_same_v<T, ChainMsg>) {
           return m.payload->size_bytes() + 8 * m.targets.size();
         } else if constexpr (std::is_same_v<T, NeighborMsg>) {
           return m.payload->size_bytes();
@@ -298,7 +300,7 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
     hot_.net_partition_refused->inc();
     return false;
   }
-  traffic_.record_hop(cls, wire_size_bytes(msg));
+  traffic_.record_hop(cls, wire_size_bytes(ring(), msg));
 
   // All wire randomness comes from the *sender's* streams: transmit is
   // only ever called from the sending node's own execution context (or

@@ -160,8 +160,8 @@ void ChordNode::retransmit(std::uint64_t seq) {
     r->seq = 0;
     forward_route(std::move(*r));
   } else if (auto* m = std::get_if<McastMsg>(&msg)) {
-    run_mcast(std::move(m->targets), m->payload, m->hops,
-              /*initiator=*/false, m->parent_span);
+    run_mcast(m->targets, m->payload, m->hops, /*initiator=*/false,
+              m->parent_span);
   } else if (auto* c = std::get_if<ChainMsg>(&msg)) {
     c->seq = 0;
     forward_chain(std::move(*c));
@@ -399,94 +399,108 @@ void ChordNode::forward_route(RouteMsg msg) {
 // m-cast (paper §4.3.1, Figure 4)
 // ---------------------------------------------------------------------------
 
-void ChordNode::m_cast(std::vector<Key> keys, PayloadPtr payload) {
-  if (keys.empty()) return;
-  run_mcast(std::move(keys), payload, /*hops=*/0, /*initiator=*/true);
+void ChordNode::m_cast_runs(std::vector<KeyRange> runs, PayloadPtr payload) {
+  if (runs.empty()) return;
+  run_mcast(runs, payload, /*hops=*/0, /*initiator=*/true);
 }
 
-void ChordNode::handle_mcast(McastMsg msg) {
-  run_mcast(std::move(msg.targets), msg.payload, msg.hops,
-            /*initiator=*/false, msg.parent_span);
+void ChordNode::handle_mcast(const McastMsg& msg) {
+  run_mcast(msg.targets, msg.payload, msg.hops, /*initiator=*/false,
+            msg.parent_span);
 }
 
-void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
-                          std::uint32_t hops, bool initiator,
-                          std::uint64_t parent_span) {
+const std::vector<Key>& ChordNode::mcast_candidates() {
+  // Delegation candidates: the distinct finger nodes (f_1 is the
+  // successor in a converged ring) plus the successor, sorted by ring
+  // distance. Rebuilt only when the fingers or the successor moved.
+  const std::optional<Key> succ =
+      succs_.empty() ? std::nullopt : std::optional<Key>(succs_.front());
+  if (candidates_valid_ && candidates_finger_version_ == fingers_.version() &&
+      candidates_succ_ == succ) {
+    return candidates_;
+  }
+  candidates_ = fingers_.distinct_nodes();
+  if (succ && std::find(candidates_.begin(), candidates_.end(), *succ) ==
+                  candidates_.end()) {
+    candidates_.push_back(*succ);
+    std::sort(candidates_.begin(), candidates_.end(), [this](Key a, Key b) {
+      return ring().distance(id_, a) < ring().distance(id_, b);
+    });
+  }
+  candidates_valid_ = true;
+  candidates_finger_version_ = fingers_.version();
+  candidates_succ_ = succ;
+  return candidates_;
+}
+
+void ChordNode::run_mcast(const std::vector<KeyRange>& runs,
+                          const PayloadPtr& payload, std::uint32_t hops,
+                          bool initiator, std::uint64_t parent_span) {
   if (offline_) return;
   metrics::TraceSink* ts = net_.trace_sink();
   if (hops >= config().max_route_hops) {
-    net_.hot().mcast_dropped_keys->inc(keys.size());
+    const std::uint64_t keys = key_count(ring(), runs);
+    net_.hot().mcast_dropped_keys->inc(keys);
     if (ts != nullptr) {
       if (const auto t = hop_ref(payload, parent_span); t.sampled()) {
         const auto now = net_.sim().now();
         ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kMaxHops),
-                 keys.size());
+                 static_cast<std::uint64_t>(DropReason::kMaxHops), keys);
       }
     }
     return;
   }
 
-  // Delegation candidates: the distinct finger nodes (f_1 is the
-  // successor in a converged ring) sorted by ring distance.
-  std::vector<Key> candidates = fingers_.distinct_nodes();
-  if (!succs_.empty() &&
-      std::find(candidates.begin(), candidates.end(), succs_.front()) ==
-          candidates.end()) {
-    candidates.push_back(succs_.front());
-    std::sort(candidates.begin(), candidates.end(),
-              [this](Key a, Key b) {
-                return ring().distance(id_, a) < ring().distance(id_, b);
-              });
-  }
-
-  // Figure 4 segment delegation (shared across overlays).
-  const overlay::McastPartition part = overlay::partition_mcast_targets(
-      ring(), id_, [this](Key k) { return covers(k); }, std::move(keys),
+  // Figure 4 segment delegation (shared across overlays). A failed
+  // transmit below evicts a peer, which only marks the candidate cache
+  // stale: nothing rebuilds it before the retry after the loop.
+  const std::vector<Key>& candidates = mcast_candidates();
+  const overlay::McastRunPartition part = overlay::partition_mcast_runs(
+      ring(), id_, overlay::covered_arc(ring(), id_, predecessor()), runs,
       candidates);
 
-  if (!part.local.empty() && app_ != nullptr) {
+  const std::uint64_t local_keys = key_count(ring(), part.local);
+  if (local_keys > 0 && app_ != nullptr) {
     const MessageClass cls = payload->message_class();
     net_.traffic().record_delivery(cls);
+    std::vector<Key> covered;
+    expand_in_order(ring(), part.local, covered);
     if (initiator) {
       // Keep the upcall asynchronous even for the initiator.
       PayloadPtr p = payload;
-      std::vector<Key> covered = part.local;
       net_.self_deliver([this, covered = std::move(covered), p] {
         if (!offline_) app_->on_deliver_mcast(covered, p);
       });
     } else {
-      app_->on_deliver_mcast(part.local, payload);
+      app_->on_deliver_mcast(covered, payload);
     }
   }
   if (!part.undeliverable.empty()) {
-    net_.hot().mcast_dropped_keys->inc(part.undeliverable.size());
+    const std::uint64_t keys = key_count(ring(), part.undeliverable);
+    net_.hot().mcast_dropped_keys->inc(keys);
     if (ts != nullptr) {
       if (const auto t = hop_ref(payload, parent_span); t.sampled()) {
         const auto now = net_.sim().now();
         ts->emit(t, SpanKind::kDrop, id_, now, now,
-                 static_cast<std::uint64_t>(DropReason::kMcastDead),
-                 part.undeliverable.size());
+                 static_cast<std::uint64_t>(DropReason::kMcastDead), keys);
       }
     }
   }
 
-  std::size_t branches = 0;
-  std::size_t delegated_keys = 0;
-  for (const auto& d : part.delegated) {
-    if (d.empty()) continue;
-    ++branches;
-    delegated_keys += d.size();
-  }
+  const std::size_t branches = part.branches.size();
   std::uint64_t split_span = parent_span;
   if (branches > 0) {
     net_.hot().mcast_fanout->add(static_cast<double>(branches));
     if (ts != nullptr) {
       if (const auto t = hop_ref(payload, parent_span); t.sampled()) {
+        std::uint64_t delegated_keys = 0;
+        for (const auto& b : part.branches) {
+          delegated_keys += key_count(ring(), b.runs);
+        }
         const auto now = net_.sim().now();
         if (const auto span =
                 ts->emit(t, SpanKind::kMcastSplit, id_, now, now,
-                         delegated_keys + part.local.size(), branches);
+                         delegated_keys + local_keys, branches);
             span != 0) {
           split_span = span;
         }
@@ -495,21 +509,17 @@ void ChordNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
   }
 
   const MessageClass cls = payload->message_class();
-  std::vector<Key> retry;
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    if (part.delegated[j].empty()) continue;
-    if (!transmit(candidates[j],
-                  McastMsg{part.delegated[j], payload, hops + 1, 0,
-                           split_span},
+  std::vector<KeyRange> retry;
+  for (const auto& branch : part.branches) {
+    if (!transmit(candidates[branch.candidate],
+                  McastMsg{branch.runs, payload, hops + 1, 0, split_span},
                   cls)) {
-      retry.insert(retry.end(), part.delegated[j].begin(),
-                   part.delegated[j].end());
+      retry.insert(retry.end(), branch.runs.begin(), branch.runs.end());
     }
   }
   if (!retry.empty()) {
     // Dead candidates were evicted; re-run the assignment for their keys.
-    run_mcast(std::move(retry), payload, hops + 1, /*initiator=*/false,
-              split_span);
+    run_mcast(retry, payload, hops + 1, /*initiator=*/false, split_span);
   }
 }
 
@@ -976,7 +986,7 @@ void ChordNode::receive(Envelope env) {
         if constexpr (std::is_same_v<T, RouteMsg>) {
           handle_route(std::move(m));
         } else if constexpr (std::is_same_v<T, McastMsg>) {
-          handle_mcast(std::move(m));
+          handle_mcast(m);
         } else if constexpr (std::is_same_v<T, ChainMsg>) {
           handle_chain(std::move(m));
         } else if constexpr (std::is_same_v<T, NeighborMsg>) {

@@ -139,14 +139,15 @@ Key PastryNetwork::oracle_successor(Key key) const {
 
 namespace {
 
-std::size_t wire_size_bytes(const WireMessage& msg) {
+std::size_t wire_size_bytes(RingParams ring, const WireMessage& msg) {
   return std::visit(
-      [](const auto& m) -> std::size_t {
+      [ring](const auto& m) -> std::size_t {
         using T = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<T, RouteMsg>) {
           return m.payload->size_bytes() + 8;
-        } else if constexpr (std::is_same_v<T, McastMsg> ||
-                             std::is_same_v<T, ChainMsg>) {
+        } else if constexpr (std::is_same_v<T, McastMsg>) {
+          return m.payload->size_bytes() + 8 * key_count(ring, m.targets);
+        } else if constexpr (std::is_same_v<T, ChainMsg>) {
           return m.payload->size_bytes() + 8 * m.targets.size();
         } else if constexpr (std::is_same_v<T, NeighborMsg>) {
           return m.payload->size_bytes();
@@ -162,7 +163,7 @@ std::size_t wire_size_bytes(const WireMessage& msg) {
 bool PastryNetwork::transmit(Key from, Key to, WireMessage msg,
                              overlay::MessageClass cls) {
   if (!std::binary_search(ids_.begin(), ids_.end(), to)) return false;
-  traffic_.record_hop(cls, wire_size_bytes(msg));
+  traffic_.record_hop(cls, wire_size_bytes(ring(), msg));
 
   // Only the sender's own streams are consulted, so a transmit issued
   // from node `from`'s event (or from exclusive global context) never

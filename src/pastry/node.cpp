@@ -298,74 +298,77 @@ void PastryNode::handle_route(RouteMsg msg) {
 // m-cast / chain
 // ---------------------------------------------------------------------------
 
-void PastryNode::m_cast(std::vector<Key> keys, PayloadPtr payload) {
-  if (keys.empty()) return;
-  run_mcast(std::move(keys), payload, 0, /*initiator=*/true);
+void PastryNode::m_cast_runs(std::vector<KeyRange> runs,
+                             PayloadPtr payload) {
+  if (runs.empty()) return;
+  run_mcast(runs, payload, 0, /*initiator=*/true);
 }
 
-void PastryNode::run_mcast(std::vector<Key> keys, const PayloadPtr& payload,
-                           std::uint32_t hops, bool initiator,
-                           std::uint64_t parent_span) {
+void PastryNode::run_mcast(const std::vector<KeyRange>& runs,
+                           const PayloadPtr& payload, std::uint32_t hops,
+                           bool initiator, std::uint64_t parent_span) {
   if (hops >= config().max_route_hops) {
-    net_.hot().mcast_dropped_keys->inc(keys.size());
+    const std::uint64_t keys = key_count(ring(), runs);
+    net_.hot().mcast_dropped_keys->inc(keys);
     if (auto* ts = net_.trace_sink()) {
       const auto now = net_.sim().now();
       ts->emit(hop_ref(payload, parent_span), SpanKind::kDrop, id_, now, now,
-               static_cast<std::uint64_t>(DropReason::kMaxHops), keys.size());
+               static_cast<std::uint64_t>(DropReason::kMaxHops), keys);
     }
     return;
   }
   const std::vector<Key> candidates = known_nodes_by_distance();
-  const overlay::McastPartition part = overlay::partition_mcast_targets(
-      ring(), id_, [this](Key k) { return covers(k); }, std::move(keys),
+  const std::optional<Key> pred =
+      leaf_pred_.empty() ? std::nullopt
+                         : std::optional<Key>(leaf_pred_.front());
+  const overlay::McastRunPartition part = overlay::partition_mcast_runs(
+      ring(), id_, overlay::covered_arc(ring(), id_, pred), runs,
       candidates);
 
-  if (!part.local.empty() && app_ != nullptr) {
+  const std::uint64_t local_keys = key_count(ring(), part.local);
+  if (local_keys > 0 && app_ != nullptr) {
     const MessageClass cls = payload->message_class();
     net_.traffic().record_delivery(cls);
+    std::vector<Key> covered;
+    expand_in_order(ring(), part.local, covered);
     if (initiator) {
       PayloadPtr p = payload;
-      std::vector<Key> covered = part.local;
       net_.self_deliver([this, covered = std::move(covered), p] {
         app_->on_deliver_mcast(covered, p);
       });
     } else {
-      app_->on_deliver_mcast(part.local, payload);
+      app_->on_deliver_mcast(covered, payload);
     }
   }
   if (!part.undeliverable.empty()) {
-    net_.hot().mcast_dropped_keys->inc(part.undeliverable.size());
+    const std::uint64_t keys = key_count(ring(), part.undeliverable);
+    net_.hot().mcast_dropped_keys->inc(keys);
     if (auto* ts = net_.trace_sink()) {
       const auto now = net_.sim().now();
       ts->emit(hop_ref(payload, parent_span), SpanKind::kDrop, id_, now, now,
-               static_cast<std::uint64_t>(DropReason::kMcastDead),
-               part.undeliverable.size());
+               static_cast<std::uint64_t>(DropReason::kMcastDead), keys);
     }
   }
-  std::size_t branches = 0;
-  std::size_t delegated_keys = 0;
-  for (const auto& d : part.delegated) {
-    if (d.empty()) continue;
-    ++branches;
-    delegated_keys += d.size();
-  }
+  const std::size_t branches = part.branches.size();
   std::uint64_t split_span = parent_span;
   if (branches > 0) {
     net_.hot().mcast_fanout->add(static_cast<double>(branches));
     if (auto* ts = net_.trace_sink()) {
+      std::uint64_t delegated_keys = 0;
+      for (const auto& b : part.branches) {
+        delegated_keys += key_count(ring(), b.runs);
+      }
       const auto now = net_.sim().now();
       const std::uint64_t span =
           ts->emit(hop_ref(payload, parent_span), SpanKind::kMcastSplit, id_,
-                   now, now, delegated_keys + part.local.size(), branches);
+                   now, now, delegated_keys + local_keys, branches);
       if (span != 0) split_span = span;
     }
   }
   const MessageClass cls = payload->message_class();
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    if (part.delegated[j].empty()) continue;
-    transmit(candidates[j],
-             McastMsg{part.delegated[j], payload, hops + 1, 0, split_span},
-             cls);
+  for (const auto& branch : part.branches) {
+    transmit(candidates[branch.candidate],
+             McastMsg{branch.runs, payload, hops + 1, 0, split_span}, cls);
   }
 }
 
@@ -501,7 +504,7 @@ void PastryNode::receive(Key from, WireMessage msg) {
         if constexpr (std::is_same_v<T, RouteMsg>) {
           handle_route(std::move(m));
         } else if constexpr (std::is_same_v<T, McastMsg>) {
-          run_mcast(std::move(m.targets), m.payload, m.hops,
+          run_mcast(m.targets, m.payload, m.hops,
                     /*initiator=*/false, m.parent_span);
         } else if constexpr (std::is_same_v<T, ChainMsg>) {
           if (covers(m.targets.front())) {

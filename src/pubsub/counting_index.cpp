@@ -49,21 +49,32 @@ bool CountingIndex::insert(const SubscriptionPtr& sub) {
     match_all_.push_back(sub->id);
     return true;
   }
-  for (const Constraint& c : sub->constraints) {
-    const ClosedInterval clamped =
-        *c.range.intersect(schema_.domain(c.attribute));
-    const std::size_t first = bucket_of(c.attribute, clamped.lo);
-    const std::size_t last = bucket_of(c.attribute, clamped.hi);
-    for (std::size_t b = first; b <= last; ++b) {
-      buckets_[c.attribute][b].push_back(Entry{dense, c.range});
+  pending_.push_back({sub.get(), dense});
+  return true;
+}
+
+void CountingIndex::register_pending() const {
+  if (pending_.empty()) return;
+  for (const Pending& p : pending_) {
+    for (const Constraint& c : p.sub->constraints) {
+      const ClosedInterval clamped =
+          *c.range.intersect(schema_.domain(c.attribute));
+      const std::size_t first = bucket_of(c.attribute, clamped.lo);
+      const std::size_t last = bucket_of(c.attribute, clamped.hi);
+      for (std::size_t b = first; b <= last; ++b) {
+        buckets_[c.attribute][b].push_back(Entry{p.dense, c.range});
+      }
     }
   }
-  return true;
+  // Release the batch: between batches the index holds what eager
+  // registration would.
+  std::vector<Pending>().swap(pending_);
 }
 
 bool CountingIndex::remove(SubscriptionId id) {
   const auto it = subs_.find(id);
   if (it == subs_.end()) return false;
+  register_pending();
   const SubscriptionPtr sub = it->second.sub;
   const std::uint32_t dense = it->second.dense;
   subs_.erase(it);
@@ -98,6 +109,7 @@ std::vector<SubscriptionId> CountingIndex::match(const Event& e) const {
 void CountingIndex::match_into(const Event& e,
                                std::vector<SubscriptionId>& out) const {
   CBPS_ASSERT(e.values.size() == schema_.dimensions());
+  register_pending();
   ++epoch_;
   if (scratch_count_.size() < dense_.size()) {
     scratch_count_.resize(dense_.size(), 0);
@@ -136,6 +148,7 @@ std::size_t CountingIndex::memory_bytes() const {
       bytes += bucket.capacity() * sizeof(Entry);
     }
   }
+  bytes += pending_.capacity() * sizeof(Pending);
   bytes += match_all_.capacity() * sizeof(SubscriptionId);
   // unordered_map: node (key/value + hash-next pointer) per element plus
   // the bucket array.

@@ -63,6 +63,23 @@ std::vector<std::uint64_t> ScalingHasher::hash_set(ClosedInterval r) const {
   return out;
 }
 
+std::vector<KeyRange> ScalingHasher::hash_runs(ClosedInterval r) const {
+  if (width_ == 1) {
+    const auto clamped = r.intersect(domain_);
+    if (!clamped) return {};
+    return {{hash(clamped->lo), hash(clamped->hi)}};
+  }
+  std::vector<KeyRange> runs;
+  for (const std::uint64_t h : hash_set(r)) {
+    if (!runs.empty() && runs.back().hi + 1 == h) {
+      runs.back().hi = h;
+    } else {
+      runs.push_back({h, h});
+    }
+  }
+  return runs;
+}
+
 // ---------------------------------------------------------------------------
 // Shared helpers
 // ---------------------------------------------------------------------------
@@ -93,24 +110,13 @@ std::vector<Key> AkMapping::rotate(std::vector<Key> keys) const {
   return keys;
 }
 
-std::vector<KeyRange> AkMapping::subscription_ranges(
-    const Subscription& sub) const {
-  std::vector<Key> keys = subscription_keys(sub);
-  std::vector<KeyRange> runs;
-  for (Key k : keys) {  // keys sorted ascending
-    if (!runs.empty() && runs.back().hi + 1 == k) {
-      runs.back().hi = k;
-    } else {
-      runs.push_back({k, k});
+std::vector<KeyRange> AkMapping::rotate(std::vector<KeyRange> runs) const {
+  if (rotation_ != 0) {
+    for (KeyRange& r : runs) {
+      r = {ring_.add(r.lo, rotation_), ring_.add(r.hi, rotation_)};
     }
   }
-  // Merge a run ending at 2^m - 1 with one starting at 0 (ring wrap).
-  if (runs.size() >= 2 && runs.front().lo == 0 &&
-      runs.back().hi == ring_.max_key()) {
-    runs.front().lo = runs.back().lo;
-    runs.pop_back();
-  }
-  return runs;
+  return normalize_runs(ring_, runs);
 }
 
 std::string_view to_string(MappingKind kind) {
@@ -145,16 +151,17 @@ class AttributeSplitMapping final : public AkMapping {
 
   std::string_view name() const override { return "attribute-split"; }
 
-  std::vector<Key> subscription_keys_impl(
+  std::vector<KeyRange> subscription_ranges_impl(
       const Subscription& sub) const override {
-    std::vector<Key> keys;
+    std::vector<KeyRange> runs;
     for (std::size_t i = 0; i < schema_.dimensions(); ++i) {
       const Constraint* c = sub.constraint_on(i);
       const ClosedInterval r = c ? c->range : schema_.domain(i);
-      for (std::uint64_t h : hashers_[i].hash_set(r)) keys.push_back(h);
+      for (const KeyRange& run : hashers_[i].hash_runs(r)) {
+        runs.push_back(run);
+      }
     }
-    sort_unique(keys);
-    return keys;
+    return runs;
   }
 
   std::vector<Key> event_keys_impl(const Event& e) const override {
@@ -193,7 +200,7 @@ class KeySpaceSplitMapping final : public AkMapping {
 
   std::string_view name() const override { return "key-space-split"; }
 
-  std::vector<Key> subscription_keys_impl(
+  std::vector<KeyRange> subscription_ranges_impl(
       const Subscription& sub) const override {
     // Cartesian product of the per-attribute fragment sets.
     std::vector<Key> partial{0};
@@ -213,8 +220,7 @@ class KeySpaceSplitMapping final : public AkMapping {
                       "discretization or constrain more attributes");
     }
     for (Key& k : partial) k <<= pad_bits_;
-    sort_unique(partial);
-    return partial;
+    return compress_keys(ring_, std::move(partial));
   }
 
   std::vector<Key> event_keys_impl(const Event& e) const override {
@@ -250,14 +256,11 @@ class SelectiveAttributeMapping final : public AkMapping {
 
   std::string_view name() const override { return "selective-attribute"; }
 
-  std::vector<Key> subscription_keys_impl(
+  std::vector<KeyRange> subscription_ranges_impl(
       const Subscription& sub) const override {
     const std::size_t s = selective_attr(sub);
     const Constraint* c = sub.constraint_on(s);
-    const ClosedInterval r = c ? c->range : schema_.domain(s);
-    std::vector<Key> keys;
-    for (std::uint64_t h : hashers_[s].hash_set(r)) keys.push_back(h);
-    return keys;  // already sorted & unique
+    return hashers_[s].hash_runs(c ? c->range : schema_.domain(s));
   }
 
   std::vector<Key> event_keys_impl(const Event& e) const override {

@@ -61,29 +61,40 @@ void PubSubNode::send_to_keys(const std::vector<Key>& keys,
   }
 }
 
+void PubSubNode::send_to_runs(const std::vector<KeyRange>& runs,
+                              PayloadPtr payload,
+                              PubSubConfig::Transport transport) {
+  if (transport == PubSubConfig::Transport::kMulticast) {
+    if (!runs.empty()) overlay_.m_cast_runs(runs, std::move(payload));
+    return;
+  }
+  send_to_keys(expand_ascending(overlay_.ring(), runs), std::move(payload),
+               transport);
+}
+
 void PubSubNode::subscribe(SubscriptionPtr sub, sim::SimTime ttl) {
   CBPS_ASSERT(sub != nullptr && sub->id != 0);
   CBPS_ASSERT_MSG(sub->subscriber == overlay_.id(),
                   "subscription's subscriber key must be this node");
-  const std::vector<Key> keys = mapping_.subscription_keys(*sub);
+  const std::vector<KeyRange> runs = mapping_.subscription_ranges(*sub);
   const sim::SimTime expiry =
       ttl == sim::kSimTimeNever ? sim::kSimTimeNever : sim_.now() + ttl;
   own_subs_[sub->id] = OwnSub{sub, expiry};
-  auto msg = std::make_shared<SubscribeMsg>(
-      sub, expiry, mapping_.subscription_ranges(*sub));
+  auto msg = std::make_shared<SubscribeMsg>(sub, expiry, runs);
   if (trace_ != nullptr && trace_->enabled()) {
     if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
       const auto now = sim_.now();
+      const std::uint64_t keys = key_count(mapping_.ring(), runs);
       const std::uint64_t root = trace_->emit(
           metrics::TraceRef{tid, 0}, SpanKind::kSubscribe, overlay_.id(),
-          now, now, sub->id, keys.size());
+          now, now, sub->id, keys);
       const std::uint64_t map_span = trace_->emit(
           metrics::TraceRef{tid, root}, SpanKind::kMap, overlay_.id(), now,
-          now, keys.size());
+          now, keys);
       msg->trace = metrics::TraceRef{tid, map_span};
     }
   }
-  send_to_keys(keys, std::move(msg), cfg_.sub_transport);
+  send_to_runs(runs, std::move(msg), cfg_.sub_transport);
 }
 
 std::size_t PubSubNode::refresh_subscriptions() {
@@ -97,10 +108,9 @@ std::size_t PubSubNode::refresh_subscriptions() {
         own.expires_at <= sim_.now()) {
       continue;  // already expired; a refresh must not resurrect it
     }
-    send_to_keys(mapping_.subscription_keys(*own.sub),
-                 std::make_shared<SubscribeMsg>(
-                     own.sub, own.expires_at,
-                     mapping_.subscription_ranges(*own.sub)),
+    const std::vector<KeyRange> runs = mapping_.subscription_ranges(*own.sub);
+    send_to_runs(runs,
+                 std::make_shared<SubscribeMsg>(own.sub, own.expires_at, runs),
                  cfg_.sub_transport);
     ++n;
   }
@@ -110,10 +120,8 @@ std::size_t PubSubNode::refresh_subscriptions() {
 void PubSubNode::unsubscribe(SubscriptionId id) {
   auto it = own_subs_.find(id);
   if (it == own_subs_.end()) return;
-  const std::vector<Key> keys =
-      mapping_.subscription_keys(*it->second.sub);
-  send_to_keys(keys, std::make_shared<UnsubscribeMsg>(id),
-               cfg_.sub_transport);
+  send_to_runs(mapping_.subscription_ranges(*it->second.sub),
+               std::make_shared<UnsubscribeMsg>(id), cfg_.sub_transport);
   own_subs_.erase(it);
 }
 
@@ -199,7 +207,7 @@ std::size_t PubSubNode::re_replicate() {
   for (const StoredSubRecord& rec : stranded) {
     store_.remove(rec.sub->id);
     ++reissued_imports_;
-    send_to_keys(mapping_.subscription_keys(*rec.sub),
+    send_to_runs(mapping_.subscription_ranges(*rec.sub),
                  std::make_shared<SubscribeMsg>(rec.sub, rec.expires_at,
                                                 rec.ranges),
                  cfg_.sub_transport);
@@ -1099,7 +1107,7 @@ void PubSubNode::import_state(const overlay::PayloadPtr& state) {
                        return coverage_intersects(r);
                      })) {
       ++reissued_imports_;
-      send_to_keys(mapping_.subscription_keys(*rec.sub),
+      send_to_runs(mapping_.subscription_ranges(*rec.sub),
                    std::make_shared<SubscribeMsg>(rec.sub, rec.expires_at,
                                                   rec.ranges),
                    cfg_.sub_transport);

@@ -2,7 +2,9 @@
 // churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/workload/churn.hpp"
@@ -129,6 +131,53 @@ TEST(ChurnIntegrationTest, GracefulChurnBarelyDisturbsDelivery) {
       << (report.issues.empty() ? "" : " first: " + report.issues[0]);
   EXPECT_EQ(report.spurious, 0u);
   EXPECT_GT(churn.events(), 10u);
+}
+
+// Each ChordNode caches its m-cast delegation candidates (distinct
+// fingers plus the successor, by ring distance) and rebuilds them only
+// when the finger table or the successor changed. Under churn,
+// stabilization and m-cast subscriptions, the cached list must equal a
+// fresh computation after every maintenance round.
+TEST(ChurnIntegrationTest, McastCandidateCacheMatchesFreshList) {
+  pubsub::PubSubSystem system(churn_config(32),
+                              pubsub::Schema::uniform(2, 999));
+  system.network().start_maintenance_all();
+  WorkloadGenerator gen(system.schema(), WorkloadParams{}, 5);
+  DriverParams dp;
+  dp.max_subscriptions = 40;
+  dp.max_publications = 40;
+  Driver driver(system, gen, dp, nullptr);
+  driver.start();
+  ChurnParams cp;
+  cp.mean_interval_s = 20.0;
+  cp.min_nodes = 16;
+  ChurnDriver churn(system, cp, 13);
+  churn.start();
+
+  const RingParams ring = system.network().ring();
+  std::size_t checks = 0;
+  for (int round = 0; round < 200; ++round) {
+    system.run_for(churn_config().chord.stabilize_period);
+    for (const Key id : system.network().alive_ids()) {
+      chord::ChordNode& node = *system.network().node(id);
+      std::vector<Key> fresh = node.finger_table().distinct_nodes();
+      const std::vector<Key>& succs = node.successor_list();
+      if (!succs.empty() &&
+          std::find(fresh.begin(), fresh.end(), succs.front()) ==
+              fresh.end()) {
+        fresh.push_back(succs.front());
+        std::sort(fresh.begin(), fresh.end(), [&](Key a, Key b) {
+          return ring.distance(id, a) < ring.distance(id, b);
+        });
+      }
+      ASSERT_EQ(node.mcast_candidates(), fresh)
+          << "node " << id << " round " << round;
+      ++checks;
+    }
+  }
+  churn.stop();
+  EXPECT_GT(churn.events(), 20u);
+  EXPECT_GT(checks, 3000u);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // hashing, ring arithmetic, intervals, RNG and samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -12,6 +14,7 @@
 #include "cbps/common/assert.hpp"
 #include "cbps/common/hash.hpp"
 #include "cbps/common/interval.hpp"
+#include "cbps/common/key_range.hpp"
 #include "cbps/common/logging.hpp"
 #include "cbps/common/ring.hpp"
 #include "cbps/common/rng.hpp"
@@ -404,6 +407,63 @@ TEST(SortedViewTest, MutableMapViewAllowsMovingValuesOut) {
   EXPECT_EQ(drained, (std::vector<int>{6, 4, 5}));
   EXPECT_TRUE(m.at(1).empty());
   EXPECT_TRUE(m.at(2).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Key runs
+// ---------------------------------------------------------------------------
+
+// Random key lists and run lists (wrapping, overlapping, repeated) on
+// small rings, checked against std::set: compress_keys and
+// normalize_runs agree and expand back to the sorted key set, and
+// order_from yields disjoint, merged runs in ring order from the origin
+// that cover exactly the same keys.
+TEST(KeyRangeTest, RunHelpersAgreeWithKeySets) {
+  Rng rng(5);
+  for (unsigned bits = 3; bits <= 9; ++bits) {
+    const RingParams ring{bits};
+    const auto key = [&] {
+      return static_cast<Key>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ring.max_key())));
+    };
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<KeyRange> runs;
+      std::set<Key> want;
+      const int n = static_cast<int>(rng.uniform_int(0, 6));
+      for (int i = 0; i < n; ++i) {
+        const Key lo = key();
+        const auto len = static_cast<std::uint64_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(ring.max_key())));
+        runs.push_back({lo, ring.add(lo, len)});
+        for (std::uint64_t j = 0; j <= len; ++j) want.insert(ring.add(lo, j));
+      }
+      const std::vector<Key> sorted(want.begin(), want.end());
+      std::vector<Key> shuffled = sorted;
+      std::shuffle(shuffled.begin(), shuffled.end(), rng);
+      if (!shuffled.empty()) shuffled.push_back(shuffled.front());
+
+      const std::vector<KeyRange> compressed = compress_keys(ring, shuffled);
+      EXPECT_EQ(compressed, normalize_runs(ring, runs));
+      EXPECT_EQ(expand_ascending(ring, compressed), sorted);
+      EXPECT_EQ(key_count(ring, compressed), sorted.size());
+
+      const Key origin = key();
+      const std::vector<KeyRange> ordered = order_from(ring, origin, runs);
+      std::vector<Key> keys;
+      expand_in_order(ring, ordered, keys);
+      EXPECT_EQ(std::set<Key>(keys.begin(), keys.end()), want);
+      EXPECT_EQ(keys.size(), want.size());
+      for (std::size_t i = 1; i < keys.size(); ++i) {
+        EXPECT_LT(ring.distance(origin, keys[i - 1]),
+                  ring.distance(origin, keys[i]));
+      }
+      for (std::size_t i = 1; i < ordered.size(); ++i) {
+        EXPECT_NE(ring.add(ordered[i - 1].hi, 1), ordered[i].lo);
+      }
+      // Already ordered input is a fixed point.
+      EXPECT_EQ(order_from(ring, origin, ordered), ordered);
+    }
+  }
 }
 
 }  // namespace

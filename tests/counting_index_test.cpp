@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -139,6 +140,179 @@ TEST(CountingIndexTest, EquivalentToBruteForceOnRandomWorkload) {
     const std::set<SubscriptionId> got(got_vec.begin(), got_vec.end());
     ASSERT_EQ(got, expected) << "trial " << trial;
     ASSERT_EQ(got_vec.size(), got.size()) << "duplicate ids reported";
+  }
+}
+
+// The counting index as it was before bucket registration was batched:
+// insert() registers every bucket entry at once. Kept as the reference
+// for the batched index's match output, order included.
+class EagerCountingIndex {
+ public:
+  EagerCountingIndex(const Schema& schema, std::size_t buckets)
+      : schema_(schema), buckets_per_attribute_(buckets),
+        buckets_(schema.dimensions(),
+                 std::vector<std::vector<Entry>>(buckets)) {}
+
+  bool insert(const SubscriptionPtr& sub) {
+    if (subs_.contains(sub->id)) return false;
+    std::uint32_t dense;
+    if (!free_dense_.empty()) {
+      dense = free_dense_.back();
+      free_dense_.pop_back();
+    } else {
+      dense = static_cast<std::uint32_t>(dense_.size());
+      dense_.emplace_back();
+    }
+    dense_[dense] = {sub->id,
+                     static_cast<std::uint32_t>(sub->constraints.size())};
+    subs_.emplace(sub->id, std::make_pair(sub, dense));
+    if (!sub->satisfiable_for(schema_)) return true;
+    if (sub->constraints.empty()) {
+      match_all_.push_back(sub->id);
+      return true;
+    }
+    for_each_bucket(*sub, [&](std::vector<Entry>& bucket,
+                              const Constraint& c) {
+      bucket.push_back({dense, c.range});
+    });
+    return true;
+  }
+
+  bool remove(SubscriptionId id) {
+    const auto it = subs_.find(id);
+    if (it == subs_.end()) return false;
+    const auto [sub, dense] = it->second;
+    subs_.erase(it);
+    dense_[dense] = {};
+    free_dense_.push_back(dense);
+    if (!sub->satisfiable_for(schema_)) return true;
+    if (sub->constraints.empty()) {
+      std::erase(match_all_, id);
+      return true;
+    }
+    for_each_bucket(*sub, [&](std::vector<Entry>& bucket, const Constraint&) {
+      std::erase_if(bucket, [d = dense](const Entry& e) {
+        return e.dense == d;
+      });
+    });
+    return true;
+  }
+
+  std::vector<SubscriptionId> match(const Event& e) const {
+    std::vector<std::uint32_t> count(dense_.size(), 0);
+    std::vector<std::uint32_t> touched;
+    for (std::size_t a = 0; a < schema_.dimensions(); ++a) {
+      const Value v = e.values[a];
+      if (!schema_.domain(a).contains(v)) continue;
+      for (const Entry& entry : buckets_[a][bucket_of(a, v)]) {
+        if (!entry.range.contains(v)) continue;
+        if (count[entry.dense]++ == 0) touched.push_back(entry.dense);
+      }
+    }
+    std::vector<SubscriptionId> out = match_all_;
+    for (const std::uint32_t d : touched) {
+      if (count[d] == dense_[d].second) out.push_back(dense_[d].first);
+    }
+    return out;
+  }
+
+ private:
+  struct Entry {
+    std::uint32_t dense;
+    ClosedInterval range;
+  };
+
+  std::size_t bucket_of(std::size_t a, Value v) const {
+    const ClosedInterval dom = schema_.domain(a);
+    return static_cast<std::size_t>(
+        static_cast<Uint128>(static_cast<std::uint64_t>(v - dom.lo)) *
+        buckets_per_attribute_ / dom.width());
+  }
+
+  template <class Fn>
+  void for_each_bucket(const Subscription& sub, Fn&& fn) {
+    for (const Constraint& c : sub.constraints) {
+      const ClosedInterval clamped =
+          *c.range.intersect(schema_.domain(c.attribute));
+      for (std::size_t b = bucket_of(c.attribute, clamped.lo);
+           b <= bucket_of(c.attribute, clamped.hi); ++b) {
+        fn(buckets_[c.attribute][b], c);
+      }
+    }
+  }
+
+  Schema schema_;
+  std::size_t buckets_per_attribute_;
+  std::vector<std::vector<std::vector<Entry>>> buckets_;
+  std::vector<SubscriptionId> match_all_;
+  std::map<SubscriptionId, std::pair<SubscriptionPtr, std::uint32_t>> subs_;
+  std::vector<std::pair<SubscriptionId, std::uint32_t>> dense_;
+  std::vector<std::uint32_t> free_dense_;
+};
+
+// Interleaved inserts (with constraint-free and unsatisfiable ones),
+// removes, re-inserts of removed ids and matches — several operations
+// often pass between two matches, so batches of pending registrations
+// build up and mix with removals. Every match must return the eager
+// index's ids in the eager index's order.
+TEST(CountingIndexTest, BatchedRegistrationMatchesEagerOrder) {
+  const Schema schema = Schema::uniform(3, 9'999);
+  for (const std::uint64_t seed : {3u, 17u, 29u}) {
+    workload::WorkloadParams wp;
+    wp.nonselective_range_frac = 0.2;
+    workload::WorkloadGenerator gen(schema, wp, seed);
+    Rng& rng = gen.rng();
+    CountingIndex batched(schema, 32);
+    EagerCountingIndex eager(schema, 32);
+    std::vector<SubscriptionPtr> live;
+    std::vector<SubscriptionPtr> removed;
+    SubscriptionId next_id = 1;
+    std::size_t matches = 0;
+    for (int step = 0; step < 3000; ++step) {
+      const double roll = rng.uniform01();
+      if (roll < 0.45 || live.empty()) {
+        SubscriptionPtr s;
+        if (!removed.empty() && rng.bernoulli(0.3)) {
+          s = removed.back();  // re-insert a removed id
+          removed.pop_back();
+        } else {
+          auto cs = gen.make_constraints();
+          while (!cs.empty() && rng.bernoulli(0.3)) cs.pop_back();
+          if (rng.bernoulli(0.05)) {  // unsatisfiable: outside the domain
+            std::erase_if(cs, [](const Constraint& c) {
+              return c.attribute == 0;
+            });
+            cs.push_back({0, {20'000, 20'001}});
+          }
+          s = make_sub(next_id++, std::move(cs));
+        }
+        ASSERT_EQ(batched.insert(s), eager.insert(s));
+        ASSERT_FALSE(batched.insert(s));  // duplicate id, still pending
+        live.push_back(std::move(s));
+      } else if (roll < 0.65) {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        ASSERT_EQ(batched.remove(live[pick]->id),
+                  eager.remove(live[pick]->id));
+        removed.push_back(live[pick]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else if (roll < 0.80) {
+        Event e;
+        e.id = static_cast<EventId>(step + 1);
+        e.values = !live.empty() && rng.bernoulli(0.5)
+                       ? gen.make_matching_values(*live[static_cast<
+                             std::size_t>(rng.uniform_int(
+                             0, static_cast<std::int64_t>(live.size()) - 1))])
+                       : gen.make_random_values();
+        std::vector<SubscriptionId> got;
+        batched.match_into(e, got);
+        ASSERT_EQ(got, eager.match(e)) << "seed " << seed << " step " << step;
+        ++matches;
+      }
+      ASSERT_EQ(batched.size(), live.size());
+      EXPECT_GT(batched.memory_bytes(), 0u);
+    }
+    EXPECT_GT(matches, 300u);
   }
 }
 

@@ -522,6 +522,144 @@ TEST(MappingRotationTest, RangesStayContiguousAcrossWrap) {
 }
 
 // ---------------------------------------------------------------------------
+// subscription_ranges vs the key lists it replaced
+// ---------------------------------------------------------------------------
+
+// SK as the mappings computed it before they emitted runs: the union of
+// per-attribute hash sets (M1), the product of fragment sets (M2) or the
+// selective attribute's set (M3), sorted and deduplicated, then rotated
+// and sorted again.
+std::vector<Key> legacy_subscription_keys(MappingKind kind,
+                                          const Schema& schema,
+                                          RingParams ring,
+                                          const MappingOptions& opt,
+                                          const Subscription& sub) {
+  const auto range = [&](std::size_t i) {
+    const Constraint* c = sub.constraint_on(i);
+    return c ? c->range : schema.domain(i);
+  };
+  const auto hash_set = [&](std::size_t i, unsigned bits) {
+    return ScalingHasher(schema.domain(i), bits, opt.discretization)
+        .hash_set(range(i));
+  };
+  std::vector<Key> keys;
+  switch (kind) {
+    case MappingKind::kAttributeSplit:
+      for (std::size_t i = 0; i < schema.dimensions(); ++i) {
+        for (const std::uint64_t h : hash_set(i, ring.bits())) {
+          keys.push_back(h);
+        }
+      }
+      break;
+    case MappingKind::kKeySpaceSplit: {
+      const auto d = static_cast<unsigned>(schema.dimensions());
+      const unsigned frag = ring.bits() / d;
+      const unsigned pad = ring.bits() - frag * d;
+      keys = {0};
+      for (std::size_t i = 0; i < schema.dimensions(); ++i) {
+        std::vector<Key> next;
+        for (const Key p : keys) {
+          for (const std::uint64_t f : hash_set(i, frag)) {
+            next.push_back((p << frag) | f);
+          }
+        }
+        keys = std::move(next);
+      }
+      for (Key& k : keys) k <<= pad;
+      break;
+    }
+    case MappingKind::kSelectiveAttribute:
+      for (const std::uint64_t h :
+           hash_set(sub.most_selective_attribute(schema).value_or(0),
+                    ring.bits())) {
+        keys.push_back(h);
+      }
+      break;
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  if (opt.rotation != 0) {
+    for (Key& k : keys) k = ring.add(k, opt.rotation);
+    std::sort(keys.begin(), keys.end());
+  }
+  return keys;
+}
+
+// The former subscription_ranges: maximal runs of a sorted key list, a
+// run ending at 2^m - 1 merged into one starting at 0.
+std::vector<KeyRange> legacy_ranges(RingParams ring,
+                                    const std::vector<Key>& keys) {
+  std::vector<KeyRange> runs;
+  for (Key k : keys) {
+    if (!runs.empty() && runs.back().hi + 1 == k) {
+      runs.back().hi = k;
+    } else {
+      runs.push_back({k, k});
+    }
+  }
+  if (runs.size() >= 2 && runs.front().lo == 0 &&
+      runs.back().hi == ring.max_key()) {
+    runs.front().lo = runs.back().lo;
+    runs.pop_back();
+  }
+  return runs;
+}
+
+// Every mapping, with and without rotation and discretization, on random
+// subscriptions (unconstrained, point, partial and domain-straddling
+// constraints): subscription_ranges equals the compression of the old
+// key list, and subscription_keys equals the old key list.
+TEST(MappingRangesTest, RunsMatchCompressedLegacyKeys) {
+  Rng rng(77);
+  std::size_t checked = 0;
+  for (const MappingKind kind :
+       {MappingKind::kAttributeSplit, MappingKind::kKeySpaceSplit,
+        MappingKind::kSelectiveAttribute}) {
+    for (const unsigned bits : {8u, 11u, 13u}) {
+      for (const Value width : {Value{1}, Value{7}, Value{60}}) {
+        for (const bool rotate : {false, true}) {
+          const RingParams ring{bits};
+          const std::size_t d = 1 + static_cast<std::size_t>(
+                                        rng.uniform_int(0, 3));
+          const Schema schema =
+              Schema::uniform(d, rng.bernoulli(0.5) ? 999 : 99'999);
+          MappingOptions opt;
+          opt.discretization = width;
+          if (rotate) {
+            opt.rotation = static_cast<Key>(rng.uniform_int(
+                1, static_cast<std::int64_t>(ring.max_key())));
+          }
+          const auto mapping = make_mapping(kind, schema, ring, opt);
+          for (int n = 0; n < 40; ++n) {
+            Subscription sub;
+            sub.id = 1;
+            for (std::size_t a = 0; a < d; ++a) {
+              if (rng.bernoulli(0.3)) continue;  // unconstrained
+              const Value hi = schema.domain(a).hi;
+              const Value lo = rng.uniform_int(-hi / 10, hi);
+              // Reaches into the domain: M2 needs a fragment per attribute.
+              const Value len = std::max(
+                  -lo, rng.bernoulli(0.2) ? 0 : rng.uniform_int(0, hi / 3));
+              sub.constraints.push_back({a, {lo, lo + len}});
+            }
+            const std::vector<Key> keys =
+                legacy_subscription_keys(kind, schema, ring, opt, sub);
+            SCOPED_TRACE(::testing::Message()
+                         << to_string(kind) << " bits " << bits << " width "
+                         << width << " rotation " << opt.rotation);
+            EXPECT_EQ(mapping->subscription_ranges(sub),
+                      legacy_ranges(ring, keys));
+            EXPECT_EQ(mapping->subscription_keys(sub), keys);
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 3u * 3u * 3u * 2u * 40u);
+}
+
+// ---------------------------------------------------------------------------
 // String attributes (§3.2 footnote 2)
 // ---------------------------------------------------------------------------
 

@@ -2,9 +2,12 @@
 // shared m-cast partition, and the metrics registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <set>
 #include <sstream>
 
+#include "cbps/common/rng.hpp"
 #include "cbps/metrics/registry.hpp"
 #include "cbps/overlay/mcast_partition.hpp"
 #include "cbps/overlay/payload.hpp"
@@ -145,6 +148,173 @@ TEST_F(McastPartitionTest, DisjointUnionPreserved) {
   seen.insert(part.undeliverable.begin(), part.undeliverable.end());
   EXPECT_EQ(seen.size(), targets.size());
   for (Key k : targets) EXPECT_EQ(seen.count(k), 1u) << k;
+}
+
+// ---------------------------------------------------------------------------
+// partition_mcast_runs vs the key-by-key partition it replaced
+// ---------------------------------------------------------------------------
+
+// The key-list partition as it was before m-cast carried runs: sort the
+// targets by ring distance, dedup, then test every key against the
+// covered predicate and the candidate list. Kept verbatim as the
+// reference for the run partition.
+McastPartition legacy_partition(RingParams ring, Key self,
+                                const std::function<bool(Key)>& covers,
+                                std::vector<Key> targets,
+                                const std::vector<Key>& candidates) {
+  McastPartition out;
+  out.delegated.resize(candidates.size());
+  std::sort(targets.begin(), targets.end(), [&](Key a, Key b) {
+    return ring.distance(self, a) < ring.distance(self, b);
+  });
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  for (Key k : targets) {
+    if (covers(k)) {
+      out.local.push_back(k);
+      continue;
+    }
+    if (candidates.empty()) {
+      out.undeliverable.push_back(k);
+      continue;
+    }
+    std::size_t chosen = 0;
+    if (!ring.in_open_closed(self, candidates.front(), k)) {
+      const std::uint64_t dk = ring.distance(self, k);
+      for (std::size_t j = candidates.size(); j-- > 1;) {
+        if (ring.distance(self, candidates[j]) < dk) {
+          chosen = j;
+          break;
+        }
+      }
+    }
+    out.delegated[chosen].push_back(k);
+  }
+  return out;
+}
+
+std::vector<Key> keys_of(RingParams ring, const std::vector<KeyRange>& runs) {
+  std::vector<Key> keys;
+  expand_in_order(ring, runs, keys);
+  return keys;
+}
+
+std::set<Key> key_set(RingParams ring, const std::vector<KeyRange>& runs) {
+  const std::vector<Key> keys = keys_of(ring, runs);
+  return {keys.begin(), keys.end()};
+}
+
+// Seeded random inputs over ring bits 4-13: runs that wrap, contain self,
+// overlap or repeat, known and unknown predecessors, and candidate lists
+// from empty to dense. The run partition must reproduce the key-by-key
+// result: the same local keys in the same order, the same key set per
+// candidate and the same undeliverable keys.
+TEST(McastRunPartitionTest, MatchesKeyByKeyPartition) {
+  Rng rng(20240613);
+  std::size_t trials = 0;
+  for (unsigned bits = 4; bits <= 13; ++bits) {
+    const RingParams ring{bits};
+    const auto key = [&] {
+      return static_cast<Key>(rng.uniform_int(
+          0, static_cast<std::int64_t>(ring.max_key())));
+    };
+    for (int trial = 0; trial < 300; ++trial, ++trials) {
+      const Key self = key();
+      // Predecessor: unknown, self (covers the whole ring) or random.
+      std::optional<Key> pred;
+      const int pred_kind = static_cast<int>(rng.uniform_int(0, 5));
+      if (pred_kind == 1) pred = self;
+      if (pred_kind >= 2) pred = key();
+
+      // Candidates: distinct, never self, sorted by distance from self.
+      std::vector<Key> candidates;
+      const int n_cand = static_cast<int>(rng.uniform_int(0, 12));
+      for (int i = 0; i < n_cand; ++i) {
+        const Key c = key();
+        if (c != self && std::find(candidates.begin(), candidates.end(),
+                                   c) == candidates.end()) {
+          candidates.push_back(c);
+        }
+      }
+      std::sort(candidates.begin(), candidates.end(), [&](Key a, Key b) {
+        return ring.distance(self, a) < ring.distance(self, b);
+      });
+
+      // Target runs: short and long, some through self, some wrapping
+      // past 2^m - 1, some overlapping or repeated.
+      std::vector<KeyRange> runs;
+      const int n_runs = static_cast<int>(rng.uniform_int(0, 8));
+      for (int i = 0; i < n_runs; ++i) {
+        const std::uint64_t span = rng.bernoulli(0.3)
+                                       ? ring.max_key()
+                                       : std::min<std::uint64_t>(
+                                             ring.max_key(), 40);
+        const Key lo = rng.bernoulli(0.2) ? ring.sub(self, 3) : key();
+        const auto len = static_cast<std::uint64_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(span)));
+        runs.push_back({lo, ring.add(lo, len)});
+        if (rng.bernoulli(0.1)) runs.push_back(runs.back());
+      }
+      if (rng.bernoulli(0.05)) runs.push_back({ring.add(self, 1), self});
+      // Half the trials pass runs in ring order from some other node, as
+      // a received McastMsg does.
+      if (rng.bernoulli(0.5)) runs = order_from(ring, key(), runs);
+
+      const std::vector<Key> keys = keys_of(ring, runs);
+      const auto covers = [&](Key k) {
+        return !pred || ring.in_open_closed(*pred, self, k);
+      };
+      const McastPartition want =
+          legacy_partition(ring, self, covers, keys, candidates);
+      const McastRunPartition got = partition_mcast_runs(
+          ring, self, covered_arc(ring, self, pred), runs, candidates);
+
+      SCOPED_TRACE(::testing::Message() << "bits " << bits << " trial "
+                                        << trial << " self " << self);
+      EXPECT_EQ(keys_of(ring, got.local), want.local);
+      EXPECT_EQ(keys_of(ring, got.undeliverable), want.undeliverable);
+      std::vector<std::set<Key>> got_sets(candidates.size());
+      std::size_t prev = 0;
+      for (std::size_t b = 0; b < got.branches.size(); ++b) {
+        const auto& branch = got.branches[b];
+        ASSERT_LT(branch.candidate, candidates.size());
+        if (b > 0) {
+          EXPECT_GT(branch.candidate, prev);
+        }
+        prev = branch.candidate;
+        EXPECT_FALSE(branch.runs.empty());
+        got_sets[branch.candidate] = key_set(ring, branch.runs);
+      }
+      for (std::size_t j = 0; j < candidates.size(); ++j) {
+        const std::set<Key> want_set(want.delegated[j].begin(),
+                                     want.delegated[j].end());
+        EXPECT_EQ(got_sets[j], want_set) << "candidate " << j;
+      }
+      // The key-list adapter agrees too, ordering included.
+      const McastPartition adapted =
+          partition_mcast_targets(ring, self, covers, keys, candidates);
+      EXPECT_EQ(adapted.local, want.local);
+      EXPECT_EQ(adapted.delegated, want.delegated);
+      EXPECT_EQ(adapted.undeliverable, want.undeliverable);
+    }
+  }
+  EXPECT_EQ(trials, 3000u);
+}
+
+TEST(McastRunPartitionTest, CutsRunsAtCandidateBoundaries) {
+  const RingParams ring{8};
+  // Self 100 covers (90, 100]; candidates 120 and 200. One run
+  // [95, 230] splits into local [95, 100], (100, 200] for 120 and
+  // (200, 230] for 200.
+  const auto part = partition_mcast_runs(ring, 100,
+                                         covered_arc(ring, 100, Key{90}),
+                                         {{95, 230}}, {120, 200});
+  EXPECT_EQ(part.local, (std::vector<KeyRange>{{100, 100}, {95, 99}}));
+  ASSERT_EQ(part.branches.size(), 2u);
+  EXPECT_EQ(part.branches[0].candidate, 0u);
+  EXPECT_EQ(part.branches[0].runs, (std::vector<KeyRange>{{101, 200}}));
+  EXPECT_EQ(part.branches[1].candidate, 1u);
+  EXPECT_EQ(part.branches[1].runs, (std::vector<KeyRange>{{201, 230}}));
+  EXPECT_TRUE(part.undeliverable.empty());
 }
 
 }  // namespace

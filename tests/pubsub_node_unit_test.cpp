@@ -34,7 +34,10 @@ class FakeOverlay final : public overlay::OverlayNode {
   void send(Key key, overlay::PayloadPtr payload) override {
     sent.push_back({Sent::Kind::kSend, key, {}, std::move(payload)});
   }
-  void m_cast(std::vector<Key> keys, overlay::PayloadPtr payload) override {
+  void m_cast_runs(std::vector<KeyRange> runs,
+                   overlay::PayloadPtr payload) override {
+    std::vector<Key> keys;
+    expand_in_order(ring_, runs, keys);
     sent.push_back({Sent::Kind::kMcast, 0, std::move(keys),
                     std::move(payload)});
   }
@@ -212,7 +215,7 @@ TEST_F(PubSubNodeUnitTest, AgentSendsBatchToSubscriber) {
   e2->values = {95};
   node->on_deliver(
       120, std::make_shared<CollectMsg>(std::vector<CollectItem>{
-               {KeyRange{0, 200}, 220, Notification{e2, 1}}}));
+               {KeyRange{0, 200}, 220, Notification{e2, 1, 0, {}}}}));
   sim_.run();
 
   ASSERT_EQ(overlay.sent.size(), 1u);
@@ -462,7 +465,7 @@ TEST_F(PubSubNodeUnitTest, ReplayedNotifyMsgSurfacesOnce) {
   e->values = {50};
   checker.on_publish(e, sim::sec(100));
   const auto notify = std::make_shared<NotifyMsg>(
-      /*subscriber=*/100, std::vector<Notification>{{e, 1, sim::sec(100)}});
+      /*subscriber=*/100, std::vector<Notification>{{e, 1, sim::sec(100), {}}});
   node->on_deliver(100, notify);
   node->on_deliver(100, std::make_shared<NotifyMsg>(*notify));  // replay
 
@@ -512,7 +515,7 @@ TEST_F(DeliveryCheckerTest, AcceptsCorrectDelivery) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(101));
   const auto report = checker.verify();
   EXPECT_TRUE(report.ok());
   EXPECT_EQ(report.delivered, 1u);
@@ -524,8 +527,8 @@ TEST_F(DeliveryCheckerTest, DetectsDuplicates) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(101));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(102));
   EXPECT_EQ(checker.verify().duplicates, 1u);
 }
 
@@ -535,7 +538,7 @@ TEST_F(DeliveryCheckerTest, DetectsSpuriousDelivery) {
   const auto e = event(1, 200);  // does not match
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(101));
   EXPECT_EQ(checker.verify().spurious, 1u);
 }
 
@@ -545,7 +548,7 @@ TEST_F(DeliveryCheckerTest, DetectsWrongSubscriber) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(/*subscriber=*/7, Notification{e, 1}, sim::sec(101));
+  checker.on_notify(/*subscriber=*/7, Notification{e, 1, 0, {}}, sim::sec(101));
   EXPECT_EQ(checker.verify().wrong_subscriber, 1u);
 }
 
@@ -557,8 +560,8 @@ TEST_F(DeliveryCheckerTest, DuplicateAtTheSameNodeIsOnlyADuplicate) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(101));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(102));
   const auto report = checker.verify();
   EXPECT_EQ(report.delivered, 1u);
   EXPECT_EQ(report.duplicates, 1u);
@@ -575,8 +578,8 @@ TEST_F(DeliveryCheckerTest, LateDuplicateCannotMaskAWrongFirstDelivery) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(/*subscriber=*/7, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(/*subscriber=*/42, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(/*subscriber=*/7, Notification{e, 1, 0, {}}, sim::sec(101));
+  checker.on_notify(/*subscriber=*/42, Notification{e, 1, 0, {}}, sim::sec(102));
   EXPECT_EQ(checker.verify().wrong_subscriber, 1u);
 }
 
@@ -589,8 +592,8 @@ TEST_F(DeliveryCheckerTest, DuplicateAtAnotherNodeFlagsTheMismatch) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(100));
-  checker.on_notify(/*subscriber=*/42, Notification{e, 1}, sim::sec(101));
-  checker.on_notify(/*subscriber=*/7, Notification{e, 1}, sim::sec(102));
+  checker.on_notify(/*subscriber=*/42, Notification{e, 1, 0, {}}, sim::sec(101));
+  checker.on_notify(/*subscriber=*/7, Notification{e, 1, 0, {}}, sim::sec(102));
   EXPECT_EQ(checker.verify().wrong_subscriber, 1u);
 }
 
@@ -652,7 +655,7 @@ TEST_F(DeliveryCheckerTest, DeliveryWithinGraceRegionIsTolerated) {
   const auto e = event(1, 50);
   checker.on_subscribe(s, sim::sec(100), sim::kSimTimeNever);
   checker.on_publish(e, sim::sec(101));  // inside the grace region
-  checker.on_notify(42, Notification{e, 1}, sim::sec(103));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(103));
   const auto report = checker.verify(/*grace=*/sim::sec(2));
   EXPECT_EQ(report.expected, 0u);
   EXPECT_EQ(report.spurious, 0u);
@@ -668,7 +671,7 @@ TEST_F(DeliveryCheckerTest, DeliveryAfterUnsubscribeIsNotSpurious) {
   checker.on_subscribe(s, sim::sec(0), sim::kSimTimeNever);
   checker.on_unsubscribe(1, sim::sec(50));
   checker.on_publish(e, sim::sec(60));
-  checker.on_notify(42, Notification{e, 1}, sim::sec(61));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(61));
   const auto report = checker.verify();
   EXPECT_EQ(report.expected, 0u);
   EXPECT_EQ(report.spurious, 0u);
@@ -692,7 +695,7 @@ TEST_F(DeliveryCheckerTest, DeliveryBeforeSubscribeIsSpurious) {
   const auto e = event(1, 50);
   checker.on_publish(e, sim::sec(10));
   checker.on_subscribe(s, sim::sec(100), sim::kSimTimeNever);
-  checker.on_notify(42, Notification{e, 1}, sim::sec(11));
+  checker.on_notify(42, Notification{e, 1, 0, {}}, sim::sec(11));
   EXPECT_GT(checker.verify().spurious, 0u);
 }
 
