@@ -1,12 +1,12 @@
 // Simulation-side container for a Chord ring.
 //
-// Owns the nodes, the clock's view of the "wire" (latency + hop
-// accounting), liveness, and a ground-truth key->node oracle used both to
-// build static topologies and to verify routing in tests.
+// Owns the nodes, their overlay::Wire (per-sender latency and loss, hop
+// accounting), liveness, partitions and gray failures, and a
+// ground-truth key->node oracle used both to build static topologies and
+// to verify routing in tests.
 #pragma once
 
 #include <array>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,12 +17,7 @@
 #include "cbps/chord/config.hpp"
 #include "cbps/chord/node.hpp"
 #include "cbps/chord/wire.hpp"
-#include "cbps/metrics/registry.hpp"
-#include "cbps/metrics/trace.hpp"
-#include "cbps/overlay/payload.hpp"
-#include "cbps/sim/latency.hpp"
-#include "cbps/sim/loss.hpp"
-#include "cbps/sim/simulator.hpp"
+#include "cbps/overlay/wire.hpp"
 
 namespace cbps::chord {
 
@@ -89,8 +84,10 @@ class ChordNetwork {
   /// decisions are a function of the sender's transmission history alone
   /// — independent of the engine's shard count. Installing and later
   /// removing a model never perturbs latency or topology sampling.
-  void set_loss_model(std::unique_ptr<sim::LossModel> model);
-  sim::LossModel* loss_model() { return loss_.get(); }
+  void set_loss_model(std::unique_ptr<sim::LossModel> model) {
+    wire_.set_loss_model(std::move(model));
+  }
+  sim::LossModel* loss_model() { return wire_.loss_model(); }
 
   /// Number of alive senders whose Gilbert–Elliott channel is currently
   /// in the Bad state (0 when another/no loss model is installed).
@@ -126,85 +123,46 @@ class ChordNetwork {
   bool transmit(Key from, Key to, WireMessage msg,
                 overlay::MessageClass cls);
 
-  /// Schedule a zero-latency local action (self-deliveries are
-  /// asynchronous but free).
-  void self_deliver(std::function<void()> action);
-
   // --- environment ---------------------------------------------------------
-  sim::SimulatorBase& sim() { return sim_; }
+  overlay::Wire& wire() { return wire_; }
+  sim::SimulatorBase& sim() { return wire_.sim(); }
   Rng& rng() { return rng_; }
-  overlay::TrafficStats& traffic() { return traffic_; }
-  const overlay::TrafficStats& traffic() const { return traffic_; }
-  metrics::Registry& registry() { return registry_; }
+  overlay::TrafficStats& traffic() { return wire_.traffic(); }
+  const overlay::TrafficStats& traffic() const { return wire_.traffic(); }
+  metrics::Registry& registry() { return wire_.registry(); }
   const ChordConfig& config() const { return cfg_; }
   RingParams ring() const { return cfg_.ring; }
 
   // --- observability ------------------------------------------------------
   /// Install a per-run trace sink (nullptr = tracing off, the default).
   /// Not owned; must outlive the network.
-  void set_trace_sink(metrics::TraceSink* sink) { trace_sink_ = sink; }
-  metrics::TraceSink* trace_sink() const { return trace_sink_; }
+  void set_trace_sink(metrics::TraceSink* sink) { wire_.set_trace_sink(sink); }
+  metrics::TraceSink* trace_sink() const { return wire_.trace_sink(); }
 
-  /// Registry handles resolved once at construction so per-message code
-  /// never does a std::map string lookup (see Registry's cached-handle
-  /// API). Shared by the network's wire and every ChordNode.
+  /// Registry handles of Chord's own protocols (the data-plane ones are
+  /// overlay::Wire::Stats), resolved once at construction so per-message
+  /// code never does a std::map string lookup.
   struct HotStats {
     explicit HotStats(metrics::Registry& reg);
 
-    metrics::Counter* send_to_dead;
-    metrics::Counter* retransmits;
-    metrics::Counter* send_failed;
-    metrics::Counter* dup_suppressed;
-    metrics::Counter* route_dropped;
-    metrics::Counter* route_no_candidate;
-    metrics::Counter* mcast_dropped_keys;
-    metrics::Counter* chain_dropped;
-    metrics::Counter* chain_no_candidate;
     metrics::Counter* lookup_dropped;
     metrics::Counter* lookup_no_candidate;
     metrics::Counter* net_partition_refused;
     metrics::Counter* net_partition_dropped;
-    metrics::Counter* net_lost;
     metrics::Counter* join_retry;
-    std::array<metrics::Counter*, overlay::kMessageClassCount>
-        net_lost_by_class;
     // Per-message-class wire service time (sampled latency incl. the
     // gray-failure slowdown, microseconds): the load observatory's
     // per-class service-time profile ("chord.net.delay_us.<class>").
     std::array<metrics::Histogram*, overlay::kMessageClassCount>
         delay_us_by_class;
-    metrics::Histogram* route_hops;       // hops of completed app routes
-    metrics::Histogram* mcast_fanout;     // branches per m-cast split
-    metrics::Histogram* retries_per_send; // retransmits per reliable send
   };
   HotStats& hot() { return hot_; }
 
  private:
-  // Per-sender wire state: every node draws its latency and loss
-  // decisions from its own RNG streams (seeded from the run seed and the
-  // node id) and owns a clone of the loss-model prototype. This makes
-  // every wire draw a pure function of the sender's own transmission
-  // history, which is what lets the parallel engine transmit from many
-  // shards concurrently while staying bit-identical to the serial run:
-  // a single shared stream would be consumed in wall-clock order.
-  struct WireState {
-    common::Domain domain = common::kGlobalDomain;
-    Rng latency_rng;
-    Rng loss_rng;
-    std::unique_ptr<sim::LossModel> loss;  // null = lossless channel
-  };
-
-  sim::SimulatorBase& sim_;
   ChordConfig cfg_;
-  std::uint64_t seed_;
   Rng rng_;
-  std::unique_ptr<sim::LatencyModel> latency_;
-  std::unique_ptr<sim::LossModel> loss_;  // prototype; null = lossless
-  std::unordered_map<Key, WireState> wire_;
-  overlay::TrafficStats traffic_;
-  metrics::Registry registry_;
-  HotStats hot_{registry_};
-  metrics::TraceSink* trace_sink_ = nullptr;
+  overlay::Wire wire_;
+  HotStats hot_{wire_.registry()};
 
   std::map<Key, std::unique_ptr<ChordNode>> nodes_;  // includes dead nodes
   std::vector<Key> alive_;  // sorted; O(1) dense indexing for benches

@@ -13,6 +13,11 @@
 
 namespace cbps {
 
+/// SplitMix64 finalizer of `x` (the output of one SplitMix64 step from
+/// state `x`): decorrelates per-node stream seeds derived from (run seed,
+/// node id), so adjacent ids never produce adjacent states.
+std::uint64_t mix64(std::uint64_t x);
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded via SplitMix64.
 /// Satisfies std::uniform_random_bit_generator.
 class Rng {

@@ -9,61 +9,29 @@
 namespace cbps::chord {
 
 ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
-    : send_to_dead(reg.counter_handle("chord.send_to_dead")),
-      retransmits(reg.counter_handle("chord.retransmits")),
-      send_failed(reg.counter_handle("chord.send_failed")),
-      dup_suppressed(reg.counter_handle("chord.dup_suppressed")),
-      route_dropped(reg.counter_handle("chord.route_dropped")),
-      route_no_candidate(reg.counter_handle("chord.route_no_candidate")),
-      mcast_dropped_keys(reg.counter_handle("chord.mcast_dropped_keys")),
-      chain_dropped(reg.counter_handle("chord.chain_dropped")),
-      chain_no_candidate(reg.counter_handle("chord.chain_no_candidate")),
-      lookup_dropped(reg.counter_handle("chord.lookup_dropped")),
+    : lookup_dropped(reg.counter_handle("chord.lookup_dropped")),
       lookup_no_candidate(reg.counter_handle("chord.lookup_no_candidate")),
       net_partition_refused(
           reg.counter_handle("chord.net.partition_refused")),
       net_partition_dropped(
           reg.counter_handle("chord.net.partition_dropped")),
-      net_lost(reg.counter_handle("chord.net.lost")),
-      join_retry(reg.counter_handle("chord.join_retry")),
-      route_hops(reg.histogram_handle("chord.route_hops")),
-      mcast_fanout(reg.histogram_handle("chord.mcast_fanout")),
-      retries_per_send(reg.histogram_handle("chord.retries_per_send")) {
+      join_retry(reg.counter_handle("chord.join_retry")) {
   for (std::size_t c = 0; c < overlay::kMessageClassCount; ++c) {
-    net_lost_by_class[c] = reg.counter_handle(
-        std::string("chord.net.lost.") +
-        std::string(overlay::to_string(static_cast<overlay::MessageClass>(c))));
     delay_us_by_class[c] = reg.histogram_handle(
         std::string("chord.net.delay_us.") +
         std::string(overlay::to_string(static_cast<overlay::MessageClass>(c))));
   }
 }
 
-namespace {
-
-// SplitMix64 finalizer: decorrelates the per-node wire-stream seeds
-// derived from (run seed, node id).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
                            std::uint64_t seed,
                            std::unique_ptr<sim::LatencyModel> latency)
-    : sim_(sim),
-      cfg_(cfg),
-      seed_(seed),
+    : cfg_(cfg),
       rng_(seed),
-      latency_(latency ? std::move(latency) : sim::default_latency()) {
-  if (cfg_.loss_rate > 0.0) {
-    loss_ = std::make_unique<sim::UniformLoss>(cfg_.loss_rate);
-  }
-}
+      wire_(sim, "chord",
+            {cfg.ring, cfg.max_route_hops, cfg.reliable_transport(),
+             cfg.max_retries, cfg.retry_base},
+            seed, cfg.loss_rate, std::move(latency)) {}
 
 ChordNetwork::~ChordNetwork() {
   // Timers owned by nodes reference the simulator; stop them while the
@@ -86,17 +54,10 @@ ChordNode& ChordNetwork::add_node(const std::string& name) {
 ChordNode& ChordNetwork::add_node_with_id(Key id, std::string name) {
   CBPS_ASSERT_MSG(!nodes_.contains(id), "duplicate node id");
   CBPS_ASSERT(id <= cfg_.ring.max_key());
-  // Per-sender wire streams seeded from (run seed, node id): the draw
-  // sequences are independent of registration order and engine choice.
-  // Dedicated loss stream so enabling loss never perturbs latency.
-  WireState ws{sim_.register_domain(), Rng(mix64(seed_ ^ mix64(id))),
-               Rng(mix64(seed_ ^ mix64(id) ^ 0x9e3779b97f4a7c15ull)),
-               loss_ ? loss_->clone() : nullptr};
-  auto node =
-      std::make_unique<ChordNode>(*this, id, std::move(name), ws.domain);
+  const common::Domain domain = wire_.add_sender(id);
+  auto node = std::make_unique<ChordNode>(*this, id, std::move(name), domain);
   ChordNode& ref = *node;
   nodes_.emplace(id, std::move(node));
-  wire_.emplace(id, std::move(ws));
   alive_.insert(std::lower_bound(alive_.begin(), alive_.end(), id), id);
   return ref;
 }
@@ -198,21 +159,11 @@ double ChordNetwork::slow_factor(Key id) const {
   return it == slow_factors_.end() ? 1.0 : it->second;
 }
 
-void ChordNetwork::set_loss_model(std::unique_ptr<sim::LossModel> model) {
-  loss_ = std::move(model);
-  // detlint: unordered-ok(every wire gets an identical fresh clone; commutative)
-  for (auto& [_, ws] : wire_) {
-    ws.loss = loss_ ? loss_->clone() : nullptr;
-  }
-}
-
 std::size_t ChordNetwork::loss_bad_state_count() const {
   std::size_t n = 0;
   for (Key id : alive_) {
-    const auto it = wire_.find(id);
-    if (it == wire_.end()) continue;
     const auto* ge =
-        dynamic_cast<const sim::GilbertElliottLoss*>(it->second.loss.get());
+        dynamic_cast<const sim::GilbertElliottLoss*>(wire_.sender_loss(id));
     if (ge != nullptr && ge->in_bad_state()) ++n;
   }
   return n;
@@ -253,21 +204,15 @@ void ChordNetwork::stop_maintenance_all() {
 
 namespace {
 
-/// Approximate wire size of a message: the application payload plus
-/// 8 bytes per carried key (an m-cast message is charged for every key
-/// its runs cover).
+/// Approximate wire size of a message: the shared rule for the
+/// application messages; the carried state or successor list for the
+/// membership messages that have one, 16 bytes for the rest.
 std::size_t wire_size_bytes(RingParams ring, const WireMessage& msg) {
   return std::visit(
       [ring](const auto& m) -> std::size_t {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, RouteMsg>) {
-          return m.payload->size_bytes() + 8;
-        } else if constexpr (std::is_same_v<T, McastMsg>) {
-          return m.payload->size_bytes() + 8 * key_count(ring, m.targets);
-        } else if constexpr (std::is_same_v<T, ChainMsg>) {
-          return m.payload->size_bytes() + 8 * m.targets.size();
-        } else if constexpr (std::is_same_v<T, NeighborMsg>) {
-          return m.payload->size_bytes();
+        if constexpr (overlay::is_data_message_v<T>) {
+          return overlay::wire_size_bytes(ring, m);
         } else if constexpr (std::is_same_v<T, StateTransferMsg>) {
           return m.state ? m.state->size_bytes() : 0;
         } else if constexpr (std::is_same_v<T, PredLeaveMsg>) {
@@ -290,7 +235,8 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
     // and listening for the acks of its draining sends. Everything
     // else bounces — it has left the ring.
     const bool ack_to_lame_duck =
-        std::holds_alternative<AckMsg>(msg) && departed_.contains(to);
+        std::holds_alternative<overlay::AckMsg>(msg) &&
+        departed_.contains(to);
     if (!ack_to_lame_duck) return false;
   }
   if (!reachable(from, to)) {
@@ -300,19 +246,9 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
     hot_.net_partition_refused->inc();
     return false;
   }
-  traffic_.record_hop(cls, wire_size_bytes(ring(), msg));
-
-  // All wire randomness comes from the *sender's* streams: transmit is
-  // only ever called from the sending node's own execution context (or
-  // from the exclusive global context), so the draws race with nothing
-  // and replay identically at any shard count.
-  WireState& src_wire = wire_.at(from);
-  if (src_wire.loss != nullptr && src_wire.loss->drop(src_wire.loss_rng)) {
-    // The message hit the wire (hop/bytes recorded) but never arrives.
-    hot_.net_lost->inc();
-    hot_.net_lost_by_class[static_cast<std::size_t>(cls)]->inc();
-    return true;
-  }
+  const auto sampled = wire_.send(from, cls, wire_size_bytes(ring(), msg));
+  // Lost in flight: the hop and bytes are charged, nothing arrives.
+  if (!sampled) return true;
 
   const ChordNode& src = *nodes_.at(from);
   auto env = std::make_shared<Envelope>();
@@ -321,7 +257,7 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
   env->from_pred = src.predecessor().value_or(0);
   env->msg = std::move(msg);
 
-  sim::SimTime delay = latency_->sample(src_wire.latency_rng);
+  sim::SimTime delay = *sampled;
   // Gray failure: a slow node stretches every message it touches.
   const double slow = std::max(slow_factor(from), slow_factor(to));
   if (slow > 1.0) {
@@ -335,11 +271,11 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
   // runs on (and is keyed by) the receiver's shard. The latency floor
   // (LatencyModel::min_delay) is the parallel engine's lookahead, which
   // is exactly what makes this cross-shard handoff legal mid-window.
-  sim_.schedule_for(wire_.at(to).domain, sim_.now() + delay,
-                    [this, from, to, env] {
+  sim().schedule_for(wire_.domain(to), sim().now() + delay,
+                     [this, from, to, env] {
     // Destination died in flight — except a lame-duck ack: the departed
     // process is still up, waiting for exactly this.
-    if (!is_alive(to) && !(std::holds_alternative<AckMsg>(env->msg) &&
+    if (!is_alive(to) && !(std::holds_alternative<overlay::AckMsg>(env->msg) &&
                            departed_.contains(to))) {
       return;
     }
@@ -353,10 +289,6 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
     nodes_.at(to)->receive(std::move(*env));
   });
   return true;
-}
-
-void ChordNetwork::self_deliver(std::function<void()> action) {
-  sim_.schedule_after(0, std::move(action));
 }
 
 }  // namespace cbps::chord

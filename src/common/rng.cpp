@@ -6,13 +6,19 @@
 
 namespace cbps {
 
+std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 namespace {
 
 std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
+  const std::uint64_t x = state;
+  state += 0x9E3779B97F4A7C15ull;
+  return mix64(x);
 }
 
 constexpr std::uint64_t rotl64(std::uint64_t v, unsigned n) {

@@ -1,0 +1,73 @@
+#include "cbps/overlay/wire.hpp"
+
+#include <utility>
+
+namespace cbps::overlay {
+
+Wire::Stats::Stats(metrics::Registry& reg, const std::string& prefix)
+    : send_to_dead(reg.counter_handle(prefix + ".send_to_dead")),
+      retransmits(reg.counter_handle(prefix + ".retransmits")),
+      send_failed(reg.counter_handle(prefix + ".send_failed")),
+      dup_suppressed(reg.counter_handle(prefix + ".dup_suppressed")),
+      route_dropped(reg.counter_handle(prefix + ".route_dropped")),
+      route_no_candidate(reg.counter_handle(prefix + ".route_no_candidate")),
+      mcast_dropped_keys(reg.counter_handle(prefix + ".mcast_dropped_keys")),
+      chain_dropped(reg.counter_handle(prefix + ".chain_dropped")),
+      chain_no_candidate(reg.counter_handle(prefix + ".chain_no_candidate")),
+      net_lost(reg.counter_handle(prefix + ".net.lost")),
+      route_hops(reg.histogram_handle(prefix + ".route_hops")),
+      mcast_fanout(reg.histogram_handle(prefix + ".mcast_fanout")),
+      retries_per_send(reg.histogram_handle(prefix + ".retries_per_send")) {
+  for (std::size_t c = 0; c < kMessageClassCount; ++c) {
+    net_lost_by_class[c] = reg.counter_handle(
+        prefix + ".net.lost." +
+        std::string(to_string(static_cast<MessageClass>(c))));
+  }
+}
+
+Wire::Wire(sim::SimulatorBase& sim, const std::string& stat_prefix,
+           Limits limits, std::uint64_t seed, double loss_rate,
+           std::unique_ptr<sim::LatencyModel> latency)
+    : sim_(sim),
+      limits_(limits),
+      seed_(seed),
+      latency_(latency ? std::move(latency) : sim::default_latency()),
+      stats_(registry_, stat_prefix) {
+  if (loss_rate > 0.0) loss_ = std::make_unique<sim::UniformLoss>(loss_rate);
+}
+
+common::Domain Wire::add_sender(Key id) {
+  // Dedicated loss stream so enabling loss never perturbs latency.
+  Sender s{sim_.register_domain(), Rng(mix64(seed_ ^ mix64(id))),
+           Rng(mix64(seed_ ^ mix64(id) ^ 0x9e3779b97f4a7c15ull)),
+           loss_ ? loss_->clone() : nullptr};
+  const common::Domain domain = s.domain;
+  senders_.emplace(id, std::move(s));
+  return domain;
+}
+
+std::optional<sim::SimTime> Wire::send(Key from, MessageClass cls,
+                                       std::size_t bytes) {
+  traffic_.record_hop(cls, bytes);
+  // Only the sender's own streams are consulted: transmit is only ever
+  // called from the sending node's own execution context (or from the
+  // exclusive global context), so the draws race with nothing and
+  // replay identically at any shard count.
+  Sender& s = senders_.at(from);
+  if (s.loss != nullptr && s.loss->drop(s.loss_rng)) {
+    stats_.net_lost->inc();
+    stats_.net_lost_by_class[static_cast<std::size_t>(cls)]->inc();
+    return std::nullopt;
+  }
+  return latency_->sample(s.latency_rng);
+}
+
+void Wire::set_loss_model(std::unique_ptr<sim::LossModel> model) {
+  loss_ = std::move(model);
+  // detlint: unordered-ok(every wire gets an identical fresh clone; commutative)
+  for (auto& [_, s] : senders_) {
+    s.loss = loss_ ? loss_->clone() : nullptr;
+  }
+}
+
+}  // namespace cbps::overlay

@@ -51,7 +51,7 @@ TEST(UniformLossTest, RateIsHonoredStatistically) {
 }
 
 // ---------------------------------------------------------------------------
-// Chord transport scaffolding
+// Transport scaffolding, for either overlay
 // ---------------------------------------------------------------------------
 
 struct TagPayload final : overlay::Payload {
@@ -92,16 +92,32 @@ class TagApp final : public overlay::OverlayApp {
   std::vector<TagDelivery>& sink_;
 };
 
-class ChordLossHarness {
+struct ChordOverlay {
+  using Config = chord::ChordConfig;
+  using Network = chord::ChordNetwork;
+  static constexpr const char* kStatPrefix = "chord.";
+  static std::vector<Key> ids(const Network& net) { return net.alive_ids(); }
+};
+
+struct PastryOverlay {
+  using Config = pastry::PastryConfig;
+  using Network = pastry::PastryNetwork;
+  static constexpr const char* kStatPrefix = "pastry.";
+  static std::vector<Key> ids(const Network& net) { return net.ids(); }
+};
+
+template <class Overlay>
+class LossHarness {
  public:
-  explicit ChordLossHarness(std::size_t n, chord::ChordConfig cfg,
-                            std::uint64_t seed = 1) {
-    net = std::make_unique<chord::ChordNetwork>(sim, cfg, seed);
+  explicit LossHarness(std::size_t n, typename Overlay::Config cfg,
+                       std::uint64_t seed = 1) {
+    net = std::make_unique<typename Overlay::Network>(sim, cfg, seed);
     for (std::size_t i = 0; i < n; ++i) {
       net->add_node("n" + std::to_string(i));
     }
     net->build_static_ring();
-    for (Key id : net->alive_ids()) {
+    ids = Overlay::ids(*net);
+    for (Key id : ids) {
       apps.push_back(std::make_unique<TagApp>(id, deliveries));
       net->node(id)->set_app(apps.back().get());
     }
@@ -111,20 +127,33 @@ class ChordLossHarness {
     return net->registry().counter_value(name);
   }
 
+  /// Counter `name` under this overlay's prefix ("net.lost" is
+  /// "chord.net.lost" on Chord).
+  std::uint64_t stat(const std::string& name) const {
+    return counter(Overlay::kStatPrefix + name);
+  }
+
+  /// Node by dense index, in id order.
+  overlay::OverlayNode& node(std::size_t i) { return *net->node(ids.at(i)); }
+
   std::size_t pending_total() const {
     std::size_t total = 0;
-    for (Key id : net->alive_ids()) total += net->node(id)->pending_send_count();
+    for (Key id : ids) total += net->node(id)->pending_send_count();
     return total;
   }
 
   sim::Simulator sim;
-  std::unique_ptr<chord::ChordNetwork> net;
+  std::unique_ptr<typename Overlay::Network> net;
+  std::vector<Key> ids;  // sorted
   std::vector<TagDelivery> deliveries;
   std::vector<std::unique_ptr<TagApp>> apps;
 };
 
+using ChordLossHarness = LossHarness<ChordOverlay>;
+
 // ---------------------------------------------------------------------------
-// Chord ack/retry mechanics
+// Ack/retry mechanics (the shared data plane, checked on both overlays
+// where a test is written over LossHarness<Overlay>)
 // ---------------------------------------------------------------------------
 
 TEST(ChordLossTest, DropsAreCountedPerMessageClass) {
@@ -186,14 +215,15 @@ TEST(ChordLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   EXPECT_EQ(h.pending_total(), 0u);
 }
 
-TEST(ChordLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
-  chord::ChordConfig cfg;
+template <class Overlay>
+void check_mcast_under_loss_covers_every_target_exactly_once() {
+  typename Overlay::Config cfg;
   cfg.loss_rate = 0.05;
-  ChordLossHarness h(32, cfg, 6);
+  LossHarness<Overlay> h(32, cfg, 6);
   const RingParams ring = h.net->ring();
   std::vector<Key> targets;
   for (std::uint64_t i = 0; i < 500; ++i) targets.push_back(ring.wrap(i * 11));
-  h.net->alive_node(3).m_cast(targets, std::make_shared<TagPayload>(1));
+  h.node(3).m_cast(targets, std::make_shared<TagPayload>(1));
   h.sim.run();
 
   std::map<Key, std::set<Key>> expected;
@@ -209,9 +239,17 @@ TEST(ChordLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
   }
   EXPECT_EQ(seen.size(), expected.size());
   EXPECT_EQ(total, targets.size());
-  EXPECT_GT(h.counter("chord.net.lost"), 0u);
-  EXPECT_EQ(h.counter("chord.send_failed"), 0u);
+  EXPECT_GT(h.stat("net.lost"), 0u);
+  EXPECT_EQ(h.stat("send_failed"), 0u);
   EXPECT_EQ(h.pending_total(), 0u);
+}
+
+TEST(ChordLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
+  check_mcast_under_loss_covers_every_target_exactly_once<ChordOverlay>();
+}
+
+TEST(PastryLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
+  check_mcast_under_loss_covers_every_target_exactly_once<PastryOverlay>();
 }
 
 // App with actual state, for exercising the graceful-leave handover.
@@ -267,54 +305,71 @@ TEST(ChordLossTest, GracefulLeaveHandsOverStateDespiteHeavyLoss) {
   EXPECT_EQ(net.registry().counter_value("chord.send_failed"), 0u);
 }
 
-TEST(ChordLossTest, RetryBudgetExhaustionCountsFailedSend) {
-  chord::ChordConfig cfg;
+template <class Overlay>
+void check_retry_budget_exhaustion_counts_failed_send() {
+  typename Overlay::Config cfg;
   cfg.loss_rate = 1.0;  // black hole: nothing ever arrives
   cfg.max_retries = 3;
-  ChordLossHarness h(2, cfg, 7);
-  const std::vector<Key> ids = h.net->alive_ids();
+  LossHarness<Overlay> h(2, cfg, 7);
   // Key owned by the peer, so the send must cross the (dead) wire.
-  h.net->node(ids[0])->send(ids[1], std::make_shared<TagPayload>(1));
+  h.node(0).send(h.ids[1], std::make_shared<TagPayload>(1));
   h.sim.run();
 
   EXPECT_TRUE(h.deliveries.empty());
-  EXPECT_EQ(h.counter("chord.retransmits"), 3u);
-  EXPECT_EQ(h.counter("chord.send_failed"), 1u);
-  EXPECT_EQ(h.counter("chord.net.lost"), 4u);  // original + 3 retries
+  EXPECT_EQ(h.stat("retransmits"), 3u);
+  EXPECT_EQ(h.stat("send_failed"), 1u);
+  EXPECT_EQ(h.stat("net.lost"), 4u);  // original + 3 retries
   EXPECT_EQ(h.pending_total(), 0u);  // budget spent => entry dropped
 }
 
-TEST(ChordLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
+TEST(ChordLossTest, RetryBudgetExhaustionCountsFailedSend) {
+  check_retry_budget_exhaustion_counts_failed_send<ChordOverlay>();
+}
+
+TEST(PastryLossTest, RetryBudgetExhaustionCountsFailedSend) {
+  check_retry_budget_exhaustion_counts_failed_send<PastryOverlay>();
+}
+
+template <class Overlay>
+void check_zero_loss_rate_keeps_reliability_layer_disarmed() {
   // At loss 0 the reliability machinery must be completely inert: no
   // acks, no timers, no parked sends — and therefore the retry knobs
   // must not change a single transmitted message.
-  auto run = [](chord::ChordConfig cfg) {
-    ChordLossHarness h(24, cfg, 8);
+  auto run = [](typename Overlay::Config cfg) {
+    LossHarness<Overlay> h(24, cfg, 8);
     Rng rng(9);
     for (int i = 0; i < 100; ++i) {
       const Key key = static_cast<Key>(rng.uniform_int(
           0, static_cast<std::int64_t>(h.net->ring().max_key())));
-      h.net->alive_node(static_cast<std::size_t>(rng.uniform_int(0, 23)))
+      h.node(static_cast<std::size_t>(rng.uniform_int(0, 23)))
           .send(key, std::make_shared<TagPayload>(i));
     }
     h.sim.run();
-    EXPECT_EQ(h.counter("chord.net.lost"), 0u);
-    EXPECT_EQ(h.counter("chord.retransmits"), 0u);
-    EXPECT_EQ(h.counter("chord.dup_suppressed"), 0u);
+    EXPECT_EQ(h.stat("net.lost"), 0u);
+    EXPECT_EQ(h.stat("retransmits"), 0u);
+    EXPECT_EQ(h.stat("dup_suppressed"), 0u);
     EXPECT_EQ(h.pending_total(), 0u);
     std::vector<std::pair<Key, int>> log;
     for (const TagDelivery& d : h.deliveries) log.emplace_back(d.node, d.tag);
     return std::make_pair(log, h.net->traffic().total_hops());
   };
 
-  chord::ChordConfig plain;
-  chord::ChordConfig tweaked;
+  typename Overlay::Config plain;
+  typename Overlay::Config tweaked;
   tweaked.max_retries = 50;
   tweaked.retry_base = sim::ms(1);
   const auto a = run(plain);
   const auto b = run(tweaked);
   EXPECT_EQ(a.first, b.first);    // identical deliveries, in order
   EXPECT_EQ(a.second, b.second);  // identical wire traffic
+}
+
+TEST(ChordLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
+  check_zero_loss_rate_keeps_reliability_layer_disarmed<ChordOverlay>();
+}
+
+TEST(PastryLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
+  check_zero_loss_rate_keeps_reliability_layer_disarmed<PastryOverlay>();
 }
 
 // ---------------------------------------------------------------------------

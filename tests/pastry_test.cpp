@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "cbps/metrics/trace.hpp"
 #include "cbps/pastry/pastry.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/pubsub/node.hpp"
@@ -135,6 +136,42 @@ TEST(PastryRoutingTest, HopCountLogarithmic) {
   // and on average about log2(128) = 7.
   EXPECT_LE(stat.max(), 13.0);
   EXPECT_LT(stat.mean(), 8.0);
+}
+
+TEST(PastryTraceTest, RouteHopSpansCarryHopsSoFar) {
+  // Every forwarding step records the hops taken so far, the convention
+  // the shared data plane keeps for every overlay: a route of h hops
+  // emits route-hop spans with hops 0..h-1.
+  PastryHarness h(64);
+  metrics::TraceSink sink(1.0);
+  h.net->set_trace_sink(&sink);
+  Rng rng(8);
+  for (int i = 0; i < 100; ++i) {
+    auto payload = std::make_shared<TestPayload>(i);
+    payload->trace = {sink.maybe_start_trace(), 0};
+    const Key key = static_cast<Key>(
+        rng.uniform_int(0, static_cast<std::int64_t>(h.net->ring().max_key())));
+    h.net->node_at(static_cast<std::size_t>(rng.uniform_int(0, 63)))
+        .send(key, std::move(payload));
+  }
+  h.sim.run();
+
+  std::map<std::uint64_t, std::vector<std::uint64_t>> hops_by_trace;
+  for (const metrics::Span& s : sink.spans()) {
+    if (s.kind == metrics::SpanKind::kRouteHop) {
+      hops_by_trace[s.trace_id].push_back(s.b);
+    }
+  }
+  std::uint64_t total_hops = 0;
+  for (auto& [trace, hops] : hops_by_trace) {
+    std::sort(hops.begin(), hops.end());
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      EXPECT_EQ(hops[i], i) << "trace " << trace;
+    }
+    total_hops += hops.size();
+  }
+  EXPECT_GT(hops_by_trace.size(), 50u);
+  EXPECT_EQ(total_hops, h.net->traffic().hops(MessageClass::kPublish));
 }
 
 TEST(PastryMcastTest, DeliversToExactlyCoveringNodesOnce) {
