@@ -126,7 +126,6 @@ class ChordNetwork {
   // --- environment ---------------------------------------------------------
   overlay::Wire& wire() { return wire_; }
   sim::SimulatorBase& sim() { return wire_.sim(); }
-  Rng& rng() { return rng_; }
   overlay::TrafficStats& traffic() { return wire_.traffic(); }
   const overlay::TrafficStats& traffic() const { return wire_.traffic(); }
   metrics::Registry& registry() { return wire_.registry(); }
@@ -160,7 +159,6 @@ class ChordNetwork {
 
  private:
   ChordConfig cfg_;
-  Rng rng_;
   overlay::Wire wire_;
   HotStats hot_{wire_.registry()};
 

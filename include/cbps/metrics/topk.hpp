@@ -26,6 +26,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace cbps::metrics {
@@ -44,6 +45,12 @@ class TopK {
 
   /// Account `weight` units of load against `key`.
   void offer(std::uint64_t key, std::uint64_t weight = 1);
+
+  /// One unit of load per key, in order: the final state equals one
+  /// offer(k) per key. Each ascending stretch of `keys` is merge-walked
+  /// against the key-sorted cells instead of searched key by key (a
+  /// rendezvous's covered keys wrap past 0 at most once).
+  void offer_each(std::span<const std::uint64_t> keys);
 
   /// Union-sum fold of another sketch into this one (counts, errors and
   /// totals add; nothing is evicted). Permutation-invariant: any merge
@@ -66,6 +73,11 @@ class TopK {
   static constexpr std::size_t kDefaultCapacity = 32;
 
  private:
+  /// Track the untracked `key` with `weight` units, placing it at `at`,
+  /// its slot in key order, and evicting at capacity. Returns the index
+  /// the new cell ends up at.
+  std::size_t admit(std::size_t at, std::uint64_t key, std::uint64_t weight);
+
   std::size_t capacity_;
   std::uint64_t total_ = 0;
   // Sorted by key id, so every walk (eviction scan, top(), JSON emission)

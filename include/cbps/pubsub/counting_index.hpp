@@ -10,17 +10,34 @@
 // is satisfied. Expected cost is proportional to the number of
 // *satisfied constraints*, not the number of subscriptions.
 //
+// Buckets are sized to the index's contents. Each attribute starts with
+// one bucket and splits every bucket in two whenever it holds more than
+// kSubsPerBucket registered subscriptions per bucket, up to the
+// `buckets_per_attribute` cap; it never shrinks. An empty index
+// allocates no buckets. An attribute that has held more than
+// kSubsPerBucket x cap / 2 subscriptions (512 at the default cap of 256)
+// is on the cap layout, the one this index used to allocate up front.
+// Bucket b at split level `shift` holds the cap layout's buckets c with
+// c >> shift == b, so a split copies each parent's entries, in order,
+// into its children.
+//
 // Bucket registration is batched: insert() records the subscription and
 // its dense slot, and the pending bucket entries are registered in
-// insertion order at the next match or remove. Every bucket therefore
-// holds the same entries in the same order as with eager registration,
-// and match output (order included) is unchanged; a node that stores
+// insertion order at the next match or remove. A node that stores
 // subscriptions but never matches or removes one never pays for their
 // buckets.
+//
+// Neither batching nor the bucket count changes match output, order
+// included. Every bucket lists its entries in registration order (pushes
+// append, splits and removals keep the order), and every entry whose
+// range contains a value lies in the bucket that value stabs under any
+// bucket count. The first-touch order a match reports therefore depends
+// only on the attribute order and the registration order.
 #pragma once
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cbps/common/types.hpp"
@@ -32,8 +49,9 @@ namespace cbps::pubsub {
 
 class CountingIndex final : public MatchIndex {
  public:
-  /// `buckets_per_attribute` trades insertion cost (an interval is
-  /// registered in every bucket it overlaps) against stab precision.
+  /// `buckets_per_attribute` caps each attribute's bucket count. It
+  /// trades insertion cost (an interval is registered in every bucket it
+  /// overlaps) against stab precision.
   explicit CountingIndex(const Schema& schema,
                          std::size_t buckets_per_attribute = 256);
 
@@ -60,7 +78,16 @@ class CountingIndex final : public MatchIndex {
   /// registrations included.
   std::size_t memory_bytes() const override;
 
+  /// Buckets allocated for `attr`: 0 until an entry registers on it, then
+  /// 1, 2, 4, ... up to the cap (pending registrations not included).
+  std::size_t bucket_count(std::size_t attr) const {
+    return attrs_[attr].buckets.size();
+  }
+
  private:
+  /// Registered subscriptions per bucket above which an attribute splits.
+  static constexpr std::size_t kSubsPerBucket = 4;
+
   // Entries refer to subscriptions by a dense slot index so match() can
   // count into flat arrays instead of a per-event hash map.
   struct Entry {
@@ -73,18 +100,38 @@ class CountingIndex final : public MatchIndex {
   };
   struct SubInfo {
     SubscriptionPtr sub;
-    std::uint32_t dense;
+    std::uint32_t dense = 0;
   };
 
-  std::size_t bucket_of(std::size_t attr, Value v) const;
+  // One attribute's buckets. Mutable with pending_: the const match
+  // registers pending inserts.
+  struct Attribute {
+    // buckets[b] -> entries whose interval overlaps bucket b, in
+    // registration order. Empty until the first entry registers.
+    std::vector<std::vector<Entry>> buckets;
+    // Bucket b covers the cap layout's buckets c with c >> shift == b.
+    unsigned shift = 0;
+    std::size_t registered = 0;  // live subscriptions with entries here
+  };
+
+  /// Bucket of `v` under the cap layout (buckets_per_attribute_ buckets).
+  std::size_t cap_bucket(std::size_t attr, Value v) const;
+  /// First and last bucket at `shift` that `range` overlaps.
+  std::pair<std::size_t, std::size_t> span(std::size_t attr,
+                                           const ClosedInterval& range,
+                                           unsigned shift) const;
+  /// Buckets of the split level with `shift`.
+  std::size_t level_size(unsigned shift) const {
+    return ((buckets_per_attribute_ - 1) >> shift) + 1;
+  }
+  /// Allocate or split `attr`'s buckets to fit its registered count.
+  void fit(std::size_t attr) const;
   /// Register the bucket entries of every pending insert, in order.
   void register_pending() const;
 
   Schema schema_;
   std::size_t buckets_per_attribute_;
-  // buckets_[attr][bucket] -> entries whose interval overlaps the bucket.
-  // Mutable with pending_: the const match registers pending inserts.
-  mutable std::vector<std::vector<std::vector<Entry>>> buckets_;
+  mutable std::vector<Attribute> attrs_;
   // Inserted subscriptions whose bucket entries are not registered yet,
   // in insertion order. The pointee stays alive in subs_: remove()
   // registers everything pending before it erases.

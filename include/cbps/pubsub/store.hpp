@@ -100,7 +100,9 @@ class SubscriptionStore {
   /// Insert or refresh. Returns true if the record is new — or if a
   /// non-replica insert upgraded an existing replica record to an owned
   /// one (fresh ownership needs a fresh replication chain).
-  bool insert(const Record& record);
+  bool insert(Record&& record);
+  /// Copying form, for callers that keep their record.
+  bool insert(const Record& record) { return insert(Record(record)); }
 
   /// Remove by id. Returns true if present.
   bool remove(SubscriptionId id);

@@ -27,7 +27,6 @@ ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
                            std::uint64_t seed,
                            std::unique_ptr<sim::LatencyModel> latency)
     : cfg_(cfg),
-      rng_(seed),
       wire_(sim, "chord",
             {cfg.ring, cfg.max_route_hops, cfg.reliable_transport(),
              cfg.max_retries, cfg.retry_base},

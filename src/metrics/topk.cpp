@@ -1,7 +1,6 @@
 #include "cbps/metrics/topk.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 namespace cbps::metrics {
@@ -21,29 +20,63 @@ auto slot(Cells& cells, std::uint64_t key) {
 TopK::TopK(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
+std::size_t TopK::admit(std::size_t at, std::uint64_t key,
+                        std::uint64_t weight) {
+  const auto cell = [this](std::size_t i) {
+    return cells_.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+  if (cells_.size() < capacity_) {
+    cells_.insert(cell(at), Entry{key, weight, 0});
+    return at;
+  }
+  // Space-saving eviction: replace the minimum-count entry; among equal
+  // minima the largest key id goes (total order — no layout dependence).
+  std::size_t victim = 0;
+  std::uint64_t floor = cells_[0].count;
+  for (std::size_t i = 1; i < cells_.size(); ++i) {
+    const Entry& e = cells_[i];
+    if (e.count < floor || (e.count == floor && e.key > cells_[victim].key)) {
+      victim = i;
+      floor = e.count;
+    }
+  }
+  // Shift the cells between the victim and the new key's slot by one, so
+  // the vector never changes size.
+  if (victim < at) {
+    --at;
+    std::move(cell(victim + 1), cell(at + 1), cell(victim));
+  } else {
+    std::move_backward(cell(at), cell(victim), cell(victim + 1));
+  }
+  cells_[at] = Entry{key, floor + weight, floor};
+  return at;
+}
+
 void TopK::offer(std::uint64_t key, std::uint64_t weight) {
   if (weight == 0) return;
   total_ += weight;
-  if (const auto it = slot(cells_, key);
-      it != cells_.end() && it->key == key) {
+  const auto it = slot(cells_, key);
+  if (it != cells_.end() && it->key == key) {
     it->count += weight;
     return;
   }
-  std::uint64_t floor = 0;
-  if (cells_.size() >= capacity_) {
-    // Space-saving eviction: replace the minimum-count entry; among equal
-    // minima the largest key id goes (total order — no layout dependence).
-    auto victim = cells_.begin();
-    for (auto it = std::next(cells_.begin()); it != cells_.end(); ++it) {
-      if (it->count < victim->count ||
-          (it->count == victim->count && it->key > victim->key)) {
-        victim = it;
-      }
+  admit(static_cast<std::size_t>(it - cells_.begin()), key, weight);
+}
+
+void TopK::offer_each(std::span<const std::uint64_t> keys) {
+  total_ += keys.size();
+  std::size_t at = 0;  // cursor: no cell before it has a key >= the next
+  std::uint64_t prev = 0;
+  for (const std::uint64_t key : keys) {
+    if (key < prev) at = 0;  // a descending step starts a new stretch
+    prev = key;
+    while (at < cells_.size() && cells_[at].key < key) ++at;
+    if (at < cells_.size() && cells_[at].key == key) {
+      ++cells_[at].count;
+    } else {
+      at = admit(at, key, 1);
     }
-    floor = victim->count;
-    cells_.erase(victim);
   }
-  cells_.insert(slot(cells_, key), Entry{key, floor + weight, floor});
 }
 
 void TopK::merge(const TopK& other) {

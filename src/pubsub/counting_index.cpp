@@ -1,20 +1,23 @@
 #include "cbps/pubsub/counting_index.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace cbps::pubsub {
 
 CountingIndex::CountingIndex(const Schema& schema,
                              std::size_t buckets_per_attribute)
-    : schema_(schema), buckets_per_attribute_(buckets_per_attribute) {
+    : schema_(schema),
+      buckets_per_attribute_(buckets_per_attribute),
+      attrs_(schema_.dimensions()) {
   CBPS_ASSERT(buckets_per_attribute_ >= 1);
-  buckets_.resize(schema_.dimensions());
-  for (auto& attr_buckets : buckets_) {
-    attr_buckets.resize(buckets_per_attribute_);
-  }
+  // Start every attribute on the one-bucket level.
+  const auto top =
+      static_cast<unsigned>(std::bit_width(buckets_per_attribute_ - 1));
+  for (Attribute& a : attrs_) a.shift = top;
 }
 
-std::size_t CountingIndex::bucket_of(std::size_t attr, Value v) const {
+std::size_t CountingIndex::cap_bucket(std::size_t attr, Value v) const {
   const ClosedInterval dom = schema_.domain(attr);
   CBPS_ASSERT(dom.contains(v));
   const auto offset = static_cast<std::uint64_t>(v - dom.lo);
@@ -22,11 +25,49 @@ std::size_t CountingIndex::bucket_of(std::size_t attr, Value v) const {
       static_cast<Uint128>(offset) * buckets_per_attribute_ / dom.width());
 }
 
+std::pair<std::size_t, std::size_t> CountingIndex::span(
+    std::size_t attr, const ClosedInterval& range, unsigned shift) const {
+  const ClosedInterval clamped = *range.intersect(schema_.domain(attr));
+  return {cap_bucket(attr, clamped.lo) >> shift,
+          cap_bucket(attr, clamped.hi) >> shift};
+}
+
+void CountingIndex::fit(std::size_t attr) const {
+  Attribute& a = attrs_[attr];
+  unsigned shift = a.shift;
+  while (shift > 0 && level_size(shift) * kSubsPerBucket < a.registered) {
+    --shift;
+  }
+  if (a.buckets.empty()) {
+    a.buckets.resize(level_size(shift));
+  } else if (shift != a.shift) {
+    // Child c's parent is c >> drop, and an entry overlapping a child
+    // overlaps its parent: each child is its parent's list, filtered.
+    const unsigned drop = a.shift - shift;
+    std::vector<std::vector<Entry>> children(level_size(shift));
+    for (std::size_t parent = 0; parent < a.buckets.size(); ++parent) {
+      const std::size_t first_child = parent << drop;
+      const std::size_t last_child =
+          std::min(children.size(), (parent + 1) << drop) - 1;
+      for (const Entry& e : a.buckets[parent]) {
+        const auto [lo, hi] = span(attr, e.range, shift);
+        for (std::size_t c = std::max(lo, first_child);
+             c <= std::min(hi, last_child); ++c) {
+          children[c].push_back(e);
+        }
+      }
+    }
+    a.buckets = std::move(children);
+  }
+  a.shift = shift;
+}
+
 bool CountingIndex::insert(const SubscriptionPtr& sub) {
   CBPS_ASSERT(sub != nullptr);
   CBPS_ASSERT_MSG(sub->well_formed_for(schema_),
                   "subscription/schema mismatch");
-  if (subs_.contains(sub->id)) return false;
+  const auto [it, fresh] = subs_.try_emplace(sub->id);
+  if (!fresh) return false;
 
   std::uint32_t dense;
   if (!free_dense_.empty()) {
@@ -38,7 +79,7 @@ bool CountingIndex::insert(const SubscriptionPtr& sub) {
   }
   dense_[dense] = DenseInfo{
       sub->id, static_cast<std::uint32_t>(sub->constraints.size())};
-  subs_.emplace(sub->id, SubInfo{sub, dense});
+  it->second = SubInfo{sub, dense};
 
   // A constraint disjoint from its domain makes the whole conjunction
   // unsatisfiable: register the id but add no bucket entries, so the
@@ -57,12 +98,13 @@ void CountingIndex::register_pending() const {
   if (pending_.empty()) return;
   for (const Pending& p : pending_) {
     for (const Constraint& c : p.sub->constraints) {
-      const ClosedInterval clamped =
-          *c.range.intersect(schema_.domain(c.attribute));
-      const std::size_t first = bucket_of(c.attribute, clamped.lo);
-      const std::size_t last = bucket_of(c.attribute, clamped.hi);
+      Attribute& a = attrs_[c.attribute];
+      if (++a.registered > kSubsPerBucket * a.buckets.size()) {
+        fit(c.attribute);
+      }
+      const auto [first, last] = span(c.attribute, c.range, a.shift);
       for (std::size_t b = first; b <= last; ++b) {
-        buckets_[c.attribute][b].push_back(Entry{p.dense, c.range});
+        a.buckets[b].push_back(Entry{p.dense, c.range});
       }
     }
   }
@@ -88,12 +130,11 @@ bool CountingIndex::remove(SubscriptionId id) {
     return true;
   }
   for (const Constraint& c : sub->constraints) {
-    const ClosedInterval clamped =
-        *c.range.intersect(schema_.domain(c.attribute));
-    const std::size_t first = bucket_of(c.attribute, clamped.lo);
-    const std::size_t last = bucket_of(c.attribute, clamped.hi);
+    Attribute& a = attrs_[c.attribute];
+    --a.registered;
+    const auto [first, last] = span(c.attribute, c.range, a.shift);
     for (std::size_t b = first; b <= last; ++b) {
-      std::erase_if(buckets_[c.attribute][b],
+      std::erase_if(a.buckets[b],
                     [dense](const Entry& e) { return e.dense == dense; });
     }
   }
@@ -118,8 +159,9 @@ void CountingIndex::match_into(const Event& e,
   scratch_touched_.clear();
   for (std::size_t attr = 0; attr < schema_.dimensions(); ++attr) {
     const Value v = e.values[attr];
-    if (!schema_.domain(attr).contains(v)) continue;
-    const auto& bucket = buckets_[attr][bucket_of(attr, v)];
+    const Attribute& a = attrs_[attr];
+    if (a.buckets.empty() || !schema_.domain(attr).contains(v)) continue;
+    const auto& bucket = a.buckets[cap_bucket(attr, v) >> a.shift];
     for (const Entry& entry : bucket) {
       if (!entry.range.contains(v)) continue;
       if (scratch_epoch_[entry.dense] != epoch_) {
@@ -142,9 +184,9 @@ void CountingIndex::match_into(const Event& e,
 
 std::size_t CountingIndex::memory_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& attr_buckets : buckets_) {
-    bytes += attr_buckets.capacity() * sizeof(std::vector<Entry>);
-    for (const auto& bucket : attr_buckets) {
+  for (const Attribute& a : attrs_) {
+    bytes += a.buckets.capacity() * sizeof(std::vector<Entry>);
+    for (const auto& bucket : a.buckets) {
       bytes += bucket.capacity() * sizeof(Entry);
     }
   }

@@ -257,10 +257,9 @@ void PubSubNode::handle_subscribe(const SubscribeMsg& msg,
                                   std::span<const Key> covered) {
   // Load attribution: one store op per rendezvous key this delivery
   // covers (an m-cast delivery stores under several keys at once).
-  for (const Key k : covered) key_load_.subs_stored.offer(k);
-  SubscriptionStore::Record rec{msg.sub, msg.expires_at, msg.ranges,
-                                /*replica=*/false};
-  const bool fresh = store_.insert(rec);
+  key_load_.subs_stored.offer_each(covered);
+  const bool fresh = store_.insert(SubscriptionStore::Record{
+      msg.sub, msg.expires_at, msg.ranges, /*replica=*/false});
   if (msg.expires_at != sim::kSimTimeNever) schedule_sweep();
   if (fresh && cfg_.replication_factor > 0) {
     overlay_.send_to_successor(std::make_shared<ReplicaMsg>(

@@ -1,6 +1,7 @@
 #include "cbps/pubsub/store.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "cbps/common/sorted_view.hpp"
 
@@ -49,13 +50,16 @@ SubscriptionStore::RecordMap::iterator SubscriptionStore::erase_record(
   return records_.erase(it);
 }
 
-bool SubscriptionStore::insert(const Record& record) {
+bool SubscriptionStore::insert(Record&& record) {
   CBPS_ASSERT(record.sub != nullptr);
-  auto [it, inserted] = records_.emplace(record.sub->id, record);
+  const SubscriptionId id = record.sub->id;
+  // try_emplace leaves `record` untouched when the id is already stored.
+  auto [it, inserted] = records_.try_emplace(id, std::move(record));
   if (inserted) {
-    index_expiry(it->first, record.expires_at);
-    if (index_) index_->insert(record.sub);
-    if (!record.replica) {
+    const Record& stored = it->second;
+    index_expiry(id, stored.expires_at);
+    if (index_) index_->insert(stored.sub);
+    if (!stored.replica) {
       ++owned_;
       note_owned_change();
     }
@@ -78,9 +82,9 @@ bool SubscriptionStore::insert(const Record& record) {
       index_->remove(it->first);
       index_->insert(record.sub);
     }
-    existing.sub = record.sub;
+    existing.sub = std::move(record.sub);
   }
-  existing.ranges = record.ranges;
+  existing.ranges = std::move(record.ranges);
   if (existing.replica && !record.replica) {
     existing.replica = false;
     ++owned_;

@@ -1,7 +1,6 @@
 #include "cbps/pubsub/subscription.hpp"
 
 #include <algorithm>
-#include <set>
 
 namespace cbps::pubsub {
 
@@ -30,21 +29,27 @@ bool Subscription::matches(const Event& e) const {
 }
 
 bool Subscription::valid_for(const Schema& schema) const {
-  std::set<std::size_t> seen;
-  for (const Constraint& c : constraints) {
-    if (c.attribute >= schema.dimensions()) return false;
-    if (!seen.insert(c.attribute).second) return false;  // duplicate attr
-    const ClosedInterval& dom = schema.domain(c.attribute);
-    if (c.range.lo < dom.lo || c.range.hi > dom.hi) return false;
-  }
-  return true;
+  if (!well_formed_for(schema)) return false;
+  return std::all_of(
+      constraints.begin(), constraints.end(), [&](const Constraint& c) {
+        const ClosedInterval& dom = schema.domain(c.attribute);
+        return dom.lo <= c.range.lo && c.range.hi <= dom.hi;
+      });
 }
 
 bool Subscription::well_formed_for(const Schema& schema) const {
-  std::set<std::size_t> seen;
-  for (const Constraint& c : constraints) {
-    if (c.attribute >= schema.dimensions()) return false;
-    if (!seen.insert(c.attribute).second) return false;  // duplicate attr
+  // At most one constraint per attribute, so more constraints than
+  // dimensions must repeat one. Below that bound the duplicate scan is
+  // quadratic in at most dimensions() constraints, with no allocation:
+  // every rendezvous insert asserts this check.
+  if (constraints.size() > schema.dimensions()) return false;
+  for (auto it = constraints.begin(); it != constraints.end(); ++it) {
+    if (it->attribute >= schema.dimensions()) return false;
+    if (std::any_of(constraints.begin(), it, [&](const Constraint& c) {
+          return c.attribute == it->attribute;
+        })) {
+      return false;  // duplicate attr
+    }
   }
   return true;
 }

@@ -143,9 +143,10 @@ TEST(CountingIndexTest, EquivalentToBruteForceOnRandomWorkload) {
   }
 }
 
-// The counting index as it was before bucket registration was batched:
-// insert() registers every bucket entry at once. Kept as the reference
-// for the batched index's match output, order included.
+// The counting index as it was before bucket registration was batched
+// and buckets were sized to the contents: insert() registers every bucket
+// entry at once, into a fixed layout. Kept as the reference for the
+// index's match output, order included.
 class EagerCountingIndex {
  public:
   EagerCountingIndex(const Schema& schema, std::size_t buckets)
@@ -313,6 +314,76 @@ TEST(CountingIndexTest, BatchedRegistrationMatchesEagerOrder) {
       EXPECT_GT(batched.memory_bytes(), 0u);
     }
     EXPECT_GT(matches, 300u);
+  }
+}
+
+// Content-sized buckets: every attribute starts on one bucket and splits
+// its way up to the cap while subscriptions arrive, are removed and come
+// back. After every step a match must return the eager index's ids in the
+// eager index's order (the eager index sits on the cap layout all along),
+// and each attribute must pass through every split level: 1, 2, 4, ...,
+// then the cap itself (7 is not a power of two).
+TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
+  const Schema schema = Schema::uniform(3, 9'999);
+  const std::map<std::size_t, std::set<std::size_t>> levels = {
+      {7, {1, 2, 4, 7}},
+      {32, {1, 2, 4, 8, 16, 32}},
+      {256, {1, 2, 4, 8, 16, 32, 64, 128, 256}},
+  };
+  for (const auto& [cap, expected_levels] : levels) {
+    workload::WorkloadParams wp;
+    wp.nonselective_range_frac = 0.2;
+    workload::WorkloadGenerator gen(schema, wp, 1000 + cap);
+    Rng& rng = gen.rng();
+    CountingIndex index(schema, cap);
+    EagerCountingIndex eager(schema, cap);
+    // A fresh index holds no bucket headers, let alone cap x dimensions.
+    EXPECT_LT(index.memory_bytes(), sizeof(std::vector<char>));
+    std::vector<std::set<std::size_t>> seen(schema.dimensions());
+    std::vector<SubscriptionPtr> live;
+    std::vector<SubscriptionPtr> removed;
+    SubscriptionId next_id = 1;
+    for (int step = 0; step < 2500; ++step) {
+      const double roll = rng.uniform01();
+      if (roll < 0.7 || live.empty()) {
+        SubscriptionPtr s;
+        if (!removed.empty() && rng.bernoulli(0.3)) {
+          s = removed.back();  // re-insert a removed id
+          removed.pop_back();
+        } else {
+          auto cs = gen.make_constraints();
+          while (!cs.empty() && rng.bernoulli(0.2)) cs.pop_back();
+          s = make_sub(next_id++, std::move(cs));
+        }
+        ASSERT_EQ(index.insert(s), eager.insert(s));
+        live.push_back(std::move(s));
+      } else {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        ASSERT_EQ(index.remove(live[pick]->id), eager.remove(live[pick]->id));
+        removed.push_back(live[pick]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      }
+      Event e;
+      e.id = static_cast<EventId>(step + 1);
+      e.values = !live.empty() && rng.bernoulli(0.5)
+                     ? gen.make_matching_values(*live[static_cast<
+                           std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(live.size()) - 1))])
+                     : gen.make_random_values();
+      std::vector<SubscriptionId> got;
+      index.match_into(e, got);
+      ASSERT_EQ(got, eager.match(e)) << "cap " << cap << " step " << step;
+      for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+        if (const std::size_t n = index.bucket_count(a); n > 0) {
+          seen[a].insert(n);
+        }
+      }
+    }
+    for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+      EXPECT_EQ(seen[a], expected_levels) << "cap " << cap << " attr " << a;
+      EXPECT_EQ(index.bucket_count(a), cap);
+    }
   }
 }
 

@@ -180,6 +180,39 @@ TEST(SubscriptionTest, ValidityChecks) {
                    .valid_for(schema));  // duplicate attr
 }
 
+// Both structural checks, case by case. valid_for adds the domain bound
+// on top of well_formed_for; everything else is rejected by both.
+TEST(SubscriptionTest, ValidAndWellFormedVerdicts) {
+  const Schema schema = Schema::uniform(3, 100);
+  struct Case {
+    const char* what;
+    std::vector<Constraint> cs;
+    bool well_formed;
+    bool valid;
+  };
+  const Case cases[] = {
+      {"empty conjunction", {}, true, true},
+      {"one per attribute, any order",
+       {{2, {0, 1}}, {0, {5, 6}}, {1, {0, 100}}}, true, true},
+      {"duplicate attribute", {{0, {0, 1}}, {0, {5, 6}}}, false, false},
+      {"non-adjacent duplicate",
+       {{1, {0, 1}}, {2, {0, 1}}, {1, {7, 9}}}, false, false},
+      {"attribute == dimensions()", {{3, {0, 10}}}, false, false},
+      {"attribute far past dimensions()", {{0, {0, 1}}, {1000, {0, 1}}},
+       false, false},
+      {"range past the domain's top", {{0, {0, 101}}}, true, false},
+      {"range below the domain's bottom", {{1, {-1, 5}}}, true, false},
+      {"range disjoint from the domain", {{2, {200, 300}}}, true, false},
+      {"more constraints than dimensions",
+       {{0, {0, 1}}, {1, {0, 1}}, {2, {0, 1}}, {0, {0, 1}}}, false, false},
+  };
+  for (const Case& c : cases) {
+    const Subscription s = make_sub(c.cs);
+    EXPECT_EQ(s.well_formed_for(schema), c.well_formed) << c.what;
+    EXPECT_EQ(s.valid_for(schema), c.valid) << c.what;
+  }
+}
+
 TEST(SubscriptionTest, MostSelectiveAttribute) {
   const Schema schema = Schema::uniform(3, 999);
   EXPECT_EQ(make_sub({{0, {0, 499}}, {1, {0, 9}}, {2, {0, 99}}})

@@ -128,6 +128,54 @@ TEST(TopKTest, EvictionTieBreakIsLargestKey) {
   EXPECT_EQ(sketch.find(1).error, 2u);
 }
 
+// offer_each is a batched offer(k) per key: random batches shaped like a
+// rendezvous's covered keys (an ascending stretch with repeats, sometimes
+// a descending step where the keys wrap past 0 and a second stretch)
+// drive both paths on small key universes, so evictions at capacity are
+// frequent. Cells, totals and top() must agree after every batch.
+TEST(TopKTest, OfferEachEqualsSequentialOffers) {
+  std::mt19937_64 rng(20);
+  for (const std::size_t capacity : {1u, 3u, 8u, 32u}) {
+    metrics::TopK batched(capacity);
+    metrics::TopK sequential(capacity);
+    for (int round = 0; round < 400; ++round) {
+      const std::uint64_t universe = 4 * capacity + 3;
+      const auto stretch = [&](std::size_t n) {
+        std::vector<std::uint64_t> keys(n);
+        for (auto& k : keys) k = rng() % universe;
+        std::sort(keys.begin(), keys.end());
+        return keys;
+      };
+      std::vector<std::uint64_t> keys = stretch(rng() % 12);
+      if (!keys.empty() && rng() % 3 == 0) {
+        // Wrap: a second stretch that starts below where the first ended.
+        const auto tail = stretch(1 + rng() % 6);
+        if (tail.front() < keys.back()) {
+          keys.insert(keys.end(), tail.begin(), tail.end());
+        }
+      }
+      if (rng() % 4 == 0) {  // weighted traffic between batches
+        const std::uint64_t k = rng() % universe;
+        const std::uint64_t w = 1 + rng() % 5;
+        batched.offer(k, w);
+        sequential.offer(k, w);
+      }
+      batched.offer_each(keys);
+      for (const std::uint64_t k : keys) sequential.offer(k);
+
+      ASSERT_EQ(batched.total(), sequential.total()) << "round " << round;
+      ASSERT_EQ(batched.size(), sequential.size()) << "round " << round;
+      ASSERT_EQ(batched.top(capacity), sequential.top(capacity))
+          << "capacity " << capacity << " round " << round;
+      for (std::uint64_t k = 0; k < universe; ++k) {
+        ASSERT_EQ(batched.find(k), sequential.find(k)) << "key " << k;
+      }
+      ASSERT_EQ(batched.top(2), sequential.top(2));
+    }
+    EXPECT_EQ(batched.size(), capacity);  // the universe overflows it
+  }
+}
+
 TEST(TopKTest, TopOrdersByCountThenKey) {
   metrics::TopK sketch(8);
   sketch.offer(4, 2);
