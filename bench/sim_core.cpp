@@ -16,6 +16,10 @@
 //
 // Prints events/sec per workload and, with --json, appends a bench
 // record in the same shape the sweep runner emits (see EXPERIMENTS.md).
+// --repeat N runs every workload N times and reports the median with
+// its interquartile range (the JSON's events_per_sec is the median;
+// q1_/q3_events_per_sec bound the IQR).
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -42,7 +46,39 @@ struct Row {
   std::uint64_t events = 0;
   double wall_s = 0;
   double events_per_sec = 0;
+  // Interquartile range of events_per_sec over the repeats (both equal
+  // events_per_sec for a single run).
+  double q1 = 0;
+  double q3 = 0;
 };
+
+/// Quantile `p` of sorted `xs` by linear interpolation between order
+/// statistics (Python's statistics.quantiles(method="inclusive"), as
+/// tools/bench_pairs uses).
+double quantile(const std::vector<double>& xs, double p) {
+  const double pos = p * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] + (xs[hi] - xs[lo]) * (pos - static_cast<double>(lo));
+}
+
+/// Run `body` `repeat` times; the row of the median run, with the
+/// quartiles of events/sec over all runs.
+template <class Body>
+Row repeated(std::size_t repeat, Body body) {
+  std::vector<Row> runs;
+  for (std::size_t i = 0; i < repeat; ++i) runs.push_back(body());
+  std::sort(runs.begin(), runs.end(), [](const Row& a, const Row& b) {
+    return a.events_per_sec < b.events_per_sec;
+  });
+  std::vector<double> rates;
+  for (const Row& r : runs) rates.push_back(r.events_per_sec);
+  Row out = runs[runs.size() / 2];
+  out.events_per_sec = quantile(rates, 0.5);
+  out.q1 = quantile(rates, 0.25);
+  out.q3 = quantile(rates, 0.75);
+  return out;
+}
 
 Row run_fire(std::uint64_t total_events, std::size_t width) {
   sim::Simulator sim;
@@ -163,6 +199,7 @@ int main(int argc, char** argv) {
   std::int64_t events = 2'000'000;
   std::int64_t width = 1024;
   std::int64_t sim_threads = 1;
+  std::int64_t repeat = 1;
   std::string json_path;
   FlagParser parser(
       "sim_core — discrete-event scheduler microbench (events/sec through\n"
@@ -173,6 +210,9 @@ int main(int argc, char** argv) {
              "sharded-engine worker threads for the shard workload "
              "(> 1 adds a shard/t1 baseline and a shard/tN row)",
              &sim_threads);
+  parser.add("repeat",
+             "runs per workload; > 1 reports the median and its IQR",
+             &repeat);
   parser.add("json", "append a bench record to this JSON file", &json_path);
   if (!parser.parse(argc, argv, std::cout, std::cerr)) return 1;
   if (sim_threads < 1) {
@@ -180,29 +220,32 @@ int main(int argc, char** argv) {
                  static_cast<long long>(sim_threads));
     return 1;
   }
+  if (repeat < 1) {
+    std::fprintf(stderr, "bad --repeat: %lld\n",
+                 static_cast<long long>(repeat));
+    return 1;
+  }
+  const auto n = static_cast<std::uint64_t>(events);
+  const auto w = static_cast<std::size_t>(width);
+  const auto reps = static_cast<std::size_t>(repeat);
 
   std::puts("=== sim_core: scheduler hot-path events/sec ===");
-  std::printf("%-8s %12s %10s %14s\n", "workload", "events", "wall s",
-              "events/sec");
+  std::printf("%-8s %12s %10s %14s %14s %14s\n", "workload", "events",
+              "wall s", "events/sec", "q1", "q3");
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<Row> rows;
-  rows.push_back(run_fire(static_cast<std::uint64_t>(events),
-                          static_cast<std::size_t>(width)));
-  rows.push_back(run_cancel(static_cast<std::uint64_t>(events),
-                            static_cast<std::size_t>(width)));
-  rows.push_back(run_timers(static_cast<std::uint64_t>(events),
-                            static_cast<std::size_t>(width)));
-  rows.push_back(run_shards(static_cast<std::uint64_t>(events),
-                            static_cast<std::size_t>(width), 1));
+  rows.push_back(repeated(reps, [&] { return run_fire(n, w); }));
+  rows.push_back(repeated(reps, [&] { return run_cancel(n, w); }));
+  rows.push_back(repeated(reps, [&] { return run_timers(n, w); }));
+  rows.push_back(repeated(reps, [&] { return run_shards(n, w, 1); }));
   if (sim_threads > 1) {
-    rows.push_back(run_shards(static_cast<std::uint64_t>(events),
-                              static_cast<std::size_t>(width),
-                              static_cast<std::size_t>(sim_threads)));
+    const auto t = static_cast<std::size_t>(sim_threads);
+    rows.push_back(repeated(reps, [&] { return run_shards(n, w, t); }));
   }
   for (const Row& r : rows) {
-    std::printf("%-8s %12llu %10.3f %14.0f\n", r.label.c_str(),
+    std::printf("%-8s %12llu %10.3f %14.0f %14.0f %14.0f\n", r.label.c_str(),
                 static_cast<unsigned long long>(r.events), r.wall_s,
-                r.events_per_sec);
+                r.events_per_sec, r.q1, r.q3);
   }
   const double total_wall = seconds_since(t0);
 
@@ -213,16 +256,20 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n  \"bench\": \"sim_core\",\n  \"jobs\": 1,\n"
-                 "  \"total_wall_s\": %.6f,\n  \"points\": [\n", total_wall);
+                 "  \"repeat\": %lld,\n  \"total_wall_s\": %.6f,\n"
+                 "  \"points\": [\n",
+                 static_cast<long long>(repeat), total_wall);
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
       std::fprintf(f,
                    "    {\"label\": \"%s\", \"wall_s\": %.6f, "
                    "\"sim_events\": %llu, \"events_per_sec\": %.0f, "
-                   "\"metrics\": {\"events_per_sec\": %.0f}}%s\n",
+                   "\"metrics\": {\"events_per_sec\": %.0f, "
+                   "\"q1_events_per_sec\": %.0f, "
+                   "\"q3_events_per_sec\": %.0f}}%s\n",
                    r.label.c_str(), r.wall_s,
                    static_cast<unsigned long long>(r.events),
-                   r.events_per_sec, r.events_per_sec,
+                   r.events_per_sec, r.events_per_sec, r.q1, r.q3,
                    i + 1 < rows.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -1,17 +1,17 @@
 // Simulation-side container for a Chord ring.
 //
-// Owns the nodes, their overlay::Wire (per-sender latency and loss, hop
-// accounting), liveness, partitions and gray failures, and a
-// ground-truth key->node oracle used both to build static topologies and
-// to verify routing in tests.
+// Owns the nodes, one Peer record each (liveness, partition group,
+// gray-failure slowdown), their overlay::Wire (per-sender latency and
+// loss, hop accounting), and a ground-truth key->node oracle used both
+// to build static topologies and to verify routing in tests.
 #pragma once
 
 #include <array>
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <variant>
 #include <vector>
 
 #include "cbps/chord/config.hpp"
@@ -20,6 +20,35 @@
 #include "cbps/overlay/wire.hpp"
 
 namespace cbps::chord {
+
+/// The network's record of one node: the node itself, its wire streams
+/// and scheduling domain, its liveness and the fault state of its links.
+/// A node holds its own record, so the sending side of a hop looks
+/// nothing up; the destination's record is one hash lookup, and the
+/// delivery event carries both records, so it looks up nothing at all.
+struct Peer {
+  enum class Liveness : std::uint8_t {
+    kAlive,
+    kDeparted,  // left gracefully: a lame duck that still takes acks
+    kCrashed,
+  };
+
+  std::unique_ptr<ChordNode> node;
+  overlay::Wire::Sender* sender = nullptr;  // domain + latency/loss streams
+  Liveness liveness = Liveness::kAlive;
+  int partition_group = -1;  // while partitioned; -1 = remainder group
+  double slow_factor = 1.0;  // gray-failure delay multiplier (>= 1)
+
+  /// Whether `msg` may reach this node now. A departed node is still
+  /// running and listening for the acks of its draining sends; every
+  /// other message bounces — it has left the ring. A crashed node takes
+  /// nothing.
+  bool accepts(const WireMessage& msg) const {
+    return liveness == Liveness::kAlive ||
+           (liveness == Liveness::kDeparted &&
+            std::holds_alternative<overlay::AckMsg>(msg));
+  }
+};
 
 class ChordNetwork {
  public:
@@ -60,7 +89,7 @@ class ChordNetwork {
   /// messages are dropped at the cut). Nodes absent from every group —
   /// including nodes that join later — form an implicit remainder
   /// group, so set_partition({minority}) cuts `minority` off from
-  /// everyone else.
+  /// everyone else. Every listed id must be a node of this network.
   void set_partition(const std::vector<std::vector<Key>>& groups);
 
   /// Remove the partition. Ring re-merge is the nodes' job (remembered-
@@ -69,13 +98,10 @@ class ChordNetwork {
 
   bool partitioned() const { return partitioned_; }
 
-  /// True when `a` and `b` can currently exchange messages.
-  bool reachable(Key a, Key b) const;
-
   /// Gray failure: multiply every transmission delay touching `id` (as
-  /// sender or receiver) by `factor` (>= 1). factor == 1 clears.
+  /// sender or receiver) by `factor` (>= 1). factor == 1 clears. `id`
+  /// must be a node of this network.
   void set_slow_factor(Key id, double factor);
-  void clear_slow_factors();
   double slow_factor(Key id) const;
 
   /// Swap the in-flight loss model at runtime (nullptr = lossless).
@@ -118,9 +144,10 @@ class ChordNetwork {
 
   // --- wire ---------------------------------------------------------------
   /// Deliver `msg` from `from` to `to` after one network latency sample.
-  /// Returns false without sending if `to` is not alive (models a failed
+  /// Returns false without sending if `to` is unknown, crashed, departed
+  /// (acks excepted) or cut off by a partition (models a failed
   /// connection attempt; the caller should evict the peer and retry).
-  bool transmit(Key from, Key to, WireMessage msg,
+  bool transmit(ChordNode& from, Key to, WireMessage&& msg,
                 overlay::MessageClass cls);
 
   // --- environment ---------------------------------------------------------
@@ -162,18 +189,11 @@ class ChordNetwork {
   overlay::Wire wire_;
   HotStats hot_{wire_.registry()};
 
-  std::map<Key, std::unique_ptr<ChordNode>> nodes_;  // includes dead nodes
+  // One record per node ever added, dead ones included. Records never
+  // move (node-based map): nodes and in-flight deliveries point at them.
+  std::unordered_map<Key, Peer> peers_;
   std::vector<Key> alive_;  // sorted; O(1) dense indexing for benches
-  // Gracefully-departed (not crashed) nodes: lame ducks that may still
-  // receive acks while their pending reliable sends drain.
-  std::unordered_set<Key> departed_;
-
-  // Fault state. partition_group_ maps node -> group id while a
-  // partition is active (unlisted nodes are group 0); slow_factors_
-  // holds the gray-failure latency multipliers (> 1 only).
-  bool partitioned_ = false;
-  std::unordered_map<Key, int> partition_group_;
-  std::unordered_map<Key, double> slow_factors_;
+  bool partitioned_ = false;  // Peer::partition_group is live
 };
 
 }  // namespace cbps::chord

@@ -25,16 +25,16 @@
 namespace cbps::chord {
 
 class ChordNetwork;
+struct Peer;
 
 class ChordNode final : public overlay::DataPlane<WireMessage> {
  public:
-  /// `domain` is this node's scheduling domain, registered with the
-  /// engine by ChordNetwork when the node is created. Every self-owned
-  /// event the node schedules (retransmit timers, maintenance) is keyed
-  /// by — and, under the parallel engine, placed on the shard of — this
-  /// domain.
-  ChordNode(ChordNetwork& net, Key id, std::string name,
-            common::Domain domain);
+  /// `peer` is this node's record in `net`, created with it by
+  /// ChordNetwork; its wire sender carries the node's scheduling domain.
+  /// Every self-owned event the node schedules (retransmit timers,
+  /// maintenance) is keyed by — and, under the parallel engine, placed on
+  /// the shard of — that domain.
+  ChordNode(ChordNetwork& net, Peer& peer, Key id, std::string name);
 
   // --- overlay::OverlayNode -------------------------------------------
   Key successor_id() const override {
@@ -87,13 +87,13 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   }
 
   /// Entry point for messages arriving from the network.
-  void receive(Envelope env);
+  void receive(Envelope&& env);
 
  private:
   const ChordConfig& config() const;
 
   // --- overlay::DataPlane hooks ------------------------------------------
-  bool wire_transmit(Key to, WireMessage msg,
+  bool wire_transmit(Key to, WireMessage&& msg,
                      overlay::MessageClass cls) override;
   /// Evict `peer` from fingers, successors, predecessor and the location
   /// cache, and remember it for post-partition re-merge probing.
@@ -131,7 +131,11 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   void adopt_predecessor(Key candidate);
   void set_successor_front(Key s);
 
+  // The network's transmit reads the sender's record through peer_.
+  friend class ChordNetwork;
+
   ChordNetwork& net_;
+  Peer& peer_;
 
   bool has_pred_ = false;
   Key pred_ = 0;

@@ -4,8 +4,9 @@
 // implementation's tiny inline buffer (and libstdc++'s only fits a
 // pointer or two), which made every Simulator::schedule_after a malloc.
 // InlineFunction stores callables up to `Capacity` bytes inline and only
-// falls back to the heap beyond that; the simulator's hot-path lambdas
-// ([this, id]-sized captures) always fit.
+// falls back to the heap beyond that. stores_inline<F> says at compile
+// time which path a callable takes, so a hot path can static_assert that
+// it never allocates.
 #pragma once
 
 #include <cstddef>
@@ -55,6 +56,13 @@ class InlineFunction<R(Args...), Capacity> {
 
   explicit operator bool() const { return vt_ != nullptr; }
 
+  /// Whether a callable of type `F` is stored in the inline buffer (no
+  /// heap allocation) rather than behind an owning pointer.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   R operator()(Args... args) {
     return vt_->invoke(&buf_, std::forward<Args>(args)...);
   }
@@ -67,14 +75,9 @@ class InlineFunction<R(Args...), Capacity> {
     void (*relocate)(void* src, void* dst);
   };
 
-  template <typename F>
-  static constexpr bool fits_inline =
-      sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<F>;
-
   template <typename F, typename... CtorArgs>
   void emplace(CtorArgs&&... ctor_args) {
-    if constexpr (fits_inline<F>) {
+    if constexpr (stores_inline<F>) {
       ::new (static_cast<void*>(&buf_)) F(std::forward<CtorArgs>(ctor_args)...);
       static const VTable vt = {
           [](void* buf, Args&&... args) -> R {

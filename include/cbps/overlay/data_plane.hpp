@@ -77,7 +77,7 @@ class DataPlane : public OverlayNode {
   // --- OverlayNode -----------------------------------------------------
   Key id() const final { return id_; }
   RingParams ring() const final { return wire_.ring(); }
-  common::Domain domain() const final { return domain_; }
+  common::Domain domain() const final { return sender_.domain; }
   void set_app(OverlayApp* app) final { app_ = app; }
   void send(Key key, PayloadPtr payload) final;
   void m_cast_runs(std::vector<KeyRange> runs, PayloadPtr payload) final;
@@ -97,6 +97,10 @@ class DataPlane : public OverlayNode {
   /// A crashed node runs nothing: no deliveries, no forwarding.
   bool offline() const { return offline_; }
 
+  /// This node's wire streams and scheduling domain: its network draws
+  /// every transmission from here, with no lookup by id.
+  Wire::Sender& sender() { return sender_; }
+
   /// Drop the pending-send (ack/retry) table and cancel its timers.
   /// Called when this node goes offline; retransmitting from a dead
   /// node would be physically wrong.
@@ -108,11 +112,12 @@ class DataPlane : public OverlayNode {
   }
 
  protected:
-  /// `domain` is this node's scheduling domain (Wire::add_sender). Every
-  /// self-owned event the node schedules is keyed by — and, under the
-  /// parallel engine, placed on the shard of — this domain.
-  DataPlane(Wire& wire, Key id, std::string name, common::Domain domain)
-      : wire_(wire), id_(id), name_(std::move(name)), domain_(domain) {}
+  /// `sender` is this node's registration with the wire
+  /// (Wire::add_sender): its latency and loss streams and its scheduling
+  /// domain. Every self-owned event the node schedules is keyed by — and,
+  /// under the parallel engine, placed on the shard of — that domain.
+  DataPlane(Wire& wire, Wire::Sender& sender, Key id, std::string name)
+      : wire_(wire), id_(id), name_(std::move(name)), sender_(sender) {}
 
   // --- routing hooks -----------------------------------------------------
   /// Best next hop toward `key`; nullopt when this node covers `key` or
@@ -122,7 +127,7 @@ class DataPlane : public OverlayNode {
   /// node (see partition_mcast_runs).
   virtual const std::vector<Key>& mcast_candidates() = 0;
   /// Hand `msg` to the network; false when `to` is unreachable.
-  virtual bool wire_transmit(Key to, Msg msg, MessageClass cls) = 0;
+  virtual bool wire_transmit(Key to, Msg&& msg, MessageClass cls) = 0;
   /// `peer` refused a transmission: drop it from the routing state.
   virtual void on_peer_dead(Key peer) = 0;
   /// A reliable send other than a route, m-cast or chain hop lost its
@@ -186,7 +191,7 @@ class DataPlane : public OverlayNode {
   }
 
   std::string name_;
-  common::Domain domain_ = common::kGlobalDomain;
+  Wire::Sender& sender_;
 
   // Ack/retry reliability layer (armed only when Limits::reliable). Each
   // reliable send is parked here, keyed by its sequence id, until the
@@ -239,7 +244,7 @@ template <class Msg>
 bool DataPlane<Msg>::transmit_reliable(Key to, Msg msg, MessageClass cls) {
   const std::uint64_t seq = reliability_->next_send_seq++;
   *seq_field(msg) = seq;
-  if (!wire_transmit(to, msg, cls)) {
+  if (!wire_transmit(to, Msg(msg), cls)) {
     stats().send_to_dead->inc();
     on_peer_dead(to);
     return false;
@@ -252,7 +257,7 @@ bool DataPlane<Msg>::transmit_reliable(Key to, Msg msg, MessageClass cls) {
   // Self-owned timer: keyed by (and sharded with) this node even when
   // the send was issued from a workload's global-context callback, so the
   // cancel in handle_ack is always a same-shard operation.
-  const common::ActorScope as(domain_);
+  const common::ActorScope as(domain());
   p.timer =
       wire_.sim().schedule_after(p.timeout, [this, seq] { retransmit(seq); });
   p.msg = std::move(msg);  // retransmission copy; payload ptr is shared
@@ -277,9 +282,9 @@ void DataPlane<Msg>::retransmit(std::uint64_t seq) {
   ++p.retries;
   stats().retransmits->inc();
   span(detail::wire_ref(p.msg), metrics::SpanKind::kRetry, p.retries);
-  if (wire_transmit(p.to, p.msg, p.cls)) {
+  if (wire_transmit(p.to, Msg(p.msg), p.cls)) {
     p.timeout *= 2;  // exponential backoff
-    const common::ActorScope as(domain_);
+    const common::ActorScope as(domain());
     p.timer = wire_.sim().schedule_after(p.timeout,
                                          [this, seq] { retransmit(seq); });
     return;

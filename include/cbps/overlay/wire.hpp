@@ -11,12 +11,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -182,31 +181,38 @@ class Wire {
   Wire(const Wire&) = delete;
   Wire& operator=(const Wire&) = delete;
 
+  /// One node's transmission state: its scheduling domain and the
+  /// latency and loss streams every one of its sends draws from. A node
+  /// holds its own Sender (DataPlane::sender), so a send looks nothing
+  /// up by id.
+  struct Sender {
+    common::Domain domain = common::kGlobalDomain;
+    Rng latency_rng;
+    Rng loss_rng;
+    std::unique_ptr<sim::LossModel> loss;  // null = lossless channel
+  };
+
   /// Register sender `id`: a scheduling domain of its own plus latency
   /// and loss streams that depend only on (run seed, id), never on
-  /// registration order or engine choice.
-  common::Domain add_sender(Key id);
-  common::Domain domain(Key id) const { return senders_.at(id).domain; }
+  /// registration order or engine choice. The reference stays valid for
+  /// the wire's lifetime.
+  Sender& add_sender(Key id);
 
   /// Put one transmission from `from` on the wire: account a hop and
   /// `bytes` of class `cls`, then draw the sender's loss channel and
   /// latency. Returns the delivery delay, or nullopt when the message is
   /// lost in flight (it hit the wire but never arrives).
-  std::optional<sim::SimTime> send(Key from, MessageClass cls,
+  std::optional<sim::SimTime> send(Sender& from, MessageClass cls,
                                    std::size_t bytes);
 
   /// Swap the in-flight loss model (nullptr = lossless). The model is a
   /// prototype: every sender gets a fresh clone as its own channel.
   void set_loss_model(std::unique_ptr<sim::LossModel> model);
   sim::LossModel* loss_model() { return loss_.get(); }
-  /// Sender `id`'s loss channel (nullptr = lossless).
-  const sim::LossModel* sender_loss(Key id) const {
-    return senders_.at(id).loss.get();
-  }
 
   /// Schedule a zero-latency local action (self-deliveries are
   /// asynchronous but free).
-  void self_deliver(std::function<void()> action) {
+  void self_deliver(sim::SimulatorBase::Callback action) {
     sim_.schedule_after(0, std::move(action));
   }
 
@@ -224,19 +230,12 @@ class Wire {
   metrics::TraceSink* trace_sink() const { return trace_sink_; }
 
  private:
-  struct Sender {
-    common::Domain domain = common::kGlobalDomain;
-    Rng latency_rng;
-    Rng loss_rng;
-    std::unique_ptr<sim::LossModel> loss;  // null = lossless channel
-  };
-
   sim::SimulatorBase& sim_;
   Limits limits_;
   std::uint64_t seed_;
   std::unique_ptr<sim::LatencyModel> latency_;
   std::unique_ptr<sim::LossModel> loss_;  // prototype; null = lossless
-  std::unordered_map<Key, Sender> senders_;
+  std::deque<Sender> senders_;  // registration order; stable addresses
   TrafficStats traffic_;
   metrics::Registry registry_;
   Stats stats_;

@@ -27,10 +27,10 @@
 //    every peer is always alive and a transmit never fails.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cbps/common/ring.hpp"
@@ -60,10 +60,11 @@ class PastryNetwork;
 
 class PastryNode final : public overlay::DataPlane<overlay::DataMessage> {
  public:
-  /// `domain` is this node's scheduling domain, registered with the
-  /// engine by PastryNetwork (see ChordNode for the contract).
-  PastryNode(PastryNetwork& net, Key id, std::string name,
-             common::Domain domain);
+  /// `sender` is this node's registration with the wire, made by
+  /// PastryNetwork; it carries the node's scheduling domain (see
+  /// ChordNode for the contract).
+  PastryNode(PastryNetwork& net, overlay::Wire::Sender& sender, Key id,
+             std::string name);
 
   // --- overlay::OverlayNode --------------------------------------------
   Key successor_id() const override;
@@ -81,7 +82,7 @@ class PastryNode final : public overlay::DataPlane<overlay::DataMessage> {
   void install_state(std::vector<Key> leaf_pred, std::vector<Key> leaf_succ,
                      std::vector<std::optional<Key>> table);
 
-  void receive(Key from, overlay::DataMessage msg);
+  void receive(Key from, overlay::DataMessage&& msg);
 
  private:
   // --- overlay::DataPlane hooks ------------------------------------------
@@ -91,7 +92,7 @@ class PastryNode final : public overlay::DataPlane<overlay::DataMessage> {
   /// Leaf-set and routing-table nodes by ring distance, built once by
   /// install_state (the topology is static).
   const std::vector<Key>& mcast_candidates() override { return known_; }
-  bool wire_transmit(Key to, overlay::DataMessage msg,
+  bool wire_transmit(Key to, overlay::DataMessage&& msg,
                      overlay::MessageClass cls) override;
   void on_peer_dead(Key peer) override;
 
@@ -129,7 +130,10 @@ class PastryNetwork {
   PastryNode& node_at(std::size_t i);
   Key oracle_successor(Key key) const;
 
-  bool transmit(Key from, Key to, overlay::DataMessage msg,
+  /// Deliver `msg` from `from` to `to` after one latency sample; false
+  /// when `to` is not a node of this network. One id lookup per hop (the
+  /// destination); the message rides inside the delivery event.
+  bool transmit(PastryNode& from, Key to, overlay::DataMessage&& msg,
                 overlay::MessageClass cls);
 
   overlay::Wire& wire() { return wire_; }
@@ -146,7 +150,7 @@ class PastryNetwork {
  private:
   PastryConfig cfg_;
   overlay::Wire wire_;
-  std::map<Key, std::unique_ptr<PastryNode>> nodes_;
+  std::unordered_map<Key, std::unique_ptr<PastryNode>> nodes_;
   std::vector<Key> ids_;  // sorted
 };
 

@@ -36,6 +36,17 @@
 #include "cbps/common/inline_function.hpp"
 #include "cbps/sim/time.hpp"
 
+namespace cbps::sim {
+
+/// Inline capacity of an event callback, in bytes. It is sized to the
+/// largest closure scheduled once per network hop: Chord's delivery,
+/// which carries the network, the sender's and receiver's peer records
+/// and the 96-byte Envelope by value (chord/network.cpp static_asserts
+/// the size). So no hop allocates, and every smaller callback fits too.
+inline constexpr std::size_t kCallbackBytes = 120;
+
+}  // namespace cbps::sim
+
 namespace cbps::sim::detail {
 
 using Domain = common::Domain;
@@ -51,7 +62,7 @@ inline std::uint64_t make_key(Domain domain, std::uint64_t dseq) {
 
 class EventCore {
  public:
-  using Callback = common::InlineFunction<void(), 48>;
+  using Callback = common::InlineFunction<void(), kCallbackBytes>;
   using EventId = std::uint64_t;
 
   static constexpr EventId kInvalidEvent = 0;
@@ -93,7 +104,7 @@ class EventCore {
   /// the scheduling domain by the engine); `target` is the domain the
   /// callback will execute as.
   EventId schedule(SimTime t, std::uint64_t key, Domain target,
-                   Callback cb) {
+                   Callback&& cb) {
     CBPS_ASSERT_MSG(t >= floor_, "scheduling into the past");
     CBPS_ASSERT(static_cast<bool>(cb));
     std::uint32_t slot;

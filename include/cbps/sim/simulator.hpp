@@ -34,7 +34,7 @@ namespace cbps::sim {
 
 class SimulatorBase {
  public:
-  using Callback = common::InlineFunction<void(), 48>;
+  using Callback = detail::EventCore::Callback;
   using EventId = std::uint64_t;
   using TimerId = std::uint64_t;
   using Domain = common::Domain;

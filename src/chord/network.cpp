@@ -5,6 +5,7 @@
 
 #include "cbps/common/hash.hpp"
 #include "cbps/common/logging.hpp"
+#include "cbps/common/sorted_view.hpp"
 
 namespace cbps::chord {
 
@@ -35,30 +36,29 @@ ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
 ChordNetwork::~ChordNetwork() {
   // Timers owned by nodes reference the simulator; stop them while the
   // nodes still exist.
-  for (auto& [_, n] : nodes_) {
-    n->stop_maintenance();
-    n->cancel_pending_sends();
+  for (auto* entry : sorted_view(peers_)) {
+    entry->second.node->stop_maintenance();
+    entry->second.node->cancel_pending_sends();
   }
 }
 
 ChordNode& ChordNetwork::add_node(const std::string& name) {
   Key id = consistent_hash(name, cfg_.ring);
   int salt = 0;
-  while (nodes_.contains(id)) {
+  while (peers_.contains(id)) {
     id = consistent_hash(name + "#" + std::to_string(salt++), cfg_.ring);
   }
   return add_node_with_id(id, name);
 }
 
 ChordNode& ChordNetwork::add_node_with_id(Key id, std::string name) {
-  CBPS_ASSERT_MSG(!nodes_.contains(id), "duplicate node id");
+  CBPS_ASSERT_MSG(!peers_.contains(id), "duplicate node id");
   CBPS_ASSERT(id <= cfg_.ring.max_key());
-  const common::Domain domain = wire_.add_sender(id);
-  auto node = std::make_unique<ChordNode>(*this, id, std::move(name), domain);
-  ChordNode& ref = *node;
-  nodes_.emplace(id, std::move(node));
+  Peer& peer = peers_[id];
+  peer.sender = &wire_.add_sender(id);
+  peer.node = std::make_unique<ChordNode>(*this, peer, id, std::move(name));
   alive_.insert(std::lower_bound(alive_.begin(), alive_.end(), id), id);
-  return ref;
+  return *peer.node;
 }
 
 void ChordNetwork::build_static_ring() {
@@ -67,7 +67,7 @@ void ChordNetwork::build_static_ring() {
   const std::size_t n = ids.size();
   for (std::size_t i = 0; i < n; ++i) {
     const Key id = ids[i];
-    ChordNode& node = *nodes_.at(id);
+    ChordNode& node = *peers_.at(id).node;
 
     std::optional<Key> pred;
     std::vector<Key> succs;
@@ -99,12 +99,13 @@ void ChordNetwork::leave_gracefully(Key id) {
                   "leave_gracefully: node is not alive (double removal?)");
   CBPS_ASSERT_MSG(alive_.size() > 1,
                   "leave_gracefully: cannot remove the last alive node");
-  nodes_.at(id)->leave_gracefully();
+  Peer& peer = peers_.at(id);
+  peer.node->leave_gracefully();
   alive_.erase(std::lower_bound(alive_.begin(), alive_.end(), id));
   // The process is still up (lame duck): it keeps retransmitting its
   // pending reliable sends — the state handover above in particular —
-  // and may receive the acks for them. See transmit().
-  departed_.insert(id);
+  // and may receive the acks for them. See Peer::accepts.
+  peer.liveness = Peer::Liveness::kDeparted;
 }
 
 void ChordNetwork::crash(Key id) {
@@ -112,8 +113,10 @@ void ChordNetwork::crash(Key id) {
                   "crash: node is not alive (double removal?)");
   CBPS_ASSERT_MSG(alive_.size() > 1,
                   "crash: cannot remove the last alive node");
-  nodes_.at(id)->go_offline();
+  Peer& peer = peers_.at(id);
+  peer.node->go_offline();
   alive_.erase(std::lower_bound(alive_.begin(), alive_.end(), id));
+  peer.liveness = Peer::Liveness::kCrashed;
 }
 
 // ---------------------------------------------------------------------------
@@ -121,70 +124,59 @@ void ChordNetwork::crash(Key id) {
 // ---------------------------------------------------------------------------
 
 void ChordNetwork::set_partition(const std::vector<std::vector<Key>>& groups) {
-  partition_group_.clear();
+  for (auto* entry : sorted_view(peers_)) entry->second.partition_group = -1;
   for (std::size_t g = 0; g < groups.size(); ++g) {
-    for (Key id : groups[g]) partition_group_[id] = static_cast<int>(g);
+    for (Key id : groups[g]) {
+      const auto it = peers_.find(id);
+      CBPS_ASSERT_MSG(it != peers_.end(), "set_partition: unknown node");
+      it->second.partition_group = static_cast<int>(g);
+    }
   }
   partitioned_ = true;
 }
 
-void ChordNetwork::heal_partition() {
-  partitioned_ = false;
-  partition_group_.clear();
-}
-
-bool ChordNetwork::reachable(Key a, Key b) const {
-  if (!partitioned_) return true;
-  const auto group = [this](Key id) {
-    const auto it = partition_group_.find(id);
-    return it == partition_group_.end() ? -1 : it->second;
-  };
-  return group(a) == group(b);
-}
+void ChordNetwork::heal_partition() { partitioned_ = false; }
 
 void ChordNetwork::set_slow_factor(Key id, double factor) {
   CBPS_ASSERT_MSG(factor >= 1.0, "slow factor must be >= 1");
-  if (factor == 1.0) {
-    slow_factors_.erase(id);
-  } else {
-    slow_factors_[id] = factor;
-  }
+  const auto it = peers_.find(id);
+  CBPS_ASSERT_MSG(it != peers_.end(), "set_slow_factor: unknown node");
+  it->second.slow_factor = factor;
 }
 
-void ChordNetwork::clear_slow_factors() { slow_factors_.clear(); }
-
 double ChordNetwork::slow_factor(Key id) const {
-  const auto it = slow_factors_.find(id);
-  return it == slow_factors_.end() ? 1.0 : it->second;
+  const auto it = peers_.find(id);
+  return it == peers_.end() ? 1.0 : it->second.slow_factor;
 }
 
 std::size_t ChordNetwork::loss_bad_state_count() const {
   std::size_t n = 0;
   for (Key id : alive_) {
-    const auto* ge =
-        dynamic_cast<const sim::GilbertElliottLoss*>(wire_.sender_loss(id));
+    const auto* ge = dynamic_cast<const sim::GilbertElliottLoss*>(
+        peers_.at(id).sender->loss.get());
     if (ge != nullptr && ge->in_bad_state()) ++n;
   }
   return n;
 }
 
 bool ChordNetwork::is_alive(Key id) const {
-  return std::binary_search(alive_.begin(), alive_.end(), id);
+  const auto it = peers_.find(id);
+  return it != peers_.end() && it->second.liveness == Peer::Liveness::kAlive;
 }
 
 ChordNode* ChordNetwork::node(Key id) {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  const auto it = peers_.find(id);
+  return it == peers_.end() ? nullptr : it->second.node.get();
 }
 
 const ChordNode* ChordNetwork::node(Key id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() ? nullptr : it->second.get();
+  const auto it = peers_.find(id);
+  return it == peers_.end() ? nullptr : it->second.node.get();
 }
 
 ChordNode& ChordNetwork::alive_node(std::size_t i) {
   CBPS_ASSERT(i < alive_.size());
-  return *nodes_.at(alive_[i]);
+  return *peers_.at(alive_[i]).node;
 }
 
 Key ChordNetwork::oracle_successor(Key key) const {
@@ -194,11 +186,11 @@ Key ChordNetwork::oracle_successor(Key key) const {
 }
 
 void ChordNetwork::start_maintenance_all() {
-  for (Key id : alive_) nodes_.at(id)->start_maintenance();
+  for (Key id : alive_) peers_.at(id).node->start_maintenance();
 }
 
 void ChordNetwork::stop_maintenance_all() {
-  for (Key id : alive_) nodes_.at(id)->stop_maintenance();
+  for (Key id : alive_) peers_.at(id).node->stop_maintenance();
 }
 
 namespace {
@@ -227,38 +219,28 @@ std::size_t wire_size_bytes(RingParams ring, const WireMessage& msg) {
 
 }  // namespace
 
-bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
+bool ChordNetwork::transmit(ChordNode& from, Key to, WireMessage&& msg,
                             overlay::MessageClass cls) {
-  if (!is_alive(to)) {
-    // Lame-duck exception: a gracefully-departed node is still running
-    // and listening for the acks of its draining sends. Everything
-    // else bounces — it has left the ring.
-    const bool ack_to_lame_duck =
-        std::holds_alternative<overlay::AckMsg>(msg) &&
-        departed_.contains(to);
-    if (!ack_to_lame_duck) return false;
-  }
-  if (!reachable(from, to)) {
+  // The hop's only id lookup: the sender brought its own record.
+  const auto it = peers_.find(to);
+  if (it == peers_.end() || !it->second.accepts(msg)) return false;
+  Peer& src = from.peer_;
+  Peer& dst = it->second;
+  if (partitioned_ && src.partition_group != dst.partition_group) {
     // Partitioned link: the connection attempt fails exactly like a
     // dead peer, so the caller evicts the peer and the successor-list /
     // finger repair machinery takes over inside each side of the cut.
     hot_.net_partition_refused->inc();
     return false;
   }
-  const auto sampled = wire_.send(from, cls, wire_size_bytes(ring(), msg));
+  const auto sampled =
+      wire_.send(*src.sender, cls, wire_size_bytes(ring(), msg));
   // Lost in flight: the hop and bytes are charged, nothing arrives.
   if (!sampled) return true;
 
-  const ChordNode& src = *nodes_.at(from);
-  auto env = std::make_shared<Envelope>();
-  env->from = from;
-  env->from_has_pred = src.predecessor().has_value();
-  env->from_pred = src.predecessor().value_or(0);
-  env->msg = std::move(msg);
-
   sim::SimTime delay = *sampled;
   // Gray failure: a slow node stretches every message it touches.
-  const double slow = std::max(slow_factor(from), slow_factor(to));
+  const double slow = std::max(src.slow_factor, dst.slow_factor);
   if (slow > 1.0) {
     delay = static_cast<sim::SimTime>(static_cast<double>(delay) * slow);
   }
@@ -266,27 +248,34 @@ bool ChordNetwork::transmit(Key from, Key to, WireMessage msg,
   // order-independent, so concurrent shard senders stay deterministic.
   hot_.delay_us_by_class[static_cast<std::size_t>(cls)]->add(
       static_cast<double>(delay));
+  // The envelope rides inside the event: no allocation per hop.
+  auto deliver = [this, src = &src, dst = &dst,
+                  env = Envelope{from.id(), from.predecessor().has_value(),
+                                 from.predecessor().value_or(0),
+                                 std::move(msg)}]() mutable {
+    // Destination died in flight — except a lame-duck ack: the departed
+    // process is still up, waiting for exactly this.
+    if (!dst->accepts(env.msg)) return;
+    // A partition cut the link while the message was in flight: it is
+    // silently lost, and the sender's ack/retry layer must recover it
+    // (or fail the send and reroute).
+    if (partitioned_ && src->partition_group != dst->partition_group) {
+      hot_.net_partition_dropped->inc();
+      return;
+    }
+    dst->node->receive(std::move(env));
+  };
+  static_assert(sim::SimulatorBase::Callback::stores_inline<decltype(deliver)>,
+                "a Chord hop must not heap-allocate its delivery event");
+  static_assert(sizeof(deliver) == sim::kCallbackBytes,
+                "sim::kCallbackBytes is sized to this closure, the largest "
+                "scheduled per hop: resize it along with the closure");
   // Deliver on the destination's scheduling domain: the receive callback
   // runs on (and is keyed by) the receiver's shard. The latency floor
   // (LatencyModel::min_delay) is the parallel engine's lookahead, which
   // is exactly what makes this cross-shard handoff legal mid-window.
-  sim().schedule_for(wire_.domain(to), sim().now() + delay,
-                     [this, from, to, env] {
-    // Destination died in flight — except a lame-duck ack: the departed
-    // process is still up, waiting for exactly this.
-    if (!is_alive(to) && !(std::holds_alternative<overlay::AckMsg>(env->msg) &&
-                           departed_.contains(to))) {
-      return;
-    }
-    // A partition cut the link while the message was in flight: it is
-    // silently lost, and the sender's ack/retry layer must recover it
-    // (or fail the send and reroute).
-    if (!reachable(from, to)) {
-      hot_.net_partition_dropped->inc();
-      return;
-    }
-    nodes_.at(to)->receive(std::move(*env));
-  });
+  sim().schedule_for(dst.sender->domain, sim().now() + delay,
+                     std::move(deliver));
   return true;
 }
 

@@ -12,17 +12,17 @@ namespace cbps::chord {
 using overlay::MessageClass;
 using overlay::PayloadPtr;
 
-ChordNode::ChordNode(ChordNetwork& net, Key id, std::string name,
-                     common::Domain domain)
-    : DataPlane(net.wire(), id, std::move(name), domain),
+ChordNode::ChordNode(ChordNetwork& net, Peer& peer, Key id, std::string name)
+    : DataPlane(net.wire(), *peer.sender, id, std::move(name)),
       net_(net),
+      peer_(peer),
       fingers_(net.ring(), id),
       cache_(net.ring(), net.config().location_cache_size) {}
 
 const ChordConfig& ChordNode::config() const { return net_.config(); }
 
-bool ChordNode::wire_transmit(Key to, WireMessage msg, MessageClass cls) {
-  return net_.transmit(id_, to, std::move(msg), cls);
+bool ChordNode::wire_transmit(Key to, WireMessage&& msg, MessageClass cls) {
+  return net_.transmit(*this, to, std::move(msg), cls);
 }
 
 void ChordNode::reroute(WireMessage msg) {
@@ -93,7 +93,7 @@ void ChordNode::probe_remembered() {
   // Probe in key order: each transmit draws wire randomness, so probe
   // order must be a function of the remembered set, not hash layout (D1).
   for (const Key* peer : sorted_view(remembered_)) {
-    net_.transmit(id_, *peer, GetNeighborsReq{id_}, MessageClass::kControl);
+    net_.transmit(*this, *peer, GetNeighborsReq{id_}, MessageClass::kControl);
   }
 }
 
@@ -451,7 +451,7 @@ void ChordNode::set_successor_front(Key s) {
 // Dispatch
 // ---------------------------------------------------------------------------
 
-void ChordNode::receive(Envelope env) {
+void ChordNode::receive(Envelope&& env) {
   // A crashed process reads nothing off the wire (a message can already
   // be scheduled for delivery when the crash lands).
   if (offline_) return;
@@ -466,7 +466,7 @@ void ChordNode::receive(Envelope env) {
 
   // An evicted contact is talking to us again — the partition healed (or
   // the eviction was spurious); stop probing for it.
-  remembered_.erase(env.from);
+  if (!remembered_.empty()) remembered_.erase(env.from);
 
   // Opportunistic ring repair: if an integrated sender sits between us
   // and our current successor, the ring merged (or healed) and the

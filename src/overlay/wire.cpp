@@ -36,38 +36,32 @@ Wire::Wire(sim::SimulatorBase& sim, const std::string& stat_prefix,
   if (loss_rate > 0.0) loss_ = std::make_unique<sim::UniformLoss>(loss_rate);
 }
 
-common::Domain Wire::add_sender(Key id) {
+Wire::Sender& Wire::add_sender(Key id) {
   // Dedicated loss stream so enabling loss never perturbs latency.
-  Sender s{sim_.register_domain(), Rng(mix64(seed_ ^ mix64(id))),
-           Rng(mix64(seed_ ^ mix64(id) ^ 0x9e3779b97f4a7c15ull)),
-           loss_ ? loss_->clone() : nullptr};
-  const common::Domain domain = s.domain;
-  senders_.emplace(id, std::move(s));
-  return domain;
+  return senders_.emplace_back(
+      Sender{sim_.register_domain(), Rng(mix64(seed_ ^ mix64(id))),
+             Rng(mix64(seed_ ^ mix64(id) ^ 0x9e3779b97f4a7c15ull)),
+             loss_ ? loss_->clone() : nullptr});
 }
 
-std::optional<sim::SimTime> Wire::send(Key from, MessageClass cls,
+std::optional<sim::SimTime> Wire::send(Sender& from, MessageClass cls,
                                        std::size_t bytes) {
   traffic_.record_hop(cls, bytes);
   // Only the sender's own streams are consulted: transmit is only ever
   // called from the sending node's own execution context (or from the
   // exclusive global context), so the draws race with nothing and
   // replay identically at any shard count.
-  Sender& s = senders_.at(from);
-  if (s.loss != nullptr && s.loss->drop(s.loss_rng)) {
+  if (from.loss != nullptr && from.loss->drop(from.loss_rng)) {
     stats_.net_lost->inc();
     stats_.net_lost_by_class[static_cast<std::size_t>(cls)]->inc();
     return std::nullopt;
   }
-  return latency_->sample(s.latency_rng);
+  return latency_->sample(from.latency_rng);
 }
 
 void Wire::set_loss_model(std::unique_ptr<sim::LossModel> model) {
   loss_ = std::move(model);
-  // detlint: unordered-ok(every wire gets an identical fresh clone; commutative)
-  for (auto& [_, s] : senders_) {
-    s.loss = loss_ ? loss_->clone() : nullptr;
-  }
+  for (Sender& s : senders_) s.loss = loss_ ? loss_->clone() : nullptr;
 }
 
 }  // namespace cbps::overlay

@@ -18,7 +18,7 @@ PastryNetwork::PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
 PastryNetwork::~PastryNetwork() {
   // Retry timers reference the simulator and capture node pointers;
   // cancel them while the nodes still exist.
-  for (auto& [_, n] : nodes_) n->cancel_pending_sends();
+  for (Key id : ids_) nodes_.at(id)->cancel_pending_sends();
 }
 
 PastryNode& PastryNetwork::add_node(const std::string& name) {
@@ -32,9 +32,8 @@ PastryNode& PastryNetwork::add_node(const std::string& name) {
 
 PastryNode& PastryNetwork::add_node_with_id(Key id, std::string name) {
   CBPS_ASSERT(!nodes_.contains(id));
-  const common::Domain domain = wire_.add_sender(id);
-  auto node =
-      std::make_unique<PastryNode>(*this, id, std::move(name), domain);
+  auto node = std::make_unique<PastryNode>(*this, wire_.add_sender(id), id,
+                                           std::move(name));
   PastryNode& ref = *node;
   nodes_.emplace(id, std::move(node));
   ids_.insert(std::lower_bound(ids_.begin(), ids_.end(), id), id);
@@ -93,21 +92,27 @@ Key PastryNetwork::oracle_successor(Key key) const {
   return it == ids_.end() ? ids_.front() : *it;
 }
 
-bool PastryNetwork::transmit(Key from, Key to, overlay::DataMessage msg,
+bool PastryNetwork::transmit(PastryNode& from, Key to,
+                             overlay::DataMessage&& msg,
                              overlay::MessageClass cls) {
-  if (!std::binary_search(ids_.begin(), ids_.end(), to)) return false;
+  const auto it = nodes_.find(to);
+  if (it == nodes_.end()) return false;
+  PastryNode& dst = *it->second;
   const std::size_t bytes = std::visit(
       [this](const auto& m) { return overlay::wire_size_bytes(ring(), m); },
       msg);
-  const auto delay = wire_.send(from, cls, bytes);
+  const auto delay = wire_.send(from.sender(), cls, bytes);
   // Lost in flight: the hop and bytes are charged, nothing arrives.
   if (!delay) return true;
 
-  auto boxed = std::make_shared<overlay::DataMessage>(std::move(msg));
-  sim().schedule_for(wire_.domain(to), sim().now() + *delay,
-                     [this, from, to, boxed] {
-                       nodes_.at(to)->receive(from, std::move(*boxed));
-                     });
+  // The message rides inside the event: no allocation per hop.
+  auto deliver = [dst = &dst, from = from.id(),
+                  msg = std::move(msg)]() mutable {
+    dst->receive(from, std::move(msg));
+  };
+  static_assert(sim::SimulatorBase::Callback::stores_inline<decltype(deliver)>,
+                "a Pastry hop must not heap-allocate its delivery event");
+  sim().schedule_for(dst.domain(), sim().now() + *delay, std::move(deliver));
   return true;
 }
 

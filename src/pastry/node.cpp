@@ -5,9 +5,9 @@
 
 namespace cbps::pastry {
 
-PastryNode::PastryNode(PastryNetwork& net, Key id, std::string name,
-                       common::Domain domain)
-    : DataPlane(net.wire(), id, std::move(name), domain), net_(net) {
+PastryNode::PastryNode(PastryNetwork& net, overlay::Wire::Sender& sender,
+                       Key id, std::string name)
+    : DataPlane(net.wire(), sender, id, std::move(name)), net_(net) {
   table_.resize(net_.ring().bits());
 }
 
@@ -40,9 +40,9 @@ void PastryNode::install_state(std::vector<Key> leaf_pred,
   std::erase(known_, id_);
 }
 
-bool PastryNode::wire_transmit(Key to, overlay::DataMessage msg,
+bool PastryNode::wire_transmit(Key to, overlay::DataMessage&& msg,
                                overlay::MessageClass cls) {
-  return net_.transmit(id_, to, std::move(msg), cls);
+  return net_.transmit(*this, to, std::move(msg), cls);
 }
 
 void PastryNode::on_peer_dead(Key /*peer*/) {
@@ -101,7 +101,7 @@ std::optional<Key> PastryNode::next_hop(Key key) {
   return std::nullopt;
 }
 
-void PastryNode::receive(Key from, overlay::DataMessage msg) {
+void PastryNode::receive(Key from, overlay::DataMessage&& msg) {
   const logctx::ScopedNode log_node(id_);
   if (!ack_and_dedup(from, msg)) return;
   std::visit([this](auto&& m) { handle_data(std::move(m)); }, std::move(msg));

@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cbps/chord/network.hpp"
@@ -809,6 +810,136 @@ TEST(ChordNetworkTest, AliveNodeIndexesInIdOrderAndStaysFastAtScale) {
   EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
                 .count(),
             2'000);
+}
+
+// ---------------------------------------------------------------------------
+// Liveness and partitions at the wire: which transmissions the network
+// refuses (the sender evicts the peer and tries the next one) and which
+// in-flight messages it drops on arrival.
+// ---------------------------------------------------------------------------
+
+std::uint64_t counter(const Harness& h, const std::string& name) {
+  return h.net->registry().counter_value(name);
+}
+
+TEST(ChordNetworkTest, SendToUnknownIdIsRefused) {
+  Harness h(8);
+  ChordNode& a = h.net->alive_node(1);
+  const Key succ = a.successor_id();
+  const Key unknown = h.net->ring().add(a.id(), 1);
+  ASSERT_EQ(h.net->node(unknown), nullptr);
+  // Put an id no node owns at the head of the successor list.
+  std::vector<Key> succs = a.successor_list();
+  succs.insert(succs.begin(), unknown);
+  std::vector<Key> fingers;
+  for (std::size_t i = 0; i < a.finger_table().size(); ++i) {
+    fingers.push_back(*a.finger_table().get(i));
+  }
+  a.install_state(a.predecessor(), succs, fingers);
+
+  a.send_to_successor(std::make_shared<TestPayload>(1, MessageClass::kCollect));
+  h.sim.run();
+  // Refused without a hop; the next successor took the message.
+  EXPECT_EQ(counter(h, "chord.send_to_dead"), 1u);
+  EXPECT_EQ(a.successor_id(), succ);
+  ASSERT_EQ(h.recorder.unicast.size(), 1u);
+  EXPECT_EQ(h.recorder.unicast[0].node, succ);
+  EXPECT_EQ(h.net->traffic().hops(MessageClass::kCollect), 1u);
+}
+
+TEST(ChordNetworkTest, SendToCrashedIdIsRefusedAndEvictsPeer) {
+  Harness h(8);
+  ChordNode& a = h.net->alive_node(2);
+  const Key dead = a.successor_id();
+  const Key next = a.successor_list().at(1);
+  h.net->crash(dead);
+
+  a.send_to_successor(std::make_shared<TestPayload>(2, MessageClass::kCollect));
+  h.sim.run();
+  EXPECT_EQ(counter(h, "chord.send_to_dead"), 1u);
+  const auto& succs = a.successor_list();
+  EXPECT_EQ(std::find(succs.begin(), succs.end(), dead), succs.end());
+  const auto fingers = a.finger_table().distinct_nodes();
+  EXPECT_EQ(std::find(fingers.begin(), fingers.end(), dead), fingers.end());
+  ASSERT_EQ(h.recorder.unicast.size(), 1u);
+  EXPECT_EQ(h.recorder.unicast[0].node, next);
+  EXPECT_EQ(h.net->traffic().hops(MessageClass::kCollect), 1u);
+}
+
+TEST(ChordNetworkTest, DepartedLameDuckRefusesDataButTakesAcks) {
+  // Acks flow at zero loss, so every reliable send either is acked within
+  // one round trip or shows up as a retransmission.
+  ChordConfig cfg;
+  cfg.force_reliable = true;
+  Harness h(8, cfg);
+  const std::vector<Key> ids = h.net->alive_ids();
+  const Key pred = ids[2];
+  const Key leaver = ids[3];
+  const Key heir = ids[4];
+  h.net->leave_gracefully(leaver);
+  ASSERT_EQ(h.net->node(leaver)->pending_send_count(), 2u);  // both notices
+
+  // The predecessor has not heard of the departure yet: its data send to
+  // the lame duck is refused and goes to the next successor instead.
+  h.net->node(pred)->send_to_successor(
+      std::make_shared<TestPayload>(3, MessageClass::kCollect));
+  EXPECT_EQ(counter(h, "chord.send_to_dead"), 1u);
+  h.sim.run();
+  ASSERT_EQ(h.recorder.unicast.size(), 1u);
+  EXPECT_EQ(h.recorder.unicast[0].node, heir);
+  // The lame duck still took the acks of its leave notices: nothing was
+  // retransmitted and its pending sends drained.
+  EXPECT_EQ(h.net->node(leaver)->pending_send_count(), 0u);
+  EXPECT_EQ(counter(h, "chord.retransmits"), 0u);
+  EXPECT_EQ(counter(h, "chord.send_failed"), 0u);
+}
+
+TEST(ChordNetworkTest, InFlightMessageToCrashedNodeIsNotDelivered) {
+  Harness h(8);
+  ChordNode& a = h.net->alive_node(1);
+  const Key succ = a.successor_id();
+  a.send_to_successor(std::make_shared<TestPayload>(4, MessageClass::kCollect));
+  h.net->crash(succ);  // after the send, before the arrival
+  h.sim.run();
+  EXPECT_TRUE(h.recorder.unicast.empty());
+  EXPECT_EQ(h.net->traffic().hops(MessageClass::kCollect), 1u);  // charged
+  EXPECT_EQ(counter(h, "chord.send_to_dead"), 0u);
+}
+
+TEST(ChordNetworkTest, RefusedPartitionSendTicksPartitionRefused) {
+  Harness h(8);
+  ChordNode& a = h.net->alive_node(1);
+  const Key next = a.successor_list().at(1);
+  // `a` and its second successor on one side, everyone else (its first
+  // successor included) on the other.
+  h.net->set_partition({{a.id(), next}});
+
+  a.send_to_successor(std::make_shared<TestPayload>(5, MessageClass::kCollect));
+  h.sim.run();
+  EXPECT_EQ(counter(h, "chord.net.partition_refused"), 1u);
+  EXPECT_EQ(counter(h, "chord.net.partition_dropped"), 0u);
+  EXPECT_EQ(counter(h, "chord.send_to_dead"), 1u);
+  ASSERT_EQ(h.recorder.unicast.size(), 1u);
+  EXPECT_EQ(h.recorder.unicast[0].node, next);
+}
+
+TEST(ChordNetworkTest, PartitionCutInFlightTicksPartitionDropped) {
+  Harness h(8);
+  ChordNode& a = h.net->alive_node(1);
+  a.send_to_successor(std::make_shared<TestPayload>(6, MessageClass::kCollect));
+  h.net->set_partition({{a.id()}});  // after the send, before the arrival
+  h.sim.run();
+  EXPECT_EQ(counter(h, "chord.net.partition_dropped"), 1u);
+  EXPECT_EQ(counter(h, "chord.net.partition_refused"), 0u);
+  EXPECT_TRUE(h.recorder.unicast.empty());
+
+  // Healed, the same send arrives again.
+  h.net->heal_partition();
+  a.send_to_successor(std::make_shared<TestPayload>(7, MessageClass::kCollect));
+  h.sim.run();
+  ASSERT_EQ(h.recorder.unicast.size(), 1u);
+  EXPECT_EQ(h.recorder.unicast[0].node, a.successor_id());
+  EXPECT_EQ(counter(h, "chord.net.partition_dropped"), 1u);
 }
 
 TEST(ChordMaintenanceTest, StabilizationFixesManuallyBrokenRing) {

@@ -13,6 +13,7 @@
 
 #include "cbps/common/assert.hpp"
 #include "cbps/common/hash.hpp"
+#include "cbps/common/inline_function.hpp"
 #include "cbps/common/interval.hpp"
 #include "cbps/common/key_range.hpp"
 #include "cbps/common/logging.hpp"
@@ -464,6 +465,66 @@ TEST(KeyRangeTest, RunHelpersAgreeWithKeySets) {
       EXPECT_EQ(order_from(ring, origin, ordered), ordered);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// InlineFunction
+// ---------------------------------------------------------------------------
+
+/// Counts live copies, so a test can see every construction and
+/// destruction the wrapper performs.
+struct Tracked {
+  explicit Tracked(int* live) : live(live) { ++*live; }
+  Tracked(Tracked&& o) noexcept : live(o.live) { ++*live; }
+  Tracked(const Tracked&) = delete;
+  ~Tracked() { --*live; }
+  int* live;
+};
+
+TEST(InlineFunctionTest, StoresInlineAtCapacityAndFallsBackBeyond) {
+  using Fn = common::InlineFunction<int(), 32>;
+  struct Fits {
+    char bytes[32];
+    int operator()() const { return 1; }
+  };
+  struct TooBig {
+    char bytes[33];
+    int operator()() const { return 2; }
+  };
+  struct ThrowingMove {
+    ThrowingMove() = default;
+    ThrowingMove(ThrowingMove&&) noexcept(false) {}
+    int operator()() const { return 3; }
+  };
+  static_assert(Fn::stores_inline<Fits>);
+  static_assert(!Fn::stores_inline<TooBig>);
+  static_assert(!Fn::stores_inline<ThrowingMove>);
+
+  // Both storage paths call, move and destroy their callable correctly.
+  int live = 0;
+  const auto make_small = [&live] {
+    return [t = Tracked(&live)] { return 1; };
+  };
+  const auto make_big = [&live] {
+    return [t = Tracked(&live), f = TooBig{}] { return f(); };
+  };
+  static_assert(Fn::stores_inline<decltype(make_small())>);
+  static_assert(!Fn::stores_inline<decltype(make_big())>);
+  {
+    Fn small = make_small();
+    Fn big = make_big();
+    EXPECT_EQ(live, 2);
+    Fn moved_small = std::move(small);
+    Fn moved_big = std::move(big);
+    EXPECT_FALSE(static_cast<bool>(small));  // NOLINT(bugprone-use-after-move)
+    EXPECT_FALSE(static_cast<bool>(big));    // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(live, 2);
+    EXPECT_EQ(moved_small(), 1);
+    EXPECT_EQ(moved_big(), 2);
+    Fn throwing = ThrowingMove{};
+    EXPECT_EQ(throwing(), 3);
+  }
+  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

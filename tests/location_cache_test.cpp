@@ -2,7 +2,8 @@
 // LRU-list cache it replaced, which is kept below as the reference. Both
 // are driven through the same seeded random insert / evict / find_owner /
 // closest-preceding sequences; every answer, the size and the MRU-first
-// node order must agree.
+// node order must agree. A second test pins the refresh fast path against
+// a cache rebuilt from scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,6 +171,63 @@ TEST_P(LocationCacheDifferentialTest, MatchesReference) {
       }
     }
     ASSERT_EQ(cache.nodes(), ref.nodes()) << "seed " << seed;
+  }
+}
+
+TEST(LocationCacheRefreshTest, RefreshedCacheMatchesRebuiltCache) {
+  // Refreshing an entry with its unchanged range only moves its stamp.
+  // After a run of refreshes (and some range changes), the cache must
+  // hold the expected LRU order, and answer and evict exactly like one
+  // rebuilt from scratch by inserting the same entries in
+  // least-recently-used-first order.
+  const RingParams ring{10};
+  constexpr std::size_t kCapacity = 16;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<Key> pool(2 * kCapacity);
+    for (Key& k : pool) k = ring.wrap(rng());
+    LocationCache cache(ring, kCapacity);
+    std::map<Key, Key> range_lo;  // current range of every cached node
+    std::vector<Key> mru_first;   // expected use order, newest first
+    for (int step = 0; step < 400; ++step) {
+      const Key node = pool[rng() % pool.size()];
+      const auto known = range_lo.find(node);
+      // Mostly refreshes with the unchanged range; sometimes a new range,
+      // about half of them wrapping past 0.
+      Key lo = ring.wrap(rng());
+      if (known != range_lo.end() && rng() % 4 != 0) lo = known->second;
+      cache.insert(node, lo);
+      range_lo[node] = lo;
+      std::erase(mru_first, node);
+      mru_first.insert(mru_first.begin(), node);
+      if (mru_first.size() > kCapacity) {  // the LRU entry was evicted
+        range_lo.erase(mru_first.back());
+        mru_first.pop_back();
+      }
+    }
+    ASSERT_EQ(cache.nodes(), mru_first) << "seed " << seed;
+
+    LocationCache rebuilt(ring, kCapacity);
+    for (auto it = mru_first.rbegin(); it != mru_first.rend(); ++it) {
+      rebuilt.insert(*it, range_lo.at(*it));
+    }
+    for (Key key = 0; key < ring.size(); key += 7) {
+      ASSERT_EQ(cache.find_owner(key), rebuilt.find_owner(key))
+          << "seed " << seed << " key " << key;
+      const Key self = mru_first[key % mru_first.size()];
+      ASSERT_EQ(cache.closest_preceding(self, key),
+                rebuilt.closest_preceding(self, key))
+          << "seed " << seed << " key " << key;
+    }
+    // Same eviction order: fresh nodes push the same victims out.
+    for (std::size_t fresh = 0; fresh < kCapacity; ++fresh) {
+      const Key node = ring.wrap(rng());
+      if (range_lo.contains(node)) continue;
+      cache.insert(node, ring.sub(node, 1));
+      rebuilt.insert(node, ring.sub(node, 1));
+      ASSERT_EQ(cache.nodes(), rebuilt.nodes())
+          << "seed " << seed << " fresh " << fresh;
+    }
   }
 }
 
