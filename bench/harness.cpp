@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "cbps/common/assert.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 #include "cbps/workload/driver.hpp"
 #include "cbps/workload/fault_script.hpp"
 #include "cbps/workload/trace.hpp"
@@ -186,15 +185,6 @@ void write_trace_file(const std::string& path, metrics::TraceSink& sink) {
 }
 
 }  // namespace
-
-std::unique_ptr<sim::SimulatorBase> make_engine(std::size_t threads,
-                                                sim::SimTime lookahead) {
-  if (threads > 1 && lookahead > 0) {
-    return std::make_unique<sim::ParallelSimulator>(
-        static_cast<unsigned>(threads), lookahead);
-  }
-  return std::make_unique<sim::Simulator>();
-}
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   std::string fs_error;

@@ -116,9 +116,9 @@ struct ExperimentConfig {
   /// metrics_json_path is set (then it defaults to 1 simulated second).
   sim::SimTime sample_period = 0;
 
-  /// Engine worker threads for each point's simulation. >1 selects the
-  /// epoch-synchronous sharded engine; every metric stays bit-identical
-  /// to 1 (see sim/parallel_simulator.hpp), only wall time changes.
+  /// Engine worker threads for each point's simulation. >1 shards the
+  /// engine; every metric stays bit-identical to 1 (see
+  /// sim/simulator.hpp), only wall time changes.
   std::size_t sim_threads = 1;
 };
 
@@ -216,13 +216,6 @@ struct ExperimentResult {
 /// Run one simulated experiment to completion (all operations issued,
 /// network drained).
 ExperimentResult run_experiment(const ExperimentConfig& cfg);
-
-/// Engine factory for benches that assemble networks by hand: the
-/// sharded parallel engine when threads > 1 and lookahead > 0, the
-/// serial engine otherwise. `lookahead` must be the minimum delay the
-/// bench's latency model can emit.
-std::unique_ptr<sim::SimulatorBase> make_engine(std::size_t threads,
-                                                sim::SimTime lookahead);
 
 /// "attribute-split" -> "M1 attr-split", etc. (row labels).
 std::string mapping_label(pubsub::MappingKind kind);

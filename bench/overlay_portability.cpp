@@ -50,7 +50,7 @@ bench::JsonFields metrics_fields(const Result& r) {
 
 // Drive the identical workload over any pair of (nodes, traffic stats).
 template <typename MakeNode>
-Result drive(sim::SimulatorBase& sim, const std::vector<Key>& ids,
+Result drive(sim::Simulator& sim, const std::vector<Key>& ids,
              MakeNode&& node_of, overlay::TrafficStats& traffic,
              pubsub::MappingKind kind,
              pubsub::PubSubConfig::Transport transport) {
@@ -124,8 +124,7 @@ Result drive(sim::SimulatorBase& sim, const std::vector<Key>& ids,
 Result run_chord(pubsub::MappingKind kind,
                  pubsub::PubSubConfig::Transport transport,
                  std::size_t sim_threads) {
-  const auto sim_ptr = bench::make_engine(sim_threads, sim::ms(50));
-  sim::SimulatorBase& sim = *sim_ptr;
+  sim::Simulator sim(static_cast<unsigned>(sim_threads), sim::ms(50));
   chord::ChordConfig cfg;
   chord::ChordNetwork net(sim, cfg, 11);
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
@@ -143,8 +142,7 @@ Result run_chord(pubsub::MappingKind kind,
 Result run_pastry(pubsub::MappingKind kind,
                   pubsub::PubSubConfig::Transport transport,
                   std::size_t sim_threads) {
-  const auto sim_ptr = bench::make_engine(sim_threads, sim::ms(50));
-  sim::SimulatorBase& sim = *sim_ptr;
+  sim::Simulator sim(static_cast<unsigned>(sim_threads), sim::ms(50));
   pastry::PastryConfig cfg;
   pastry::PastryNetwork net(sim, cfg, 11);
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));

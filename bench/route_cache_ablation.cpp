@@ -49,8 +49,7 @@ struct NullApp final : overlay::OverlayApp {
 Row run(std::size_t cache_size, bool feedback, std::size_t n,
         std::size_t messages, std::size_t sim_threads,
         std::size_t warmup = 0) {
-  const auto sim_ptr = bench::make_engine(sim_threads, sim::ms(50));
-  sim::SimulatorBase& sim = *sim_ptr;
+  sim::Simulator sim(static_cast<unsigned>(sim_threads), sim::ms(50));
   ChordConfig cfg;
   cfg.location_cache_size = cache_size;
   cfg.owner_feedback = feedback;

@@ -9,10 +9,10 @@
 //                timer pattern from the reliability layer)
 //   timers       K periodic timers ticking concurrently (stabilize /
 //                retry backoff maintenance load)
-//   shard/tN     the fire chains again, but one actor domain per chain
-//                through the epoch-synchronous sharded engine at N
-//                worker threads — the serial-vs-parallel scaling row
-//                (--sim-threads N adds shard/t1 and shard/tN)
+//   shard/tN     the fire chains again, but one actor domain per chain,
+//                through the engine sharded over N worker threads —
+//                the scaling row (shard/t1 always; --sim-threads N
+//                adds shard/tN)
 //
 // Prints events/sec per workload and, with --json, appends a bench
 // record in the same shape the sweep runner emits (see EXPERIMENTS.md).
@@ -23,13 +23,11 @@
 #include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cbps/common/exec_context.hpp"
 #include "cbps/common/flags.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 #include "cbps/sim/simulator.hpp"
 
 using namespace cbps;
@@ -159,16 +157,9 @@ Row run_shards(std::uint64_t total_events, std::size_t width,
   // domain so the sharded engine spreads them across worker threads.
   // The processed-event count and final simulated time are identical at
   // any thread count; only wall time changes.
-  std::unique_ptr<sim::SimulatorBase> sim_ptr;
-  if (threads > 1) {
-    sim_ptr = std::make_unique<sim::ParallelSimulator>(
-        static_cast<unsigned>(threads), sim::ms(50));
-  } else {
-    sim_ptr = std::make_unique<sim::Simulator>();
-  }
-  sim::SimulatorBase& sim = *sim_ptr;
+  sim::Simulator sim(static_cast<unsigned>(threads), sim::ms(50));
   struct Chain {
-    sim::SimulatorBase& sim;
+    sim::Simulator& sim;
     common::Domain domain = common::kGlobalDomain;
     std::uint64_t budget = 0;
     void arm() {
@@ -215,7 +206,7 @@ int main(int argc, char** argv) {
              &repeat);
   parser.add("json", "append a bench record to this JSON file", &json_path);
   if (!parser.parse(argc, argv, std::cout, std::cerr)) return 1;
-  if (sim_threads < 1) {
+  if (sim_threads < 1 || sim_threads > sim::Simulator::kMaxThreads) {
     std::fprintf(stderr, "bad --sim-threads: %lld\n",
                  static_cast<long long>(sim_threads));
     return 1;

@@ -95,7 +95,7 @@ class Sweep {
                       "simulation;\nresults are identical for any --jobs).");
     parser.add("jobs", "worker threads (0 = all hardware threads)", &jobs);
     parser.add("sim-threads",
-               "engine threads inside each simulation (sharded parallel "
+               "engine threads inside each simulation (1-63; shards the "
                "engine; results bit-identical to 1)",
                &sim_threads);
     parser.add("json", "dump per-point timings+metrics to this file",
@@ -109,7 +109,7 @@ class Sweep {
       std::cerr << "bad --jobs: " << jobs << '\n';
       return false;
     }
-    if (sim_threads < 1) {
+    if (sim_threads < 1 || sim_threads > sim::Simulator::kMaxThreads) {
       std::cerr << "bad --sim-threads: " << sim_threads << '\n';
       return false;
     }

@@ -52,7 +52,7 @@ struct Peer {
 
 class ChordNetwork {
  public:
-  ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg, std::uint64_t seed,
+  ChordNetwork(sim::Simulator& sim, ChordConfig cfg, std::uint64_t seed,
                std::unique_ptr<sim::LatencyModel> latency = nullptr);
   ~ChordNetwork();
 
@@ -152,7 +152,7 @@ class ChordNetwork {
 
   // --- environment ---------------------------------------------------------
   overlay::Wire& wire() { return wire_; }
-  sim::SimulatorBase& sim() { return wire_.sim(); }
+  sim::Simulator& sim() { return wire_.sim(); }
   overlay::TrafficStats& traffic() { return wire_.traffic(); }
   const overlay::TrafficStats& traffic() const { return wire_.traffic(); }
   metrics::Registry& registry() { return wire_.registry(); }

@@ -1,8 +1,8 @@
-// Thread-local execution context shared by the simulation engines and
+// Thread-local execution context shared by the simulation engine and
 // the metrics layer.
 //
-// Both engines (serial and sharded-parallel) publish, for the event
-// callback currently running on this thread:
+// The engine (serial or sharded) publishes, for the event callback
+// currently running on this thread:
 //   - the simulated time of the event,
 //   - the *acting domain* (who is doing the scheduling — used to
 //     attribute canonical event keys, see event_core.hpp),

@@ -1,11 +1,10 @@
-// Fixed-size worker pool for running independent simulations in
-// parallel (the sweep runner's engine).
+// Fixed-size worker pool. Two users: the sweep runner runs independent
+// simulations on it (one Simulator/Registry/Rng per task), and a sharded
+// sim::Simulator runs each window's shards on its own pool.
 //
 // Deliberately minimal: submit() enqueues a task, wait() blocks until
 // everything submitted so far has finished and rethrows the first task
-// exception. The simulator itself stays single-threaded — parallelism
-// only ever exists BETWEEN simulations (one Simulator/Registry/Rng per
-// task), never inside one.
+// exception.
 #pragma once
 
 #include <condition_variable>

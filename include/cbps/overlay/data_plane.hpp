@@ -203,7 +203,7 @@ class DataPlane : public OverlayNode {
     std::uint32_t retries = 0;   // retransmissions performed so far
     sim::SimTime timeout = 0;    // current backoff; doubles per retry
     sim::SimTime sent_at = 0;    // original transmission time (RTT)
-    sim::SimulatorBase::EventId timer = sim::SimulatorBase::kInvalidEvent;
+    sim::Simulator::EventId timer = sim::Simulator::kInvalidEvent;
   };
   struct Reliability {
     std::unordered_map<std::uint64_t, PendingSend> pending_sends;

@@ -174,7 +174,7 @@ class Wire {
 
   /// A `loss_rate` > 0 installs a uniform loss prototype; `latency`
   /// defaults to sim::default_latency().
-  Wire(sim::SimulatorBase& sim, const std::string& stat_prefix,
+  Wire(sim::Simulator& sim, const std::string& stat_prefix,
        Limits limits, std::uint64_t seed, double loss_rate,
        std::unique_ptr<sim::LatencyModel> latency);
 
@@ -212,11 +212,11 @@ class Wire {
 
   /// Schedule a zero-latency local action (self-deliveries are
   /// asynchronous but free).
-  void self_deliver(sim::SimulatorBase::Callback action) {
+  void self_deliver(sim::Simulator::Callback action) {
     sim_.schedule_after(0, std::move(action));
   }
 
-  sim::SimulatorBase& sim() { return sim_; }
+  sim::Simulator& sim() { return sim_; }
   const Limits& limits() const { return limits_; }
   RingParams ring() const { return limits_.ring; }
   TrafficStats& traffic() { return traffic_; }
@@ -230,7 +230,7 @@ class Wire {
   metrics::TraceSink* trace_sink() const { return trace_sink_; }
 
  private:
-  sim::SimulatorBase& sim_;
+  sim::Simulator& sim_;
   Limits limits_;
   std::uint64_t seed_;
   std::unique_ptr<sim::LatencyModel> latency_;

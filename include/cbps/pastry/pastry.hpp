@@ -109,7 +109,7 @@ class PastryNode final : public overlay::DataPlane<overlay::DataMessage> {
 /// Simulation container: owns the nodes, the wire and a routing oracle.
 class PastryNetwork {
  public:
-  PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
+  PastryNetwork(sim::Simulator& sim, PastryConfig cfg,
                 std::uint64_t seed,
                 std::unique_ptr<sim::LatencyModel> latency = nullptr);
   ~PastryNetwork();
@@ -137,7 +137,7 @@ class PastryNetwork {
                 overlay::MessageClass cls);
 
   overlay::Wire& wire() { return wire_; }
-  sim::SimulatorBase& sim() { return wire_.sim(); }
+  sim::Simulator& sim() { return wire_.sim(); }
   overlay::TrafficStats& traffic() { return wire_.traffic(); }
   metrics::Registry& registry() { return wire_.registry(); }
   const PastryConfig& config() const { return cfg_; }

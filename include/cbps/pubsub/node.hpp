@@ -138,7 +138,7 @@ class PubSubNode final : public overlay::OverlayApp {
   using NotifySink =
       std::function<void(Key subscriber, const Notification&)>;
 
-  PubSubNode(overlay::OverlayNode& overlay, sim::SimulatorBase& sim,
+  PubSubNode(overlay::OverlayNode& overlay, sim::Simulator& sim,
              const AkMapping& mapping, PubSubConfig cfg);
   ~PubSubNode() override;
 
@@ -345,7 +345,7 @@ class PubSubNode final : public overlay::OverlayApp {
   bool agent_toward_successor(const KeyRange& r) const;
 
   overlay::OverlayNode& overlay_;
-  sim::SimulatorBase& sim_;
+  sim::Simulator& sim_;
   const AkMapping& mapping_;
   PubSubConfig cfg_;
 

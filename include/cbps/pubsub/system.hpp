@@ -31,11 +31,11 @@ struct SystemConfig {
   /// Fraction of publish/subscribe roots that start a causal trace
   /// (0 = tracing off; the sink is then never even allocated).
   double trace_sample_rate = 0.0;
-  /// Engine worker threads. >1 selects the epoch-synchronous sharded
-  /// engine (sim::ParallelSimulator) with the latency model's min_delay
-  /// as conservative lookahead; results are bit-identical to 1. Falls
-  /// back to the serial engine (with a logged warning) when the latency
-  /// model can emit zero delay — there is then no usable lookahead.
+  /// Engine worker threads (<= sim::Simulator::kMaxThreads). >1 shards
+  /// the engine with the latency model's min_delay as conservative
+  /// lookahead; results are bit-identical to 1. Runs serially (with a
+  /// logged warning) when the latency model can emit zero delay — there
+  /// is then no usable lookahead.
   std::size_t sim_threads = 1;
 };
 
@@ -113,7 +113,7 @@ class PubSubSystem {
   void set_notify_sink(NotifySink sink);
 
   // --- execution ------------------------------------------------------------
-  sim::SimulatorBase& sim() { return *sim_; }
+  sim::Simulator& sim() { return *sim_; }
   /// Advance simulated time by `d`, processing all due events.
   void run_for(sim::SimTime d) { sim_->run_until(sim_->now() + d); }
   /// Drain every pending event (terminates: no periodic idle timers are
@@ -195,7 +195,7 @@ class PubSubSystem {
   void sample_once();
 
   SystemConfig cfg_;
-  std::unique_ptr<sim::SimulatorBase> sim_;  // never null
+  std::unique_ptr<sim::Simulator> sim_;  // never null
   std::unique_ptr<AkMapping> mapping_;
   std::unique_ptr<chord::ChordNetwork> network_;
   std::vector<Key> node_ids_;  // ring order

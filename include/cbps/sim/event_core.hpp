@@ -1,12 +1,12 @@
-// Shared event-queue machinery for the two simulation engines.
+// Event-queue machinery of the simulation engine.
 //
 // An EventCore is one time-ordered event heap plus the slot storage and
-// periodic-timer table behind it. The serial Simulator owns exactly one;
-// the ParallelSimulator owns one per shard plus one for the global
-// domain. The schedule/fire/cancel cycle is allocation-free in steady
-// state (generation-stamped slots recycled through a free list, inline
-// callbacks, a flat vector heap), and stale entries left behind by
-// cancel() are skipped lazily and compacted away once they dominate.
+// periodic-timer table behind it. The engine owns one for the global
+// domain and, when sharded, one per shard. The schedule/fire/cancel cycle
+// is allocation-free in steady state (generation-stamped slots recycled
+// through a free list, inline callbacks, a flat vector heap), and stale
+// entries left behind by cancel() are skipped lazily and compacted away
+// once they dominate.
 //
 // Ordering — the determinism contract. Every event carries a canonical
 // 64-bit key
@@ -18,11 +18,11 @@
 // domain, while the engine is between events), the sequence of keys a
 // domain assigns is a pure function of its own execution history — not
 // of how events from *other* domains interleave in wall-clock terms.
-// Both engines therefore produce the same keys for the same logical
-// events, and (time, key) is a total order that is identical across the
-// serial engine and any shard count. Domain 0 keys sort before all node
-// keys at equal time, which is exactly the "global events at time t run
-// before node events at t" barrier rule of the parallel engine.
+// Serial and sharded runs therefore produce the same keys for the same
+// logical events, and (time, key) is a total order that is identical at
+// any shard count. Domain 0 keys sort before all node keys at equal
+// time, which is exactly the "global events at time t run before node
+// events at t" barrier rule of the sharded engine.
 #pragma once
 
 #include <algorithm>
@@ -150,13 +150,13 @@ class EventCore {
     return heap_.empty() ? kSimTimeNever : heap_.front().time;
   }
 
-  /// Pop the earliest live event. Returns false when the core is empty.
-  bool pop(Popped& out) {
+  /// Pop the earliest live event if its time is <= `bound`. Returns
+  /// false when the core is empty or its earliest event is later.
+  bool pop_until(SimTime bound, Popped& out) {
     skim_stale();
-    if (heap_.empty()) return false;
+    if (heap_.empty() || heap_.front().time > bound) return false;
     const HeapEntry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{});
-    heap_.pop_back();
+    pop_front();
     CBPS_ASSERT(top.time >= floor_);
     floor_ = top.time;
     const std::uint32_t slot = slot_of(top.id);
@@ -207,17 +207,49 @@ class EventCore {
     EventId id;
     // Min-heap ordering: earliest time first, then canonical key. Keys
     // are unique, so pop order is a total order independent of the
-    // heap's internal (insertion-dependent) layout.
-    friend bool operator>(const HeapEntry& a, const HeapEntry& b) {
-      return a.time != b.time ? a.time > b.time : a.key > b.key;
+    // heap's internal (insertion-dependent) layout. Written without a
+    // branch: events often share a timestamp, so which side wins is
+    // data-dependent and a branch would mispredict.
+    friend bool earlier(const HeapEntry& a, const HeapEntry& b) {
+      return (a.time < b.time) | ((a.time == b.time) & (a.key < b.key));
     }
   };
 
   struct HeapGreater {
     bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      return a > b;
+      return earlier(b, a);
     }
   };
+
+  /// Remove the heap's front (Floyd's bottom-up pop): walk the hole from
+  /// the root down the earlier-child path to a leaf, with a branch-free
+  /// child pick, then sift the last entry up into it.
+  void pop_front() {
+    const std::size_t n = heap_.size() - 1;
+    const HeapEntry last = heap_[n];
+    heap_.pop_back();
+    if (n == 0) return;
+    HeapEntry* h = heap_.data();
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    while (child + 1 < n) {
+      child += earlier(h[child + 1], h[child]);
+      h[hole] = h[child];
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    if (child < n) {
+      h[hole] = h[child];
+      hole = child;
+    }
+    while (hole > 0) {
+      const std::size_t parent = (hole - 1) / 2;
+      if (!earlier(last, h[parent])) break;
+      h[hole] = h[parent];
+      hole = parent;
+    }
+    h[hole] = last;
+  }
 
   /// Free the slot behind `id` (bumps generation, recycles storage).
   void release(std::uint32_t slot) {
@@ -232,8 +264,7 @@ class EventCore {
 
   void skim_stale() {
     while (!heap_.empty() && !is_live(heap_.front().id)) {
-      std::pop_heap(heap_.begin(), heap_.end(), HeapGreater{});
-      heap_.pop_back();
+      pop_front();
       ++stale_skipped_;
     }
   }
@@ -249,7 +280,7 @@ class EventCore {
   }
 
   std::uint32_t core_;
-  std::vector<HeapEntry> heap_;  // min-heap via std::push_heap/pop_heap
+  std::vector<HeapEntry> heap_;  // binary min-heap, front = earliest
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::size_t live_ = 0;  // armed slots == non-stale heap entries

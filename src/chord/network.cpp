@@ -24,7 +24,7 @@ ChordNetwork::HotStats::HotStats(metrics::Registry& reg)
   }
 }
 
-ChordNetwork::ChordNetwork(sim::SimulatorBase& sim, ChordConfig cfg,
+ChordNetwork::ChordNetwork(sim::Simulator& sim, ChordConfig cfg,
                            std::uint64_t seed,
                            std::unique_ptr<sim::LatencyModel> latency)
     : cfg_(cfg),
@@ -265,7 +265,7 @@ bool ChordNetwork::transmit(ChordNode& from, Key to, WireMessage&& msg,
     }
     dst->node->receive(std::move(env));
   };
-  static_assert(sim::SimulatorBase::Callback::stores_inline<decltype(deliver)>,
+  static_assert(sim::Simulator::Callback::stores_inline<decltype(deliver)>,
                 "a Chord hop must not heap-allocate its delivery event");
   static_assert(sizeof(deliver) == sim::kCallbackBytes,
                 "sim::kCallbackBytes is sized to this closure, the largest "

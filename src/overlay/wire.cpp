@@ -25,7 +25,7 @@ Wire::Stats::Stats(metrics::Registry& reg, const std::string& prefix)
   }
 }
 
-Wire::Wire(sim::SimulatorBase& sim, const std::string& stat_prefix,
+Wire::Wire(sim::Simulator& sim, const std::string& stat_prefix,
            Limits limits, std::uint64_t seed, double loss_rate,
            std::unique_ptr<sim::LatencyModel> latency)
     : sim_(sim),

@@ -6,7 +6,7 @@
 
 namespace cbps::pastry {
 
-PastryNetwork::PastryNetwork(sim::SimulatorBase& sim, PastryConfig cfg,
+PastryNetwork::PastryNetwork(sim::Simulator& sim, PastryConfig cfg,
                              std::uint64_t seed,
                              std::unique_ptr<sim::LatencyModel> latency)
     : cfg_(cfg),
@@ -110,7 +110,7 @@ bool PastryNetwork::transmit(PastryNode& from, Key to,
                   msg = std::move(msg)]() mutable {
     dst->receive(from, std::move(msg));
   };
-  static_assert(sim::SimulatorBase::Callback::stores_inline<decltype(deliver)>,
+  static_assert(sim::Simulator::Callback::stores_inline<decltype(deliver)>,
                 "a Pastry hop must not heap-allocate its delivery event");
   sim().schedule_for(dst.domain(), sim().now() + *delay, std::move(deliver));
   return true;

@@ -15,7 +15,7 @@ using metrics::SpanKind;
 using overlay::PayloadPtr;
 
 PubSubNode::PubSubNode(overlay::OverlayNode& overlay,
-                       sim::SimulatorBase& sim, const AkMapping& mapping,
+                       sim::Simulator& sim, const AkMapping& mapping,
                        PubSubConfig cfg)
     : overlay_(overlay), sim_(sim), mapping_(mapping), cfg_(cfg),
       gossip_rng_(mix64(cfg.gossip_seed ^ mix64(overlay.id()))),

@@ -4,32 +4,10 @@
 #include <map>
 #include <utility>
 
-#include "cbps/common/logging.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/loss.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 
 namespace cbps::pubsub {
-
-namespace {
-
-/// Engine factory: the sharded engine needs a positive conservative
-/// lookahead (the latency model's min_delay); otherwise serial.
-std::unique_ptr<sim::SimulatorBase> make_engine(
-    std::size_t threads, const sim::LatencyModel& latency) {
-  if (threads <= 1) return std::make_unique<sim::Simulator>();
-  const sim::SimTime lookahead = latency.min_delay();
-  if (lookahead <= 0) {
-    CBPS_LOG_WARN << "sim_threads=" << threads
-                  << " requested but the latency model has min_delay 0; "
-                     "falling back to the serial engine";
-    return std::make_unique<sim::Simulator>();
-  }
-  return std::make_unique<sim::ParallelSimulator>(
-      static_cast<unsigned>(threads), lookahead);
-}
-
-}  // namespace
 
 PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   // A reliable (ack/retry) wire can deliver an application message twice
@@ -50,7 +28,8 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   mapping_ = make_mapping(cfg.mapping, std::move(schema), cfg.chord.ring,
                           cfg.mapping_options);
   auto latency = std::make_unique<sim::FixedLatency>(cfg.message_delay);
-  sim_ = make_engine(cfg.sim_threads, *latency);
+  sim_ = std::make_unique<sim::Simulator>(
+      static_cast<unsigned>(cfg.sim_threads), latency->min_delay());
   network_ = std::make_unique<chord::ChordNetwork>(
       *sim_, cfg.chord, cfg.seed, std::move(latency));
   if (cfg_.trace_sample_rate > 0.0) {

@@ -1,5 +1,5 @@
 // D4: raw concurrency primitives outside the blessed modules
-// (thread_pool, parallel_simulator, the metrics striped folds).
+// (thread_pool, the simulator, the metrics striped folds).
 #include <atomic>
 #include <mutex>
 #include <thread>

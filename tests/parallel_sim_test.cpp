@@ -1,20 +1,24 @@
-// Determinism property tests for the epoch-synchronous sharded engine:
-// the same seeded workload through the serial engine and through 2/4/8
-// shards must produce bit-identical delivery oracles, metrics and
-// traces — plus the epoch-boundary regressions for run_until and
-// periodic timers, and the zero-lookahead serial fallback.
+// Determinism property tests for the sharded engine: the same seeded
+// workload run serially and on 2/4/8 shards must produce bit-identical
+// delivery oracles, metrics and traces — plus the epoch-boundary
+// regressions for run_until and periodic timers, the zero-lookahead
+// serial fallback, and generated engine scripts replayed serially and
+// on 2 and 4 shards.
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cbps/common/exec_context.hpp"
+#include "cbps/common/rng.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/pubsub/system.hpp"
 #include "cbps/sim/latency.hpp"
-#include "cbps/sim/parallel_simulator.hpp"
 #include "cbps/sim/simulator.hpp"
 #include "cbps/workload/churn.hpp"
 #include "cbps/workload/driver.hpp"
@@ -27,7 +31,7 @@ namespace {
 
 // Everything a run observably produces: the delivery oracle, the
 // reliability counters, the latency/hop distributions and the final
-// engine state. Two engines agree iff these agree exactly.
+// engine state. Two runs agree iff these agree exactly.
 struct WorkloadSummary {
   std::uint64_t expected = 0;
   std::uint64_t delivered = 0;
@@ -255,7 +259,7 @@ TEST(ParallelWorkloadTest, LatencyModelsReportMinDelay) {
 // run_until at the same boundary must not re-fire it.
 TEST(EpochBoundaryTest, RunUntilPeriodicTimerAtExactBoundary) {
   const sim::SimTime period = sim::ms(50);  // == the engine lookahead
-  auto drive = [&](sim::SimulatorBase& sim) {
+  auto drive = [&](sim::Simulator& sim) {
     std::vector<sim::SimTime> global_fires;
     std::vector<sim::SimTime> shard_fires;
     sim.add_timer(period,
@@ -287,7 +291,7 @@ TEST(EpochBoundaryTest, RunUntilPeriodicTimerAtExactBoundary) {
   EXPECT_EQ(expected[19], sim::ms(1000));
 
   for (const unsigned threads : {2u, 4u, 8u}) {
-    sim::ParallelSimulator par(threads, period);
+    sim::Simulator par(threads, period);
     EXPECT_EQ(drive(par), expected) << threads << " threads";
   }
 }
@@ -295,7 +299,7 @@ TEST(EpochBoundaryTest, RunUntilPeriodicTimerAtExactBoundary) {
 // One-shot events scheduled exactly at the run_until boundary and one
 // tick past it: the boundary event fires, the later one stays pending.
 TEST(EpochBoundaryTest, BoundaryEventFiresLaterEventStaysPending) {
-  auto drive = [](sim::SimulatorBase& sim) {
+  auto drive = [](sim::Simulator& sim) {
     int at_boundary = 0;
     int past_boundary = 0;
     const common::Domain d = sim.register_domain();
@@ -312,8 +316,289 @@ TEST(EpochBoundaryTest, BoundaryEventFiresLaterEventStaysPending) {
   };
   sim::Simulator serial;
   drive(serial);
-  sim::ParallelSimulator par(4, sim::ms(50));
+  sim::Simulator par(4, sim::ms(50));
   drive(par);
+}
+
+// --- EngineParityTest --------------------------------------------------------
+//
+// Seeded scripts of scheduling, cancelling, timer and run calls over
+// several registered domains, replayed on the serial engine and on 2 and
+// 4 shards. Script-level domain events and every event-scheduled
+// follow-up use delays >= the lookahead, so each script is legal
+// sharded. After every step the engines must agree on what fired in each
+// domain (time and canonical key, in order), the clock and the pending
+// and processed counts; once drained, on the heap-health counters too.
+
+constexpr sim::SimTime kParityLookahead = 50;
+constexpr common::Domain kParityDomains = 16;
+
+enum class ParityOp {
+  kScheduleAt,
+  kScheduleFor,
+  kCancel,
+  kAddTimer,
+  kCancelTimer,
+  kRunUntil,
+  kRun,
+};
+
+struct ParityStep {
+  ParityOp op;
+  common::Domain actor = 0;   // acting domain (the owner, for timers)
+  common::Domain target = 0;  // schedule_for target
+  sim::SimTime delay = 0;     // schedule delay, timer first delay, run_until
+                              // advance
+  sim::SimTime period = 0;    // timer period
+  std::uint64_t n = 0;        // follow-up hops, timer fire limit, cancel
+                              // index or run budget
+};
+
+std::vector<ParityStep> parity_script(std::uint64_t seed) {
+  Rng rng(seed);
+  const auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return static_cast<std::uint64_t>(rng.uniform_int(lo, hi));
+  };
+  // Delays are coarse multiples of the lookahead (plus a little jitter
+  // for global events) so events of many domains share timestamps and
+  // the canonical tie-break is exercised.
+  const auto domain_delay = [&] {
+    return kParityLookahead * pick(1, 3) + (pick(0, 3) == 0 ? pick(0, 9) : 0);
+  };
+  std::vector<ParityStep> steps;
+  const std::size_t len = pick(20, 60);
+  for (std::size_t i = 0; i < len; ++i) {
+    ParityStep st{};
+    switch (pick(0, 9)) {
+      case 0:
+      case 1:
+        st.op = ParityOp::kScheduleAt;
+        st.actor = static_cast<common::Domain>(pick(0, kParityDomains));
+        st.delay = st.actor == 0 ? pick(0, 3 * kParityLookahead)
+                                 : domain_delay();
+        st.n = pick(0, 3);
+        break;
+      case 2:
+      case 3:
+        st.op = ParityOp::kScheduleFor;
+        st.actor = static_cast<common::Domain>(pick(0, kParityDomains));
+        // Only global context may schedule onto the global domain.
+        st.target = static_cast<common::Domain>(
+            pick(st.actor == 0 ? 0 : 1, kParityDomains));
+        st.delay = domain_delay();
+        st.n = pick(0, 3);
+        break;
+      case 4:
+        st.op = ParityOp::kCancel;
+        st.n = pick(0, 1 << 20);
+        break;
+      case 5:
+        st.op = ParityOp::kAddTimer;
+        st.actor = static_cast<common::Domain>(pick(0, kParityDomains));
+        st.period = kParityLookahead * pick(1, 4);
+        st.delay = domain_delay();
+        st.n = pick(0, 6);  // 0 = fires until cancelled
+        break;
+      case 6:
+        st.op = ParityOp::kCancelTimer;
+        st.n = pick(0, 1 << 20);
+        break;
+      case 7:
+      case 8:
+        st.op = ParityOp::kRunUntil;
+        st.delay = pick(0, 4 * kParityLookahead);
+        break;
+      default:
+        st.op = ParityOp::kRun;
+        st.n = pick(1, 40);
+        break;
+    }
+    steps.push_back(st);
+  }
+  return steps;
+}
+
+// One engine replaying a script: what fired in each domain, and the
+// handles the script's cancels pick from.
+class ParityReplay {
+ public:
+  explicit ParityReplay(unsigned threads)
+      : sim_(threads, kParityLookahead), fired_(kParityDomains + 1) {
+    for (common::Domain d = 1; d <= kParityDomains; ++d) {
+      EXPECT_EQ(sim_.register_domain(), d);
+    }
+  }
+
+  sim::Simulator& sim() { return sim_; }
+
+  /// Apply one non-run step; returns the cancel result (false otherwise).
+  bool apply(const ParityStep& st) {
+    const common::ActorScope as(st.actor);
+    const sim::SimTime now = sim_.now();
+    switch (st.op) {
+      case ParityOp::kScheduleAt:
+        events_.push_back(sim_.schedule_at(now + st.delay, follow(st.n, st.delay)));
+        return false;
+      case ParityOp::kScheduleFor:
+        events_.push_back(sim_.schedule_for(st.target, now + st.delay,
+                                            follow(st.n, st.delay)));
+        return false;
+      case ParityOp::kCancel:
+        return !events_.empty() &&
+               sim_.cancel(events_[st.n % events_.size()]);
+      case ParityOp::kAddTimer: {
+        timers_.push_back(std::make_unique<Timer>());
+        Timer* t = timers_.back().get();
+        t->left = st.n;
+        t->id = sim_.add_timer(st.period, st.delay, [this, t] { tick(*t); });
+        return false;
+      }
+      case ParityOp::kCancelTimer:
+        return !timers_.empty() &&
+               sim_.cancel_timer(timers_[st.n % timers_.size()]->id);
+      default:
+        ADD_FAILURE() << "run steps are driven by the test";
+        return false;
+    }
+  }
+
+  void cancel_all_timers() {
+    for (const auto& t : timers_) sim_.cancel_timer(t->id);
+  }
+
+  /// Everything the engine exposes after a step.
+  struct State {
+    std::vector<std::vector<std::pair<sim::SimTime, std::uint64_t>>> fired;
+    sim::SimTime now;
+    std::size_t pending;
+    std::uint64_t processed;
+    std::uint64_t stale_skipped;
+    std::uint64_t compactions;
+    bool operator==(const State&) const = default;
+  };
+  State state() const {
+    return State{fired_,
+                 sim_.now(),
+                 sim_.pending_events(),
+                 sim_.events_processed(),
+                 sim_.stale_entries_skipped(),
+                 sim_.heap_compactions()};
+  }
+
+ private:
+  struct Timer {
+    sim::Simulator::TimerId id = 0;
+    std::uint64_t left = 0;  // fires before it cancels itself; 0 = never
+  };
+
+  void record() {
+    const common::ExecContext& x = common::exec_context();
+    fired_[x.actor_domain].emplace_back(sim_.now(), x.event_key);
+  }
+
+  // An event that, while hops remain, schedules one follow-up: in its own
+  // domain or, on odd salts, in another domain (never the global one),
+  // always at least one lookahead ahead.
+  sim::Simulator::Callback follow(std::uint64_t hops, std::uint64_t salt) {
+    return [this, hops, salt] {
+      record();
+      if (hops == 0) return;
+      const std::uint64_t h = salt * 0x9e3779b97f4a7c15ull + hops;
+      const sim::SimTime at =
+          sim_.now() + kParityLookahead * (1 + (h >> 7) % 3);
+      if ((h >> 3) & 1) {
+        const auto target =
+            static_cast<common::Domain>(1 + (h >> 11) % kParityDomains);
+        sim_.schedule_for(target, at, follow(hops - 1, h));
+      } else {
+        sim_.schedule_at(at, follow(hops - 1, h));
+      }
+    };
+  }
+
+  void tick(Timer& t) {
+    record();
+    if (t.left > 0 && --t.left == 0) sim_.cancel_timer(t.id);
+  }
+
+  sim::Simulator sim_;
+  std::vector<std::vector<std::pair<sim::SimTime, std::uint64_t>>> fired_;
+  std::vector<sim::Simulator::EventId> events_;
+  std::vector<std::unique_ptr<Timer>> timers_;
+};
+
+// Field-by-field comparison (readable failures); true when all agree.
+// The heap-health counters join only at drain: they account lazy
+// deletion per event core, and a sharded run reads every shard's head
+// between batches, so a cancelled entry can be skipped there before the
+// single serial heap reaches it. Once drained, every cancelled entry has
+// been skipped (or compacted) on every engine.
+bool same_state(const ParityReplay::State& got,
+                const ParityReplay::State& want, bool drained) {
+  EXPECT_EQ(got.fired, want.fired);
+  EXPECT_EQ(got.now, want.now);
+  EXPECT_EQ(got.pending, want.pending);
+  EXPECT_EQ(got.processed, want.processed);
+  if (!drained) {
+    return got.fired == want.fired && got.now == want.now &&
+           got.pending == want.pending && got.processed == want.processed;
+  }
+  EXPECT_EQ(got.stale_skipped, want.stale_skipped);
+  EXPECT_EQ(got.compactions, want.compactions);
+  return got == want;
+}
+
+TEST(EngineParityTest, GeneratedScriptsAgreeSerialAndSharded) {
+  constexpr std::uint64_t kScripts = 200;
+  std::uint64_t fired_total = 0;
+  for (std::uint64_t seed = 1; seed <= kScripts; ++seed) {
+    SCOPED_TRACE("script seed " + std::to_string(seed));
+    ParityReplay serial(1);
+    ParityReplay two(2);
+    ParityReplay four(4);
+    ASSERT_EQ(serial.sim().thread_count(), 1u);
+    ASSERT_EQ(two.sim().thread_count(), 2u);
+    ASSERT_EQ(four.sim().thread_count(), 4u);
+    const std::vector<ParityStep> steps = parity_script(seed);
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+      const ParityStep& st = steps[i];
+      if (st.op == ParityOp::kRunUntil) {
+        const sim::SimTime t = serial.sim().now() + st.delay;
+        const std::uint64_t n = serial.sim().run_until(t);
+        EXPECT_EQ(two.sim().run_until(t), n);
+        EXPECT_EQ(four.sim().run_until(t), n);
+      } else if (st.op == ParityOp::kRun) {
+        // Sharded, the budget is checked between windows, and a window
+        // ends where every earlier event has run: the sharded run is a
+        // prefix of the canonical order. The serial engine's budget is
+        // exact, so run(k) must replay that same prefix.
+        const std::uint64_t k = two.sim().run(st.n);
+        EXPECT_EQ(four.sim().run(st.n), k);
+        EXPECT_TRUE(k >= st.n || two.sim().pending_events() == 0);
+        EXPECT_EQ(serial.sim().run(k), k);
+      } else {
+        const bool r = serial.apply(st);
+        EXPECT_EQ(two.apply(st), r);
+        EXPECT_EQ(four.apply(st), r);
+      }
+      const ParityReplay::State want = serial.state();
+      ASSERT_TRUE(same_state(two.state(), want, false))
+          << "2 shards, step " << i;
+      ASSERT_TRUE(same_state(four.state(), want, false))
+          << "4 shards, step " << i;
+    }
+    for (ParityReplay* r : {&serial, &two, &four}) {
+      r->cancel_all_timers();
+      r->sim().run();
+    }
+    const ParityReplay::State want = serial.state();
+    EXPECT_EQ(want.pending, 0u);
+    ASSERT_TRUE(same_state(two.state(), want, true)) << "2 shards, drain";
+    ASSERT_TRUE(same_state(four.state(), want, true)) << "4 shards, drain";
+    fired_total += want.processed;
+  }
+  // The scripts must actually run events, or agreement proves nothing.
+  EXPECT_GT(fired_total, 10 * kScripts);
 }
 
 }  // namespace

@@ -98,6 +98,19 @@ TEST(SimulatorTest, RunHonorsMaxEvents) {
   EXPECT_EQ(count, 4);
   sim.run();
   EXPECT_EQ(count, 10);
+
+  // The budget is exact within one timestamp too: the rest fire later,
+  // in key (schedule) order.
+  Simulator same_time;
+  std::vector<int> order;
+  for (int i = 0; i < 10; ++i) {
+    same_time.schedule_at(ms(5), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(same_time.run(4), 4u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(same_time.pending_events(), 6u);
+  EXPECT_EQ(same_time.run(), 6u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
 }
 
 TEST(SimulatorTest, PeriodicTimerFiresRepeatedly) {

@@ -172,9 +172,9 @@ int main(int argc, char** argv) {
              "independent run each, starting at --seed)", &seeds);
   parser.add("jobs", "worker threads for --seeds sweeps (0 = all hardware "
              "threads)", &jobs);
-  parser.add("sim-threads", "engine worker threads inside each run (the "
-             "epoch-synchronous sharded engine; results are bit-identical "
-             "to 1, only wall time changes)", &sim_threads);
+  parser.add("sim-threads", "engine worker threads inside each run (1-63; "
+             "shards the engine; results are bit-identical to 1, only "
+             "wall time changes)", &sim_threads);
   parser.add("json", "dump per-run timings+metrics to this file",
              &json_path);
   parser.add("trace", "write the causal message trace here (.jsonl = one "
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "bad --seeds/--jobs\n");
     return 1;
   }
-  if (sim_threads < 1) {
+  if (sim_threads < 1 || sim_threads > sim::Simulator::kMaxThreads) {
     std::fprintf(stderr, "bad --sim-threads: %lld\n",
                  static_cast<long long>(sim_threads));
     return 1;
