@@ -231,15 +231,16 @@ MicroRow run_expiry_sweep() {
   }
   return time_op_with_setup(
       [&] {
-        pubsub::SubscriptionStore store;
+        // A store is not movable (its index reads records through it).
+        auto store = std::make_unique<pubsub::SubscriptionStore>();
         for (std::size_t i = 0; i < subs.size(); ++i) {
-          store.insert({subs[i], sim::sec(static_cast<std::uint64_t>(i)),
-                        {}, false});
+          store->insert({subs[i], sim::sec(static_cast<std::uint64_t>(i)),
+                         {}, false});
         }
         return store;
       },
-      [](pubsub::SubscriptionStore& store) {
-        do_not_optimize(store.sweep_expired(sim::sec(1000)));
+      [](std::unique_ptr<pubsub::SubscriptionStore>& store) {
+        do_not_optimize(store->sweep_expired(sim::sec(1000)));
       });
 }
 

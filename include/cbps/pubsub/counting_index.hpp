@@ -21,11 +21,16 @@
 // c >> shift == b, so a split copies each parent's entries, in order,
 // into its children.
 //
-// Bucket registration is batched: insert() records the subscription and
-// its dense slot, and the pending bucket entries are registered in
-// insertion order at the next match or remove. A node that stores
-// subscriptions but never matches or removes one never pays for their
-// buckets.
+// Subscriptions are numbered by the slots of the table they live in (the
+// store's record slots, or the covering engine's roots). Bucket entries
+// carry the slot, so a match counts into flat per-slot arrays and reports
+// slots; the index keeps no subscription pointer and no id.
+//
+// Bucket registration is batched: insert() records the slot, and the
+// pending bucket entries are registered in insertion order at the next
+// match or remove, reading each slot's constraints from the table then. A
+// node that stores subscriptions but never matches or removes one never
+// pays for their buckets.
 //
 // Neither batching nor the bucket count changes match output, order
 // included. Every bucket lists its entries in registration order (pushes
@@ -36,7 +41,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -52,27 +57,24 @@ class CountingIndex final : public MatchIndex {
   /// `buckets_per_attribute` caps each attribute's bucket count. It
   /// trades insertion cost (an interval is registered in every bucket it
   /// overlaps) against stab precision.
-  explicit CountingIndex(const Schema& schema,
-                         std::size_t buckets_per_attribute = 256);
+  CountingIndex(const SlotTable& table, const Schema& schema,
+                std::size_t buckets_per_attribute = 256);
 
-  /// Register a subscription (its bucket entries are registered lazily,
-  /// see above). Duplicate ids are rejected (no-op, false).
-  /// A subscription with a constraint range disjoint from its attribute
-  /// domain can never match; it is registered (so remove() and duplicate
-  /// detection behave) but gets no bucket entries — exactly the
+  /// Register the subscription at `slot` (its bucket entries are
+  /// registered lazily, see above). A registered slot is rejected (no-op,
+  /// false). A subscription with a constraint range disjoint from its
+  /// attribute domain can never match; it is registered (so remove() and
+  /// duplicate detection behave) but gets no bucket entries — exactly the
   /// brute-force engine's behaviour of never reporting it.
-  bool insert(const SubscriptionPtr& sub) override;
+  bool insert(std::uint32_t slot, const Subscription& sub) override;
 
-  /// Remove by id. Returns false if unknown.
-  bool remove(SubscriptionId id) override;
-
-  /// Ids of all registered subscriptions matching `e`, unordered.
-  std::vector<SubscriptionId> match(const Event& e) const;
+  /// Remove the subscription at `slot`. Returns false if unregistered.
+  bool remove(std::uint32_t slot) override;
 
   void match_into(const Event& e,
-                  std::vector<SubscriptionId>& out) const override;
+                  std::vector<std::uint32_t>& slots) const override;
 
-  std::size_t size() const override { return subs_.size(); }
+  std::size_t size() const override { return size_; }
 
   /// Heap footprint of the bucket/scratch structures in bytes, pending
   /// registrations included.
@@ -88,19 +90,13 @@ class CountingIndex final : public MatchIndex {
   /// Registered subscriptions per bucket above which an attribute splits.
   static constexpr std::size_t kSubsPerBucket = 4;
 
-  // Entries refer to subscriptions by a dense slot index so match() can
-  // count into flat arrays instead of a per-event hash map.
+  /// need_ value of a slot with no registered subscription.
+  static constexpr std::uint32_t kVacant =
+      std::numeric_limits<std::uint32_t>::max();
+
   struct Entry {
-    std::uint32_t dense;
+    std::uint32_t slot;
     ClosedInterval range;
-  };
-  struct DenseInfo {
-    SubscriptionId id = 0;
-    std::uint32_t constraint_count = 0;
-  };
-  struct SubInfo {
-    SubscriptionPtr sub;
-    std::uint32_t dense = 0;
   };
 
   // One attribute's buckets. Mutable with pending_: the const match
@@ -129,22 +125,19 @@ class CountingIndex final : public MatchIndex {
   /// Register the bucket entries of every pending insert, in order.
   void register_pending() const;
 
+  const SlotTable& table_;
   Schema schema_;
   std::size_t buckets_per_attribute_;
   mutable std::vector<Attribute> attrs_;
-  // Inserted subscriptions whose bucket entries are not registered yet,
-  // in insertion order. The pointee stays alive in subs_: remove()
-  // registers everything pending before it erases.
-  struct Pending {
-    const Subscription* sub;
-    std::uint32_t dense;
-  };
-  mutable std::vector<Pending> pending_;
-  // Subscriptions with no constraints match every event.
-  std::vector<SubscriptionId> match_all_;
-  std::unordered_map<SubscriptionId, SubInfo> subs_;
-  std::vector<DenseInfo> dense_;        // slot -> threshold + id
-  std::vector<std::uint32_t> free_dense_;
+  // Slots whose bucket entries are not registered yet, in insertion
+  // order. remove() registers everything pending before it erases, so a
+  // pending slot always holds the subscription it was inserted with.
+  mutable std::vector<std::uint32_t> pending_;
+  // Slots of subscriptions with no constraints: they match every event.
+  std::vector<std::uint32_t> match_all_;
+  // slot -> constraints a match must satisfy (kVacant: unregistered).
+  std::vector<std::uint32_t> need_;
+  std::size_t size_ = 0;
   // Epoch-stamped scratch: bumping epoch_ invalidates every count, so a
   // match never clears (or allocates) the buffers it counts into.
   mutable std::vector<std::uint32_t> scratch_count_;

@@ -18,7 +18,7 @@
 //     counting index stores; its members are children verified exactly
 //     at match time. A bounded false-positive budget limits the fraction
 //     of the hull not covered by any member, so umbrella hits that
-//     verify to nothing stay rare. Umbrella ids are internal and never
+//     verify to nothing stay rare. Umbrellas are internal and never
 //     reported.
 //   - Expansion: removing (or expiring) a root re-promotes its children
 //     through the normal insert path; an umbrella left with one member
@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <unordered_map>
 #include <vector>
 
@@ -59,14 +60,21 @@ struct CoveringOptions {
   std::size_t max_merge_candidates = 8;
 };
 
-class CoveringIndex final : public MatchIndex {
+// Roots (real and umbrella) are numbered by their own dense, LIFO-reused
+// root slots; those are the slots of the inner counting index, which reads
+// each root's subscription back through this index. Children and inert
+// subscriptions are held by their store slots only.
+class CoveringIndex final : public MatchIndex, private SlotTable {
  public:
-  explicit CoveringIndex(const Schema& schema, CoveringOptions opts = {});
+  CoveringIndex(const SlotTable& table, const Schema& schema,
+                CoveringOptions opts = {});
+  CoveringIndex(const CoveringIndex&) = delete;
+  CoveringIndex& operator=(const CoveringIndex&) = delete;
 
-  bool insert(const SubscriptionPtr& sub) override;
-  bool remove(SubscriptionId id) override;
+  bool insert(std::uint32_t slot, const Subscription& sub) override;
+  bool remove(std::uint32_t slot) override;
   void match_into(const Event& e,
-                  std::vector<SubscriptionId>& out) const override;
+                  std::vector<std::uint32_t>& slots) const override;
 
   /// Logical subscription count (roots + covered children + inert).
   std::size_t size() const override { return logical_size_; }
@@ -76,20 +84,23 @@ class CoveringIndex final : public MatchIndex {
   /// Entries the counting index actually stores (real roots + umbrellas).
   std::size_t stored_roots() const { return index_.size(); }
   /// Subscriptions held as covered/merged children (no index entries).
-  std::size_t covered_children() const { return parent_of_.size(); }
+  std::size_t covered_children() const { return children_count_; }
   /// Synthetic umbrella roots currently live.
   std::size_t umbrella_count() const { return umbrella_count_; }
   /// Subscriptions that can never match (constraint disjoint from the
   /// schema domain) held inert.
-  std::size_t inert_count() const { return inert_.size(); }
+  std::size_t inert_count() const { return inert_count_; }
 
   const CoveringOptions& options() const { return opts_; }
 
  private:
-  struct RootInfo {
-    SubscriptionPtr sub;  // the indexed subscription (real or umbrella)
-    std::vector<SubscriptionPtr> children;
-    bool umbrella = false;
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  struct Root {
+    std::uint32_t slot = kNoSlot;  // store slot of a real root
+    SubscriptionPtr umbrella;      // umbrella only: its synthetic filter
+    std::vector<std::uint32_t> children;  // store slots
     std::size_t free_attr = 0;  // umbrella only: the merged attribute
     // Umbrella only: disjoint sorted union of member intervals on
     // free_attr, for the false-positive budget accounting.
@@ -99,14 +110,28 @@ class CoveringIndex final : public MatchIndex {
     std::vector<std::uint64_t> sigs;
   };
 
-  bool insert_internal(const SubscriptionPtr& sub);
-  bool try_cover(const SubscriptionPtr& sub);
-  bool try_merge(const SubscriptionPtr& sub);
-  void add_root(const SubscriptionPtr& sub);
-  void remove_root_entry(SubscriptionId id, RootInfo& info);
-  void promote_children(std::vector<SubscriptionPtr> children);
-  void register_sigs(SubscriptionId id, RootInfo& info);
-  void unregister_sigs(SubscriptionId id, const RootInfo& info);
+  // What a store slot is to this index.
+  enum class Role : std::uint8_t { kNone, kInert, kRoot, kChild };
+  struct SlotRole {
+    Role role = Role::kNone;
+    std::uint32_t root = 0;  // kRoot: its own root; kChild: its parent's
+  };
+
+  /// The inner index's table: a root's (real or umbrella) subscription.
+  const Subscription& at(std::uint32_t root) const override;
+
+  void insert_internal(std::uint32_t slot, const Subscription& sub);
+  bool try_cover(std::uint32_t slot, const Subscription& sub);
+  bool try_merge(std::uint32_t slot, const Subscription& sub);
+  void add_root(std::uint32_t slot);
+  /// Number `root` (LIFO reuse) and register it with the inner index.
+  std::uint32_t add_root_entry(Root root);
+  /// Unregister root `r` everywhere and free its number; returns its
+  /// children.
+  std::vector<std::uint32_t> remove_root_entry(std::uint32_t r);
+  void promote_children(const std::vector<std::uint32_t>& children);
+  void register_sigs(std::uint32_t r);
+  void unregister_sigs(std::uint32_t r);
   std::uint64_t signature(const Subscription& sub,
                           std::size_t free_attr) const;
   /// Merge `iv` into the sorted-disjoint union `covered`; returns the
@@ -116,18 +141,20 @@ class CoveringIndex final : public MatchIndex {
   static std::uint64_t covered_width(
       const std::vector<ClosedInterval>& covered);
 
+  const SlotTable& table_;
   Schema schema_;
   CoveringOptions opts_;
-  CountingIndex index_;  // roots only (real + umbrella)
-  std::unordered_map<SubscriptionId, RootInfo> roots_;
-  std::unordered_map<SubscriptionId, SubscriptionId> parent_of_;
-  std::unordered_map<SubscriptionId, SubscriptionPtr> inert_;
+  CountingIndex index_;  // roots only (real + umbrella), by root number
+  std::vector<Root> roots_;
+  std::vector<std::uint32_t> free_roots_;
+  std::vector<SlotRole> roles_;  // store slot -> role
   // signature -> roots eligible to merge under it.
-  std::unordered_map<std::uint64_t, std::vector<SubscriptionId>> merge_map_;
-  SubscriptionId next_umbrella_id_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> merge_map_;
   std::size_t umbrella_count_ = 0;
+  std::size_t children_count_ = 0;
+  std::size_t inert_count_ = 0;
   std::size_t logical_size_ = 0;
-  mutable std::vector<SubscriptionId> scratch_ids_;
+  mutable std::vector<std::uint32_t> scratch_roots_;
 };
 
 }  // namespace cbps::pubsub

@@ -5,6 +5,12 @@
 // runs (needed for collecting-agent election and state handover). An
 // ordered expiry index makes expiration sweeps O(log n) so the paper's
 // 25k-subscription memory experiments stay cheap.
+//
+// Records live in one vector of dense slots. A freed slot is reused
+// last-in first-out, else the vector grows, and the installed match index
+// registers, removes and reports subscriptions by the same slots. One
+// flat open-addressing map finds an id's slot; nothing walks it, so
+// visiting records in id order means sorting the live slots' ids.
 #pragma once
 
 #include <cstddef>
@@ -13,9 +19,9 @@
 #include <memory>
 #include <optional>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "cbps/common/flat_id_map.hpp"
 #include "cbps/common/types.hpp"
 #include "cbps/pubsub/counting_index.hpp"
 #include "cbps/pubsub/covering_index.hpp"
@@ -39,7 +45,7 @@ const char* to_string(MatchEngine engine);
 /// anything else.
 std::optional<MatchEngine> match_engine_from_string(std::string_view s);
 
-class SubscriptionStore {
+class SubscriptionStore : private SlotTable {
  public:
   struct Record {
     SubscriptionPtr sub;
@@ -49,20 +55,24 @@ class SubscriptionStore {
   };
 
   SubscriptionStore() = default;
+  // The installed index reads records through this object.
+  SubscriptionStore(const SubscriptionStore&) = delete;
+  SubscriptionStore& operator=(const SubscriptionStore&) = delete;
 
   /// Switch matching to the counting index (call before any insert).
   void use_counting_index(const Schema& schema,
                           std::size_t buckets_per_attribute = 256) {
-    CBPS_ASSERT_MSG(records_.empty(), "enable the index on an empty store");
-    index_ = std::make_unique<CountingIndex>(schema, buckets_per_attribute);
+    CBPS_ASSERT_MSG(slots_.empty(), "enable the index on an empty store");
+    index_ = std::make_unique<CountingIndex>(table(), schema,
+                                             buckets_per_attribute);
     engine_ = MatchEngine::kCountingIndex;
   }
 
   /// Switch matching to the covering/merging engine (call before any
   /// insert).
   void use_covering_index(const Schema& schema, CoveringOptions opts = {}) {
-    CBPS_ASSERT_MSG(records_.empty(), "enable the index on an empty store");
-    index_ = std::make_unique<CoveringIndex>(schema, opts);
+    CBPS_ASSERT_MSG(slots_.empty(), "enable the index on an empty store");
+    index_ = std::make_unique<CoveringIndex>(table(), schema, opts);
     engine_ = MatchEngine::kCoveringIndex;
   }
 
@@ -82,9 +92,6 @@ class SubscriptionStore {
 
   MatchEngine engine() const { return engine_; }
 
-  /// The installed index, or nullptr under brute force.
-  const MatchIndex* match_index() const { return index_.get(); }
-
   /// Covering/merging statistics (nullptr unless kCoveringIndex).
   const CoveringIndex* covering_index() const {
     return engine_ == MatchEngine::kCoveringIndex
@@ -96,6 +103,11 @@ class SubscriptionStore {
   std::size_t index_memory_bytes() const {
     return index_ ? index_->memory_bytes() : 0;
   }
+
+  // A `const Record*` or `const Record&` from find(), match() or for_each()
+  // stays valid until the next insert or remove (sweeps and remove_if
+  // included): an insert may grow the slot vector, a remove clears the
+  // slot.
 
   /// Insert or refresh. Returns true if the record is new — or if a
   /// non-replica insert upgraded an existing replica record to an owned
@@ -128,7 +140,7 @@ class SubscriptionStore {
   /// Remove all records for which `pred` returns true; returns count.
   std::size_t remove_if(const std::function<bool(const Record&)>& pred);
 
-  std::size_t size() const { return records_.size(); }
+  std::size_t size() const { return ids_.size(); }
   /// Count of owned (non-replica) records — the quantity the paper's
   /// memory figures report.
   std::size_t owned_size() const { return owned_; }
@@ -137,16 +149,23 @@ class SubscriptionStore {
   std::size_t peak_owned_size() const { return peak_owned_; }
 
  private:
-  using RecordMap = std::unordered_map<SubscriptionId, Record>;
-
-  void index_expiry(SubscriptionId id, sim::SimTime at);
-  void unindex_expiry(SubscriptionId id, sim::SimTime at);
-  RecordMap::iterator erase_record(RecordMap::iterator it);
+  const Subscription& at(std::uint32_t slot) const override {
+    return *slots_[slot].sub;
+  }
+  const SlotTable& table() const { return *this; }
+  void index_expiry(std::uint32_t slot, sim::SimTime when);
+  void unindex_expiry(std::uint32_t slot, sim::SimTime when);
+  void erase_slot(std::uint32_t slot);
+  /// Live slots, ordered by subscription id.
+  std::vector<std::uint32_t> slots_by_id() const;
   void note_owned_change();
 
-  RecordMap records_;
-  std::multimap<sim::SimTime, SubscriptionId> expiry_index_;
+  std::vector<Record> slots_;  // sub == nullptr: free
+  std::vector<std::uint32_t> free_slots_;  // reused last-in first-out
+  FlatIdMap ids_;                           // id -> slot
+  std::multimap<sim::SimTime, std::uint32_t> expiry_index_;  // -> slot
   std::unique_ptr<MatchIndex> index_;  // null = brute force
+  mutable std::vector<std::uint32_t> scratch_slots_;
   MatchEngine engine_ = MatchEngine::kBruteForce;
   std::size_t owned_ = 0;
   std::size_t peak_owned_ = 0;

@@ -5,9 +5,10 @@
 
 namespace cbps::pubsub {
 
-CountingIndex::CountingIndex(const Schema& schema,
+CountingIndex::CountingIndex(const SlotTable& table, const Schema& schema,
                              std::size_t buckets_per_attribute)
-    : schema_(schema),
+    : table_(table),
+      schema_(schema),
       buckets_per_attribute_(buckets_per_attribute),
       attrs_(schema_.dimensions()) {
   CBPS_ASSERT(buckets_per_attribute_ >= 1);
@@ -62,99 +63,79 @@ void CountingIndex::fit(std::size_t attr) const {
   a.shift = shift;
 }
 
-bool CountingIndex::insert(const SubscriptionPtr& sub) {
-  CBPS_ASSERT(sub != nullptr);
-  CBPS_ASSERT_MSG(sub->well_formed_for(schema_),
+bool CountingIndex::insert(std::uint32_t slot, const Subscription& sub) {
+  CBPS_ASSERT_MSG(sub.well_formed_for(schema_),
                   "subscription/schema mismatch");
-  const auto [it, fresh] = subs_.try_emplace(sub->id);
-  if (!fresh) return false;
-
-  std::uint32_t dense;
-  if (!free_dense_.empty()) {
-    dense = free_dense_.back();
-    free_dense_.pop_back();
-  } else {
-    dense = static_cast<std::uint32_t>(dense_.size());
-    dense_.emplace_back();
-  }
-  dense_[dense] = DenseInfo{
-      sub->id, static_cast<std::uint32_t>(sub->constraints.size())};
-  it->second = SubInfo{sub, dense};
+  if (slot >= need_.size()) need_.resize(slot + 1, kVacant);
+  if (need_[slot] != kVacant) return false;
+  need_[slot] = static_cast<std::uint32_t>(sub.constraints.size());
+  ++size_;
 
   // A constraint disjoint from its domain makes the whole conjunction
-  // unsatisfiable: register the id but add no bucket entries, so the
+  // unsatisfiable: register the slot but add no bucket entries, so the
   // subscription never matches — consistent with the brute-force scan.
-  if (!sub->satisfiable_for(schema_)) return true;
+  if (!sub.satisfiable_for(schema_)) return true;
 
-  if (sub->constraints.empty()) {
-    match_all_.push_back(sub->id);
+  if (sub.constraints.empty()) {
+    match_all_.push_back(slot);
     return true;
   }
-  pending_.push_back({sub.get(), dense});
+  pending_.push_back(slot);
   return true;
 }
 
 void CountingIndex::register_pending() const {
   if (pending_.empty()) return;
-  for (const Pending& p : pending_) {
-    for (const Constraint& c : p.sub->constraints) {
+  for (const std::uint32_t slot : pending_) {
+    for (const Constraint& c : table_.at(slot).constraints) {
       Attribute& a = attrs_[c.attribute];
       if (++a.registered > kSubsPerBucket * a.buckets.size()) {
         fit(c.attribute);
       }
       const auto [first, last] = span(c.attribute, c.range, a.shift);
       for (std::size_t b = first; b <= last; ++b) {
-        a.buckets[b].push_back(Entry{p.dense, c.range});
+        a.buckets[b].push_back(Entry{slot, c.range});
       }
     }
   }
   // Release the batch: between batches the index holds what eager
   // registration would.
-  std::vector<Pending>().swap(pending_);
+  std::vector<std::uint32_t>().swap(pending_);
 }
 
-bool CountingIndex::remove(SubscriptionId id) {
-  const auto it = subs_.find(id);
-  if (it == subs_.end()) return false;
+bool CountingIndex::remove(std::uint32_t slot) {
+  if (slot >= need_.size() || need_[slot] == kVacant) return false;
   register_pending();
-  const SubscriptionPtr sub = it->second.sub;
-  const std::uint32_t dense = it->second.dense;
-  subs_.erase(it);
-  dense_[dense] = DenseInfo{};
-  free_dense_.push_back(dense);
+  need_[slot] = kVacant;
+  --size_;
 
-  if (!sub->satisfiable_for(schema_)) return true;  // had no entries
+  const Subscription& sub = table_.at(slot);
+  if (!sub.satisfiable_for(schema_)) return true;  // had no entries
 
-  if (sub->constraints.empty()) {
-    std::erase(match_all_, id);
+  if (sub.constraints.empty()) {
+    std::erase(match_all_, slot);
     return true;
   }
-  for (const Constraint& c : sub->constraints) {
+  for (const Constraint& c : sub.constraints) {
     Attribute& a = attrs_[c.attribute];
     --a.registered;
     const auto [first, last] = span(c.attribute, c.range, a.shift);
     for (std::size_t b = first; b <= last; ++b) {
       std::erase_if(a.buckets[b],
-                    [dense](const Entry& e) { return e.dense == dense; });
+                    [slot](const Entry& e) { return e.slot == slot; });
     }
   }
   return true;
 }
 
-std::vector<SubscriptionId> CountingIndex::match(const Event& e) const {
-  std::vector<SubscriptionId> out;
-  match_into(e, out);
-  return out;
-}
-
 void CountingIndex::match_into(const Event& e,
-                               std::vector<SubscriptionId>& out) const {
+                               std::vector<std::uint32_t>& slots) const {
   CBPS_ASSERT(e.values.size() == schema_.dimensions());
   register_pending();
   ++epoch_;
-  if (scratch_count_.size() < dense_.size()) {
-    scratch_count_.resize(dense_.size(), 0);
-    scratch_epoch_.resize(dense_.size(), 0);
+  if (scratch_count_.size() < need_.size()) {
+    scratch_count_.resize(need_.size(), 0);
+    scratch_epoch_.resize(need_.size(), 0);
   }
   scratch_touched_.clear();
   for (std::size_t attr = 0; attr < schema_.dimensions(); ++attr) {
@@ -164,21 +145,19 @@ void CountingIndex::match_into(const Event& e,
     const auto& bucket = a.buckets[cap_bucket(attr, v) >> a.shift];
     for (const Entry& entry : bucket) {
       if (!entry.range.contains(v)) continue;
-      if (scratch_epoch_[entry.dense] != epoch_) {
-        scratch_epoch_[entry.dense] = epoch_;
-        scratch_count_[entry.dense] = 1;
-        scratch_touched_.push_back(entry.dense);
+      if (scratch_epoch_[entry.slot] != epoch_) {
+        scratch_epoch_[entry.slot] = epoch_;
+        scratch_count_[entry.slot] = 1;
+        scratch_touched_.push_back(entry.slot);
       } else {
-        ++scratch_count_[entry.dense];
+        ++scratch_count_[entry.slot];
       }
     }
   }
-  out.reserve(out.size() + match_all_.size() + scratch_touched_.size());
-  out.insert(out.end(), match_all_.begin(), match_all_.end());
-  for (const std::uint32_t dense : scratch_touched_) {
-    if (scratch_count_[dense] == dense_[dense].constraint_count) {
-      out.push_back(dense_[dense].id);
-    }
+  slots.reserve(slots.size() + match_all_.size() + scratch_touched_.size());
+  slots.insert(slots.end(), match_all_.begin(), match_all_.end());
+  for (const std::uint32_t slot : scratch_touched_) {
+    if (scratch_count_[slot] == need_[slot]) slots.push_back(slot);
   }
 }
 
@@ -190,16 +169,9 @@ std::size_t CountingIndex::memory_bytes() const {
       bytes += bucket.capacity() * sizeof(Entry);
     }
   }
-  bytes += pending_.capacity() * sizeof(Pending);
-  bytes += match_all_.capacity() * sizeof(SubscriptionId);
-  // unordered_map: node (key/value + hash-next pointer) per element plus
-  // the bucket array.
-  bytes += subs_.size() *
-           (sizeof(std::pair<const SubscriptionId, SubInfo>) +
-            2 * sizeof(void*));
-  bytes += subs_.bucket_count() * sizeof(void*);
-  bytes += dense_.capacity() * sizeof(DenseInfo);
-  bytes += free_dense_.capacity() * sizeof(std::uint32_t);
+  bytes += pending_.capacity() * sizeof(std::uint32_t);
+  bytes += match_all_.capacity() * sizeof(std::uint32_t);
+  bytes += need_.capacity() * sizeof(std::uint32_t);
   bytes += scratch_count_.capacity() * sizeof(std::uint32_t);
   bytes += scratch_epoch_.capacity() * sizeof(std::uint64_t);
   bytes += scratch_touched_.capacity() * sizeof(std::uint32_t);

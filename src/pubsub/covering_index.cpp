@@ -1,13 +1,10 @@
 #include "cbps/pubsub/covering_index.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace cbps::pubsub {
 namespace {
-
-// Umbrella ids live in their own half of the id space so they can never
-// collide with (or leak as) application subscription ids.
-constexpr SubscriptionId kSyntheticBit = SubscriptionId{1} << 63;
 
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -25,12 +22,18 @@ ClosedInterval hull_of(const ClosedInterval& a, const ClosedInterval& b) {
 
 }  // namespace
 
-CoveringIndex::CoveringIndex(const Schema& schema, CoveringOptions opts)
-    : schema_(schema),
+CoveringIndex::CoveringIndex(const SlotTable& table, const Schema& schema,
+                             CoveringOptions opts)
+    : table_(table),
+      schema_(schema),
       opts_(opts),
-      index_(schema, opts.buckets_per_attribute),
-      next_umbrella_id_(kSyntheticBit | 1) {
+      index_(*this, schema, opts.buckets_per_attribute) {
   CBPS_ASSERT(opts_.max_children_per_root >= 2);
+}
+
+const Subscription& CoveringIndex::at(std::uint32_t root) const {
+  const Root& info = roots_[root];
+  return info.umbrella ? *info.umbrella : table_.at(info.slot);
 }
 
 std::uint64_t CoveringIndex::signature(const Subscription& sub,
@@ -83,65 +86,62 @@ std::uint64_t CoveringIndex::covered_width(
   return w;
 }
 
-bool CoveringIndex::insert(const SubscriptionPtr& sub) {
-  if (!insert_internal(sub)) return false;
+bool CoveringIndex::insert(std::uint32_t slot, const Subscription& sub) {
+  CBPS_ASSERT_MSG(sub.well_formed_for(schema_),
+                  "subscription/schema mismatch");
+  if (slot >= roles_.size()) roles_.resize(slot + 1);
+  if (roles_[slot].role != Role::kNone) return false;
+  insert_internal(slot, sub);
   ++logical_size_;
   return true;
 }
 
-bool CoveringIndex::insert_internal(const SubscriptionPtr& sub) {
-  CBPS_ASSERT(sub != nullptr);
-  CBPS_ASSERT_MSG(sub->well_formed_for(schema_),
-                  "subscription/schema mismatch");
-  CBPS_ASSERT_MSG((sub->id & kSyntheticBit) == 0,
-                  "application subscription id collides with umbrella ids");
-  if (roots_.contains(sub->id) || parent_of_.contains(sub->id) ||
-      inert_.contains(sub->id)) {
-    return false;
-  }
-  if (!sub->satisfiable_for(schema_)) {
+void CoveringIndex::insert_internal(std::uint32_t slot,
+                                    const Subscription& sub) {
+  if (!sub.satisfiable_for(schema_)) {
     // Can never match any event; hold it only for remove()/duplicate
     // bookkeeping, exactly like the other engines skip it.
-    inert_.emplace(sub->id, sub);
-    return true;
+    roles_[slot] = {Role::kInert, 0};
+    ++inert_count_;
+    return;
   }
-  if (try_cover(sub)) return true;
-  if (try_merge(sub)) return true;
-  add_root(sub);
-  return true;
+  if (try_cover(slot, sub)) return;
+  if (try_merge(slot, sub)) return;
+  add_root(slot);
 }
 
-bool CoveringIndex::try_cover(const SubscriptionPtr& sub) {
+bool CoveringIndex::try_cover(std::uint32_t slot, const Subscription& sub) {
   // Any root covering `sub` must match every point of sub's subspace, so
   // probing the index with one such point yields a candidate superset.
   Event probe;
   probe.id = 0;
   probe.values.reserve(schema_.dimensions());
   for (std::size_t attr = 0; attr < schema_.dimensions(); ++attr) {
-    probe.values.push_back(sub->effective_interval(schema_, attr).lo);
+    probe.values.push_back(sub.effective_interval(schema_, attr).lo);
   }
-  scratch_ids_.clear();
-  index_.match_into(probe, scratch_ids_);
+  scratch_roots_.clear();
+  index_.match_into(probe, scratch_roots_);
   std::size_t tested = 0;
-  for (const SubscriptionId root_id : scratch_ids_) {
+  for (const std::uint32_t r : scratch_roots_) {
     if (tested++ >= opts_.max_cover_candidates) break;
-    RootInfo& info = roots_.at(root_id);
+    Root& info = roots_[r];
     if (info.children.size() >= opts_.max_children_per_root) continue;
-    if (!info.sub->covers(schema_, *sub)) continue;
-    info.children.push_back(sub);
-    parent_of_.emplace(sub->id, root_id);
+    if (!at(r).covers(schema_, sub)) continue;
+    info.children.push_back(slot);
+    roles_[slot] = {Role::kChild, r};
+    ++children_count_;
     if (info.umbrella) {
       // The child lies inside the hull; folding its interval in can only
       // shrink the uncovered (false-positive) fraction.
       merge_covered(info.covered,
-                    sub->effective_interval(schema_, info.free_attr));
+                    sub.effective_interval(schema_, info.free_attr));
     }
     return true;
   }
   return false;
 }
 
-bool CoveringIndex::try_merge(const SubscriptionPtr& sub) {
+bool CoveringIndex::try_merge(std::uint32_t slot, const Subscription& sub) {
   // Look for a root identical to `sub` on every constrained attribute
   // but one ("the free attribute"), then group both under an umbrella
   // whose free-attribute interval is the hull.
@@ -162,21 +162,22 @@ bool CoveringIndex::try_merge(const SubscriptionPtr& sub) {
            b.constraint_on(free_attr) != nullptr;
   };
 
-  for (const Constraint& c : sub->constraints) {
+  for (const Constraint& c : sub.constraints) {
     const std::size_t free_attr = c.attribute;
-    const std::uint64_t sig = signature(*sub, free_attr);
+    const std::uint64_t sig = signature(sub, free_attr);
     const auto mit = merge_map_.find(sig);
     if (mit == merge_map_.end()) continue;
-    const ClosedInterval sub_iv = sub->effective_interval(schema_, free_attr);
+    const ClosedInterval sub_iv = sub.effective_interval(schema_, free_attr);
     std::size_t tested = 0;
-    for (const SubscriptionId root_id : mit->second) {
+    for (const std::uint32_t r : mit->second) {
       if (tested++ >= opts_.max_merge_candidates) break;
-      RootInfo& info = roots_.at(root_id);
+      Root& info = roots_[r];
       if (info.umbrella && info.free_attr != free_attr) continue;
-      if (!same_except(*info.sub, *sub, free_attr)) continue;
+      const Subscription& root_sub = at(r);
+      if (!same_except(root_sub, sub, free_attr)) continue;
 
       const ClosedInterval root_iv =
-          info.sub->effective_interval(schema_, free_attr);
+          root_sub.effective_interval(schema_, free_attr);
       const ClosedInterval hull = hull_of(root_iv, sub_iv);
       std::vector<ClosedInterval> covered =
           info.umbrella ? info.covered
@@ -190,19 +191,20 @@ bool CoveringIndex::try_merge(const SubscriptionPtr& sub) {
       if (info.umbrella) {
         if (info.children.size() >= opts_.max_children_per_root) continue;
         if (hull != root_iv) {
-          // The hull grew: rebuild the umbrella subscription (same id,
+          // The hull grew: rebuild the umbrella subscription (same root,
           // new interval) and re-register its bucket entries.
-          auto grown = std::make_shared<Subscription>(*info.sub);
+          auto grown = std::make_shared<Subscription>(root_sub);
           for (Constraint& gc : grown->constraints) {
             if (gc.attribute == free_attr) gc.range = hull;
           }
-          index_.remove(root_id);
-          index_.insert(grown);
-          info.sub = std::move(grown);
+          index_.remove(r);
+          info.umbrella = std::move(grown);
+          index_.insert(r, *info.umbrella);
         }
         info.covered = std::move(covered);
-        info.children.push_back(sub);
-        parent_of_.emplace(sub->id, root_id);
+        info.children.push_back(slot);
+        roles_[slot] = {Role::kChild, r};
+        ++children_count_;
         return true;
       }
 
@@ -210,34 +212,29 @@ bool CoveringIndex::try_merge(const SubscriptionPtr& sub) {
       // umbrella spanning the hull.
       if (info.children.size() + 2 > opts_.max_children_per_root) continue;
       auto umbrella = std::make_shared<Subscription>();
-      umbrella->id = next_umbrella_id_++;
-      umbrella->subscriber = 0;
       for (std::size_t attr = 0; attr < schema_.dimensions(); ++attr) {
-        if (info.sub->constraint_on(attr) == nullptr) continue;
+        if (root_sub.constraint_on(attr) == nullptr) continue;
         umbrella->constraints.push_back(
             {attr, attr == free_attr
                        ? hull
-                       : info.sub->effective_interval(schema_, attr)});
+                       : root_sub.effective_interval(schema_, attr)});
       }
-
-      RootInfo uinfo;
-      uinfo.sub = umbrella;
-      uinfo.umbrella = true;
+      Root uinfo;
+      uinfo.umbrella = std::move(umbrella);
       uinfo.free_attr = free_attr;
       uinfo.covered = std::move(covered);
-      uinfo.children = std::move(info.children);
-      uinfo.children.push_back(info.sub);
-      uinfo.children.push_back(sub);
-
-      remove_root_entry(root_id, info);
-      roots_.erase(root_id);
-      for (const SubscriptionPtr& child : uinfo.children) {
-        parent_of_[child->id] = umbrella->id;
+      const std::uint32_t demoted = info.slot;
+      // `info` and `mit` die here: the root table and the merge map
+      // change below, and the loop ends.
+      uinfo.children = remove_root_entry(r);
+      uinfo.children.push_back(demoted);
+      uinfo.children.push_back(slot);
+      children_count_ += 2;
+      const std::uint32_t u = add_root_entry(std::move(uinfo));
+      for (const std::uint32_t child : roots_[u].children) {
+        roles_[child] = {Role::kChild, u};
       }
-      index_.insert(umbrella);
-      auto [uit, inserted] = roots_.emplace(umbrella->id, std::move(uinfo));
-      CBPS_ASSERT(inserted);
-      register_sigs(umbrella->id, uit->second);
+      register_sigs(u);
       ++umbrella_count_;
       return true;
     }
@@ -245,151 +242,140 @@ bool CoveringIndex::try_merge(const SubscriptionPtr& sub) {
   return false;
 }
 
-void CoveringIndex::add_root(const SubscriptionPtr& sub) {
-  index_.insert(sub);
-  auto [it, inserted] = roots_.emplace(sub->id, RootInfo{});
-  CBPS_ASSERT(inserted);
-  it->second.sub = sub;
-  register_sigs(sub->id, it->second);
+void CoveringIndex::add_root(std::uint32_t slot) {
+  Root root;
+  root.slot = slot;
+  const std::uint32_t r = add_root_entry(std::move(root));
+  roles_[slot] = {Role::kRoot, r};
+  register_sigs(r);
 }
 
-void CoveringIndex::register_sigs(SubscriptionId id, RootInfo& info) {
+std::uint32_t CoveringIndex::add_root_entry(Root root) {
+  std::uint32_t r;
+  if (!free_roots_.empty()) {
+    r = free_roots_.back();
+    free_roots_.pop_back();
+    roots_[r] = std::move(root);
+  } else {
+    r = static_cast<std::uint32_t>(roots_.size());
+    roots_.push_back(std::move(root));
+  }
+  index_.insert(r, at(r));
+  return r;
+}
+
+std::vector<std::uint32_t> CoveringIndex::remove_root_entry(std::uint32_t r) {
+  index_.remove(r);
+  unregister_sigs(r);
+  std::vector<std::uint32_t> children = std::move(roots_[r].children);
+  roots_[r] = Root{};
+  free_roots_.push_back(r);
+  return children;
+}
+
+void CoveringIndex::register_sigs(std::uint32_t r) {
   // Umbrellas only ever merge on their free attribute; real roots can
   // merge on any constrained attribute.
+  Root& info = roots_[r];
+  const Subscription& sub = at(r);
   info.sigs.clear();
   if (info.umbrella) {
-    info.sigs.push_back(signature(*info.sub, info.free_attr));
+    info.sigs.push_back(signature(sub, info.free_attr));
   } else {
-    for (const Constraint& c : info.sub->constraints) {
-      info.sigs.push_back(signature(*info.sub, c.attribute));
+    for (const Constraint& c : sub.constraints) {
+      info.sigs.push_back(signature(sub, c.attribute));
     }
   }
   for (const std::uint64_t sig : info.sigs) {
-    merge_map_[sig].push_back(id);
+    merge_map_[sig].push_back(r);
   }
 }
 
-void CoveringIndex::unregister_sigs(SubscriptionId id,
-                                    const RootInfo& info) {
-  for (const std::uint64_t sig : info.sigs) {
+void CoveringIndex::unregister_sigs(std::uint32_t r) {
+  for (const std::uint64_t sig : roots_[r].sigs) {
     const auto it = merge_map_.find(sig);
     if (it == merge_map_.end()) continue;
-    std::erase(it->second, id);
+    std::erase(it->second, r);
     if (it->second.empty()) merge_map_.erase(it);
   }
 }
 
-void CoveringIndex::remove_root_entry(SubscriptionId id, RootInfo& info) {
-  index_.remove(id);
-  unregister_sigs(id, info);
-}
-
 void CoveringIndex::promote_children(
-    std::vector<SubscriptionPtr> children) {
+    const std::vector<std::uint32_t>& children) {
   // Expansion: re-admit each orphan through the full insert path so it
   // can be re-covered, merged, or become a root of its own.
-  for (SubscriptionPtr& child : children) {
-    const bool ok = insert_internal(std::move(child));
-    CBPS_ASSERT_MSG(ok, "orphaned child failed to re-insert");
+  children_count_ -= children.size();
+  for (const std::uint32_t child : children) roles_[child] = {};
+  for (const std::uint32_t child : children) {
+    insert_internal(child, table_.at(child));
   }
 }
 
-bool CoveringIndex::remove(SubscriptionId id) {
-  if (inert_.erase(id) > 0) {
-    --logical_size_;
-    return true;
-  }
-
-  const auto pit = parent_of_.find(id);
-  if (pit != parent_of_.end()) {
-    const SubscriptionId parent_id = pit->second;
-    parent_of_.erase(pit);
-    RootInfo& parent = roots_.at(parent_id);
-    std::erase_if(parent.children, [id](const SubscriptionPtr& c) {
-      return c->id == id;
-    });
-    --logical_size_;
-    if (parent.umbrella) {
-      if (parent.children.size() < 2) {
-        // One member left: the umbrella earns nothing — dissolve it.
-        std::vector<SubscriptionPtr> orphans =
-            std::move(parent.children);
-        remove_root_entry(parent_id, parent);
-        roots_.erase(parent_id);
-        --umbrella_count_;
-        for (const SubscriptionPtr& c : orphans) {
-          parent_of_.erase(c->id);
-        }
-        promote_children(std::move(orphans));
-      } else {
-        // Recompute the member-coverage union the removed interval may
-        // have been carrying.
-        parent.covered.clear();
-        for (const SubscriptionPtr& c : parent.children) {
-          merge_covered(parent.covered,
-                        c->effective_interval(schema_, parent.free_attr));
-        }
+bool CoveringIndex::remove(std::uint32_t slot) {
+  if (slot >= roles_.size() || roles_[slot].role == Role::kNone) return false;
+  const SlotRole role = std::exchange(roles_[slot], SlotRole{});
+  --logical_size_;
+  if (role.role == Role::kInert) {
+    --inert_count_;
+  } else if (role.role == Role::kRoot) {
+    promote_children(remove_root_entry(role.root));
+  } else {
+    Root& parent = roots_[role.root];
+    std::erase(parent.children, slot);
+    --children_count_;
+    if (parent.umbrella && parent.children.size() < 2) {
+      // One member left: the umbrella earns nothing — dissolve it.
+      --umbrella_count_;
+      promote_children(remove_root_entry(role.root));
+    } else if (parent.umbrella) {
+      // Recompute the member-coverage union the removed interval may
+      // have been carrying.
+      parent.covered.clear();
+      for (const std::uint32_t c : parent.children) {
+        merge_covered(parent.covered, table_.at(c).effective_interval(
+                                          schema_, parent.free_attr));
       }
     }
-    return true;
   }
-
-  const auto rit = roots_.find(id);
-  if (rit == roots_.end() || rit->second.umbrella) return false;
-  std::vector<SubscriptionPtr> orphans = std::move(rit->second.children);
-  remove_root_entry(id, rit->second);
-  roots_.erase(rit);
-  for (const SubscriptionPtr& c : orphans) parent_of_.erase(c->id);
-  --logical_size_;
-  promote_children(std::move(orphans));
   return true;
 }
 
 void CoveringIndex::match_into(const Event& e,
-                               std::vector<SubscriptionId>& out) const {
-  scratch_ids_.clear();
-  index_.match_into(e, scratch_ids_);
-  for (const SubscriptionId root_id : scratch_ids_) {
-    const RootInfo& info = roots_.at(root_id);
+                               std::vector<std::uint32_t>& slots) const {
+  scratch_roots_.clear();
+  index_.match_into(e, scratch_roots_);
+  for (const std::uint32_t r : scratch_roots_) {
+    const Root& info = roots_[r];
     // A real root hit is exact (the counting index checks the original
     // ranges); an umbrella hit is only a candidate and is never
     // reported itself.
-    if (!info.umbrella) out.push_back(root_id);
-    for (const SubscriptionPtr& child : info.children) {
-      if (child->matches(e)) out.push_back(child->id);
+    if (!info.umbrella) slots.push_back(info.slot);
+    for (const std::uint32_t child : info.children) {
+      if (table_.at(child).matches(e)) slots.push_back(child);
     }
   }
 }
 
 std::size_t CoveringIndex::memory_bytes() const {
   std::size_t bytes = index_.memory_bytes();
-  bytes += roots_.size() *
-           (sizeof(std::pair<const SubscriptionId, RootInfo>) +
-            2 * sizeof(void*));
-  bytes += roots_.bucket_count() * sizeof(void*);
-  // detlint: unordered-ok(order-independent byte sum)
-  for (const auto& [_, info] : roots_) {
-    bytes += info.children.capacity() * sizeof(SubscriptionPtr);
-    bytes += info.covered.capacity() * sizeof(ClosedInterval);
-    bytes += info.sigs.capacity() * sizeof(std::uint64_t);
+  bytes += roots_.capacity() * sizeof(Root);
+  for (const Root& root : roots_) {
+    bytes += root.children.capacity() * sizeof(std::uint32_t);
+    bytes += root.covered.capacity() * sizeof(ClosedInterval);
+    bytes += root.sigs.capacity() * sizeof(std::uint64_t);
   }
-  bytes += parent_of_.size() *
-           (sizeof(std::pair<const SubscriptionId, SubscriptionId>) +
-            2 * sizeof(void*));
-  bytes += parent_of_.bucket_count() * sizeof(void*);
-  bytes += inert_.size() *
-           (sizeof(std::pair<const SubscriptionId, SubscriptionPtr>) +
-            2 * sizeof(void*));
+  bytes += free_roots_.capacity() * sizeof(std::uint32_t);
+  bytes += roles_.capacity() * sizeof(SlotRole);
   bytes += merge_map_.size() *
            (sizeof(std::pair<const std::uint64_t,
-                             std::vector<SubscriptionId>>) +
+                             std::vector<std::uint32_t>>) +
             2 * sizeof(void*));
   // detlint: unordered-ok(order-independent byte sum)
-  for (const auto& [_, ids] : merge_map_) {
-    bytes += ids.capacity() * sizeof(SubscriptionId);
+  for (const auto& [_, roots] : merge_map_) {
+    bytes += roots.capacity() * sizeof(std::uint32_t);
   }
   bytes += merge_map_.bucket_count() * sizeof(void*);
-  bytes += scratch_ids_.capacity() * sizeof(SubscriptionId);
+  bytes += scratch_roots_.capacity() * sizeof(std::uint32_t);
   return bytes;
 }
 

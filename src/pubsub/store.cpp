@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "cbps/common/sorted_view.hpp"
-
 namespace cbps::pubsub {
 
 const char* to_string(MatchEngine engine) {
@@ -26,39 +24,52 @@ std::optional<MatchEngine> match_engine_from_string(std::string_view s) {
   return std::nullopt;
 }
 
-void SubscriptionStore::index_expiry(SubscriptionId id, sim::SimTime at) {
-  if (at == sim::kSimTimeNever) return;
-  expiry_index_.emplace(at, id);
+void SubscriptionStore::index_expiry(std::uint32_t slot, sim::SimTime when) {
+  if (when == sim::kSimTimeNever) return;
+  expiry_index_.emplace(when, slot);
 }
 
-void SubscriptionStore::unindex_expiry(SubscriptionId id, sim::SimTime at) {
-  if (at == sim::kSimTimeNever) return;
-  auto [lo, hi] = expiry_index_.equal_range(at);
+void SubscriptionStore::unindex_expiry(std::uint32_t slot,
+                                       sim::SimTime when) {
+  if (when == sim::kSimTimeNever) return;
+  auto [lo, hi] = expiry_index_.equal_range(when);
   for (auto it = lo; it != hi; ++it) {
-    if (it->second == id) {
+    if (it->second == slot) {
       expiry_index_.erase(it);
       return;
     }
   }
 }
 
-SubscriptionStore::RecordMap::iterator SubscriptionStore::erase_record(
-    RecordMap::iterator it) {
-  if (!it->second.replica) --owned_;
-  unindex_expiry(it->first, it->second.expires_at);
-  if (index_) index_->remove(it->first);
-  return records_.erase(it);
+void SubscriptionStore::erase_slot(std::uint32_t slot) {
+  Record& rec = slots_[slot];
+  if (!rec.replica) --owned_;
+  unindex_expiry(slot, rec.expires_at);
+  // The index reads the record's constraints while it unregisters them.
+  if (index_) index_->remove(slot);
+  ids_.erase(rec.sub->id);
+  rec = Record{};
+  free_slots_.push_back(slot);
 }
 
 bool SubscriptionStore::insert(Record&& record) {
   CBPS_ASSERT(record.sub != nullptr);
-  const SubscriptionId id = record.sub->id;
-  // try_emplace leaves `record` untouched when the id is already stored.
-  auto [it, inserted] = records_.try_emplace(id, std::move(record));
-  if (inserted) {
-    const Record& stored = it->second;
-    index_expiry(id, stored.expires_at);
-    if (index_) index_->insert(stored.sub);
+  // A new record takes the most recently freed slot, else a new one.
+  const std::uint32_t next = free_slots_.empty()
+                                 ? static_cast<std::uint32_t>(slots_.size())
+                                 : free_slots_.back();
+  const auto [found, fresh] = ids_.emplace(record.sub->id, next);
+  if (fresh) {
+    const std::uint32_t slot = found;
+    if (slot == slots_.size()) {
+      slots_.push_back(std::move(record));
+    } else {
+      free_slots_.pop_back();
+      slots_[slot] = std::move(record);
+    }
+    const Record& stored = slots_[slot];
+    index_expiry(slot, stored.expires_at);
+    if (index_) index_->insert(slot, *stored.sub);
     if (!stored.replica) {
       ++owned_;
       note_owned_change();
@@ -67,22 +78,24 @@ bool SubscriptionStore::insert(Record&& record) {
   }
   // Refresh: update expiry and ranges; a non-replica insert upgrades a
   // replica record to owned.
-  Record& existing = it->second;
+  Record& existing = slots_[found];
   if (existing.expires_at != record.expires_at) {
-    unindex_expiry(it->first, existing.expires_at);
+    unindex_expiry(found, existing.expires_at);
     existing.expires_at = record.expires_at;
-    index_expiry(it->first, existing.expires_at);
+    index_expiry(found, existing.expires_at);
   }
   // A re-subscription can carry different constraints under the same id
-  // (the subscriber upgraded its filter): the index entries and the
-  // stored pointer must follow, or the indexed engines keep matching the
-  // stale constraints and silently diverge from brute force.
+  // (the subscriber upgraded its filter): the index entries must follow,
+  // or the indexed engines keep matching the stale constraints and
+  // silently diverge from brute force. The index reads constraints
+  // through this store, so it unregisters the old ones before the
+  // pointer changes and registers the new ones after.
   if (existing.sub != record.sub) {
-    if (index_ && existing.sub->constraints != record.sub->constraints) {
-      index_->remove(it->first);
-      index_->insert(record.sub);
-    }
+    const bool reindex =
+        index_ && existing.sub->constraints != record.sub->constraints;
+    if (reindex) index_->remove(found);
     existing.sub = std::move(record.sub);
+    if (reindex) index_->insert(found, *existing.sub);
   }
   existing.ranges = std::move(record.ranges);
   if (existing.replica && !record.replica) {
@@ -97,25 +110,22 @@ bool SubscriptionStore::insert(Record&& record) {
 }
 
 bool SubscriptionStore::remove(SubscriptionId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) return false;
-  erase_record(it);
+  const std::uint32_t slot = ids_.find(id);
+  if (slot == FlatIdMap::kNone) return false;
+  erase_slot(slot);
   return true;
 }
 
 const SubscriptionStore::Record* SubscriptionStore::find(
     SubscriptionId id) const {
-  auto it = records_.find(id);
-  return it == records_.end() ? nullptr : &it->second;
+  const std::uint32_t slot = ids_.find(id);
+  return slot == FlatIdMap::kNone ? nullptr : &slots_[slot];
 }
 
 std::size_t SubscriptionStore::sweep_expired(sim::SimTime now) {
   std::size_t removed = 0;
   while (!expiry_index_.empty() && expiry_index_.begin()->first <= now) {
-    const SubscriptionId id = expiry_index_.begin()->second;
-    auto it = records_.find(id);
-    CBPS_ASSERT(it != records_.end());
-    erase_record(it);
+    erase_slot(expiry_index_.begin()->second);
     ++removed;
   }
   return removed;
@@ -125,54 +135,59 @@ std::vector<const SubscriptionStore::Record*> SubscriptionStore::match(
     const Event& e, sim::SimTime now) const {
   std::vector<const Record*> out;
   if (index_) {
-    std::vector<SubscriptionId> ids;
-    index_->match_into(e, ids);
-    out.reserve(ids.size());
-    for (SubscriptionId id : ids) {
-      const auto it = records_.find(id);
-      CBPS_ASSERT(it != records_.end());
-      if (it->second.expires_at <= now) continue;
-      out.push_back(&it->second);
+    scratch_slots_.clear();
+    index_->match_into(e, scratch_slots_);
+    out.reserve(scratch_slots_.size());
+    for (const std::uint32_t slot : scratch_slots_) {
+      const Record& rec = slots_[slot];
+      if (rec.expires_at <= now) continue;
+      out.push_back(&rec);
     }
     return out;
   }
-  out.reserve(records_.size());
-  // The scan itself may walk in hash order — the result is canonicalized
-  // below, so no ordering escapes. Keeping the walk raw preserves the
-  // brute engine's cost profile at bench scale (10^6+ records).
-  // detlint: unordered-ok(full scan; result sorted by id before return)
-  for (const auto& [_, rec] : records_) {
-    if (rec.expires_at <= now) continue;
+  out.reserve(size());
+  for (const Record& rec : slots_) {
+    if (rec.sub == nullptr || rec.expires_at <= now) continue;
     if (rec.sub->matches(e)) out.push_back(&rec);
   }
   // Brute force is the oracle engine: its match order must be a pure
-  // function of the stored set, not of bucket layout (D1).
+  // function of the stored set, not of slot reuse (D1).
   std::sort(out.begin(), out.end(), [](const Record* a, const Record* b) {
     return a->sub->id < b->sub->id;
   });
   return out;
 }
 
+std::vector<std::uint32_t> SubscriptionStore::slots_by_id() const {
+  std::vector<std::uint32_t> order;
+  order.reserve(size());
+  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].sub != nullptr) order.push_back(slot);
+  }
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return slots_[a].sub->id < slots_[b].sub->id;
+            });
+  return order;
+}
+
 void SubscriptionStore::for_each(
     const std::function<void(const Record&)>& fn) const {
   // Callers forward replicas and emit audit issues from this callback:
   // visit in id order so those side effects are deterministic (D1).
-  for (const auto* entry : sorted_view(records_)) fn(entry->second);
+  for (const std::uint32_t slot : slots_by_id()) fn(slots_[slot]);
 }
 
 std::size_t SubscriptionStore::remove_if(
     const std::function<bool(const Record&)>& pred) {
   // Erase in id order: removals mutate the match index's posting lists
-  // (swap-erase), so removal order shapes later match_into output (D1).
-  std::vector<SubscriptionId> doomed;
-  for (const auto* entry : sorted_view(records_)) {
-    if (pred(entry->second)) doomed.push_back(entry->first);
+  // and the free-slot list, so removal order shapes later match output
+  // (D1).
+  std::vector<std::uint32_t> doomed;
+  for (const std::uint32_t slot : slots_by_id()) {
+    if (pred(slots_[slot])) doomed.push_back(slot);
   }
-  for (SubscriptionId id : doomed) {
-    const auto it = records_.find(id);
-    CBPS_ASSERT(it != records_.end());
-    erase_record(it);
-  }
+  for (const std::uint32_t slot : doomed) erase_slot(slot);
   return doomed.size();
 }
 

@@ -4,9 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "cbps/pubsub/counting_index.hpp"
@@ -32,9 +34,78 @@ Event make_event(std::vector<Value> values, EventId id = 1) {
   return e;
 }
 
+// Drives an index the way the store does: each live id holds a slot
+// (freed slots are reused last-in first-out, else the table grows), the
+// table keeps the subscription while the index has it registered, and
+// matches come back as ids in the index's order.
+template <class Index>
+class Indexed final : public SlotTable {
+ public:
+  template <class... Args>
+  explicit Indexed(const Schema& schema, Args&&... args)
+      : index_(*this, schema, std::forward<Args>(args)...) {}
+
+  const Subscription& at(std::uint32_t slot) const override {
+    return *held_.at(slot);
+  }
+
+  /// Register `sub`; a live id offers its own slot again, which the index
+  /// must reject.
+  bool insert(SubscriptionPtr sub) {
+    if (const auto it = slot_of_.find(sub->id); it != slot_of_.end()) {
+      return index_.insert(it->second, *sub);
+    }
+    std::uint32_t slot;
+    if (!free_.empty()) {
+      slot = free_.back();
+      free_.pop_back();
+    } else {
+      slot = static_cast<std::uint32_t>(held_.size());
+      held_.emplace_back();
+    }
+    slot_of_.emplace(sub->id, slot);
+    held_[slot] = std::move(sub);
+    return index_.insert(slot, *held_[slot]);
+  }
+
+  /// Remove `id`; an unknown id offers an unregistered slot, which the
+  /// index must refuse.
+  bool remove(SubscriptionId id) {
+    const auto it = slot_of_.find(id);
+    if (it == slot_of_.end()) {
+      return index_.remove(free_.empty()
+                               ? static_cast<std::uint32_t>(held_.size())
+                               : free_.back());
+    }
+    const std::uint32_t slot = it->second;
+    const bool removed = index_.remove(slot);
+    slot_of_.erase(it);
+    held_[slot].reset();
+    free_.push_back(slot);
+    return removed;
+  }
+
+  std::vector<SubscriptionId> match(const Event& e) const {
+    std::vector<std::uint32_t> slots;
+    index_.match_into(e, slots);
+    std::vector<SubscriptionId> ids;
+    for (const std::uint32_t slot : slots) ids.push_back(at(slot).id);
+    return ids;
+  }
+
+  std::size_t size() const { return index_.size(); }
+  const Index* operator->() const { return &index_; }
+
+ private:
+  Index index_;
+  std::vector<SubscriptionPtr> held_;
+  std::vector<std::uint32_t> free_;
+  std::map<SubscriptionId, std::uint32_t> slot_of_;
+};
+
 TEST(CountingIndexTest, SingleConstraintMatch) {
   const Schema schema = Schema::uniform(2, 999);
-  CountingIndex index(schema, 16);
+  Indexed<CountingIndex> index(schema, 16);
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {100, 200}}})));
   EXPECT_EQ(index.match(make_event({150, 0})),
             std::vector<SubscriptionId>{1});
@@ -44,7 +115,7 @@ TEST(CountingIndexTest, SingleConstraintMatch) {
 
 TEST(CountingIndexTest, ConjunctionRequiresAllConstraints) {
   const Schema schema = Schema::uniform(3, 999);
-  CountingIndex index(schema, 16);
+  Indexed<CountingIndex> index(schema, 16);
   index.insert(make_sub(1, {{0, {0, 499}}, {2, {500, 999}}}));
   EXPECT_EQ(index.match(make_event({100, 7, 600})).size(), 1u);
   EXPECT_TRUE(index.match(make_event({100, 7, 499})).empty());
@@ -53,7 +124,7 @@ TEST(CountingIndexTest, ConjunctionRequiresAllConstraints) {
 
 TEST(CountingIndexTest, EmptyConstraintsMatchEverything) {
   const Schema schema = Schema::uniform(2, 999);
-  CountingIndex index(schema, 16);
+  Indexed<CountingIndex> index(schema, 16);
   index.insert(make_sub(7, {}));
   EXPECT_EQ(index.match(make_event({0, 999})),
             std::vector<SubscriptionId>{7});
@@ -63,7 +134,7 @@ TEST(CountingIndexTest, EmptyConstraintsMatchEverything) {
 
 TEST(CountingIndexTest, DuplicateInsertRejected) {
   const Schema schema = Schema::uniform(1, 99);
-  CountingIndex index(schema, 4);
+  Indexed<CountingIndex> index(schema, 4);
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {0, 50}}})));
   EXPECT_FALSE(index.insert(make_sub(1, {{0, {0, 50}}})));
   EXPECT_EQ(index.match(make_event({25})).size(), 1u);  // no double count
@@ -71,13 +142,13 @@ TEST(CountingIndexTest, DuplicateInsertRejected) {
 
 TEST(CountingIndexTest, RemoveUnknownReturnsFalse) {
   const Schema schema = Schema::uniform(1, 99);
-  CountingIndex index(schema, 4);
+  Indexed<CountingIndex> index(schema, 4);
   EXPECT_FALSE(index.remove(42));
 }
 
 TEST(CountingIndexTest, DomainBoundaryValues) {
   const Schema schema = Schema::uniform(1, 999);
-  CountingIndex index(schema, 7);  // non-divisible bucket count
+  Indexed<CountingIndex> index(schema, 7);  // non-divisible bucket count
   index.insert(make_sub(1, {{0, {0, 0}}}));
   index.insert(make_sub(2, {{0, {999, 999}}}));
   index.insert(make_sub(3, {{0, {0, 999}}}));
@@ -91,7 +162,7 @@ TEST(CountingIndexTest, DomainBoundaryValues) {
 
 TEST(CountingIndexTest, ShiftedDomain) {
   const Schema schema({{"t", {-100, 100}}});
-  CountingIndex index(schema, 8);
+  Indexed<CountingIndex> index(schema, 8);
   index.insert(make_sub(1, {{0, {-50, -10}}}));
   EXPECT_EQ(index.match(make_event({-30})).size(), 1u);
   EXPECT_TRUE(index.match(make_event({0})).empty());
@@ -99,7 +170,7 @@ TEST(CountingIndexTest, ShiftedDomain) {
 
 TEST(CountingIndexTest, EquivalentToBruteForceOnRandomWorkload) {
   const Schema schema = Schema::uniform(4, 1'000'000);
-  CountingIndex index(schema, 256);
+  Indexed<CountingIndex> index(schema, 256);
   workload::WorkloadParams wp;
   wp.nonselective_range_frac = 0.10;
   workload::WorkloadGenerator gen(schema, wp, 31337);
@@ -263,7 +334,7 @@ TEST(CountingIndexTest, BatchedRegistrationMatchesEagerOrder) {
     wp.nonselective_range_frac = 0.2;
     workload::WorkloadGenerator gen(schema, wp, seed);
     Rng& rng = gen.rng();
-    CountingIndex batched(schema, 32);
+    Indexed<CountingIndex> batched(schema, 32);
     EagerCountingIndex eager(schema, 32);
     std::vector<SubscriptionPtr> live;
     std::vector<SubscriptionPtr> removed;
@@ -305,13 +376,11 @@ TEST(CountingIndexTest, BatchedRegistrationMatchesEagerOrder) {
                              std::size_t>(rng.uniform_int(
                              0, static_cast<std::int64_t>(live.size()) - 1))])
                        : gen.make_random_values();
-        std::vector<SubscriptionId> got;
-        batched.match_into(e, got);
-        ASSERT_EQ(got, eager.match(e)) << "seed " << seed << " step " << step;
+        ASSERT_EQ(batched.match(e), eager.match(e)) << "seed " << seed << " step " << step;
         ++matches;
       }
       ASSERT_EQ(batched.size(), live.size());
-      EXPECT_GT(batched.memory_bytes(), 0u);
+      EXPECT_GT(batched->memory_bytes(), 0u);
     }
     EXPECT_GT(matches, 300u);
   }
@@ -335,10 +404,10 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
     wp.nonselective_range_frac = 0.2;
     workload::WorkloadGenerator gen(schema, wp, 1000 + cap);
     Rng& rng = gen.rng();
-    CountingIndex index(schema, cap);
+    Indexed<CountingIndex> index(schema, cap);
     EagerCountingIndex eager(schema, cap);
     // A fresh index holds no bucket headers, let alone cap x dimensions.
-    EXPECT_LT(index.memory_bytes(), sizeof(std::vector<char>));
+    EXPECT_LT(index->memory_bytes(), sizeof(std::vector<char>));
     std::vector<std::set<std::size_t>> seen(schema.dimensions());
     std::vector<SubscriptionPtr> live;
     std::vector<SubscriptionPtr> removed;
@@ -371,18 +440,16 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
                            std::size_t>(rng.uniform_int(
                            0, static_cast<std::int64_t>(live.size()) - 1))])
                      : gen.make_random_values();
-      std::vector<SubscriptionId> got;
-      index.match_into(e, got);
-      ASSERT_EQ(got, eager.match(e)) << "cap " << cap << " step " << step;
+      ASSERT_EQ(index.match(e), eager.match(e)) << "cap " << cap << " step " << step;
       for (std::size_t a = 0; a < schema.dimensions(); ++a) {
-        if (const std::size_t n = index.bucket_count(a); n > 0) {
+        if (const std::size_t n = index->bucket_count(a); n > 0) {
           seen[a].insert(n);
         }
       }
     }
     for (std::size_t a = 0; a < schema.dimensions(); ++a) {
       EXPECT_EQ(seen[a], expected_levels) << "cap " << cap << " attr " << a;
-      EXPECT_EQ(index.bucket_count(a), cap);
+      EXPECT_EQ(index->bucket_count(a), cap);
     }
   }
 }
@@ -393,7 +460,7 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
 // match, still removable) exactly like brute force never matches it.
 TEST(CountingIndexTest, DomainDisjointConstraintIsInert) {
   const Schema schema({{"t", {0, 999}}, {"u", {0, 999}}});
-  CountingIndex index(schema, 8);
+  Indexed<CountingIndex> index(schema, 8);
   // Disjoint on attr 0 and valid on attr 1: no event can satisfy it.
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {2000, 3000}}, {1, {0, 999}}})));
   EXPECT_EQ(index.size(), 1u);
@@ -402,13 +469,12 @@ TEST(CountingIndexTest, DomainDisjointConstraintIsInert) {
   EXPECT_TRUE(index.remove(1));
   EXPECT_EQ(index.size(), 0u);
 
-  CoveringIndex covering(schema);
+  Indexed<CoveringIndex> covering(schema);
   EXPECT_TRUE(
       covering.insert(make_sub(2, {{0, {2000, 3000}}, {1, {0, 999}}})));
-  EXPECT_EQ(covering.inert_count(), 1u);
-  EXPECT_EQ(covering.stored_roots(), 0u);
-  std::vector<SubscriptionId> out;
-  covering.match_into(make_event({500, 500}), out);
+  EXPECT_EQ(covering->inert_count(), 1u);
+  EXPECT_EQ(covering->stored_roots(), 0u);
+  auto out = covering.match(make_event({500, 500}));
   EXPECT_TRUE(out.empty());
   EXPECT_TRUE(covering.remove(2));
   EXPECT_EQ(covering.size(), 0u);
@@ -442,74 +508,65 @@ TEST(StoreWithIndexTest, RefreshWithChangedConstraintsReindexes) {
 
 TEST(CoveringIndexTest, NarrowerSubscriptionBecomesCoveredChild) {
   const Schema schema = Schema::uniform(2, 999);
-  CoveringIndex index(schema);
+  Indexed<CoveringIndex> index(schema);
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {100, 500}}})));
   EXPECT_TRUE(index.insert(make_sub(2, {{0, {200, 300}}, {1, {0, 10}}})));
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 1u);
+  EXPECT_EQ(index->stored_roots(), 1u);
+  EXPECT_EQ(index->covered_children(), 1u);
   EXPECT_EQ(index.size(), 2u);
 
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({250, 5}), out);
+  auto out = index.match(make_event({250, 5}));
   EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
             (std::set<SubscriptionId>{1, 2}));
-  out.clear();
-  index.match_into(make_event({250, 500}), out);  // outside child's a1
+  out = index.match(make_event({250, 500}));  // outside child's a1
   EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out.clear();
-  index.match_into(make_event({150, 5}), out);  // outside child's a0
+  out = index.match(make_event({150, 5}));  // outside child's a0
   EXPECT_EQ(out, std::vector<SubscriptionId>{1});
 }
 
 TEST(CoveringIndexTest, RemovingCovererPromotesChildren) {
   const Schema schema = Schema::uniform(1, 999);
-  CoveringIndex index(schema);
+  Indexed<CoveringIndex> index(schema);
   index.insert(make_sub(1, {{0, {0, 500}}}));
   index.insert(make_sub(2, {{0, {100, 200}}}));
   index.insert(make_sub(3, {{0, {150, 180}}}));
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 2u);
+  EXPECT_EQ(index->stored_roots(), 1u);
+  EXPECT_EQ(index->covered_children(), 2u);
 
   EXPECT_TRUE(index.remove(1));
   EXPECT_EQ(index.size(), 2u);
   // Children re-admitted: sub 3 is narrower than sub 2, so it re-covers.
-  EXPECT_EQ(index.covered_children(), 1u);
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({160}), out);
+  EXPECT_EQ(index->covered_children(), 1u);
+  auto out = index.match(make_event({160}));
   EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
             (std::set<SubscriptionId>{2, 3}));
-  out.clear();
-  index.match_into(make_event({400}), out);  // only the removed coverer
+  out = index.match(make_event({400}));  // only the removed coverer
   EXPECT_TRUE(out.empty());
 }
 
 TEST(CoveringIndexTest, OneAttributeShiftMergesUnderUmbrella) {
   const Schema schema = Schema::uniform(2, 999);
-  CoveringIndex index(schema);
+  Indexed<CoveringIndex> index(schema);
   // Identical on a1, adjacent on a0: prime merging material.
   index.insert(make_sub(1, {{0, {100, 199}}, {1, {50, 60}}}));
   index.insert(make_sub(2, {{0, {200, 299}}, {1, {50, 60}}}));
-  EXPECT_EQ(index.umbrella_count(), 1u);
-  EXPECT_EQ(index.stored_roots(), 1u);  // just the umbrella
-  EXPECT_EQ(index.covered_children(), 2u);
+  EXPECT_EQ(index->umbrella_count(), 1u);
+  EXPECT_EQ(index->stored_roots(), 1u);  // just the umbrella
+  EXPECT_EQ(index->covered_children(), 2u);
 
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({150, 55}), out);
+  auto out = index.match(make_event({150, 55}));
   EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out.clear();
-  index.match_into(make_event({250, 55}), out);
+  out = index.match(make_event({250, 55}));
   EXPECT_EQ(out, std::vector<SubscriptionId>{2});
-  out.clear();
-  index.match_into(make_event({150, 70}), out);  // outside both on a1
+  out = index.match(make_event({150, 70}));  // outside both on a1
   EXPECT_TRUE(out.empty());
 
   // Removing one member dissolves the umbrella back to a plain root.
   EXPECT_TRUE(index.remove(1));
-  EXPECT_EQ(index.umbrella_count(), 0u);
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 0u);
-  out.clear();
-  index.match_into(make_event({250, 55}), out);
+  EXPECT_EQ(index->umbrella_count(), 0u);
+  EXPECT_EQ(index->stored_roots(), 1u);
+  EXPECT_EQ(index->covered_children(), 0u);
+  out = index.match(make_event({250, 55}));
   EXPECT_EQ(out, std::vector<SubscriptionId>{2});
 }
 
@@ -517,37 +574,33 @@ TEST(CoveringIndexTest, MergeRespectsFalsePositiveBudget) {
   const Schema schema = Schema::uniform(1, 999'999);
   CoveringOptions opts;
   opts.merge_fp_budget = 0.25;
-  CoveringIndex index(schema, opts);
+  Indexed<CoveringIndex> index(schema, opts);
   // Far apart: hull [0, 900009] would be ~99.998% uncovered — no merge.
   index.insert(make_sub(1, {{0, {0, 9}}}));
   index.insert(make_sub(2, {{0, {900'000, 900'009}}}));
-  EXPECT_EQ(index.umbrella_count(), 0u);
-  EXPECT_EQ(index.stored_roots(), 2u);
+  EXPECT_EQ(index->umbrella_count(), 0u);
+  EXPECT_EQ(index->stored_roots(), 2u);
   // Adjacent: zero uncovered hull — merges.
   index.insert(make_sub(3, {{0, {10, 19}}}));
-  EXPECT_EQ(index.umbrella_count(), 1u);
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({5}), out);
+  EXPECT_EQ(index->umbrella_count(), 1u);
+  auto out = index.match(make_event({5}));
   EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out.clear();
-  index.match_into(make_event({15}), out);
+  out = index.match(make_event({15}));
   EXPECT_EQ(out, std::vector<SubscriptionId>{3});
 }
 
 TEST(CoveringIndexTest, ReportsMemoryAndSupportsMatchAllRoots) {
   const Schema schema = Schema::uniform(2, 999);
-  CoveringIndex index(schema);
+  Indexed<CoveringIndex> index(schema);
   index.insert(make_sub(1, {}));  // matches everything, covers everything
   index.insert(make_sub(2, {{0, {10, 20}}}));
-  EXPECT_EQ(index.stored_roots(), 1u);
-  EXPECT_EQ(index.covered_children(), 1u);
-  EXPECT_GT(index.memory_bytes(), 0u);
-  std::vector<SubscriptionId> out;
-  index.match_into(make_event({15, 0}), out);
+  EXPECT_EQ(index->stored_roots(), 1u);
+  EXPECT_EQ(index->covered_children(), 1u);
+  EXPECT_GT(index->memory_bytes(), 0u);
+  auto out = index.match(make_event({15, 0}));
   EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
             (std::set<SubscriptionId>{1, 2}));
-  out.clear();
-  index.match_into(make_event({500, 0}), out);
+  out = index.match(make_event({500, 0}));
   EXPECT_EQ(out, std::vector<SubscriptionId>{1});
 }
 
