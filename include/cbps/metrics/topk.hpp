@@ -17,9 +17,9 @@
 //   * eviction tie-breaks are total: minimum count first, then the
 //     LARGEST key id among the minima is evicted (small key ids are the
 //     stickier residents);
-//   * merge() is a union-sum with NO eviction — it is associative and
-//     commutative, so folding per-node sketches is invariant under the
-//     fold order (only top() truncates). A fold accumulator therefore
+//   * merge() and sum() are a union-sum with NO eviction — associative
+//     and commutative, so folding per-node sketches is invariant under
+//     the fold order (only top() truncates). A fold accumulator therefore
 //     grows to at most (#shards x capacity) entries, which is the price
 //     of permutation invariance.
 #pragma once
@@ -56,6 +56,12 @@ class TopK {
   /// totals add; nothing is evicted). Permutation-invariant: any merge
   /// order of the same sketch set yields identical state.
   void merge(const TopK& other);
+
+  /// Union-sum of `parts` in one pass: the state an empty TopK(capacity)
+  /// reaches by merging every part, in any order. It gathers all cells
+  /// once and sorts them, O(M log M) for M cells in all, where a fold of
+  /// merges copies its growing accumulator once per part.
+  static TopK sum(std::size_t capacity, std::span<const TopK* const> parts);
 
   /// The k heaviest tracked entries, ordered by count descending then
   /// key ascending (the stable tie-break the report tables rely on).

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -172,9 +173,11 @@ class DataPlane : public OverlayNode {
 
   void deliver_route(const RouteMsg& msg);
   void forward_route(RouteMsg msg);
-  void run_mcast(const std::vector<KeyRange>& runs, const PayloadPtr& payload,
+  void run_mcast(std::span<const KeyRange> runs, const PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);
+  /// The initiator's asynchronous local m-cast upcall.
+  void deliver_mcast_local(const RunList& local, const PayloadPtr& payload);
   void run_chain(std::vector<Key> keys, const PayloadPtr& payload,
                  std::uint32_t hops, bool initiator,
                  std::uint64_t parent_span = 0);
@@ -188,6 +191,22 @@ class DataPlane : public OverlayNode {
   void drop_span(const metrics::TraceRef& t, metrics::DropReason why,
                  std::uint64_t b) {
     span(t, metrics::SpanKind::kDrop, static_cast<std::uint64_t>(why), b);
+  }
+
+  // The buffers an m-cast hop works in: the partition and the local keys
+  // handed to the application. One set per thread, reused by every hop
+  // that thread runs, so a steady-state hop allocates nothing. A hop
+  // moves the set out while it works and back before its retry; an
+  // m-cast that starts meanwhile (issued from the application upcall, or
+  // the retry itself) finds the slot empty and grows buffers of its own.
+  // Buffer contents never outlive the hop that wrote them.
+  struct McastScratch {
+    McastRunPartition part;
+    std::vector<Key> covered;
+  };
+  static McastScratch& mcast_scratch() {
+    thread_local McastScratch scratch;
+    return scratch;
   }
 
   std::string name_;
@@ -449,7 +468,7 @@ void DataPlane<Msg>::handle_data(const McastMsg& msg) {
 }
 
 template <class Msg>
-void DataPlane<Msg>::run_mcast(const std::vector<KeyRange>& runs,
+void DataPlane<Msg>::run_mcast(std::span<const KeyRange> runs,
                                const PayloadPtr& payload, std::uint32_t hops,
                                bool initiator, std::uint64_t parent_span) {
   if (offline_) return;
@@ -464,25 +483,25 @@ void DataPlane<Msg>::run_mcast(const std::vector<KeyRange>& runs,
   // Figure 4 segment delegation. A failed transmit below evicts a peer,
   // which only marks the candidate list stale: nothing rebuilds it
   // before the retry after the loop.
+  McastScratch scratch = std::move(mcast_scratch());
+  McastRunPartition& part = scratch.part;
   const std::vector<Key>& candidates = mcast_candidates();
-  const McastRunPartition part = partition_mcast_runs(
-      ring(), id_, covered_arc(ring(), id_, predecessor_id()), runs,
-      candidates);
+  partition_mcast_runs(ring(), id_, covered_arc(ring(), id_, predecessor_id()),
+                       runs, candidates, part);
 
   const std::uint64_t local_keys = key_count(ring(), part.local);
   if (local_keys > 0 && app_ != nullptr) {
     const MessageClass cls = payload->message_class();
     wire_.traffic().record_delivery(cls);
-    std::vector<Key> covered;
-    expand_in_order(ring(), part.local, covered);
     if (initiator) {
       // Keep the upcall asynchronous even for the initiator.
-      PayloadPtr p = payload;
-      wire_.self_deliver([this, covered = std::move(covered), p] {
-        if (!offline_) app_->on_deliver_mcast(covered, p);
+      wire_.self_deliver([this, local = RunList(part.local), p = payload] {
+        if (!offline_) deliver_mcast_local(local, p);
       });
     } else {
-      app_->on_deliver_mcast(covered, payload);
+      scratch.covered.clear();
+      expand_in_order(ring(), part.local, scratch.covered);
+      app_->on_deliver_mcast(scratch.covered, payload);
     }
   }
   if (!part.undeliverable.empty()) {
@@ -496,10 +515,7 @@ void DataPlane<Msg>::run_mcast(const std::vector<KeyRange>& runs,
   if (branches > 0) {
     stats().mcast_fanout->add(static_cast<double>(branches));
     if (wire_.trace_sink() != nullptr && trace.sampled()) {
-      std::uint64_t delegated_keys = 0;
-      for (const auto& b : part.branches) {
-        delegated_keys += key_count(ring(), b.runs);
-      }
+      const std::uint64_t delegated_keys = key_count(ring(), part.runs);
       if (const auto s = span(trace, metrics::SpanKind::kMcastSplit,
                               delegated_keys + local_keys, branches);
           s != 0) {
@@ -511,16 +527,29 @@ void DataPlane<Msg>::run_mcast(const std::vector<KeyRange>& runs,
   const MessageClass cls = payload->message_class();
   std::vector<KeyRange> retry;
   for (const auto& branch : part.branches) {
+    const std::span<const KeyRange> branch_runs = part.runs_of(branch);
     if (!transmit(candidates[branch.candidate],
-                  McastMsg{branch.runs, payload, hops + 1, 0, split_span},
+                  McastMsg{RunList(branch_runs), payload, hops + 1, 0,
+                           split_span},
                   cls)) {
-      retry.insert(retry.end(), branch.runs.begin(), branch.runs.end());
+      retry.insert(retry.end(), branch_runs.begin(), branch_runs.end());
     }
   }
+  mcast_scratch() = std::move(scratch);
   if (!retry.empty()) {
     // Dead candidates were evicted; re-run the assignment for their keys.
     run_mcast(retry, payload, hops + 1, /*initiator=*/false, split_span);
   }
+}
+
+template <class Msg>
+void DataPlane<Msg>::deliver_mcast_local(const RunList& local,
+                                         const PayloadPtr& payload) {
+  McastScratch scratch = std::move(mcast_scratch());
+  scratch.covered.clear();
+  expand_in_order(ring(), local, scratch.covered);
+  app_->on_deliver_mcast(scratch.covered, payload);
+  mcast_scratch() = std::move(scratch);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cbps/common/key_range.hpp"
@@ -33,28 +34,42 @@ inline KeyRange covered_arc(RingParams ring, Key self,
   return {ring.add(pred.value_or(self), 1), self};
 }
 
+/// The result of partition_mcast_runs. The caller owns it and passes it
+/// back for the next partition: every buffer is cleared and refilled, so
+/// a long-lived partition stops allocating once its buffers have grown.
 struct McastRunPartition {
   struct Branch {
-    std::size_t candidate = 0;    // index into the candidate vector
-    std::vector<KeyRange> runs;   // in ring order from self
+    std::size_t candidate = 0;  // index into the candidate vector
+    std::size_t first = 0;      // the branch's runs: runs[first, first+count)
+    std::size_t count = 0;
   };
   /// Targets this node covers, in ring order from self.
   std::vector<KeyRange> local;
   /// One branch per candidate that received targets, by candidate index.
   std::vector<Branch> branches;
+  /// Every branch's runs, branch after branch, each in ring order from
+  /// self.
+  std::vector<KeyRange> runs;
   /// Targets with no viable candidate (only when `candidates` is empty).
   std::vector<KeyRange> undeliverable;
+  /// Working buffer: the input runs in ring order from self.
+  std::vector<KeyRange> ordered;
+
+  std::span<const KeyRange> runs_of(const Branch& b) const {
+    return {runs.data() + b.first, b.count};
+  }
 };
 
 /// `runs` may be in any order and overlap (order_from normalises them;
-/// ring-ordered input costs O(runs)). `covered` is a run ending at
-/// `self` (see covered_arc) delivered locally; std::nullopt delivers
-/// nothing locally. `candidates` must be sorted by increasing ring
-/// distance from `self`.
-McastRunPartition partition_mcast_runs(RingParams ring, Key self,
-                                       std::optional<KeyRange> covered,
-                                       const std::vector<KeyRange>& runs,
-                                       const std::vector<Key>& candidates);
+/// ring-ordered input costs O(runs)) and must not live in `out`.
+/// `covered` is a run ending at `self` (see covered_arc) delivered
+/// locally; std::nullopt delivers nothing locally. `candidates` must be
+/// sorted by increasing ring distance from `self`. Overwrites `out`.
+void partition_mcast_runs(RingParams ring, Key self,
+                          std::optional<KeyRange> covered,
+                          std::span<const KeyRange> runs,
+                          const std::vector<Key>& candidates,
+                          McastRunPartition& out);
 
 struct McastPartition {
   /// Targets this node covers (deliver locally), sorted by ring distance.

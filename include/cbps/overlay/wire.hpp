@@ -45,9 +45,10 @@ struct RouteMsg {
 
 /// Native multicast (paper §4.3.1, Figure 4). `targets` is the part of
 /// the original key runs delegated to the recipient, in ring order from
-/// the delegating sender.
+/// the delegating sender (one run inline, so a one-run branch and its
+/// retransmission copies never allocate).
 struct McastMsg {
-  std::vector<KeyRange> targets;
+  RunList targets;
   PayloadPtr payload;
   std::uint32_t hops = 0;  // delegation depth guard
   std::uint64_t seq = 0;   // reliability sequence id (0 = no ack wanted)

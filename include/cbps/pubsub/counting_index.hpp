@@ -30,7 +30,8 @@
 // pending bucket entries are registered in insertion order at the next
 // match or remove, reading each slot's constraints from the table then. A
 // node that stores subscriptions but never matches or removes one never
-// pays for their buckets.
+// pays for their buckets. A flush counts the whole batch first, so each
+// attribute splits at most once per batch.
 //
 // Neither batching nor the bucket count changes match output, order
 // included. Every bucket lists its entries in registration order (pushes
@@ -122,7 +123,8 @@ class CountingIndex final : public MatchIndex {
   }
   /// Allocate or split `attr`'s buckets to fit its registered count.
   void fit(std::size_t attr) const;
-  /// Register the bucket entries of every pending insert, in order.
+  /// Register the bucket entries of every pending insert, in order,
+  /// after fitting each attribute to its count with the batch included.
   void register_pending() const;
 
   const SlotTable& table_;

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -105,8 +106,8 @@ struct PubSubConfig {
 /// only from that node's own events (which execute in identical
 /// canonical order at any engine shard count), so each node's sketches
 /// are bit-identical across --sim-threads. PubSubSystem::key_load()
-/// folds them in ring (canonical domain) order; TopK::merge is
-/// permutation-invariant, so the folded table is deterministic too.
+/// sums them (KeyLoad::sum); the union-sum is permutation-invariant, so
+/// the summed table is deterministic too.
 struct KeyLoad {
   metrics::TopK subs_stored;    // subscription store ops per covered key
   metrics::TopK match_calls;    // match invocations per covered key
@@ -117,11 +118,20 @@ struct KeyLoad {
       : subs_stored(capacity), match_calls(capacity),
         match_units(capacity), notify_fanout(capacity) {}
 
-  void merge(const KeyLoad& o) {
-    subs_stored.merge(o.subs_stored);
-    match_calls.merge(o.match_calls);
-    match_units.merge(o.match_units);
-    notify_fanout.merge(o.notify_fanout);
+  /// Union-sum of `parts`, sketch by sketch (metrics::TopK::sum).
+  static KeyLoad sum(std::size_t capacity,
+                     std::span<const KeyLoad* const> parts) {
+    KeyLoad out(capacity);
+    std::vector<const metrics::TopK*> sketches(parts.size());
+    for (metrics::TopK KeyLoad::*member :
+         {&KeyLoad::subs_stored, &KeyLoad::match_calls,
+          &KeyLoad::match_units, &KeyLoad::notify_fanout}) {
+      for (std::size_t i = 0; i < parts.size(); ++i) {
+        sketches[i] = &(parts[i]->*member);
+      }
+      out.*member = metrics::TopK::sum(capacity, sketches);
+    }
+    return out;
   }
 
   /// Total load units this node performed as a rendezvous (the scalar

@@ -92,6 +92,13 @@ class SubscriptionStore : private SlotTable {
 
   MatchEngine engine() const { return engine_; }
 
+  /// The counting index (nullptr unless kCountingIndex).
+  const CountingIndex* counting_index() const {
+    return engine_ == MatchEngine::kCountingIndex
+               ? static_cast<const CountingIndex*>(index_.get())
+               : nullptr;
+  }
+
   /// Covering/merging statistics (nullptr unless kCoveringIndex).
   const CoveringIndex* covering_index() const {
     return engine_ == MatchEngine::kCoveringIndex

@@ -161,8 +161,8 @@ class PubSubSystem {
   /// Rendezvous-key fan-out per publish, merged across all publishers.
   metrics::Histogram fanout_histogram() const;
 
-  /// Per-rendezvous-key load sketches folded over every node in ring
-  /// order (the canonical domain order; TopK::merge is permutation-
+  /// Per-rendezvous-key load sketches summed over every node in ring
+  /// order (the canonical domain order; the union-sum is permutation-
   /// invariant, so the result is bit-identical at any --sim-threads).
   /// Crashed/departed nodes are included: load they served before dying
   /// is still load the ring carried.

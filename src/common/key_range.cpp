@@ -6,12 +6,6 @@ namespace cbps {
 
 namespace {
 
-/// A run in distance space from some origin: [a, b], a <= b.
-struct Span {
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-};
-
 /// Merge a run ending at 2^m - 1 into one starting at 0, so a run list
 /// sorted by lo becomes the wrapping-first form compress_keys documents.
 void merge_wrap(RingParams ring, std::vector<KeyRange>& runs) {
@@ -24,7 +18,7 @@ void merge_wrap(RingParams ring, std::vector<KeyRange>& runs) {
 
 }  // namespace
 
-std::uint64_t key_count(RingParams ring, const std::vector<KeyRange>& runs) {
+std::uint64_t key_count(RingParams ring, std::span<const KeyRange> runs) {
   std::uint64_t n = 0;
   for (const KeyRange& r : runs) n += r.size(ring);
   return n;
@@ -60,7 +54,7 @@ std::vector<Key> expand_ascending(RingParams ring,
   return keys;
 }
 
-void expand_in_order(RingParams ring, const std::vector<KeyRange>& runs,
+void expand_in_order(RingParams ring, std::span<const KeyRange> runs,
                      std::vector<Key>& out) {
   out.reserve(out.size() + key_count(ring, runs));
   for (const KeyRange& r : runs) {
@@ -72,65 +66,67 @@ void expand_in_order(RingParams ring, const std::vector<KeyRange>& runs,
   }
 }
 
-std::vector<KeyRange> order_from(RingParams ring, Key origin,
-                                 const std::vector<KeyRange>& runs) {
-  // Distance space: d(k) = distance(origin, k). A run that passes
-  // `origin` after its lo splits into its tail [a, 2^m - 1] and its head
+void order_from(RingParams ring, Key origin, std::span<const KeyRange> runs,
+                std::vector<KeyRange>& out) {
+  // Distance space: d(k) = distance(origin, k). `out` first holds the
+  // runs as distance spans [lo, hi], lo <= hi. A run that passes `origin`
+  // after its lo splits into its tail [a, 2^m - 1] and its head
   // [0, ...], kept adjacent so a ring-ordered list stays cyclically
   // sorted.
   const std::uint64_t last = ring.max_key();
-  std::vector<Span> spans;
-  spans.reserve(runs.size() + 1);
+  out.clear();
   for (const KeyRange& r : runs) {
     const std::uint64_t a = ring.distance(origin, r.lo);
     const std::uint64_t n = r.size(ring);
     if (n - 1 <= last - a) {
-      spans.push_back({a, a + n - 1});
+      out.push_back({a, a + n - 1});
     } else {
-      spans.push_back({a, last});
-      spans.push_back({0, a + n - 1 - ring.size()});
+      out.push_back({a, last});
+      out.push_back({0, a + n - 1 - ring.size()});
     }
   }
-  if (spans.empty()) return {};
+  if (out.empty()) return;
 
   // A list in ring order from any origin is a rotation of the sorted one:
   // check that cyclically from its nearest span, then rotate.
-  const std::size_t m = spans.size();
+  const std::size_t m = out.size();
   std::size_t first = 0;
   for (std::size_t i = 1; i < m; ++i) {
-    if (spans[i].a < spans[first].a) first = i;
+    if (out[i].lo < out[first].lo) first = i;
   }
   bool rotated = true;
   for (std::size_t t = 0; t + 1 < m; ++t) {
-    if (spans[(first + t) % m].b >= spans[(first + t + 1) % m].a) {
+    if (out[(first + t) % m].hi >= out[(first + t + 1) % m].lo) {
       rotated = false;
       break;
     }
   }
   if (rotated) {
-    std::rotate(spans.begin(),
-                spans.begin() + static_cast<std::ptrdiff_t>(first),
-                spans.end());
+    std::rotate(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(first),
+                out.end());
   } else {
-    std::sort(spans.begin(), spans.end(),
-              [](const Span& x, const Span& y) { return x.a < y.a; });
+    std::sort(out.begin(), out.end(),
+              [](const KeyRange& x, const KeyRange& y) { return x.lo < y.lo; });
   }
 
-  std::vector<KeyRange> out;
-  out.reserve(m);
+  // Merge touching and overlapping spans in place (the write cursor never
+  // passes the read cursor) and map them back to keys.
+  std::size_t kept = 0;
   std::uint64_t back_b = 0;
-  for (const Span& s : spans) {
-    if (!out.empty() && s.a <= back_b + 1) {
-      if (s.b > back_b) {
-        back_b = s.b;
-        out.back().hi = ring.add(origin, back_b);
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::uint64_t a = out[i].lo;
+    const std::uint64_t b = out[i].hi;
+    if (kept > 0 && a <= back_b + 1) {
+      if (b > back_b) {
+        back_b = b;
+        out[kept - 1].hi = ring.add(origin, back_b);
       }
       continue;
     }
-    back_b = s.b;
-    out.push_back({ring.add(origin, s.a), ring.add(origin, s.b)});
+    back_b = b;
+    out[kept++] = {ring.add(origin, a), ring.add(origin, b)};
   }
-  return out;
+  out.resize(kept);
 }
 
 }  // namespace cbps

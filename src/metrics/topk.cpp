@@ -80,24 +80,38 @@ void TopK::offer_each(std::span<const std::uint64_t> keys) {
 }
 
 void TopK::merge(const TopK& other) {
-  total_ += other.total_;
-  // Union-sum of two key-sorted runs.
-  std::vector<Entry> sum;
-  sum.reserve(cells_.size() + other.cells_.size());
-  auto a = cells_.cbegin();
-  auto b = other.cells_.cbegin();
-  while (a != cells_.cend() || b != other.cells_.cend()) {
-    if (b == other.cells_.cend() || (a != cells_.cend() && a->key < b->key)) {
-      sum.push_back(*a++);
-    } else if (a == cells_.cend() || b->key < a->key) {
-      sum.push_back(*b++);
+  const TopK* const parts[] = {this, &other};
+  TopK merged = sum(capacity_, parts);
+  total_ = merged.total_;
+  cells_ = std::move(merged.cells_);
+}
+
+TopK TopK::sum(std::size_t capacity, std::span<const TopK* const> parts) {
+  TopK out(capacity);
+  std::size_t cells = 0;
+  for (const TopK* p : parts) {
+    out.total_ += p->total_;
+    cells += p->cells_.size();
+  }
+  out.cells_.reserve(cells);
+  for (const TopK* p : parts) {
+    out.cells_.insert(out.cells_.end(), p->cells_.begin(), p->cells_.end());
+  }
+  std::sort(out.cells_.begin(), out.cells_.end(),
+            [](const Entry& a, const Entry& b) { return a.key < b.key; });
+  // Sum the cells of equal keys in place; integer sums do not depend on
+  // the order equal keys were sorted into.
+  std::size_t kept = 0;
+  for (const Entry& e : out.cells_) {
+    if (kept > 0 && out.cells_[kept - 1].key == e.key) {
+      out.cells_[kept - 1].count += e.count;
+      out.cells_[kept - 1].error += e.error;
     } else {
-      sum.push_back(Entry{a->key, a->count + b->count, a->error + b->error});
-      ++a;
-      ++b;
+      out.cells_[kept++] = e;
     }
   }
-  cells_ = std::move(sum);
+  out.cells_.resize(kept);
+  return out;
 }
 
 std::vector<TopK::Entry> TopK::top(std::size_t k) const {

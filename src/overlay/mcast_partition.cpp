@@ -9,11 +9,12 @@ namespace cbps::overlay {
 namespace {
 
 /// Append [a, b] (distances from `self`) to `out` as a key run, extending
-/// the last run when the two touch.
+/// the last run when the two touch and it lies at or past `first` (runs
+/// before `first` belong to another branch).
 void append(RingParams ring, Key self, std::vector<KeyRange>& out,
-            std::uint64_t a, std::uint64_t b) {
+            std::uint64_t a, std::uint64_t b, std::size_t first = 0) {
   const KeyRange r{ring.add(self, a), ring.add(self, b)};
-  if (!out.empty() && ring.add(out.back().hi, 1) == r.lo) {
+  if (out.size() > first && ring.add(out.back().hi, 1) == r.lo) {
     out.back().hi = r.hi;
   } else {
     out.push_back(r);
@@ -36,11 +37,15 @@ std::vector<KeyRange> runs_in_order(RingParams ring,
 
 }  // namespace
 
-McastRunPartition partition_mcast_runs(RingParams ring, Key self,
-                                       std::optional<KeyRange> covered,
-                                       const std::vector<KeyRange>& runs,
-                                       const std::vector<Key>& candidates) {
-  McastRunPartition out;
+void partition_mcast_runs(RingParams ring, Key self,
+                          std::optional<KeyRange> covered,
+                          std::span<const KeyRange> runs,
+                          const std::vector<Key>& candidates,
+                          McastRunPartition& out) {
+  out.local.clear();
+  out.branches.clear();
+  out.runs.clear();
+  out.undeliverable.clear();
   const std::uint64_t last = ring.max_key();
 
   // Everything below is in distance from self. The keys not covered form
@@ -74,15 +79,19 @@ McastRunPartition partition_mcast_runs(RingParams ring, Key self,
       while (bound(p) < a) ++p;
       const std::uint64_t e = std::min(b, bound(p));
       if (out.branches.empty() || out.branches.back().candidate != p) {
-        out.branches.push_back({p, {}});
+        out.branches.push_back({p, out.runs.size(), 0});
       }
-      append(ring, self, out.branches.back().runs, a, e);
+      // The open branch's runs are the tail of out.runs.
+      McastRunPartition::Branch& branch = out.branches.back();
+      append(ring, self, out.runs, a, e, branch.first);
+      branch.count = out.runs.size() - branch.first;
       if (e == b) return;
       a = e + 1;
     }
   };
 
-  for (const KeyRange& r : order_from(ring, self, runs)) {
+  order_from(ring, self, runs, out.ordered);
+  for (const KeyRange& r : out.ordered) {
     std::uint64_t a = ring.distance(self, r.lo);
     const std::uint64_t b = a + (r.size(ring) - 1);
     if (a < w_lo) {  // self itself, covered
@@ -98,7 +107,6 @@ McastRunPartition partition_mcast_runs(RingParams ring, Key self,
     }
     append(ring, self, out.local, a, b);
   }
-  return out;
 }
 
 McastPartition partition_mcast_targets(
@@ -113,10 +121,12 @@ McastPartition partition_mcast_targets(
   std::vector<Key> remote;
   for (const Key k : keys) (covers(k) ? out.local : remote).push_back(k);
 
-  const McastRunPartition part = partition_mcast_runs(
-      ring, self, std::nullopt, runs_in_order(ring, remote), candidates);
+  McastRunPartition part;
+  partition_mcast_runs(ring, self, std::nullopt, runs_in_order(ring, remote),
+                       candidates, part);
   for (const auto& branch : part.branches) {
-    expand_in_order(ring, branch.runs, out.delegated[branch.candidate]);
+    expand_in_order(ring, part.runs_of(branch),
+                    out.delegated[branch.candidate]);
   }
   expand_in_order(ring, part.undeliverable, out.undeliverable);
   return out;

@@ -86,12 +86,23 @@ bool CountingIndex::insert(std::uint32_t slot, const Subscription& sub) {
 
 void CountingIndex::register_pending() const {
   if (pending_.empty()) return;
+  // Count the whole batch first, so each attribute fits (allocates or
+  // splits) once for its final count. Splits keep entry order, and the
+  // entries appended below land in the buckets they would have reached
+  // one registration at a time: same buckets, same order, same
+  // capacities.
+  for (const std::uint32_t slot : pending_) {
+    for (const Constraint& c : table_.at(slot).constraints) {
+      ++attrs_[c.attribute].registered;
+    }
+  }
+  for (std::size_t attr = 0; attr < attrs_.size(); ++attr) {
+    const Attribute& a = attrs_[attr];
+    if (a.registered > kSubsPerBucket * a.buckets.size()) fit(attr);
+  }
   for (const std::uint32_t slot : pending_) {
     for (const Constraint& c : table_.at(slot).constraints) {
       Attribute& a = attrs_[c.attribute];
-      if (++a.registered > kSubsPerBucket * a.buckets.size()) {
-        fit(c.attribute);
-      }
       const auto [first, last] = span(c.attribute, c.range, a.shift);
       for (std::size_t b = first; b <= last; ++b) {
         a.buckets[b].push_back(Entry{slot, c.range});

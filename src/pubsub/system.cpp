@@ -285,12 +285,14 @@ metrics::Histogram PubSubSystem::fanout_histogram() const {
 
 KeyLoad PubSubSystem::key_load() const {
   // nodes_ parallels node_ids_, which is kept sorted by ring id — the
-  // canonical domain order. The merge is permutation-invariant anyway
-  // (union-sum, no eviction), but folding in a fixed order keeps the
-  // walk itself D1-clean.
-  KeyLoad total(cfg_.pubsub.key_topk_capacity);
-  for (const auto& node : nodes_) total.merge(node->key_load());
-  return total;
+  // canonical domain order. The sum is permutation-invariant anyway
+  // (union-sum, no eviction), but walking in a fixed order keeps the
+  // walk itself D1-clean. One sum, not a fold of merges: each merge
+  // would copy the accumulator (up to 2^m cells) once per node.
+  std::vector<const KeyLoad*> parts;
+  parts.reserve(nodes_.size());
+  for (const auto& node : nodes_) parts.push_back(&node->key_load());
+  return KeyLoad::sum(cfg_.pubsub.key_topk_capacity, parts);
 }
 
 PubSubSystem::LoadImbalance PubSubSystem::load_imbalance() const {

@@ -1,0 +1,190 @@
+// Allocation guard for the m-cast data plane. This binary replaces the
+// global operator new with a counting one, so a test can assert how many
+// heap allocations a stretch of simulation makes.
+//
+// - A warmed-up static Chord ring must forward m-cast hops whose branches
+//   carry one run each without a single heap allocation: the partition
+//   and the local keys live in reused per-thread buffers, a one-run
+//   McastMsg holds its run inline, and the hop rides by value in its
+//   event.
+// - Allocations per M1 m-cast subscribe on a small PubSubSystem are
+//   printed (no bound is asserted: the rendezvous store still allocates
+//   per record), so before/after figures can be quoted.
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "cbps/chord/network.hpp"
+#include "cbps/chord/node.hpp"
+#include "cbps/pubsub/system.hpp"
+#include "cbps/sim/simulator.hpp"
+#include "cbps/workload/generator.hpp"
+
+namespace {
+
+// Single-threaded tests only: the counter is a plain integer.
+bool g_counting = false;
+std::uint64_t g_allocations = 0;
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting) ++g_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+// The replacement new above takes its memory from malloc, so free is the
+// matching release; GCC cannot see that through the replacement.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept {
+  ::operator delete(p);
+}
+
+namespace cbps {
+namespace {
+
+/// Heap allocations made while `fn` runs.
+template <class Fn>
+std::uint64_t allocations_during(Fn&& fn) {
+  g_allocations = 0;
+  g_counting = true;
+  fn();
+  g_counting = false;
+  return g_allocations;
+}
+
+struct NoopPayload final : overlay::Payload {
+  overlay::MessageClass message_class() const override {
+    return overlay::MessageClass::kSubscribe;
+  }
+};
+
+class NoopApp final : public overlay::OverlayApp {
+ public:
+  void on_deliver(Key, const overlay::PayloadPtr&) override {}
+  void on_deliver_mcast(std::span<const Key> covered,
+                        const overlay::PayloadPtr&) override {
+    keys += covered.size();
+  }
+  overlay::PayloadPtr export_state(Key, Key, bool) override {
+    return nullptr;
+  }
+  void import_state(const overlay::PayloadPtr&) override {}
+
+  std::uint64_t keys = 0;
+};
+
+TEST(AllocGuardTest, SteadyStateMcastHopsDoNotAllocate) {
+  sim::Simulator sim;
+  chord::ChordNetwork net(sim, chord::ChordConfig{}, 7);
+  for (int i = 0; i < 64; ++i) net.add_node("n" + std::to_string(i));
+  net.build_static_ring();
+  NoopApp app;
+  for (const Key id : net.alive_ids()) net.node(id)->set_app(&app);
+  const RingParams ring = net.ring();
+
+  // One run per m-cast, each spanning several nodes, none containing its
+  // initiator: every branch then carries exactly one run.
+  struct Cast {
+    std::size_t from;
+    KeyRange run;
+  };
+  std::vector<Cast> casts;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const std::size_t from = (i * 17) % 64;
+    const Key self = net.alive_node(from).id();
+    const Key lo = ring.add(self, 1 + 131 * static_cast<Key>(i + 1));
+    const KeyRange run{lo, ring.add(lo, 200 + 40 * (i % 7))};
+    if (run.contains(ring, self)) continue;
+    casts.push_back({from, run});
+  }
+  ASSERT_GT(casts.size(), 40u);
+
+  // Issue every m-cast and run it to completion. The runs and payloads
+  // are built before the count starts; the count covers the initiator's
+  // hop, every forwarded hop and every local delivery.
+  const auto round = [&] {
+    std::vector<std::vector<KeyRange>> runs;
+    std::vector<overlay::PayloadPtr> payloads;
+    for (const Cast& c : casts) {
+      runs.push_back({c.run});
+      payloads.push_back(std::make_shared<NoopPayload>());
+    }
+    return allocations_during([&] {
+      for (std::size_t i = 0; i < casts.size(); ++i) {
+        net.alive_node(casts[i].from)
+            .m_cast_runs(std::move(runs[i]), std::move(payloads[i]));
+      }
+      sim.run();
+    });
+  };
+  // Warm-up: grows the per-thread m-cast buffers, the candidate caches
+  // and the event queue to their working size.
+  round();
+  round();
+
+  const std::uint64_t hops_before =
+      net.traffic().hops(overlay::MessageClass::kSubscribe);
+  const std::uint64_t keys_before = app.keys;
+  const std::uint64_t allocations = round();
+  const std::uint64_t hops =
+      net.traffic().hops(overlay::MessageClass::kSubscribe) - hops_before;
+  std::uint64_t want_keys = 0;
+  for (const Cast& c : casts) want_keys += c.run.size(ring);
+  EXPECT_EQ(app.keys - keys_before, want_keys);
+  EXPECT_GT(hops, casts.size());
+  std::printf("m-cast hops: %llu, heap allocations: %llu\n",
+              static_cast<unsigned long long>(hops),
+              static_cast<unsigned long long>(allocations));
+  EXPECT_EQ(allocations, 0u) << "over " << hops << " m-cast hops";
+}
+
+TEST(AllocGuardTest, PrintsAllocationsPerM1Subscribe) {
+  pubsub::SystemConfig cfg;
+  cfg.nodes = 64;
+  cfg.seed = 3;
+  cfg.chord.ring = RingParams{13};
+  cfg.mapping = pubsub::MappingKind::kAttributeSplit;
+  cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
+  cfg.pubsub.match_engine = pubsub::MatchEngine::kCountingIndex;
+  pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(4, 1'000'000));
+  workload::WorkloadParams wp;
+  wp.selective.assign(4, false);
+  wp.zipf_exponent = 0.7;
+  workload::WorkloadGenerator gen(system.schema(), wp, 11);
+
+  const auto subscribe = [&](std::size_t n) {
+    std::vector<std::vector<pubsub::Constraint>> constraints;
+    for (std::size_t i = 0; i < n; ++i) {
+      constraints.push_back(gen.make_constraints());
+    }
+    return allocations_during([&] {
+      for (std::size_t i = 0; i < n; ++i) {
+        system.subscribe(i % cfg.nodes, std::move(constraints[i]));
+        system.run_for(sim::sec(5));
+      }
+    });
+  };
+  subscribe(100);  // warm-up
+  constexpr std::size_t kSubs = 200;
+  const std::uint64_t allocations = subscribe(kSubs);
+  std::printf("allocations per M1 m-cast subscribe (64 nodes): %.1f\n",
+              static_cast<double>(allocations) / kSubs);
+  EXPECT_GT(allocations, 0u);
+}
+
+}  // namespace
+}  // namespace cbps

@@ -9,7 +9,9 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cbps/chord/network.hpp"
@@ -406,6 +408,89 @@ TEST(ChordMcastTest, DeliversToExactlyCoveringNodesOnce) {
   }
   EXPECT_EQ(seen_nodes.size(), by_node.size());
   EXPECT_EQ(keys_delivered, targets.size());
+}
+
+// An application that answers every first-generation m-cast delivery by
+// issuing a new m-cast from inside the upcall. A non-initiator hop makes
+// that upcall synchronously, in the middle of its own partition, so the
+// nested m-cast runs while the outer hop still has branches to send.
+struct ReentrantLog {
+  std::vector<McastDelivery> deliveries;
+  std::map<int, KeyRange> targets;  // tag -> the run it was sent to
+  int next_tag = 1000;              // second-generation tags
+};
+
+class ReentrantApp final : public overlay::OverlayApp {
+ public:
+  ReentrantApp(overlay::OverlayNode& node, ReentrantLog& log)
+      : node_(node), log_(log) {}
+
+  void on_deliver(Key, const PayloadPtr&) override {}
+  void on_deliver_mcast(std::span<const Key> covered,
+                        const PayloadPtr& payload) override {
+    const auto* p = dynamic_cast<const TestPayload*>(payload.get());
+    ASSERT_NE(p, nullptr);
+    log_.deliveries.push_back(
+        {node_.id(), {covered.begin(), covered.end()}, p->tag});
+    // Answer first-generation deliveries only, and at most 200 of them:
+    // a broken data plane that re-delivers must fail, not run away.
+    if (p->tag >= 1000 || log_.next_tag >= 1200) return;
+    const RingParams ring = node_.ring();
+    const int tag = log_.next_tag++;
+    const Key lo = ring.add(covered.back(), 997 * static_cast<Key>(tag));
+    const KeyRange run{lo, ring.add(lo, 300 + 37 * (tag % 9))};
+    log_.targets[tag] = run;
+    node_.m_cast_runs({run}, std::make_shared<TestPayload>(tag));
+  }
+  PayloadPtr export_state(Key, Key, bool) override { return nullptr; }
+  void import_state(const PayloadPtr&) override {}
+
+ private:
+  overlay::OverlayNode& node_;
+  ReentrantLog& log_;
+};
+
+TEST(ChordMcastTest, McastIssuedFromTheUpcallDeliversEveryKeyOnce) {
+  Harness h(48);
+  const RingParams ring = h.net->ring();
+  ReentrantLog log;
+  std::vector<std::unique_ptr<ReentrantApp>> apps;
+  for (const Key id : h.net->alive_ids()) {
+    apps.push_back(std::make_unique<ReentrantApp>(*h.net->node(id), log));
+    h.net->node(id)->set_app(apps.back().get());
+  }
+  // First generation: wide runs from three initiators, one wrapping.
+  const std::vector<std::pair<std::size_t, KeyRange>> first = {
+      {5, {1000, 2400}}, {20, {ring.sub(0, 500), 700}}, {33, {6000, 6900}}};
+  for (std::size_t i = 0; i < first.size(); ++i) {
+    const int tag = static_cast<int>(i + 1);
+    log.targets[tag] = first[i].second;
+    h.net->alive_node(first[i].first)
+        .m_cast_runs({first[i].second}, std::make_shared<TestPayload>(tag));
+  }
+  h.sim.run();
+
+  ASSERT_GT(log.next_tag, 1000 + static_cast<int>(first.size()));
+  EXPECT_LT(log.next_tag, 1200);
+  for (const auto& [tag, run] : log.targets) {
+    std::map<Key, int> seen;
+    std::set<Key> nodes;
+    for (const McastDelivery& d : log.deliveries) {
+      if (d.tag != tag) continue;
+      EXPECT_TRUE(nodes.insert(d.node).second)
+          << "tag " << tag << ": node " << d.node << " delivered twice";
+      for (const Key k : d.keys) {
+        EXPECT_TRUE(run.contains(ring, k)) << "tag " << tag << " key " << k;
+        EXPECT_EQ(h.net->oracle_successor(k), d.node)
+            << "tag " << tag << " key " << k;
+        ++seen[k];
+      }
+    }
+    EXPECT_EQ(seen.size(), run.size(ring)) << "tag " << tag;
+    for (const auto& [k, n] : seen) {
+      EXPECT_EQ(n, 1) << "tag " << tag << " key " << k;
+    }
+  }
 }
 
 TEST(ChordMcastTest, WrappingRange) {

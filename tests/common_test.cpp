@@ -6,6 +6,7 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -421,6 +422,7 @@ TEST(SortedViewTest, MutableMapViewAllowsMovingValuesOut) {
 // that cover exactly the same keys.
 TEST(KeyRangeTest, RunHelpersAgreeWithKeySets) {
   Rng rng(5);
+  std::vector<KeyRange> reused;  // order_from's buffer, across every trial
   for (unsigned bits = 3; bits <= 9; ++bits) {
     const RingParams ring{bits};
     const auto key = [&] {
@@ -463,8 +465,98 @@ TEST(KeyRangeTest, RunHelpersAgreeWithKeySets) {
       }
       // Already ordered input is a fixed point.
       EXPECT_EQ(order_from(ring, origin, ordered), ordered);
+      // The out-parameter form reuses a dirty buffer to the same result.
+      order_from(ring, origin, runs, reused);
+      EXPECT_EQ(reused, ordered);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// RunList
+// ---------------------------------------------------------------------------
+
+std::vector<KeyRange> runs_of_size(std::size_t n) {
+  std::vector<KeyRange> runs;
+  for (std::size_t i = 0; i < n; ++i) {
+    runs.push_back({10 * i + 1, 10 * i + 5});
+  }
+  return runs;
+}
+
+std::vector<KeyRange> as_vector(const RunList& list) {
+  return {list.begin(), list.end()};
+}
+
+TEST(RunListTest, HoldsZeroOneAndManyRuns) {
+  static_assert(sizeof(RunList) == 24);
+  for (const std::size_t n : {0u, 1u, 2u, 7u}) {
+    const std::vector<KeyRange> src = runs_of_size(n);
+    const RunList list(src);
+    EXPECT_EQ(list.size(), n);
+    EXPECT_EQ(list.empty(), n == 0);
+    EXPECT_EQ(as_vector(list), src);
+    const std::span<const KeyRange> view = list;
+    EXPECT_EQ(view.size(), n);
+    EXPECT_TRUE(std::equal(view.begin(), view.end(), src.begin(), src.end()));
+  }
+  EXPECT_TRUE(RunList().empty());
+  EXPECT_EQ(RunList(), RunList(std::vector<KeyRange>{}));
+}
+
+TEST(RunListTest, CopyAndMoveKeepTheRuns) {
+  for (const std::size_t n : {0u, 1u, 2u, 5u}) {
+    const std::vector<KeyRange> src = runs_of_size(n);
+    RunList a(src);
+    const RunList b(a);  // copy construct
+    EXPECT_EQ(a, b);
+    EXPECT_EQ(as_vector(b), src);
+    if (n > 1) {
+      EXPECT_NE(a.data(), b.data());  // a deep copy
+    }
+
+    RunList c(std::move(a));  // move construct
+    EXPECT_EQ(as_vector(c), src);
+    EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+
+    RunList& self = c;
+    c = self;  // self copy-assignment
+    EXPECT_EQ(as_vector(c), src);
+    c = std::move(self);  // self move-assignment
+    EXPECT_EQ(as_vector(c), src);
+  }
+}
+
+TEST(RunListTest, AssignmentBetweenInlineAndHeapStates) {
+  const std::vector<std::size_t> sizes = {0, 1, 3, 1, 6, 0, 2, 2, 1};
+  // Every ordered pair of sizes, by copy and by move assignment.
+  for (const std::size_t from : sizes) {
+    for (const std::size_t to : sizes) {
+      const std::vector<KeyRange> src = runs_of_size(from);
+      RunList target(runs_of_size(to));
+      const RunList source(src);
+      target = source;
+      EXPECT_EQ(as_vector(target), src);
+      EXPECT_EQ(target, source);
+
+      RunList moved_into(runs_of_size(to));
+      RunList donor(src);
+      moved_into = std::move(donor);
+      EXPECT_EQ(as_vector(moved_into), src);
+      EXPECT_TRUE(donor.empty());  // NOLINT(bugprone-use-after-move)
+      donor = moved_into;  // a moved-from list is reusable
+      EXPECT_EQ(donor, moved_into);
+    }
+  }
+}
+
+TEST(RunListTest, EqualityComparesRunsInOrder) {
+  const RunList a(std::vector<KeyRange>{{1, 2}, {5, 6}});
+  EXPECT_EQ(a, RunList(std::vector<KeyRange>{{1, 2}, {5, 6}}));
+  EXPECT_NE(a, RunList(std::vector<KeyRange>{{5, 6}, {1, 2}}));
+  EXPECT_NE(a, RunList(std::vector<KeyRange>{{1, 2}}));
+  EXPECT_NE(RunList(std::vector<KeyRange>{{1, 2}}),
+            RunList(std::vector<KeyRange>{{1, 3}}));
 }
 
 // ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <optional>
 #include <set>
+#include <span>
 #include <sstream>
 
 #include "cbps/common/rng.hpp"
@@ -192,25 +193,41 @@ McastPartition legacy_partition(RingParams ring, Key self,
   return out;
 }
 
-std::vector<Key> keys_of(RingParams ring, const std::vector<KeyRange>& runs) {
+std::vector<Key> keys_of(RingParams ring, std::span<const KeyRange> runs) {
   std::vector<Key> keys;
   expand_in_order(ring, runs, keys);
   return keys;
 }
 
-std::set<Key> key_set(RingParams ring, const std::vector<KeyRange>& runs) {
+std::set<Key> key_set(RingParams ring, std::span<const KeyRange> runs) {
   const std::vector<Key> keys = keys_of(ring, runs);
   return {keys.begin(), keys.end()};
+}
+
+void expect_same_partition(const McastRunPartition& got,
+                           const McastRunPartition& want) {
+  EXPECT_EQ(got.local, want.local);
+  EXPECT_EQ(got.runs, want.runs);
+  EXPECT_EQ(got.undeliverable, want.undeliverable);
+  ASSERT_EQ(got.branches.size(), want.branches.size());
+  for (std::size_t b = 0; b < got.branches.size(); ++b) {
+    EXPECT_EQ(got.branches[b].candidate, want.branches[b].candidate);
+    EXPECT_EQ(got.branches[b].first, want.branches[b].first);
+    EXPECT_EQ(got.branches[b].count, want.branches[b].count);
+  }
 }
 
 // Seeded random inputs over ring bits 4-13: runs that wrap, contain self,
 // overlap or repeat, known and unknown predecessors, and candidate lists
 // from empty to dense. The run partition must reproduce the key-by-key
 // result: the same local keys in the same order, the same key set per
-// candidate and the same undeliverable keys.
+// candidate and the same undeliverable keys. Every case also runs
+// through one long-lived partition, dirty with every earlier case's
+// buffers, which must equal the fresh one.
 TEST(McastRunPartitionTest, MatchesKeyByKeyPartition) {
   Rng rng(20240613);
   std::size_t trials = 0;
+  McastRunPartition reused;
   for (unsigned bits = 4; bits <= 13; ++bits) {
     const RingParams ring{bits};
     const auto key = [&] {
@@ -265,8 +282,11 @@ TEST(McastRunPartitionTest, MatchesKeyByKeyPartition) {
       };
       const McastPartition want =
           legacy_partition(ring, self, covers, keys, candidates);
-      const McastRunPartition got = partition_mcast_runs(
-          ring, self, covered_arc(ring, self, pred), runs, candidates);
+      McastRunPartition got;
+      partition_mcast_runs(ring, self, covered_arc(ring, self, pred), runs,
+                           candidates, got);
+      partition_mcast_runs(ring, self, covered_arc(ring, self, pred), runs,
+                           candidates, reused);
 
       SCOPED_TRACE(::testing::Message() << "bits " << bits << " trial "
                                         << trial << " self " << self);
@@ -281,9 +301,17 @@ TEST(McastRunPartitionTest, MatchesKeyByKeyPartition) {
           EXPECT_GT(branch.candidate, prev);
         }
         prev = branch.candidate;
-        EXPECT_FALSE(branch.runs.empty());
-        got_sets[branch.candidate] = key_set(ring, branch.runs);
+        EXPECT_GT(branch.count, 0u);
+        EXPECT_EQ(branch.first, b == 0 ? 0
+                                       : got.branches[b - 1].first +
+                                             got.branches[b - 1].count);
+        got_sets[branch.candidate] = key_set(ring, got.runs_of(branch));
       }
+      EXPECT_EQ(got.branches.empty() ? 0
+                                     : got.branches.back().first +
+                                           got.branches.back().count,
+                got.runs.size());
+      expect_same_partition(reused, got);
       for (std::size_t j = 0; j < candidates.size(); ++j) {
         const std::set<Key> want_set(want.delegated[j].begin(),
                                      want.delegated[j].end());
@@ -305,15 +333,20 @@ TEST(McastRunPartitionTest, CutsRunsAtCandidateBoundaries) {
   // Self 100 covers (90, 100]; candidates 120 and 200. One run
   // [95, 230] splits into local [95, 100], (100, 200] for 120 and
   // (200, 230] for 200.
-  const auto part = partition_mcast_runs(ring, 100,
-                                         covered_arc(ring, 100, Key{90}),
-                                         {{95, 230}}, {120, 200});
+  // The two branches touch at 200/201 but stay separate runs.
+  const std::vector<KeyRange> runs{{95, 230}};
+  McastRunPartition part;
+  partition_mcast_runs(ring, 100, covered_arc(ring, 100, Key{90}), runs,
+                       {120, 200}, part);
   EXPECT_EQ(part.local, (std::vector<KeyRange>{{100, 100}, {95, 99}}));
   ASSERT_EQ(part.branches.size(), 2u);
   EXPECT_EQ(part.branches[0].candidate, 0u);
-  EXPECT_EQ(part.branches[0].runs, (std::vector<KeyRange>{{101, 200}}));
   EXPECT_EQ(part.branches[1].candidate, 1u);
-  EXPECT_EQ(part.branches[1].runs, (std::vector<KeyRange>{{201, 230}}));
+  EXPECT_EQ(part.runs, (std::vector<KeyRange>{{101, 200}, {201, 230}}));
+  EXPECT_EQ(part.branches[0].first, 0u);
+  EXPECT_EQ(part.branches[0].count, 1u);
+  EXPECT_EQ(part.branches[1].first, 1u);
+  EXPECT_EQ(part.branches[1].count, 1u);
   EXPECT_TRUE(part.undeliverable.empty());
 }
 

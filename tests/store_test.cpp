@@ -3,8 +3,9 @@
 // replica inserts, refreshes, upgrades, removals and expiry sweeps) that
 // drive every match engine against a plain reference model (an ordered
 // id map plus Subscription::matches), with each engine's raw match order
-// pinned by a committed per-script digest; and the refresh that drops a
-// Subscription's last owner before its bucket entries are registered.
+// pinned by a committed per-script digest, as is each index's footprint
+// and bucket layout; and the refresh that drops a Subscription's last
+// owner before its bucket entries are registered.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,6 +164,22 @@ constexpr std::uint64_t kMatchOrderDigests[][3] = {
 constexpr std::size_t kScripts =
     sizeof(kMatchOrderDigests) / sizeof(kMatchOrderDigests[0]);
 
+// Per script and engine: FNV-1a over index_memory_bytes() after every
+// step and, under the counting engine, every attribute's bucket_count().
+// Recorded from the counting index that registered its pending entries
+// one at a time, splitting an attribute whenever one more entry
+// overflowed it; batched registration must reproduce its buckets and
+// capacities exactly.
+constexpr std::uint64_t kIndexLayoutDigests[][3] = {
+#include "store_index_layout_digests.inc"
+};
+static_assert(sizeof(kIndexLayoutDigests) == sizeof(kMatchOrderDigests));
+
+struct ScriptDigests {
+  std::uint64_t match_order = 0xcbf29ce484222325ull;
+  std::uint64_t index_layout = 0xcbf29ce484222325ull;
+};
+
 struct RefRecord {
   SubscriptionPtr sub;
   sim::SimTime expires_at = sim::kSimTimeNever;
@@ -312,16 +329,17 @@ Event random_event(Rng& rng, const Schema& schema,
 }
 
 // Replays script `seed` against a store running `engine`, checking the
-// store against the reference after every step. Returns the digest of
-// the store's raw match order.
-std::uint64_t run_script(std::uint64_t seed, MatchEngine engine) {
+// store against the reference after every step. Returns the digests of
+// the store's raw match order and of its index layout.
+ScriptDigests run_script(std::uint64_t seed, MatchEngine engine) {
   const Schema schema = Schema::uniform(3, 9'999);
   Rng rng(seed);
   SubscriptionStore store;
   store.use_engine(engine, schema);
   ReferenceStore ref;
 
-  std::uint64_t digest = 0xcbf29ce484222325ull;
+  ScriptDigests out;
+  std::uint64_t& digest = out.match_order;
   sim::SimTime now = 0;
   // A small id pool makes re-inserts of removed ids (and so slot reuse)
   // common; its size varies per script so some stores grow large.
@@ -444,21 +462,122 @@ std::uint64_t run_script(std::uint64_t seed, MatchEngine engine) {
     std::vector<SubscriptionId> expected_ids;
     for (const auto& [sid, _] : ref.records()) expected_ids.push_back(sid);
     EXPECT_EQ(visited, expected_ids);
+    out.index_layout = fnv1a(out.index_layout, store.index_memory_bytes());
+    if (const CountingIndex* counting = store.counting_index()) {
+      for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+        out.index_layout = fnv1a(out.index_layout, counting->bucket_count(a));
+      }
+    }
     if (::testing::Test::HasFailure()) break;
   }
-  return digest;
+  return out;
 }
 
 TEST(StoreDifferentialTest, GeneratedScriptsAgreeWithReference) {
   static_assert(kScripts >= 200);
   for (std::size_t s = 0; s < kScripts; ++s) {
     for (std::size_t e = 0; e < std::size(kEngines); ++e) {
-      const std::uint64_t digest = run_script(s + 1, kEngines[e]);
+      const ScriptDigests digests = run_script(s + 1, kEngines[e]);
       ASSERT_FALSE(::testing::Test::HasFailure())
           << to_string(kEngines[e]) << " script " << s + 1;
-      EXPECT_EQ(digest, kMatchOrderDigests[s][e])
+      EXPECT_EQ(digests.match_order, kMatchOrderDigests[s][e])
           << to_string(kEngines[e]) << " script " << s + 1
           << ": raw match order changed";
+      EXPECT_EQ(digests.index_layout, kIndexLayoutDigests[s][e])
+          << to_string(kEngines[e]) << " script " << s + 1
+          << ": index footprint or bucket layout changed";
+    }
+  }
+}
+
+// Batched registration counts a batch, fits each attribute once and then
+// appends. Registering many subscriptions in one batch must leave the
+// same buckets, capacities and match order as registering them one at a
+// time (a match after every insert), across several splits per attribute
+// and with removes in between.
+TEST(StoreDifferentialTest, OneBatchEqualsMatchAfterEveryInsert) {
+  const Schema schema = Schema::uniform(3, 9'999);
+  // Matches the eager store makes only to flush its pending entry: no
+  // value lies in a domain, so they touch no entry and leave the match
+  // scratch as it was.
+  Event flush;
+  for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+    flush.values.push_back(schema.domain(a).hi + 1);
+  }
+  constexpr SubscriptionId kSlots = 1'500;
+  for (const MatchEngine engine :
+       {MatchEngine::kCountingIndex, MatchEngine::kCoveringIndex}) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SubscriptionStore batched;
+      SubscriptionStore eager;
+      batched.use_engine(engine, schema);
+      eager.use_engine(engine, schema);
+      // Size both stores' per-slot arrays, the match scratch included,
+      // for every slot the test uses, with subscriptions that register
+      // no entry; the index footprints then differ only if the buckets
+      // do.
+      for (SubscriptionId id = 1; id <= kSlots; ++id) {
+        const Value past = schema.domain(0).hi + 1000;
+        for (SubscriptionStore* store : {&batched, &eager}) {
+          store->insert({make_sub(id, {{0, {past, past + 10}}}),
+                         sim::kSimTimeNever,
+                         {},
+                         false});
+        }
+      }
+      for (SubscriptionStore* store : {&batched, &eager}) {
+        store->match(flush, 0);
+        for (SubscriptionId id = 1; id <= kSlots; ++id) store->remove(id);
+      }
+      Rng rng(seed);
+      Rng probe(seed + 100);
+      ReferenceStore ref;
+      const auto compare = [&](int round) {
+        for (int m = 0; m < 4; ++m) {
+          const Event e = random_event(probe, schema, ref,
+                                       static_cast<EventId>(m + 1));
+          std::vector<SubscriptionId> a;
+          std::vector<SubscriptionId> b;
+          for (const auto* r : batched.match(e, 0)) a.push_back(r->sub->id);
+          for (const auto* r : eager.match(e, 0)) b.push_back(r->sub->id);
+          EXPECT_EQ(a, b) << to_string(engine) << " seed " << seed
+                          << " round " << round;
+        }
+        EXPECT_EQ(batched.index_memory_bytes(), eager.index_memory_bytes())
+            << to_string(engine) << " seed " << seed << " round " << round;
+        if (const CountingIndex* counting = batched.counting_index()) {
+          for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+            EXPECT_EQ(counting->bucket_count(a),
+                      eager.counting_index()->bucket_count(a));
+          }
+        }
+      };
+      SubscriptionId next = kSlots + 1;
+      for (int round = 0; round < 3; ++round) {
+        // A batch of a few hundred inserts: every attribute splits
+        // several times within it.
+        const auto n = rng.uniform_int(50, 400);
+        for (std::int64_t i = 0; i < n; ++i) {
+          SubscriptionStore::Record r{make_sub(next++,
+                                               random_constraints(rng, schema)),
+                                      sim::kSimTimeNever,
+                                      {},
+                                      false};
+          ref.insert(r);
+          batched.insert(r);
+          eager.insert(std::move(r));
+          eager.match(flush, 0);
+        }
+        compare(round);
+        // Then remove a share, so the next batch lands on a used index.
+        for (SubscriptionId id = kSlots + 1; id < next; ++id) {
+          if (!rng.bernoulli(0.3)) continue;
+          const bool had = ref.remove(id);
+          EXPECT_EQ(batched.remove(id), had);
+          EXPECT_EQ(eager.remove(id), had);
+        }
+        compare(round);
+      }
     }
   }
 }

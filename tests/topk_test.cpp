@@ -256,6 +256,87 @@ TEST(TopKTest, MergedSketchKeepsErrorBracket) {
   }
 }
 
+// PubSubSystem::key_load() sums every node's sketches at once. On
+// generated per-node sketches (overlapping and disjoint key sets, some
+// empty, evictions included) the sum must equal the sequential fold it
+// replaced — an accumulator merged with one node after another — and a
+// plain map union of the cells: the same top(k), find, counts, errors
+// and totals.
+TEST(TopKTest, SumEqualsSequentialFold) {
+  std::mt19937_64 rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t capacity = 1 + rng() % 24;
+    const std::size_t nodes = rng() % 40;
+    std::vector<metrics::TopK> per_node(nodes, metrics::TopK(capacity));
+    for (std::size_t n = 0; n < nodes; ++n) {
+      // Half the nodes draw from a shared universe, half from their own.
+      const std::uint64_t base = rng() % 2 == 0 ? 0 : 1000 * (n + 1);
+      const std::size_t offers = rng() % 200;
+      for (std::size_t i = 0; i < offers; ++i) {
+        per_node[n].offer(base + rng() % 60, 1 + rng() % 3);
+      }
+    }
+
+    metrics::TopK fold(capacity);
+    std::map<std::uint64_t, metrics::TopK::Entry> want;
+    std::uint64_t want_total = 0;
+    std::vector<const metrics::TopK*> parts;
+    for (const metrics::TopK& node : per_node) {
+      fold.merge(node);
+      parts.push_back(&node);
+      want_total += node.total();
+      for (const auto& e : node.top(node.size())) {
+        metrics::TopK::Entry& w = want[e.key];
+        w.key = e.key;
+        w.count += e.count;
+        w.error += e.error;
+      }
+    }
+    const metrics::TopK sum = metrics::TopK::sum(capacity, parts);
+
+    EXPECT_EQ(sum.total(), want_total);
+    EXPECT_EQ(fold.total(), want_total);
+    EXPECT_EQ(sum.size(), want.size());
+    EXPECT_EQ(fold.size(), want.size());
+    EXPECT_EQ(sum.capacity(), capacity);
+    for (const std::size_t k : {std::size_t{1}, capacity, want.size()}) {
+      EXPECT_EQ(sum.top(k), fold.top(k)) << "trial " << trial << " k " << k;
+    }
+    for (const auto& [key, w] : want) {
+      EXPECT_EQ(sum.find(key), w) << "trial " << trial;
+      EXPECT_EQ(fold.find(key), w) << "trial " << trial;
+    }
+    EXPECT_EQ(sum.find(999'999).count, 0u);
+  }
+}
+
+// KeyLoad::sum sums each of its four sketches independently.
+TEST(TopKTest, KeyLoadSumSumsEverySketch) {
+  std::vector<pubsub::KeyLoad> loads(5, pubsub::KeyLoad(4));
+  for (std::size_t n = 0; n < loads.size(); ++n) {
+    for (std::uint64_t k = 0; k < 9; ++k) {
+      loads[n].subs_stored.offer(k + n, 1);
+      loads[n].match_calls.offer(k * n, 2);
+      loads[n].match_units.offer(k % 3, n);
+      loads[n].notify_fanout.offer(100 - k, 1 + n);
+    }
+  }
+  std::vector<const pubsub::KeyLoad*> parts;
+  for (const pubsub::KeyLoad& l : loads) parts.push_back(&l);
+  const pubsub::KeyLoad sum = pubsub::KeyLoad::sum(4, parts);
+  for (metrics::TopK pubsub::KeyLoad::*member :
+       {&pubsub::KeyLoad::subs_stored, &pubsub::KeyLoad::match_calls,
+        &pubsub::KeyLoad::match_units, &pubsub::KeyLoad::notify_fanout}) {
+    metrics::TopK fold(4);
+    for (const pubsub::KeyLoad& l : loads) fold.merge(l.*member);
+    EXPECT_EQ((sum.*member).top(fold.size()), fold.top(fold.size()));
+    EXPECT_EQ((sum.*member).total(), fold.total());
+  }
+  std::uint64_t total = 0;
+  for (const pubsub::KeyLoad& l : loads) total += l.total();
+  EXPECT_EQ(sum.total(), total);
+}
+
 TEST(TopKTest, ResetClearsEverything) {
   metrics::TopK sketch(4);
   sketch.offer(1, 10);
