@@ -21,7 +21,6 @@
 #include "cbps/metrics/topk.hpp"
 #include "cbps/metrics/trace.hpp"
 #include "cbps/overlay/node.hpp"
-#include "cbps/pubsub/gossip.hpp"
 #include "cbps/pubsub/mapping.hpp"
 #include "cbps/pubsub/messages.hpp"
 #include "cbps/pubsub/store.hpp"
@@ -45,7 +44,7 @@ struct PubSubConfig {
   enum class Dissemination {
     kUnicast,  // the paper's default: one NotifyMsg per subscriber
     kMcast,    // one MultiNotifyMsg through the overlay's m-cast tree
-    kGossip,   // epidemic push + anti-entropy repair (see gossip.hpp)
+    kGossip,   // epidemic push + anti-entropy repair (see messages.hpp)
   };
 
   Dissemination dissemination = Dissemination::kUnicast;
@@ -274,42 +273,52 @@ class PubSubNode final : public overlay::OverlayApp {
   std::size_t refresh_subscriptions();
 
  private:
-  // Rendezvous-side handlers.
-  void handle_subscribe(const SubscribeMsg& msg,
-                        std::span<const Key> covered);
-  void handle_unsubscribe(const UnsubscribeMsg& msg);
-  void handle_publish(const PublishMsg& msg, std::span<const Key> covered);
-  void handle_notify(const NotifyMsg& msg);
-  void handle_collect(const CollectMsg& msg);
-  void handle_replica(const ReplicaMsg& msg);
-  void handle_replica_remove(const ReplicaRemoveMsg& msg);
-  void handle_multi_notify(const MultiNotifyMsg& msg,
-                           std::span<const Key> covered);
-  void handle_gossip(const GossipMsg& msg);
-  void handle_gossip_digest(const GossipDigestMsg& msg);
-  void handle_gossip_repair(const GossipRepairMsg& msg);
-  void handle_gossip_sub_repair(const GossipSubRepairMsg& msg);
+  /// How a message reached this node: the keys the delivery covers here
+  /// (one for a unicast, none for a state import) and the payload's
+  /// trace context.
+  struct Arrival {
+    std::span<const Key> covered;
+    metrics::TraceRef trace;
+  };
+  /// Finds the message `payload` carries and hands it to its handler;
+  /// drops a foreign payload.
   void dispatch(std::span<const Key> covered,
                 const overlay::PayloadPtr& payload);
-  /// Shared tail of the match paths: per-covered-key load attribution
-  /// (match invocations, match-set sizes) and kHotKey trace spans.
-  void record_match_load(const PublishMsg& msg,
-                         std::span<const Key> covered,
-                         std::size_t match_set_size,
-                         const std::vector<std::uint64_t>& per_key_notifies);
+  // One handler per Message alternative.
+  void handle(const SubscribeMsg& msg, const Arrival& at);
+  void handle(const UnsubscribeMsg& msg, const Arrival& at);
+  void handle(const PublishMsg& msg, const Arrival& at);
+  void handle(const NotifyMsg& msg, const Arrival& at);
+  void handle(const CollectMsg& msg, const Arrival& at);
+  void handle(const StateMsg& msg, const Arrival& at);
+  void handle(const ReplicaMsg& msg, const Arrival& at);
+  void handle(const ReplicaRemoveMsg& msg, const Arrival& at);
+  void handle(const MultiNotifyMsg& msg, const Arrival& at);
+  void handle(const GossipMsg& msg, const Arrival& at);
+  void handle(const GossipDigestMsg& msg, const Arrival& at);
+  void handle(const GossipRepairMsg& msg, const Arrival& at);
+  void handle(const GossipSubRepairMsg& msg, const Arrival& at);
 
-  // Gossip internals.
-  /// Group-wide dissemination (m-cast and gossip backends): collect the
-  /// responsible matches of one publish into sorted (subscriber,
+  /// The rendezvous side of a publish: match the event and call
+  /// `on_match(record)` for each match this node must notify, i.e. those
+  /// for which one of the covered keys is responsible (with multi-key EK
+  /// mappings only the subscription's selective key is). Charges the
+  /// per-key load (match calls, match-set sizes, notify fan-out to the
+  /// first responsible key) and emits the kHotKey spans.
+  template <class OnMatch>
+  void match_publish(const PublishMsg& msg, const Arrival& at,
+                     OnMatch&& on_match);
+  /// Surface one notification addressed to this node: dedup, delay
+  /// stats, kDeliver span, sink — the same whatever backend carried it.
+  void surface(const Notification& n);
+
+  // Group dissemination (m-cast and gossip backends).
+  /// The responsible matches of one publish as sorted (subscriber,
   /// notification) entries.
   std::vector<GossipEntry> collect_entries(const PublishMsg& msg,
-                                           std::span<const Key> covered);
-  void disseminate_mcast(const PublishMsg& msg, std::span<const Key> covered);
-  void disseminate_gossip(const PublishMsg& msg,
-                          std::span<const Key> covered);
-  /// Surface every entry addressed to this node (dedup'd, kDeliver
-  /// spans — delivery looks the same whatever backend carried it).
-  void surface_own_entries(const std::vector<GossipEntry>& entries);
+                                           const Arrival& at);
+  void disseminate_mcast(const PublishMsg& msg, const Arrival& at);
+  void disseminate_gossip(const PublishMsg& msg, const Arrival& at);
   /// Push `rec` to up to gossip_fanout random group members (never
   /// self), spending one round. No-op when rounds == 0.
   void gossip_push(const GossipRecordPtr& rec, std::uint32_t rounds);
@@ -318,11 +327,7 @@ class PubSubNode final : public overlay::OverlayApp {
   bool absorb_gossip_record(const GossipRecordPtr& rec);
   void schedule_anti_entropy();
   void anti_entropy_tick();
-  std::shared_ptr<GossipDigestMsg> build_digest(Key to, bool reply);
-  /// One repair leg: push records + owned subs `msg.from` lacks per its
-  /// digest, then (unless the digest is itself a reply) answer with our
-  /// own digest.
-  void answer_digest(const GossipDigestMsg& msg);
+  GossipDigestMsg build_digest(Key to, bool reply);
   std::uint32_t gossip_rounds_for(std::size_t group_size) const;
 
   /// Route one match to its subscriber through the configured path

@@ -14,6 +14,26 @@ using metrics::DropReason;
 using metrics::SpanKind;
 using overlay::PayloadPtr;
 
+namespace {
+
+/// The first sampled trace context among the notifications in `items`
+/// (`trace_of` reads one item's), or an unsampled one. A batch payload
+/// takes it so the overlay's hop spans attach to one of its traces.
+template <class T, class TraceOf>
+metrics::TraceRef first_sampled(const std::vector<T>& items,
+                                TraceOf trace_of) {
+  for (const T& item : items) {
+    if (trace_of(item).sampled()) return trace_of(item);
+  }
+  return {};
+}
+
+metrics::TraceRef entry_trace(const GossipEntry& e) {
+  return e.notification.trace;
+}
+
+}  // namespace
+
 PubSubNode::PubSubNode(overlay::OverlayNode& overlay,
                        sim::Simulator& sim, const AkMapping& mapping,
                        PubSubConfig cfg)
@@ -66,7 +86,7 @@ void PubSubNode::subscribe(SubscriptionPtr sub, sim::SimTime ttl) {
   const sim::SimTime expiry =
       ttl == sim::kSimTimeNever ? sim::kSimTimeNever : sim_.now() + ttl;
   own_subs_[sub->id] = OwnSub{sub, expiry};
-  auto msg = std::make_shared<SubscribeMsg>(sub, expiry, runs);
+  metrics::TraceRef trace;
   if (trace_ != nullptr && trace_->enabled()) {
     if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
       const auto now = sim_.now();
@@ -77,10 +97,11 @@ void PubSubNode::subscribe(SubscriptionPtr sub, sim::SimTime ttl) {
       const std::uint64_t map_span = trace_->emit(
           metrics::TraceRef{tid, root}, SpanKind::kMap, overlay_.id(), now,
           now, keys);
-      msg->trace = metrics::TraceRef{tid, map_span};
+      trace = metrics::TraceRef{tid, map_span};
     }
   }
-  send_to_runs(runs, std::move(msg), cfg_.sub_transport);
+  send_to_runs(runs, make_payload(SubscribeMsg{sub, expiry, runs}, trace),
+               cfg_.sub_transport);
 }
 
 std::size_t PubSubNode::refresh_subscriptions() {
@@ -96,7 +117,7 @@ std::size_t PubSubNode::refresh_subscriptions() {
     }
     const std::vector<KeyRange> runs = mapping_.subscription_ranges(*own.sub);
     send_to_runs(runs,
-                 std::make_shared<SubscribeMsg>(own.sub, own.expires_at, runs),
+                 make_payload(SubscribeMsg{own.sub, own.expires_at, runs}),
                  cfg_.sub_transport);
     ++n;
   }
@@ -107,7 +128,7 @@ void PubSubNode::unsubscribe(SubscriptionId id) {
   auto it = own_subs_.find(id);
   if (it == own_subs_.end()) return;
   send_to_runs(mapping_.subscription_ranges(*it->second.sub),
-               std::make_shared<UnsubscribeMsg>(id), cfg_.sub_transport);
+               make_payload(UnsubscribeMsg{id}), cfg_.sub_transport);
   own_subs_.erase(it);
 }
 
@@ -115,8 +136,7 @@ void PubSubNode::publish(EventPtr event) {
   CBPS_ASSERT(event != nullptr && event->id != 0);
   const std::vector<Key> keys = mapping_.event_keys(*event);
   fanout_hist_.add(static_cast<double>(keys.size()));
-  auto msg =
-      std::make_shared<PublishMsg>(event, overlay_.id(), sim_.now());
+  metrics::TraceRef trace;
   if (trace_ != nullptr && trace_->enabled()) {
     if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
       const auto now = sim_.now();
@@ -126,10 +146,14 @@ void PubSubNode::publish(EventPtr event) {
       const std::uint64_t map_span = trace_->emit(
           metrics::TraceRef{tid, root}, SpanKind::kMap, overlay_.id(), now,
           now, keys.size());
-      msg->trace = metrics::TraceRef{tid, map_span};
+      trace = metrics::TraceRef{tid, map_span};
     }
   }
-  send_to_keys(keys, std::move(msg), cfg_.pub_transport);
+  send_to_keys(keys,
+               make_payload(PublishMsg{std::move(event), overlay_.id(),
+                                       sim_.now()},
+                            trace),
+               cfg_.pub_transport);
 }
 
 // ---------------------------------------------------------------------------
@@ -194,16 +218,15 @@ std::size_t PubSubNode::re_replicate() {
     store_.remove(rec.sub->id);
     ++reissued_imports_;
     send_to_runs(mapping_.subscription_ranges(*rec.sub),
-                 std::make_shared<SubscribeMsg>(rec.sub, rec.expires_at,
-                                                rec.ranges),
+                 make_payload(SubscribeMsg{rec.sub, rec.expires_at,
+                                           rec.ranges}),
                  cfg_.sub_transport);
   }
   std::size_t n = 0;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
     if (rec.replica) return;
-    overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-        StoredSubRecord{rec.sub, rec.expires_at, rec.ranges},
-        cfg_.replication_factor));
+    overlay_.send_to_successor(make_payload(ReplicaMsg{
+        {rec.sub, rec.expires_at, rec.ranges}, cfg_.replication_factor}));
     ++n;
   });
   return n;
@@ -212,71 +235,42 @@ std::size_t PubSubNode::re_replicate() {
 void PubSubNode::dispatch(std::span<const Key> covered,
                           const PayloadPtr& payload) {
   if (halted_) return;
-  if (auto* pub = dynamic_cast<const PublishMsg*>(payload.get())) {
-    handle_publish(*pub, covered);
-  } else if (auto* sub = dynamic_cast<const SubscribeMsg*>(payload.get())) {
-    handle_subscribe(*sub, covered);
-  } else if (auto* notify = dynamic_cast<const NotifyMsg*>(payload.get())) {
-    handle_notify(*notify);
-  } else if (auto* collect =
-                 dynamic_cast<const CollectMsg*>(payload.get())) {
-    handle_collect(*collect);
-  } else if (auto* mn = dynamic_cast<const MultiNotifyMsg*>(payload.get())) {
-    handle_multi_notify(*mn, covered);
-  } else if (auto* gp = dynamic_cast<const GossipMsg*>(payload.get())) {
-    handle_gossip(*gp);
-  } else if (auto* gd = dynamic_cast<const GossipDigestMsg*>(payload.get())) {
-    handle_gossip_digest(*gd);
-  } else if (auto* gr = dynamic_cast<const GossipRepairMsg*>(payload.get())) {
-    handle_gossip_repair(*gr);
-  } else if (auto* gsr =
-                 dynamic_cast<const GossipSubRepairMsg*>(payload.get())) {
-    handle_gossip_sub_repair(*gsr);
-  } else if (auto* unsub =
-                 dynamic_cast<const UnsubscribeMsg*>(payload.get())) {
-    handle_unsubscribe(*unsub);
-  } else if (auto* rep = dynamic_cast<const ReplicaMsg*>(payload.get())) {
-    handle_replica(*rep);
-  } else if (auto* rrm =
-                 dynamic_cast<const ReplicaRemoveMsg*>(payload.get())) {
-    handle_replica_remove(*rrm);
-  } else if (auto* st = dynamic_cast<const StateMsg*>(payload.get())) {
-    import_state(payload);
-    (void)st;
-  } else {
+  const Message* msg = message_of(*payload);
+  if (msg == nullptr) {
     CBPS_LOG_WARN << "pubsub node " << overlay_.id()
-                  << ": unknown payload type dropped";
+                  << ": foreign payload dropped";
+    return;
   }
+  const Arrival at{covered, payload->trace};
+  std::visit([&](const auto& m) { handle(m, at); }, *msg);
 }
 
 // ---------------------------------------------------------------------------
 // Rendezvous-side handling
 // ---------------------------------------------------------------------------
 
-void PubSubNode::handle_subscribe(const SubscribeMsg& msg,
-                                  std::span<const Key> covered) {
+void PubSubNode::handle(const SubscribeMsg& msg, const Arrival& at) {
   // Load attribution: one store op per rendezvous key this delivery
   // covers (an m-cast delivery stores under several keys at once).
-  key_load_.subs_stored.offer_each(covered);
+  key_load_.subs_stored.offer_each(at.covered);
   const bool fresh = store_.insert(SubscriptionStore::Record{
       msg.sub, msg.expires_at, msg.ranges, /*replica=*/false});
   if (msg.expires_at != sim::kSimTimeNever) schedule_sweep();
   if (fresh && cfg_.replication_factor > 0) {
-    overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-        StoredSubRecord{msg.sub, msg.expires_at, msg.ranges},
-        cfg_.replication_factor));
+    overlay_.send_to_successor(make_payload(ReplicaMsg{
+        {msg.sub, msg.expires_at, msg.ranges}, cfg_.replication_factor}));
   }
 }
 
-void PubSubNode::handle_unsubscribe(const UnsubscribeMsg& msg) {
+void PubSubNode::handle(const UnsubscribeMsg& msg, const Arrival&) {
   const bool removed = store_.remove(msg.sub_id);
   if (removed && cfg_.replication_factor > 0) {
-    overlay_.send_to_successor(std::make_shared<ReplicaRemoveMsg>(
-        msg.sub_id, cfg_.replication_factor));
+    overlay_.send_to_successor(make_payload(
+        ReplicaRemoveMsg{msg.sub_id, cfg_.replication_factor}));
   }
 }
 
-void PubSubNode::handle_replica(const ReplicaMsg& msg) {
+void PubSubNode::handle(const ReplicaMsg& msg, const Arrival&) {
   store_.insert(SubscriptionStore::Record{msg.record.sub,
                                           msg.record.expires_at,
                                           msg.record.ranges,
@@ -284,73 +278,90 @@ void PubSubNode::handle_replica(const ReplicaMsg& msg) {
   if (msg.record.expires_at != sim::kSimTimeNever) schedule_sweep();
   if (msg.remaining_hops > 1) {
     overlay_.send_to_successor(
-        std::make_shared<ReplicaMsg>(msg.record, msg.remaining_hops - 1));
+        make_payload(ReplicaMsg{msg.record, msg.remaining_hops - 1}));
   }
 }
 
-void PubSubNode::handle_replica_remove(const ReplicaRemoveMsg& msg) {
+void PubSubNode::handle(const ReplicaRemoveMsg& msg, const Arrival&) {
   store_.remove(msg.sub_id);
   if (msg.remaining_hops > 1) {
-    overlay_.send_to_successor(std::make_shared<ReplicaRemoveMsg>(
-        msg.sub_id, msg.remaining_hops - 1));
+    overlay_.send_to_successor(make_payload(
+        ReplicaRemoveMsg{msg.sub_id, msg.remaining_hops - 1}));
   }
 }
 
-void PubSubNode::handle_publish(const PublishMsg& msg,
-                                std::span<const Key> covered) {
-  switch (cfg_.dissemination) {
-    case PubSubConfig::Dissemination::kUnicast:
-      break;
-    case PubSubConfig::Dissemination::kMcast:
-      disseminate_mcast(msg, covered);
-      return;
-    case PubSubConfig::Dissemination::kGossip:
-      disseminate_gossip(msg, covered);
-      return;
-  }
+template <class OnMatch>
+void PubSubNode::match_publish(const PublishMsg& msg, const Arrival& at,
+                               OnMatch&& on_match) {
+  const std::span<const Key> covered = at.covered;
   const auto matches = store_.match(*msg.event, sim_.now());
   std::vector<std::uint64_t> per_key_notifies(covered.size(), 0);
   for (const SubscriptionStore::Record* rec : matches) {
-    // Mapping-level exactly-once filter: with multi-key EK mappings
-    // (Selective-Attribute) only the rendezvous holding the
-    // subscription's own selective key notifies. The first responsible
-    // covered key takes the load attribution, so each notification is
-    // charged exactly once.
-    std::size_t ki = covered.size();
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      if (mapping_.should_notify(*rec->sub, *msg.event, covered[i])) {
-        ki = i;
-        break;
-      }
-    }
-    if (ki == covered.size()) continue;
-    ++per_key_notifies[ki];
-    key_load_.notify_fanout.offer(covered[ki]);
-    route_match(*rec, msg.event, msg.published_at, msg.trace);
+    // Mapping-level exactly-once filter. The first responsible covered
+    // key takes the load attribution, so each notification is charged
+    // exactly once.
+    const auto responsible = std::find_if(
+        covered.begin(), covered.end(), [&](Key k) {
+          return mapping_.should_notify(*rec->sub, *msg.event, k);
+        });
+    if (responsible == covered.end()) continue;
+    ++per_key_notifies[responsible - covered.begin()];
+    key_load_.notify_fanout.offer(*responsible);
+    on_match(*rec);
   }
-  record_match_load(msg, covered, matches.size(), per_key_notifies);
-}
-
-/// Shared tail of the match paths (unicast handle_publish and the
-/// m-cast/gossip collect_entries): per-key match-invocation and
-/// match-set-size attribution plus the kHotKey trace spans.
-void PubSubNode::record_match_load(
-    const PublishMsg& msg, std::span<const Key> covered,
-    std::size_t match_set_size,
-    const std::vector<std::uint64_t>& per_key_notifies) {
   const sim::SimTime now = sim_.now();
   for (std::size_t i = 0; i < covered.size(); ++i) {
     key_load_.match_calls.offer(covered[i]);
-    key_load_.match_units.offer(covered[i], match_set_size);
-    if (trace_ != nullptr && msg.trace.sampled()) {
-      trace_->emit(msg.trace, SpanKind::kHotKey, overlay_.id(), now, now,
+    key_load_.match_units.offer(covered[i], matches.size());
+    if (trace_ != nullptr && at.trace.sampled()) {
+      trace_->emit(at.trace, SpanKind::kHotKey, overlay_.id(), now, now,
                    covered[i], per_key_notifies[i]);
     }
   }
 }
 
-void PubSubNode::handle_notify(const NotifyMsg& msg) {
+void PubSubNode::handle(const PublishMsg& msg, const Arrival& at) {
+  switch (cfg_.dissemination) {
+    case PubSubConfig::Dissemination::kUnicast:
+      break;
+    case PubSubConfig::Dissemination::kMcast:
+      disseminate_mcast(msg, at);
+      return;
+    case PubSubConfig::Dissemination::kGossip:
+      disseminate_gossip(msg, at);
+      return;
+  }
+  match_publish(msg, at, [&](const SubscriptionStore::Record& rec) {
+    route_match(rec, msg.event, msg.published_at, at.trace);
+  });
+}
+
+void PubSubNode::surface(const Notification& n) {
   const sim::SimTime now = sim_.now();
+  if (cfg_.duplicate_suppression &&
+      !delivered_.emplace(n.event->id, n.subscription).second) {
+    ++duplicates_suppressed_;
+    if (trace_ != nullptr && n.trace.sampled()) {
+      trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
+                   static_cast<std::uint64_t>(DropReason::kDuplicate));
+    }
+    return;
+  }
+  ++notifications_received_;
+  const double delay_s = sim::to_seconds(now - n.published_at);
+  notification_delay_.add(delay_s);
+  delay_hist_.add(delay_s);
+  if (trace_ != nullptr && n.trace.sampled()) {
+    // Instant at arrival — a span must not start before its parent (the
+    // notify send); the end-to-end latency is the distance to the trace's
+    // publish root (and lives in the delay histogram anyway).
+    trace_->emit(n.trace, SpanKind::kDeliver, overlay_.id(), now, now,
+                 n.subscription, n.event->id);
+  }
+  if (sink_) sink_(overlay_.id(), n);
+}
+
+void PubSubNode::handle(const NotifyMsg& msg, const Arrival&) {
   if (msg.subscriber != overlay_.id()) {
     // Notifications are routed by the subscriber's key, so when the
     // addressee is gone (crashed, or the ring moved mid-route) the
@@ -358,6 +369,7 @@ void PubSubNode::handle_notify(const NotifyMsg& msg) {
     // would be a ghost delivery under the dead subscriber's identity.
     misdirected_notifies_ += msg.batch.size();
     if (trace_ != nullptr) {
+      const sim::SimTime now = sim_.now();
       for (const Notification& n : msg.batch) {
         if (!n.trace.sampled()) continue;
         trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
@@ -366,29 +378,7 @@ void PubSubNode::handle_notify(const NotifyMsg& msg) {
     }
     return;
   }
-  for (const Notification& n : msg.batch) {
-    if (cfg_.duplicate_suppression &&
-        !delivered_.emplace(n.event->id, n.subscription).second) {
-      ++duplicates_suppressed_;
-      if (trace_ != nullptr && n.trace.sampled()) {
-        trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                     static_cast<std::uint64_t>(DropReason::kDuplicate));
-      }
-      continue;
-    }
-    ++notifications_received_;
-    const double delay_s = sim::to_seconds(now - n.published_at);
-    notification_delay_.add(delay_s);
-    delay_hist_.add(delay_s);
-    if (trace_ != nullptr && n.trace.sampled()) {
-      // Instant at arrival — a span must not start before its parent
-      // (the notify send); the end-to-end latency is the distance to the
-      // trace's publish root (and lives in the delay histogram anyway).
-      trace_->emit(n.trace, SpanKind::kDeliver, overlay_.id(), now, now,
-                   n.subscription, n.event->id);
-    }
-    if (sink_) sink_(msg.subscriber, n);
-  }
+  for (const Notification& n : msg.batch) surface(n);
 }
 
 // ---------------------------------------------------------------------------
@@ -396,31 +386,14 @@ void PubSubNode::handle_notify(const NotifyMsg& msg) {
 // paper's unicast notify leg stays the default)
 // ---------------------------------------------------------------------------
 
-std::vector<GossipEntry> PubSubNode::collect_entries(
-    const PublishMsg& msg, std::span<const Key> covered) {
+std::vector<GossipEntry> PubSubNode::collect_entries(const PublishMsg& msg,
+                                                     const Arrival& at) {
   std::vector<GossipEntry> entries;
-  const auto matches = store_.match(*msg.event, sim_.now());
-  std::vector<std::uint64_t> per_key_notifies(covered.size(), 0);
-  for (const SubscriptionStore::Record* rec : matches) {
-    // Same exactly-once filter as the unicast path: with multi-key EK
-    // mappings only the rendezvous holding the subscription's selective
-    // key disseminates. As there, the first responsible covered key
-    // takes the load attribution.
-    std::size_t ki = covered.size();
-    for (std::size_t i = 0; i < covered.size(); ++i) {
-      if (mapping_.should_notify(*rec->sub, *msg.event, covered[i])) {
-        ki = i;
-        break;
-      }
-    }
-    if (ki == covered.size()) continue;
-    ++per_key_notifies[ki];
-    key_load_.notify_fanout.offer(covered[ki]);
+  match_publish(msg, at, [&](const SubscriptionStore::Record& rec) {
     entries.push_back(GossipEntry{
-        rec->sub->subscriber,
-        Notification{msg.event, rec->sub->id, msg.published_at, msg.trace}});
-  }
-  record_match_load(msg, covered, matches.size(), per_key_notifies);
+        rec.sub->subscriber,
+        Notification{msg.event, rec.sub->id, msg.published_at, at.trace}});
+  });
   // Canonical entry order: the record/payload is wire content, so its
   // layout must not depend on the match engine's internal order (D1).
   std::sort(entries.begin(), entries.end(),
@@ -433,75 +406,41 @@ std::vector<GossipEntry> PubSubNode::collect_entries(
   return entries;
 }
 
-void PubSubNode::surface_own_entries(const std::vector<GossipEntry>& entries) {
-  const sim::SimTime now = sim_.now();
-  for (const GossipEntry& e : entries) {
-    if (e.subscriber != overlay_.id()) continue;
-    const Notification& n = e.notification;
-    if (cfg_.duplicate_suppression &&
-        !delivered_.emplace(n.event->id, n.subscription).second) {
-      ++duplicates_suppressed_;
-      if (trace_ != nullptr && n.trace.sampled()) {
-        trace_->emit(n.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                     static_cast<std::uint64_t>(DropReason::kDuplicate));
-      }
-      continue;
-    }
-    ++notifications_received_;
-    const double delay_s = sim::to_seconds(now - n.published_at);
-    notification_delay_.add(delay_s);
-    delay_hist_.add(delay_s);
-    if (trace_ != nullptr && n.trace.sampled()) {
-      trace_->emit(n.trace, SpanKind::kDeliver, overlay_.id(), now, now,
-                   n.subscription, n.event->id);
-    }
-    if (sink_) sink_(e.subscriber, n);
-  }
-}
-
-void PubSubNode::disseminate_mcast(const PublishMsg& msg,
-                                   std::span<const Key> covered) {
-  auto out = std::make_shared<MultiNotifyMsg>();
-  out->entries = collect_entries(msg, covered);
-  if (out->entries.empty()) return;
+void PubSubNode::disseminate_mcast(const PublishMsg& msg, const Arrival& at) {
+  MultiNotifyMsg out{collect_entries(msg, at)};
+  if (out.entries.empty()) return;
   std::vector<Key> group;
-  for (const GossipEntry& e : out->entries) {
+  for (const GossipEntry& e : out.entries) {
     if (group.empty() || group.back() != e.subscriber) {
       group.push_back(e.subscriber);
     }
   }
   if (trace_ != nullptr) {
     const auto now = sim_.now();
-    for (GossipEntry& e : out->entries) {
+    for (GossipEntry& e : out.entries) {
       Notification& n = e.notification;
       if (!n.trace.sampled()) continue;
       const std::uint64_t span =
           trace_->emit(n.trace, SpanKind::kNotify, overlay_.id(), now, now,
-                       e.subscriber, out->entries.size());
+                       e.subscriber, out.entries.size());
       if (span != 0) n.trace.parent_span = span;
     }
   }
   ++notify_batches_sent_;
-  notifications_sent_ += out->entries.size();
-  for (const GossipEntry& e : out->entries) {
-    if (e.notification.trace.sampled()) {
-      out->trace = e.notification.trace;
-      break;
-    }
-  }
-  overlay_.m_cast(std::move(group), std::move(out));
+  notifications_sent_ += out.entries.size();
+  const metrics::TraceRef trace = first_sampled(out.entries, entry_trace);
+  overlay_.m_cast(std::move(group), make_payload(std::move(out), trace));
 }
 
-void PubSubNode::handle_multi_notify(const MultiNotifyMsg& msg,
-                                     std::span<const Key> covered) {
+void PubSubNode::handle(const MultiNotifyMsg& msg, const Arrival& at) {
   const sim::SimTime now = sim_.now();
   for (const GossipEntry& e : msg.entries) {
     if (e.subscriber == overlay_.id()) continue;
     // We cover this entry's subscriber key but are not that subscriber:
-    // the addressee crashed (or the ring moved). Ghost-drop, as in
-    // handle_notify.
-    if (std::find(covered.begin(), covered.end(), e.subscriber) !=
-        covered.end()) {
+    // the addressee crashed (or the ring moved). Ghost-drop, as for a
+    // NotifyMsg.
+    if (std::find(at.covered.begin(), at.covered.end(), e.subscriber) !=
+        at.covered.end()) {
       ++misdirected_notifies_;
       if (trace_ != nullptr && e.notification.trace.sampled()) {
         trace_->emit(e.notification.trace, SpanKind::kDrop, overlay_.id(),
@@ -510,7 +449,9 @@ void PubSubNode::handle_multi_notify(const MultiNotifyMsg& msg,
       }
     }
   }
-  surface_own_entries(msg.entries);
+  for (const GossipEntry& e : msg.entries) {
+    if (e.subscriber == overlay_.id()) surface(e.notification);
+  }
 }
 
 std::uint32_t PubSubNode::gossip_rounds_for(std::size_t group_size) const {
@@ -523,9 +464,9 @@ std::uint32_t PubSubNode::gossip_rounds_for(std::size_t group_size) const {
 }
 
 void PubSubNode::disseminate_gossip(const PublishMsg& msg,
-                                    std::span<const Key> covered) {
+                                    const Arrival& at) {
   auto rec = std::make_shared<GossipRecord>();
-  rec->entries = collect_entries(msg, covered);
+  rec->entries = collect_entries(msg, at);
   if (rec->entries.empty()) return;
   rec->id = GossipId{overlay_.id(), next_gossip_seq_++};
   rec->seeded_at = sim_.now();
@@ -550,13 +491,7 @@ void PubSubNode::gossip_push(const GossipRecordPtr& rec,
     if (k != overlay_.id()) cand.push_back(k);
   }
   if (cand.empty()) return;
-  metrics::TraceRef rtrace;
-  for (const GossipEntry& e : rec->entries) {
-    if (e.notification.trace.sampled()) {
-      rtrace = e.notification.trace;
-      break;
-    }
-  }
+  const metrics::TraceRef rtrace = first_sampled(rec->entries, entry_trace);
   const sim::SimTime now = sim_.now();
   // Partial Fisher-Yates over the group: fanout distinct peers, drawn
   // from this node's own gossip stream (never the overlay's or the
@@ -567,14 +502,13 @@ void PubSubNode::gossip_push(const GossipRecordPtr& rec,
         static_cast<std::int64_t>(i),
         static_cast<std::int64_t>(cand.size() - 1)));
     std::swap(cand[i], cand[j]);
-    auto out = std::make_shared<GossipMsg>(cand[i], rec, rounds - 1);
-    out->trace = rtrace;
     ++gossip_stats_.pushes_sent;
     if (trace_ != nullptr && rtrace.sampled()) {
       trace_->emit(rtrace, SpanKind::kGossipPush, overlay_.id(), now, now,
                    rounds - 1, cand[i]);
     }
-    overlay_.send(cand[i], std::move(out));
+    overlay_.send(cand[i],
+                  make_payload(GossipMsg{cand[i], rec, rounds - 1}, rtrace));
   }
 }
 
@@ -585,20 +519,22 @@ bool PubSubNode::absorb_gossip_record(const GossipRecordPtr& rec) {
   if (rec->seeded_at + cfg_.gossip_window <= sim_.now()) return false;
   const auto [it, fresh] = gossip_seen_.try_emplace(rec->id, rec);
   if (!fresh) return false;
-  surface_own_entries(rec->entries);
+  for (const GossipEntry& e : rec->entries) {
+    if (e.subscriber == overlay_.id()) surface(e.notification);
+  }
   schedule_anti_entropy();
   return true;
 }
 
-void PubSubNode::handle_gossip(const GossipMsg& msg) {
+void PubSubNode::handle(const GossipMsg& msg, const Arrival& at) {
   if (msg.target != overlay_.id()) {
     // Pushes are key-routed, so a crashed member's share lands on its
     // key's new owner. Ghost-drop; anti-entropy is what recovers the
     // member if it comes back.
     ++gossip_stats_.misdirected;
-    if (trace_ != nullptr && msg.trace.sampled()) {
+    if (trace_ != nullptr && at.trace.sampled()) {
       const sim::SimTime now = sim_.now();
-      trace_->emit(msg.trace, SpanKind::kDrop, overlay_.id(), now, now,
+      trace_->emit(at.trace, SpanKind::kDrop, overlay_.id(), now, now,
                    static_cast<std::uint64_t>(DropReason::kMisdirected));
     }
     return;
@@ -622,18 +558,17 @@ void PubSubNode::schedule_anti_entropy() {
   });
 }
 
-std::shared_ptr<GossipDigestMsg> PubSubNode::build_digest(Key to,
-                                                          bool reply) {
-  auto digest = std::make_shared<GossipDigestMsg>(overlay_.id(), to, reply);
-  digest->have.reserve(gossip_seen_.size());
-  for (const auto& [id, rec] : gossip_seen_) digest->have.push_back(id);
+GossipDigestMsg PubSubNode::build_digest(Key to, bool reply) {
+  GossipDigestMsg digest{overlay_.id(), to, reply, {}, {}};
+  digest.have.reserve(gossip_seen_.size());
+  for (const auto& [id, rec] : gossip_seen_) digest.have.push_back(id);
   // Owned records only: a replica advertised here would make every chain
   // member look like an owner and re-gossip its backup copy.
   store_.for_each([&](const SubscriptionStore::Record& rec) {
     if (rec.replica) return;
-    digest->subs.push_back(GossipSubDigest{rec.sub->id, rec.expires_at});
+    digest.subs.push_back(GossipSubDigest{rec.sub->id, rec.expires_at});
   });
-  std::sort(digest->subs.begin(), digest->subs.end(),
+  std::sort(digest.subs.begin(), digest.subs.end(),
             [](const GossipSubDigest& a, const GossipSubDigest& b) {
               return a.id < b.id;
             });
@@ -679,26 +614,26 @@ void PubSubNode::anti_entropy_tick() {
         static_cast<std::int64_t>(peers.size() - 1)));
     std::swap(peers[i], peers[j]);
     ++gossip_stats_.digests_sent;
-    overlay_.send(peers[i], build_digest(peers[i], /*reply=*/false));
+    overlay_.send(peers[i],
+                  make_payload(build_digest(peers[i], /*reply=*/false)));
   }
   schedule_anti_entropy();
 }
 
-void PubSubNode::handle_gossip_digest(const GossipDigestMsg& msg) {
+/// One repair leg: push records + owned subs `msg.from` lacks per its
+/// digest, then (unless the digest is itself a reply) answer with our own
+/// digest.
+void PubSubNode::handle(const GossipDigestMsg& msg, const Arrival&) {
   if (msg.target != overlay_.id()) {
     ++gossip_stats_.misdirected;
     return;
   }
-  answer_digest(msg);
-}
-
-void PubSubNode::answer_digest(const GossipDigestMsg& msg) {
   // Event repair: every cached record the digest's have-list lacks —
   // but only records whose group contains the peer. A record the peer
   // is not a member of is not the peer's business: pushing it would
   // spread state beyond the match group and inflate every later digest.
   // Both sides are sorted, so this is one set-difference walk.
-  auto rep = std::make_shared<GossipRepairMsg>(overlay_.id(), msg.from);
+  GossipRepairMsg rep{overlay_.id(), msg.from, {}};
   auto have_it = msg.have.begin();
   for (const auto& [id, rec] : gossip_seen_) {
     while (have_it != msg.have.end() && *have_it < id) ++have_it;
@@ -707,10 +642,10 @@ void PubSubNode::answer_digest(const GossipDigestMsg& msg) {
                             msg.from)) {
       continue;
     }
-    rep->records.push_back(rec);
+    rep.records.push_back(rec);
   }
-  if (!rep->records.empty()) {
-    overlay_.send(msg.from, std::move(rep));
+  if (!rep.records.empty()) {
+    overlay_.send(msg.from, make_payload(std::move(rep)));
   }
   // Rendezvous-state repair: owned records whose SK ranges contain the
   // peer's own key — the peer covers that key, so it should be holding
@@ -738,17 +673,17 @@ void PubSubNode::answer_digest(const GossipDigestMsg& msg) {
               [](const StoredSubRecord& a, const StoredSubRecord& b) {
                 return a.sub->id < b.sub->id;
               });
-    auto subrep = std::make_shared<GossipSubRepairMsg>(msg.from);
-    subrep->records = std::move(missing);
-    overlay_.send(msg.from, std::move(subrep));
+    overlay_.send(msg.from, make_payload(GossipSubRepairMsg{
+                                msg.from, std::move(missing)}));
   }
   if (!msg.reply) {
     ++gossip_stats_.digests_sent;
-    overlay_.send(msg.from, build_digest(msg.from, /*reply=*/true));
+    overlay_.send(msg.from,
+                  make_payload(build_digest(msg.from, /*reply=*/true)));
   }
 }
 
-void PubSubNode::handle_gossip_repair(const GossipRepairMsg& msg) {
+void PubSubNode::handle(const GossipRepairMsg& msg, const Arrival&) {
   if (msg.target != overlay_.id()) {
     ++gossip_stats_.misdirected;
     return;
@@ -759,18 +694,15 @@ void PubSubNode::handle_gossip_repair(const GossipRepairMsg& msg) {
     // anti-entropy converges, it does not re-ignite the epidemic.
     if (!absorb_gossip_record(rec)) continue;
     ++gossip_stats_.repair_records;
-    if (trace_ != nullptr) {
-      for (const GossipEntry& e : rec->entries) {
-        if (!e.notification.trace.sampled()) continue;
-        trace_->emit(e.notification.trace, SpanKind::kGossipRepair,
-                     overlay_.id(), now, now, rec->entries.size());
-        break;
-      }
+    const metrics::TraceRef trace = first_sampled(rec->entries, entry_trace);
+    if (trace_ != nullptr && trace.sampled()) {
+      trace_->emit(trace, SpanKind::kGossipRepair, overlay_.id(), now, now,
+                   rec->entries.size());
     }
   }
 }
 
-void PubSubNode::handle_gossip_sub_repair(const GossipSubRepairMsg& msg) {
+void PubSubNode::handle(const GossipSubRepairMsg& msg, const Arrival&) {
   if (msg.target != overlay_.id()) {
     ++gossip_stats_.misdirected;
     return;
@@ -796,9 +728,8 @@ void PubSubNode::handle_gossip_sub_repair(const GossipSubRepairMsg& msg) {
     // A record learned (or upgraded from a replica) this way needs a
     // replica chain along the *current* successors.
     if (cfg_.replication_factor > 0) {
-      overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-          StoredSubRecord{rec.sub, rec.expires_at, rec.ranges},
-          cfg_.replication_factor));
+      overlay_.send_to_successor(make_payload(ReplicaMsg{
+          {rec.sub, rec.expires_at, rec.ranges}, cfg_.replication_factor}));
     }
   }
   if (any_expiring) schedule_sweep();
@@ -838,10 +769,9 @@ void PubSubNode::route_match(const SubscriptionStore::Record& rec,
   }
   ++notify_batches_sent_;
   ++notifications_sent_;
-  auto out = std::make_shared<NotifyMsg>(
-      subscriber, std::vector<Notification>{std::move(n)});
-  out->trace = out->batch.front().trace;
-  overlay_.send(subscriber, std::move(out));
+  const metrics::TraceRef hop_trace = n.trace;
+  overlay_.send(subscriber,
+                make_payload(NotifyMsg{subscriber, {std::move(n)}}, hop_trace));
 }
 
 void PubSubNode::buffer_notification(Key subscriber, Notification n) {
@@ -884,14 +814,10 @@ void PubSubNode::flush_notify_buffer() {
         if (span != 0) n.trace.parent_span = span;
       }
     }
-    auto out = std::make_shared<NotifyMsg>(subscriber, std::move(batch));
-    for (const Notification& n : out->batch) {
-      if (n.trace.sampled()) {
-        out->trace = n.trace;  // overlay hop spans attach to one of them
-        break;
-      }
-    }
-    overlay_.send(subscriber, std::move(out));
+    const metrics::TraceRef trace = first_sampled(
+        batch, [](const Notification& n) { return n.trace; });
+    overlay_.send(subscriber,
+                  make_payload(NotifyMsg{subscriber, std::move(batch)}, trace));
   }
   notify_buffer_.clear();
 }
@@ -924,14 +850,10 @@ void PubSubNode::flush_collect_buffers() {
   const auto send_batch = [this](std::vector<CollectItem>& items,
                                  bool to_successor) {
     if (items.empty()) return;
-    auto out = std::make_shared<CollectMsg>(std::move(items));
+    const metrics::TraceRef trace = first_sampled(
+        items, [](const CollectItem& item) { return item.notification.trace; });
+    PayloadPtr out = make_payload(CollectMsg{std::move(items)}, trace);
     items.clear();
-    for (const CollectItem& item : out->items) {
-      if (item.notification.trace.sampled()) {
-        out->trace = item.notification.trace;
-        break;
-      }
-    }
     if (to_successor) {
       overlay_.send_to_successor(std::move(out));
     } else {
@@ -942,7 +864,7 @@ void PubSubNode::flush_collect_buffers() {
   send_batch(collect_to_pred_, /*to_successor=*/false);
 }
 
-void PubSubNode::handle_collect(const CollectMsg& msg) {
+void PubSubNode::handle(const CollectMsg& msg, const Arrival&) {
   for (const CollectItem& item : msg.items) {
     if (is_agent_for(item.range)) {
       buffer_notification(item.subscriber, item.notification);
@@ -1069,19 +991,16 @@ overlay::PayloadPtr PubSubNode::export_state(Key range_lo, Key range_hi,
                           in_remaining);
     });
   }
-  return std::make_shared<StateMsg>(std::move(out));
+  return make_payload(StateMsg{std::move(out)});
 }
 
 void PubSubNode::import_state(const overlay::PayloadPtr& state) {
-  const auto* msg = dynamic_cast<const StateMsg*>(state.get());
-  if (msg == nullptr) {
-    CBPS_LOG_WARN << "pubsub node " << overlay_.id()
-                  << ": unexpected state payload";
-    return;
-  }
-  if (halted_) return;
+  dispatch({}, state);
+}
+
+void PubSubNode::handle(const StateMsg& msg, const Arrival&) {
   bool any_expiring = false;
-  for (const StoredSubRecord& rec : msg->records) {
+  for (const StoredSubRecord& rec : msg.records) {
     // Ownership check: after a partition heals, state transfers can land
     // on a node the re-merged ring no longer makes responsible for any
     // of the record's ranges. Storing it here would strand it — re-issue
@@ -1093,8 +1012,8 @@ void PubSubNode::import_state(const overlay::PayloadPtr& state) {
                      })) {
       ++reissued_imports_;
       send_to_runs(mapping_.subscription_ranges(*rec.sub),
-                   std::make_shared<SubscribeMsg>(rec.sub, rec.expires_at,
-                                                  rec.ranges),
+                   make_payload(SubscribeMsg{rec.sub, rec.expires_at,
+                                             rec.ranges}),
                    cfg_.sub_transport);
       continue;
     }
@@ -1103,9 +1022,8 @@ void PubSubNode::import_state(const overlay::PayloadPtr& state) {
     // A freshly learned owned record needs its replica chain built along
     // the *current* successors (the exporter's chain predates the move).
     if (fresh && !rec.replica && cfg_.replication_factor > 0) {
-      overlay_.send_to_successor(std::make_shared<ReplicaMsg>(
-          StoredSubRecord{rec.sub, rec.expires_at, rec.ranges},
-          cfg_.replication_factor));
+      overlay_.send_to_successor(make_payload(ReplicaMsg{
+          {rec.sub, rec.expires_at, rec.ranges}, cfg_.replication_factor}));
     }
     any_expiring |= rec.expires_at != sim::kSimTimeNever;
   }

@@ -7,9 +7,14 @@
 //   and the local keys live in reused per-thread buffers, a one-run
 //   McastMsg holds its run inline, and the hop rides by value in its
 //   event.
-// - Allocations per M1 m-cast subscribe on a small PubSubSystem are
-//   printed (no bound is asserted: the rendezvous store still allocates
-//   per record), so before/after figures can be quoted.
+// - Allocations per M1 m-cast subscribe and per M3 unicast publish (the
+//   publish -> match -> notify path) on a small PubSubSystem are printed,
+//   so before/after figures can be quoted, and held to a ceiling. The
+//   ceilings are the counts measured while every pub/sub message was its
+//   own Payload subclass (5 353 over 200 subscribes, 3 065 over 300
+//   publishes): carrying the messages in one variant payload must not
+//   cost more heap traffic. Neither count is zero — the rendezvous store
+//   allocates per record, and every message is one shared payload.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -181,9 +186,59 @@ TEST(AllocGuardTest, PrintsAllocationsPerM1Subscribe) {
   subscribe(100);  // warm-up
   constexpr std::size_t kSubs = 200;
   const std::uint64_t allocations = subscribe(kSubs);
-  std::printf("allocations per M1 m-cast subscribe (64 nodes): %.1f\n",
-              static_cast<double>(allocations) / kSubs);
-  EXPECT_GT(allocations, 0u);
+  std::printf("allocations per M1 m-cast subscribe (64 nodes): %.1f "
+              "(%llu over %zu)\n",
+              static_cast<double>(allocations) / kSubs,
+              static_cast<unsigned long long>(allocations), kSubs);
+  EXPECT_LE(allocations, 5353u);
+}
+
+TEST(AllocGuardTest, PrintsAllocationsPerM3UnicastPublish) {
+  pubsub::SystemConfig cfg;
+  cfg.nodes = 64;
+  cfg.seed = 5;
+  cfg.chord.ring = RingParams{13};
+  cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
+  cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
+  cfg.pubsub.pub_transport = pubsub::PubSubConfig::Transport::kUnicast;
+  cfg.pubsub.match_engine = pubsub::MatchEngine::kCountingIndex;
+  pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(4, 1'000'000));
+  workload::WorkloadParams wp;
+  wp.selective.assign(4, false);
+  wp.zipf_exponent = 0.7;
+  wp.matching_probability = 0.5;
+  workload::WorkloadGenerator gen(system.schema(), wp, 13);
+
+  std::vector<pubsub::SubscriptionPtr> active;
+  for (std::size_t i = 0; i < 300; ++i) {
+    active.push_back(system.subscribe(i % cfg.nodes, gen.make_constraints()));
+    system.run_for(sim::sec(5));
+  }
+  const auto publish = [&](std::size_t n) {
+    std::vector<std::vector<Value>> values;
+    for (std::size_t i = 0; i < n; ++i) {
+      values.push_back(gen.make_event_values(active));
+    }
+    return allocations_during([&] {
+      for (std::size_t i = 0; i < n; ++i) {
+        system.publish(i % cfg.nodes, std::move(values[i]));
+        system.run_for(sim::sec(5));
+      }
+    });
+  };
+  publish(100);  // warm-up
+  const std::uint64_t delivered_before = system.notifications_delivered();
+  constexpr std::size_t kPubs = 300;
+  const std::uint64_t allocations = publish(kPubs);
+  const std::uint64_t delivered =
+      system.notifications_delivered() - delivered_before;
+  std::printf("allocations per M3 unicast publish (64 nodes, %.2f "
+              "notifications each): %.1f (%llu over %zu)\n",
+              static_cast<double>(delivered) / kPubs,
+              static_cast<double>(allocations) / kPubs,
+              static_cast<unsigned long long>(allocations), kPubs);
+  EXPECT_GT(delivered, kPubs / 4);  // the notify leg is on the path
+  EXPECT_LE(allocations, 3065u);
 }
 
 }  // namespace

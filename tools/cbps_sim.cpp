@@ -8,8 +8,10 @@
 //
 // Prints the configuration, the per-request hop costs, storage stats and
 // (with --verify) the delivery-correctness ledger.
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "cbps/common/flags.hpp"
@@ -261,6 +263,11 @@ int main(int argc, char** argv) {
   cfg.buffering = buffering;
   cfg.collecting = collecting;
   cfg.buffer_period = sim::from_seconds(buffer_period_s);
+  if (replication < 0) {
+    std::fprintf(stderr, "bad --replication: %lld (want >= 0)\n",
+                 static_cast<long long>(replication));
+    return 1;
+  }
   cfg.replication_factor = static_cast<std::size_t>(replication);
   cfg.sub_ttl = ttl_s > 0 ? sim::from_seconds(ttl_s) : sim::kSimTimeNever;
   const auto engine = pubsub::match_engine_from_string(match_engine);
@@ -285,6 +292,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   cfg.loss_rate = loss_rate;
+  if (max_retries < 0 ||
+      max_retries > std::numeric_limits<std::uint32_t>::max()) {
+    std::fprintf(stderr, "bad --max-retries: %lld (want [0, 2^32))\n",
+                 static_cast<long long>(max_retries));
+    return 1;
+  }
   cfg.max_retries = static_cast<std::uint32_t>(max_retries);
   cfg.retry_base = sim::from_seconds(retry_base_ms / 1000.0);
   if (!fault_script.empty()) {
