@@ -1,16 +1,13 @@
 // Rendezvous matching at production scale: 10^5..10^7 subscriptions on
-// one node, across the three match engines (brute force, counting
-// index, counting + covering/merging).
+// one node, across the two match engines (brute force and the counting
+// index).
 //
 // The workload models the redundancy real deployments have (Shi et al.,
 // PAPERS.md): a Zipf-popular pool of template filters, with most
-// subscriptions being exact copies, narrowed variants (covering prey),
-// or one-attribute shifts (merging prey) of a template; the rest are
-// fresh random filters. Reported per point: per-event match latency
-// percentiles, stored-vs-logical subscription counts, covering/merging
-// ratios, and the index's heap footprint — the metrics JSON carries the
-// p99/stored/memory columns the ROADMAP's million-subscription item
-// asks for.
+// subscriptions being exact copies, narrowed variants or one-attribute
+// shifts of a template; the rest are fresh random filters. Reported per
+// point: build time, per-event match latency percentiles and the
+// index's heap footprint.
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -30,10 +27,6 @@ using namespace cbps;
 
 struct ScaleRow {
   double logical_subs = 0;       // subscriptions registered
-  double stored_roots = 0;       // entries the index actually stores
-  double covered_children = 0;   // held with zero index entries
-  double umbrellas = 0;          // synthetic merged roots
-  double covered_ratio = 0;      // covered_children / logical_subs
   double index_memory_bytes = 0; // per-node index heap footprint
   double build_s = 0;            // wall time to insert everything
   double inserts_per_sec = 0;
@@ -46,10 +39,6 @@ struct ScaleRow {
 
 bench::JsonFields json_fields(const ScaleRow& r) {
   return {{"logical_subs", r.logical_subs},
-          {"stored_roots", r.stored_roots},
-          {"covered_children", r.covered_children},
-          {"umbrellas", r.umbrellas},
-          {"covered_ratio", r.covered_ratio},
           {"index_memory_bytes", r.index_memory_bytes},
           {"build_s", r.build_s},
           {"inserts_per_sec", r.inserts_per_sec},
@@ -65,8 +54,6 @@ bench::JsonFields metrics_fields(const ScaleRow& r) {
           {"match_ns_p99", r.match_ns_p99},
           {"match_ns_max", r.match_ns_max},
           {"logical_subs", r.logical_subs},
-          {"stored_roots", r.stored_roots},
-          {"covered_ratio", r.covered_ratio},
           {"index_memory_bytes", r.index_memory_bytes}};
 }
 
@@ -79,8 +66,8 @@ struct ScaleParams {
   std::uint64_t seed = 1;
 };
 
-// Derive a subscription from a template: exact copy (covered), a
-// narrowed variant (covered), or a one-attribute shift (mergeable).
+// Derive a subscription from a template: an exact copy, a narrowed
+// variant, or a one-attribute shift.
 std::vector<pubsub::Constraint> derive(
     const std::vector<pubsub::Constraint>& tmpl, Rng& rng,
     const pubsub::Schema& schema) {
@@ -97,8 +84,7 @@ std::vector<pubsub::Constraint> derive(
     const Value hi = c.range.hi - rng.uniform_int(0, w / 4);
     c.range = {std::min(lo, hi), std::max(lo, hi)};
   } else {
-    // Shift by up to one width: overlapping or slightly disjoint, the
-    // case covering misses and merging collects.
+    // Shift by up to one width: overlapping or slightly disjoint.
     const std::int64_t delta = rng.uniform_int(-w, w);
     Value lo = c.range.lo + delta;
     Value hi = c.range.hi + delta;
@@ -184,15 +170,6 @@ ScaleRow run_point(const ScaleParams& p) {
       p.events > 0
           ? static_cast<double>(total_matches) / static_cast<double>(p.events)
           : 0;
-  if (const auto* cov = store.covering_index()) {
-    r.stored_roots = static_cast<double>(cov->stored_roots());
-    r.covered_children = static_cast<double>(cov->covered_children());
-    r.umbrellas = static_cast<double>(cov->umbrella_count());
-    r.covered_ratio =
-        r.logical_subs > 0 ? r.covered_children / r.logical_subs : 0;
-  } else {
-    r.stored_roots = static_cast<double>(store.size());
-  }
   r.index_memory_bytes = static_cast<double>(store.index_memory_bytes());
   return r;
 }
@@ -209,7 +186,7 @@ int main(int argc, char** argv) {
   std::string metrics_json_path;
   FlagParser parser(
       "match_scale — rendezvous matching at 10^5..10^7 subscriptions\n"
-      "across the brute/counting/covering engines (one store per point).");
+      "across the brute/counting engines (one store per point).");
   parser.add("jobs", "worker threads (0 = all hardware threads)", &jobs);
   parser.add("max-subs",
              "largest sweep point (points are decades from 1e5 up; pass "
@@ -239,7 +216,6 @@ int main(int argc, char** argv) {
   constexpr pubsub::MatchEngine kEngines[] = {
       pubsub::MatchEngine::kBruteForce,
       pubsub::MatchEngine::kCountingIndex,
-      pubsub::MatchEngine::kCoveringIndex,
   };
   for (std::int64_t n = 100'000; n <= max_subs; n *= 10) {
     for (const auto engine : kEngines) {
@@ -258,17 +234,12 @@ int main(int argc, char** argv) {
   }
 
   std::puts("=== match_scale: per-node matching at scale ===\n");
-  std::printf("%-20s %12s %12s %12s %10s %8s %12s\n", "engine/subs",
-              "p50 us", "p99 us", "stored", "covered%", "umbr",
+  std::printf("%-20s %12s %12s %12s\n", "engine/subs", "p50 us", "p99 us",
               "index MiB");
   sweep.run([&](std::size_t i, const ScaleRow& r) {
-    std::printf("%-20s %12.1f %12.1f %12.0f %10.1f %8.0f %12.1f\n",
-                sweep.label(i).c_str(), r.match_ns_p50 / 1e3,
-                r.match_ns_p99 / 1e3, r.stored_roots,
-                100.0 * r.covered_ratio, r.umbrellas,
+    std::printf("%-20s %12.1f %12.1f %12.1f\n", sweep.label(i).c_str(),
+                r.match_ns_p50 / 1e3, r.match_ns_p99 / 1e3,
                 r.index_memory_bytes / (1024.0 * 1024.0));
   });
-  std::puts("\n(stored = index-resident roots; covered% = subscriptions");
-  std::puts("held as covered/merged children with zero index entries)");
   return 0;
 }

@@ -22,9 +22,12 @@
 // into its children.
 //
 // Subscriptions are numbered by the slots of the table they live in (the
-// store's record slots, or the covering engine's roots). Bucket entries
-// carry the slot, so a match counts into flat per-slot arrays and reports
-// slots; the index keeps no subscription pointer and no id.
+// store's record slots). Bucket entries carry the slot, so a match counts
+// into flat per-slot arrays and reports slots; the index keeps no
+// subscription pointer and no id. The index is exact: match_into()
+// reports precisely the registered slots whose subscription matches the
+// event, which the differential tests check against the store's
+// brute-force scan.
 //
 // Bucket registration is batched: insert() records the slot, and the
 // pending bucket entries are registered in insertion order at the next
@@ -41,19 +44,32 @@
 // only on the attribute order and the registration order.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
 
 #include "cbps/common/types.hpp"
-#include "cbps/pubsub/match_index.hpp"
+#include "cbps/pubsub/event.hpp"
 #include "cbps/pubsub/schema.hpp"
 #include "cbps/pubsub/subscription.hpp"
 
 namespace cbps::pubsub {
 
-class CountingIndex final : public MatchIndex {
+/// Where the index reads the subscription behind a slot. The index keeps
+/// no pointer to a subscription: it may read any registered slot at any
+/// time (deferred bucket registration reads at the next match or remove),
+/// and the table must answer with the subscription registered there.
+class SlotTable {
+ public:
+  virtual const Subscription& at(std::uint32_t slot) const = 0;
+
+ protected:
+  ~SlotTable() = default;
+};
+
+class CountingIndex {
  public:
   /// `buckets_per_attribute` caps each attribute's bucket count. It
   /// trades insertion cost (an interval is registered in every bucket it
@@ -67,19 +83,24 @@ class CountingIndex final : public MatchIndex {
   /// attribute domain can never match; it is registered (so remove() and
   /// duplicate detection behave) but gets no bucket entries — exactly the
   /// brute-force engine's behaviour of never reporting it.
-  bool insert(std::uint32_t slot, const Subscription& sub) override;
+  bool insert(std::uint32_t slot, const Subscription& sub);
 
-  /// Remove the subscription at `slot`. Returns false if unregistered.
-  bool remove(std::uint32_t slot) override;
+  /// Remove the subscription at `slot` while the table still holds it.
+  /// Returns false if unregistered.
+  bool remove(std::uint32_t slot);
 
-  void match_into(const Event& e,
-                  std::vector<std::uint32_t>& slots) const override;
+  /// Append the slots of all registered subscriptions matching `e` to
+  /// `slots` (no duplicates): the constraint-free ones, then the rest in
+  /// the first-touch order described above. `slots` is not cleared.
+  void match_into(const Event& e, std::vector<std::uint32_t>& slots) const;
 
-  std::size_t size() const override { return size_; }
+  /// Number of registered subscriptions.
+  std::size_t size() const { return size_; }
 
   /// Heap footprint of the bucket/scratch structures in bytes, pending
-  /// registrations included.
-  std::size_t memory_bytes() const override;
+  /// registrations included (not the subscriptions, which the table
+  /// owns).
+  std::size_t memory_bytes() const;
 
   /// Buckets allocated for `attr`: 0 until an entry registers on it, then
   /// 1, 2, 4, ... up to the cap (pending registrations not included).

@@ -7,10 +7,10 @@
 // 25k-subscription memory experiments stay cheap.
 //
 // Records live in one vector of dense slots. A freed slot is reused
-// last-in first-out, else the vector grows, and the installed match index
-// registers, removes and reports subscriptions by the same slots. One
-// flat open-addressing map finds an id's slot; nothing walks it, so
-// visiting records in id order means sorting the live slots' ids.
+// last-in first-out, else the vector grows, and the counting index (when
+// installed) registers, removes and reports subscriptions by the same
+// slots. One flat open-addressing map finds an id's slot; nothing walks
+// it, so visiting records in id order means sorting the live slots' ids.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +24,6 @@
 #include "cbps/common/flat_id_map.hpp"
 #include "cbps/common/types.hpp"
 #include "cbps/pubsub/counting_index.hpp"
-#include "cbps/pubsub/covering_index.hpp"
-#include "cbps/pubsub/match_index.hpp"
 #include "cbps/pubsub/messages.hpp"
 #include "cbps/pubsub/subscription.hpp"
 #include "cbps/sim/time.hpp"
@@ -37,12 +35,10 @@ namespace cbps::pubsub {
 enum class MatchEngine {
   kBruteForce,     // linear scan (simple, the correctness oracle)
   kCountingIndex,  // per-attribute interval buckets (Fabret et al. [6])
-  kCoveringIndex,  // counting index + subscription covering/merging
 };
 
 const char* to_string(MatchEngine engine);
-/// Parse "brute" / "counting" / "covering"; returns std::nullopt on
-/// anything else.
+/// Parse "brute" / "counting"; returns std::nullopt on anything else.
 std::optional<MatchEngine> match_engine_from_string(std::string_view s);
 
 class SubscriptionStore : private SlotTable {
@@ -55,7 +51,7 @@ class SubscriptionStore : private SlotTable {
   };
 
   SubscriptionStore() = default;
-  // The installed index reads records through this object.
+  // The counting index reads records through this object.
   SubscriptionStore(const SubscriptionStore&) = delete;
   SubscriptionStore& operator=(const SubscriptionStore&) = delete;
 
@@ -65,46 +61,19 @@ class SubscriptionStore : private SlotTable {
     CBPS_ASSERT_MSG(slots_.empty(), "enable the index on an empty store");
     index_ = std::make_unique<CountingIndex>(table(), schema,
                                              buckets_per_attribute);
-    engine_ = MatchEngine::kCountingIndex;
-  }
-
-  /// Switch matching to the covering/merging engine (call before any
-  /// insert).
-  void use_covering_index(const Schema& schema, CoveringOptions opts = {}) {
-    CBPS_ASSERT_MSG(slots_.empty(), "enable the index on an empty store");
-    index_ = std::make_unique<CoveringIndex>(table(), schema, opts);
-    engine_ = MatchEngine::kCoveringIndex;
   }
 
   /// Install `engine` (no-op for kBruteForce; call before any insert).
   void use_engine(MatchEngine engine, const Schema& schema) {
-    switch (engine) {
-      case MatchEngine::kBruteForce:
-        break;
-      case MatchEngine::kCountingIndex:
-        use_counting_index(schema);
-        break;
-      case MatchEngine::kCoveringIndex:
-        use_covering_index(schema);
-        break;
-    }
+    if (engine == MatchEngine::kCountingIndex) use_counting_index(schema);
   }
 
-  MatchEngine engine() const { return engine_; }
-
-  /// The counting index (nullptr unless kCountingIndex).
-  const CountingIndex* counting_index() const {
-    return engine_ == MatchEngine::kCountingIndex
-               ? static_cast<const CountingIndex*>(index_.get())
-               : nullptr;
+  MatchEngine engine() const {
+    return index_ ? MatchEngine::kCountingIndex : MatchEngine::kBruteForce;
   }
 
-  /// Covering/merging statistics (nullptr unless kCoveringIndex).
-  const CoveringIndex* covering_index() const {
-    return engine_ == MatchEngine::kCoveringIndex
-               ? static_cast<const CoveringIndex*>(index_.get())
-               : nullptr;
-  }
+  /// The counting index (nullptr under brute force).
+  const CountingIndex* counting_index() const { return index_.get(); }
 
   /// Heap footprint of the match index in bytes (0 under brute force).
   std::size_t index_memory_bytes() const {
@@ -171,9 +140,8 @@ class SubscriptionStore : private SlotTable {
   std::vector<std::uint32_t> free_slots_;  // reused last-in first-out
   FlatIdMap ids_;                           // id -> slot
   std::multimap<sim::SimTime, std::uint32_t> expiry_index_;  // -> slot
-  std::unique_ptr<MatchIndex> index_;  // null = brute force
+  std::unique_ptr<CountingIndex> index_;  // null = brute force
   mutable std::vector<std::uint32_t> scratch_slots_;
-  MatchEngine engine_ = MatchEngine::kBruteForce;
   std::size_t owned_ = 0;
   std::size_t peak_owned_ = 0;
 };

@@ -11,8 +11,6 @@ const char* to_string(MatchEngine engine) {
       return "brute";
     case MatchEngine::kCountingIndex:
       return "counting";
-    case MatchEngine::kCoveringIndex:
-      return "covering";
   }
   return "?";
 }
@@ -20,7 +18,6 @@ const char* to_string(MatchEngine engine) {
 std::optional<MatchEngine> match_engine_from_string(std::string_view s) {
   if (s == "brute") return MatchEngine::kBruteForce;
   if (s == "counting") return MatchEngine::kCountingIndex;
-  if (s == "covering") return MatchEngine::kCoveringIndex;
   return std::nullopt;
 }
 
@@ -86,7 +83,7 @@ bool SubscriptionStore::insert(Record&& record) {
   }
   // A re-subscription can carry different constraints under the same id
   // (the subscriber upgraded its filter): the index entries must follow,
-  // or the indexed engines keep matching the stale constraints and
+  // or the counting index keeps matching the stale constraints and
   // silently diverge from brute force. The index reads constraints
   // through this store, so it unregisters the old ones before the
   // pointer changes and registers the new ones after.

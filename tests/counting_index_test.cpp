@@ -1,6 +1,6 @@
 // Tests for the rendezvous matching engines: counting-index unit
-// behaviour, covering/merging semantics, and differential properties
-// driving every engine against the brute-force oracle.
+// behaviour, and differential properties driving the counting index
+// against the brute-force oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "cbps/pubsub/counting_index.hpp"
-#include "cbps/pubsub/covering_index.hpp"
 #include "cbps/pubsub/store.hpp"
 #include "cbps/workload/generator.hpp"
 
@@ -38,12 +37,10 @@ Event make_event(std::vector<Value> values, EventId id = 1) {
 // (freed slots are reused last-in first-out, else the table grows), the
 // table keeps the subscription while the index has it registered, and
 // matches come back as ids in the index's order.
-template <class Index>
 class Indexed final : public SlotTable {
  public:
-  template <class... Args>
-  explicit Indexed(const Schema& schema, Args&&... args)
-      : index_(*this, schema, std::forward<Args>(args)...) {}
+  Indexed(const Schema& schema, std::size_t buckets_per_attribute)
+      : index_(*this, schema, buckets_per_attribute) {}
 
   const Subscription& at(std::uint32_t slot) const override {
     return *held_.at(slot);
@@ -94,10 +91,10 @@ class Indexed final : public SlotTable {
   }
 
   std::size_t size() const { return index_.size(); }
-  const Index* operator->() const { return &index_; }
+  const CountingIndex* operator->() const { return &index_; }
 
  private:
-  Index index_;
+  CountingIndex index_;
   std::vector<SubscriptionPtr> held_;
   std::vector<std::uint32_t> free_;
   std::map<SubscriptionId, std::uint32_t> slot_of_;
@@ -105,7 +102,7 @@ class Indexed final : public SlotTable {
 
 TEST(CountingIndexTest, SingleConstraintMatch) {
   const Schema schema = Schema::uniform(2, 999);
-  Indexed<CountingIndex> index(schema, 16);
+  Indexed index(schema, 16);
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {100, 200}}})));
   EXPECT_EQ(index.match(make_event({150, 0})),
             std::vector<SubscriptionId>{1});
@@ -115,7 +112,7 @@ TEST(CountingIndexTest, SingleConstraintMatch) {
 
 TEST(CountingIndexTest, ConjunctionRequiresAllConstraints) {
   const Schema schema = Schema::uniform(3, 999);
-  Indexed<CountingIndex> index(schema, 16);
+  Indexed index(schema, 16);
   index.insert(make_sub(1, {{0, {0, 499}}, {2, {500, 999}}}));
   EXPECT_EQ(index.match(make_event({100, 7, 600})).size(), 1u);
   EXPECT_TRUE(index.match(make_event({100, 7, 499})).empty());
@@ -124,7 +121,7 @@ TEST(CountingIndexTest, ConjunctionRequiresAllConstraints) {
 
 TEST(CountingIndexTest, EmptyConstraintsMatchEverything) {
   const Schema schema = Schema::uniform(2, 999);
-  Indexed<CountingIndex> index(schema, 16);
+  Indexed index(schema, 16);
   index.insert(make_sub(7, {}));
   EXPECT_EQ(index.match(make_event({0, 999})),
             std::vector<SubscriptionId>{7});
@@ -134,7 +131,7 @@ TEST(CountingIndexTest, EmptyConstraintsMatchEverything) {
 
 TEST(CountingIndexTest, DuplicateInsertRejected) {
   const Schema schema = Schema::uniform(1, 99);
-  Indexed<CountingIndex> index(schema, 4);
+  Indexed index(schema, 4);
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {0, 50}}})));
   EXPECT_FALSE(index.insert(make_sub(1, {{0, {0, 50}}})));
   EXPECT_EQ(index.match(make_event({25})).size(), 1u);  // no double count
@@ -142,13 +139,13 @@ TEST(CountingIndexTest, DuplicateInsertRejected) {
 
 TEST(CountingIndexTest, RemoveUnknownReturnsFalse) {
   const Schema schema = Schema::uniform(1, 99);
-  Indexed<CountingIndex> index(schema, 4);
+  Indexed index(schema, 4);
   EXPECT_FALSE(index.remove(42));
 }
 
 TEST(CountingIndexTest, DomainBoundaryValues) {
   const Schema schema = Schema::uniform(1, 999);
-  Indexed<CountingIndex> index(schema, 7);  // non-divisible bucket count
+  Indexed index(schema, 7);  // non-divisible bucket count
   index.insert(make_sub(1, {{0, {0, 0}}}));
   index.insert(make_sub(2, {{0, {999, 999}}}));
   index.insert(make_sub(3, {{0, {0, 999}}}));
@@ -162,7 +159,7 @@ TEST(CountingIndexTest, DomainBoundaryValues) {
 
 TEST(CountingIndexTest, ShiftedDomain) {
   const Schema schema({{"t", {-100, 100}}});
-  Indexed<CountingIndex> index(schema, 8);
+  Indexed index(schema, 8);
   index.insert(make_sub(1, {{0, {-50, -10}}}));
   EXPECT_EQ(index.match(make_event({-30})).size(), 1u);
   EXPECT_TRUE(index.match(make_event({0})).empty());
@@ -170,7 +167,7 @@ TEST(CountingIndexTest, ShiftedDomain) {
 
 TEST(CountingIndexTest, EquivalentToBruteForceOnRandomWorkload) {
   const Schema schema = Schema::uniform(4, 1'000'000);
-  Indexed<CountingIndex> index(schema, 256);
+  Indexed index(schema, 256);
   workload::WorkloadParams wp;
   wp.nonselective_range_frac = 0.10;
   workload::WorkloadGenerator gen(schema, wp, 31337);
@@ -334,7 +331,7 @@ TEST(CountingIndexTest, BatchedRegistrationMatchesEagerOrder) {
     wp.nonselective_range_frac = 0.2;
     workload::WorkloadGenerator gen(schema, wp, seed);
     Rng& rng = gen.rng();
-    Indexed<CountingIndex> batched(schema, 32);
+    Indexed batched(schema, 32);
     EagerCountingIndex eager(schema, 32);
     std::vector<SubscriptionPtr> live;
     std::vector<SubscriptionPtr> removed;
@@ -404,7 +401,7 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
     wp.nonselective_range_frac = 0.2;
     workload::WorkloadGenerator gen(schema, wp, 1000 + cap);
     Rng& rng = gen.rng();
-    Indexed<CountingIndex> index(schema, cap);
+    Indexed index(schema, cap);
     EagerCountingIndex eager(schema, cap);
     // A fresh index holds no bucket headers, let alone cap x dimensions.
     EXPECT_LT(index->memory_bytes(), sizeof(std::vector<char>));
@@ -456,11 +453,11 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
 
 // Regression: a constraint range disjoint from the schema domain used to
 // dereference an empty std::optional in CountingIndex::insert. The
-// subscription is unsatisfiable — every engine must hold it inert (never
+// subscription is unsatisfiable — the index must hold it inert (never
 // match, still removable) exactly like brute force never matches it.
 TEST(CountingIndexTest, DomainDisjointConstraintIsInert) {
   const Schema schema({{"t", {0, 999}}, {"u", {0, 999}}});
-  Indexed<CountingIndex> index(schema, 8);
+  Indexed index(schema, 8);
   // Disjoint on attr 0 and valid on attr 1: no event can satisfy it.
   EXPECT_TRUE(index.insert(make_sub(1, {{0, {2000, 3000}}, {1, {0, 999}}})));
   EXPECT_EQ(index.size(), 1u);
@@ -468,26 +465,15 @@ TEST(CountingIndexTest, DomainDisjointConstraintIsInert) {
   EXPECT_FALSE(index.insert(make_sub(1, {{0, {2000, 3000}}})));
   EXPECT_TRUE(index.remove(1));
   EXPECT_EQ(index.size(), 0u);
-
-  Indexed<CoveringIndex> covering(schema);
-  EXPECT_TRUE(
-      covering.insert(make_sub(2, {{0, {2000, 3000}}, {1, {0, 999}}})));
-  EXPECT_EQ(covering->inert_count(), 1u);
-  EXPECT_EQ(covering->stored_roots(), 0u);
-  auto out = covering.match(make_event({500, 500}));
-  EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(covering.remove(2));
-  EXPECT_EQ(covering.size(), 0u);
 }
 
 // Regression: a refresh (same id, new constraints) used to leave stale
-// index entries and a stale stored pointer, so the indexed engines kept
+// index entries and a stale stored pointer, so the counting index kept
 // matching the old filter while brute force matched the new one.
 TEST(StoreWithIndexTest, RefreshWithChangedConstraintsReindexes) {
   const Schema schema = Schema::uniform(1, 999);
   for (const MatchEngine engine :
-       {MatchEngine::kBruteForce, MatchEngine::kCountingIndex,
-        MatchEngine::kCoveringIndex}) {
+       {MatchEngine::kBruteForce, MatchEngine::kCountingIndex}) {
     SubscriptionStore store;
     store.use_engine(engine, schema);
     store.insert({make_sub(1, {{0, {0, 100}}}), sim::kSimTimeNever, {},
@@ -504,104 +490,6 @@ TEST(StoreWithIndexTest, RefreshWithChangedConstraintsReindexes) {
     // collectors/state handover even when the id matches).
     EXPECT_EQ(hits[0]->sub->constraints[0].range, (ClosedInterval{500, 600}));
   }
-}
-
-TEST(CoveringIndexTest, NarrowerSubscriptionBecomesCoveredChild) {
-  const Schema schema = Schema::uniform(2, 999);
-  Indexed<CoveringIndex> index(schema);
-  EXPECT_TRUE(index.insert(make_sub(1, {{0, {100, 500}}})));
-  EXPECT_TRUE(index.insert(make_sub(2, {{0, {200, 300}}, {1, {0, 10}}})));
-  EXPECT_EQ(index->stored_roots(), 1u);
-  EXPECT_EQ(index->covered_children(), 1u);
-  EXPECT_EQ(index.size(), 2u);
-
-  auto out = index.match(make_event({250, 5}));
-  EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
-            (std::set<SubscriptionId>{1, 2}));
-  out = index.match(make_event({250, 500}));  // outside child's a1
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out = index.match(make_event({150, 5}));  // outside child's a0
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-}
-
-TEST(CoveringIndexTest, RemovingCovererPromotesChildren) {
-  const Schema schema = Schema::uniform(1, 999);
-  Indexed<CoveringIndex> index(schema);
-  index.insert(make_sub(1, {{0, {0, 500}}}));
-  index.insert(make_sub(2, {{0, {100, 200}}}));
-  index.insert(make_sub(3, {{0, {150, 180}}}));
-  EXPECT_EQ(index->stored_roots(), 1u);
-  EXPECT_EQ(index->covered_children(), 2u);
-
-  EXPECT_TRUE(index.remove(1));
-  EXPECT_EQ(index.size(), 2u);
-  // Children re-admitted: sub 3 is narrower than sub 2, so it re-covers.
-  EXPECT_EQ(index->covered_children(), 1u);
-  auto out = index.match(make_event({160}));
-  EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
-            (std::set<SubscriptionId>{2, 3}));
-  out = index.match(make_event({400}));  // only the removed coverer
-  EXPECT_TRUE(out.empty());
-}
-
-TEST(CoveringIndexTest, OneAttributeShiftMergesUnderUmbrella) {
-  const Schema schema = Schema::uniform(2, 999);
-  Indexed<CoveringIndex> index(schema);
-  // Identical on a1, adjacent on a0: prime merging material.
-  index.insert(make_sub(1, {{0, {100, 199}}, {1, {50, 60}}}));
-  index.insert(make_sub(2, {{0, {200, 299}}, {1, {50, 60}}}));
-  EXPECT_EQ(index->umbrella_count(), 1u);
-  EXPECT_EQ(index->stored_roots(), 1u);  // just the umbrella
-  EXPECT_EQ(index->covered_children(), 2u);
-
-  auto out = index.match(make_event({150, 55}));
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out = index.match(make_event({250, 55}));
-  EXPECT_EQ(out, std::vector<SubscriptionId>{2});
-  out = index.match(make_event({150, 70}));  // outside both on a1
-  EXPECT_TRUE(out.empty());
-
-  // Removing one member dissolves the umbrella back to a plain root.
-  EXPECT_TRUE(index.remove(1));
-  EXPECT_EQ(index->umbrella_count(), 0u);
-  EXPECT_EQ(index->stored_roots(), 1u);
-  EXPECT_EQ(index->covered_children(), 0u);
-  out = index.match(make_event({250, 55}));
-  EXPECT_EQ(out, std::vector<SubscriptionId>{2});
-}
-
-TEST(CoveringIndexTest, MergeRespectsFalsePositiveBudget) {
-  const Schema schema = Schema::uniform(1, 999'999);
-  CoveringOptions opts;
-  opts.merge_fp_budget = 0.25;
-  Indexed<CoveringIndex> index(schema, opts);
-  // Far apart: hull [0, 900009] would be ~99.998% uncovered — no merge.
-  index.insert(make_sub(1, {{0, {0, 9}}}));
-  index.insert(make_sub(2, {{0, {900'000, 900'009}}}));
-  EXPECT_EQ(index->umbrella_count(), 0u);
-  EXPECT_EQ(index->stored_roots(), 2u);
-  // Adjacent: zero uncovered hull — merges.
-  index.insert(make_sub(3, {{0, {10, 19}}}));
-  EXPECT_EQ(index->umbrella_count(), 1u);
-  auto out = index.match(make_event({5}));
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
-  out = index.match(make_event({15}));
-  EXPECT_EQ(out, std::vector<SubscriptionId>{3});
-}
-
-TEST(CoveringIndexTest, ReportsMemoryAndSupportsMatchAllRoots) {
-  const Schema schema = Schema::uniform(2, 999);
-  Indexed<CoveringIndex> index(schema);
-  index.insert(make_sub(1, {}));  // matches everything, covers everything
-  index.insert(make_sub(2, {{0, {10, 20}}}));
-  EXPECT_EQ(index->stored_roots(), 1u);
-  EXPECT_EQ(index->covered_children(), 1u);
-  EXPECT_GT(index->memory_bytes(), 0u);
-  auto out = index.match(make_event({15, 0}));
-  EXPECT_EQ(std::set<SubscriptionId>(out.begin(), out.end()),
-            (std::set<SubscriptionId>{1, 2}));
-  out = index.match(make_event({500, 0}));
-  EXPECT_EQ(out, std::vector<SubscriptionId>{1});
 }
 
 TEST(StoreWithIndexTest, MatchesLikeBruteForceStore) {
@@ -643,10 +531,10 @@ TEST(StoreWithIndexTest, MatchesLikeBruteForceStore) {
 }
 
 // Differential property: drive random insert / refresh / remove /
-// sweep_expired sequences through all three engines and assert they
-// report identical match sets throughout. Brute force is the oracle;
-// the indexed engines must never diverge from it (this is the test that
-// pins both fixed divergence bugs and the covering engine's exactness).
+// sweep_expired sequences through both engines and assert they report
+// identical match sets throughout. Brute force is the oracle; the
+// counting index must never diverge from it (this is the test that pins
+// both fixed divergence bugs).
 TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
   const Schema schema = Schema::uniform(3, 99'999);
   for (const std::uint64_t seed : {11u, 23u, 47u, 101u}) {
@@ -657,10 +545,8 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
 
     SubscriptionStore brute;
     SubscriptionStore counting;
-    SubscriptionStore covering;
     counting.use_counting_index(schema, 64);
-    covering.use_covering_index(schema);
-    SubscriptionStore* stores[] = {&brute, &counting, &covering};
+    SubscriptionStore* stores[] = {&brute, &counting};
 
     std::vector<SubscriptionPtr> live;
     sim::SimTime now = 0;
@@ -710,7 +596,6 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
       } else if (roll < 0.80) {
         const std::size_t swept = brute.sweep_expired(now);
         ASSERT_EQ(counting.sweep_expired(now), swept);
-        ASSERT_EQ(covering.sweep_expired(now), swept);
       }
 
       Event e;
@@ -736,17 +621,9 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
       const auto expected = ids_of(brute.match(e, now));
       ASSERT_EQ(ids_of(counting.match(e, now)), expected)
           << "counting diverged at seed " << seed << " step " << step;
-      ASSERT_EQ(ids_of(covering.match(e, now)), expected)
-          << "covering diverged at seed " << seed << " step " << step;
     }
     // The engines' bookkeeping must agree on the logical population too.
     ASSERT_EQ(brute.size(), counting.size());
-    ASSERT_EQ(brute.size(), covering.size());
-    if (const auto* cov = covering.covering_index()) {
-      ASSERT_EQ(cov->size(),
-                cov->stored_roots() - cov->umbrella_count() +
-                    cov->covered_children() + cov->inert_count());
-    }
   }
 }
 

@@ -151,14 +151,13 @@ namespace pubsub {
 namespace {
 
 constexpr MatchEngine kEngines[] = {MatchEngine::kBruteForce,
-                                    MatchEngine::kCountingIndex,
-                                    MatchEngine::kCoveringIndex};
+                                    MatchEngine::kCountingIndex};
 
-// Per script (seed 1..200), per engine (brute, counting, covering): FNV-1a
+// Per script (seed 1..200), per engine (brute, counting): FNV-1a
 // over every match call's ids in the order the store returned them.
 // Recorded from the id-keyed store (one hash map per record and per index)
 // that the slot table replaced, so they pin the match order across it.
-constexpr std::uint64_t kMatchOrderDigests[][3] = {
+constexpr std::uint64_t kMatchOrderDigests[][2] = {
 #include "store_match_order_digests.inc"
 };
 constexpr std::size_t kScripts =
@@ -170,7 +169,7 @@ constexpr std::size_t kScripts =
 // one at a time, splitting an attribute whenever one more entry
 // overflowed it; batched registration must reproduce its buckets and
 // capacities exactly.
-constexpr std::uint64_t kIndexLayoutDigests[][3] = {
+constexpr std::uint64_t kIndexLayoutDigests[][2] = {
 #include "store_index_layout_digests.inc"
 };
 static_assert(sizeof(kIndexLayoutDigests) == sizeof(kMatchOrderDigests));
@@ -505,79 +504,73 @@ TEST(StoreDifferentialTest, OneBatchEqualsMatchAfterEveryInsert) {
     flush.values.push_back(schema.domain(a).hi + 1);
   }
   constexpr SubscriptionId kSlots = 1'500;
-  for (const MatchEngine engine :
-       {MatchEngine::kCountingIndex, MatchEngine::kCoveringIndex}) {
-    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-      SubscriptionStore batched;
-      SubscriptionStore eager;
-      batched.use_engine(engine, schema);
-      eager.use_engine(engine, schema);
-      // Size both stores' per-slot arrays, the match scratch included,
-      // for every slot the test uses, with subscriptions that register
-      // no entry; the index footprints then differ only if the buckets
-      // do.
-      for (SubscriptionId id = 1; id <= kSlots; ++id) {
-        const Value past = schema.domain(0).hi + 1000;
-        for (SubscriptionStore* store : {&batched, &eager}) {
-          store->insert({make_sub(id, {{0, {past, past + 10}}}),
-                         sim::kSimTimeNever,
-                         {},
-                         false});
-        }
-      }
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SubscriptionStore batched;
+    SubscriptionStore eager;
+    batched.use_counting_index(schema);
+    eager.use_counting_index(schema);
+    // Size both stores' per-slot arrays, the match scratch included,
+    // for every slot the test uses, with subscriptions that register
+    // no entry; the index footprints then differ only if the buckets
+    // do.
+    for (SubscriptionId id = 1; id <= kSlots; ++id) {
+      const Value past = schema.domain(0).hi + 1000;
       for (SubscriptionStore* store : {&batched, &eager}) {
-        store->match(flush, 0);
-        for (SubscriptionId id = 1; id <= kSlots; ++id) store->remove(id);
+        store->insert({make_sub(id, {{0, {past, past + 10}}}),
+                       sim::kSimTimeNever,
+                       {},
+                       false});
       }
-      Rng rng(seed);
-      Rng probe(seed + 100);
-      ReferenceStore ref;
-      const auto compare = [&](int round) {
-        for (int m = 0; m < 4; ++m) {
-          const Event e = random_event(probe, schema, ref,
-                                       static_cast<EventId>(m + 1));
-          std::vector<SubscriptionId> a;
-          std::vector<SubscriptionId> b;
-          for (const auto* r : batched.match(e, 0)) a.push_back(r->sub->id);
-          for (const auto* r : eager.match(e, 0)) b.push_back(r->sub->id);
-          EXPECT_EQ(a, b) << to_string(engine) << " seed " << seed
-                          << " round " << round;
-        }
-        EXPECT_EQ(batched.index_memory_bytes(), eager.index_memory_bytes())
-            << to_string(engine) << " seed " << seed << " round " << round;
-        if (const CountingIndex* counting = batched.counting_index()) {
-          for (std::size_t a = 0; a < schema.dimensions(); ++a) {
-            EXPECT_EQ(counting->bucket_count(a),
-                      eager.counting_index()->bucket_count(a));
-          }
-        }
-      };
-      SubscriptionId next = kSlots + 1;
-      for (int round = 0; round < 3; ++round) {
-        // A batch of a few hundred inserts: every attribute splits
-        // several times within it.
-        const auto n = rng.uniform_int(50, 400);
-        for (std::int64_t i = 0; i < n; ++i) {
-          SubscriptionStore::Record r{make_sub(next++,
-                                               random_constraints(rng, schema)),
-                                      sim::kSimTimeNever,
-                                      {},
-                                      false};
-          ref.insert(r);
-          batched.insert(r);
-          eager.insert(std::move(r));
-          eager.match(flush, 0);
-        }
-        compare(round);
-        // Then remove a share, so the next batch lands on a used index.
-        for (SubscriptionId id = kSlots + 1; id < next; ++id) {
-          if (!rng.bernoulli(0.3)) continue;
-          const bool had = ref.remove(id);
-          EXPECT_EQ(batched.remove(id), had);
-          EXPECT_EQ(eager.remove(id), had);
-        }
-        compare(round);
+    }
+    for (SubscriptionStore* store : {&batched, &eager}) {
+      store->match(flush, 0);
+      for (SubscriptionId id = 1; id <= kSlots; ++id) store->remove(id);
+    }
+    Rng rng(seed);
+    Rng probe(seed + 100);
+    ReferenceStore ref;
+    const auto compare = [&](int round) {
+      for (int m = 0; m < 4; ++m) {
+        const Event e = random_event(probe, schema, ref,
+                                     static_cast<EventId>(m + 1));
+        std::vector<SubscriptionId> a;
+        std::vector<SubscriptionId> b;
+        for (const auto* r : batched.match(e, 0)) a.push_back(r->sub->id);
+        for (const auto* r : eager.match(e, 0)) b.push_back(r->sub->id);
+        EXPECT_EQ(a, b) << "seed " << seed << " round " << round;
       }
+      EXPECT_EQ(batched.index_memory_bytes(), eager.index_memory_bytes())
+          << "seed " << seed << " round " << round;
+      for (std::size_t a = 0; a < schema.dimensions(); ++a) {
+        EXPECT_EQ(batched.counting_index()->bucket_count(a),
+                  eager.counting_index()->bucket_count(a));
+      }
+    };
+    SubscriptionId next = kSlots + 1;
+    for (int round = 0; round < 3; ++round) {
+      // A batch of a few hundred inserts: every attribute splits
+      // several times within it.
+      const auto n = rng.uniform_int(50, 400);
+      for (std::int64_t i = 0; i < n; ++i) {
+        SubscriptionStore::Record r{make_sub(next++,
+                                             random_constraints(rng, schema)),
+                                    sim::kSimTimeNever,
+                                    {},
+                                    false};
+        ref.insert(r);
+        batched.insert(r);
+        eager.insert(std::move(r));
+        eager.match(flush, 0);
+      }
+      compare(round);
+      // Then remove a share, so the next batch lands on a used index.
+      for (SubscriptionId id = kSlots + 1; id < next; ++id) {
+        if (!rng.bernoulli(0.3)) continue;
+        const bool had = ref.remove(id);
+        EXPECT_EQ(batched.remove(id), had);
+        EXPECT_EQ(eager.remove(id), had);
+      }
+      compare(round);
     }
   }
 }
@@ -593,8 +586,7 @@ TEST(StoreSlotTableTest, SameConstraintsRefreshDropsOldPointerBeforeMatch) {
   for (const MatchEngine engine : kEngines) {
     SubscriptionStore store;
     store.use_engine(engine, schema);
-    // Sub 1 covers sub 2 (a covered child under the covering engine);
-    // subs 3 and 4 differ on one attribute only (an umbrella's members).
+    // Sub 1 contains sub 2; subs 3 and 4 differ on one attribute only.
     const std::vector<std::vector<Constraint>> filters = {
         {{0, {100, 500}}},
         {{0, {200, 300}}, {1, {0, 10}}},

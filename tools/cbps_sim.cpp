@@ -148,7 +148,7 @@ int main(int argc, char** argv) {
   parser.add("ttl-s", "subscription expiration in seconds (0 = never)",
              &ttl_s);
   parser.add("match-engine",
-             "rendezvous matching engine: brute | counting | covering",
+             "rendezvous matching engine: brute | counting",
              &match_engine);
   parser.add("verify", "check exactly-once delivery at the end", &verify);
   parser.add("save-trace", "record the workload to this file", &save_trace);
@@ -273,7 +273,7 @@ int main(int argc, char** argv) {
   const auto engine = pubsub::match_engine_from_string(match_engine);
   if (!engine) {
     std::fprintf(stderr,
-                 "bad --match-engine: %s (want brute|counting|covering)\n",
+                 "bad --match-engine: %s (want brute|counting)\n",
                  match_engine.c_str());
     return 1;
   }
