@@ -146,14 +146,6 @@ void write_metrics_json(const std::string& path,
        static_cast<double>(r.sim_stale_entries_skipped)},
       {"sim_heap_compactions",
        static_cast<double>(r.sim_heap_compactions)},
-      {"gossip_hops", static_cast<double>(r.gossip_hops)},
-      {"gossip_bytes", static_cast<double>(r.gossip_bytes)},
-      {"gossip_pushes", static_cast<double>(r.gossip_pushes)},
-      {"gossip_duplicates", static_cast<double>(r.gossip_duplicates)},
-      {"gossip_digests", static_cast<double>(r.gossip_digests)},
-      {"gossip_repairs", static_cast<double>(r.gossip_repairs)},
-      {"gossip_subs_learned",
-       static_cast<double>(r.gossip_subs_learned)},
   };
   first = true;
   for (const auto& [name, v] : summary) {
@@ -203,11 +195,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   sys_cfg.pubsub.buffering = cfg.buffering;
   sys_cfg.pubsub.collecting = cfg.collecting;
   sys_cfg.pubsub.buffer_period = cfg.buffer_period;
-  sys_cfg.pubsub.dissemination = cfg.dissemination;
-  sys_cfg.pubsub.gossip_fanout = cfg.gossip_fanout;
-  sys_cfg.pubsub.gossip_rounds = cfg.gossip_rounds;
-  sys_cfg.pubsub.anti_entropy_period = cfg.anti_entropy_period;
-  sys_cfg.pubsub.gossip_window = cfg.gossip_window;
   sys_cfg.pubsub.match_engine = cfg.match_engine;
   sys_cfg.pubsub.replication_factor = cfg.replication_factor;
   sys_cfg.pubsub.key_topk_capacity = cfg.key_topk_capacity;
@@ -322,38 +309,26 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.notify_hops = traffic.hops(MessageClass::kNotify);
   r.collect_hops = traffic.hops(MessageClass::kCollect);
   r.control_hops = traffic.hops(MessageClass::kControl);
-  r.gossip_hops = traffic.hops(MessageClass::kGossip);
   r.notify_bytes = traffic.bytes(MessageClass::kNotify) +
                    traffic.bytes(MessageClass::kCollect);
   r.subscribe_bytes = traffic.bytes(MessageClass::kSubscribe);
-  r.gossip_bytes = traffic.bytes(MessageClass::kGossip);
   r.notifications_delivered = system.notifications_delivered();
-  const pubsub::PubSubNode::GossipStats gstats = system.gossip_stats();
-  r.gossip_pushes = gstats.pushes_sent;
-  r.gossip_duplicates = gstats.duplicates;
-  r.gossip_digests = gstats.digests_sent;
-  r.gossip_repairs = gstats.repair_records;
-  r.gossip_subs_learned = gstats.subs_learned;
 
   if (r.subscriptions_issued > 0) {
     r.hops_per_subscription = static_cast<double>(r.subscribe_hops) /
                               static_cast<double>(r.subscriptions_issued);
   }
-  // The gossip class is this backend's notify leg; fold it into the
-  // per-publication / per-notification dissemination cost so backends
-  // compare on one axis.
-  const std::uint64_t dissemination_hops =
-      r.notify_hops + r.collect_hops + r.gossip_hops;
+  const std::uint64_t notify_leg_hops = r.notify_hops + r.collect_hops;
   if (r.publications_issued > 0) {
     r.hops_per_publication = static_cast<double>(r.publish_hops) /
                              static_cast<double>(r.publications_issued);
     r.notify_hops_per_publication =
-        static_cast<double>(dissemination_hops) /
+        static_cast<double>(notify_leg_hops) /
         static_cast<double>(r.publications_issued);
   }
   if (r.notifications_delivered > 0) {
     r.hops_per_notification =
-        static_cast<double>(dissemination_hops) /
+        static_cast<double>(notify_leg_hops) /
         static_cast<double>(r.notifications_delivered);
   }
 
@@ -469,18 +444,6 @@ std::string transport_label(pubsub::PubSubConfig::Transport t) {
       return "m-cast";
     case pubsub::PubSubConfig::Transport::kChain:
       return "chain";
-  }
-  return "?";
-}
-
-std::string dissemination_label(pubsub::PubSubConfig::Dissemination d) {
-  switch (d) {
-    case pubsub::PubSubConfig::Dissemination::kUnicast:
-      return "unicast";
-    case pubsub::PubSubConfig::Dissemination::kMcast:
-      return "m-cast";
-    case pubsub::PubSubConfig::Dissemination::kGossip:
-      return "gossip";
   }
   return "?";
 }

@@ -31,15 +31,6 @@ struct ExperimentConfig {
   sim::SimTime buffer_period = sim::sec(5);
   Value discretization = 1;
 
-  /// Notify-leg backend (rendezvous -> match group) plus the gossip
-  /// backend's knobs (ignored by the other backends).
-  pubsub::PubSubConfig::Dissemination dissemination =
-      pubsub::PubSubConfig::Dissemination::kUnicast;
-  std::size_t gossip_fanout = 3;
-  std::uint32_t gossip_rounds = 0;  // 0 = auto (ceil(log2(group)) + 2)
-  sim::SimTime anti_entropy_period = sim::sec(10);
-  sim::SimTime gossip_window = sim::sec(60);
-
   // Workload (§5.1 defaults).
   std::size_t dimensions = 4;
   Value attr_max = 1'000'000;
@@ -135,17 +126,8 @@ struct ExperimentResult {
   std::uint64_t notify_hops = 0;
   std::uint64_t collect_hops = 0;
   std::uint64_t control_hops = 0;
-  std::uint64_t gossip_hops = 0;   // epidemic + anti-entropy traffic
   std::uint64_t notify_bytes = 0;  // notify + collect classes
   std::uint64_t subscribe_bytes = 0;
-  std::uint64_t gossip_bytes = 0;
-
-  // Gossip-backend protocol counters (0 unless dissemination==gossip).
-  std::uint64_t gossip_pushes = 0;
-  std::uint64_t gossip_duplicates = 0;
-  std::uint64_t gossip_digests = 0;
-  std::uint64_t gossip_repairs = 0;       // records pulled back by repair
-  std::uint64_t gossip_subs_learned = 0;  // owned subs learned via repair
 
   // Stored subscriptions (§5 metric (b)); peaks over the run.
   std::size_t max_subs_per_node = 0;
@@ -220,6 +202,5 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg);
 /// "attribute-split" -> "M1 attr-split", etc. (row labels).
 std::string mapping_label(pubsub::MappingKind kind);
 std::string transport_label(pubsub::PubSubConfig::Transport t);
-std::string dissemination_label(pubsub::PubSubConfig::Dissemination d);
 
 }  // namespace cbps::bench

@@ -49,8 +49,6 @@ enum class SpanKind : std::uint8_t {
   kDeliver,     // notification surfaced to the application
   kRetry,       // hop-by-hop retransmission (a = attempt#)
   kDrop,        // message abandoned (a = reason code)
-  kGossipPush,  // epidemic forward of a gossip record (a = rounds left)
-  kGossipRepair,  // record resurfaced by anti-entropy pull repair
   kHotKey,      // rendezvous match under one covered key (a = key,
                 // b = notifications attributed to it) — lets
                 // tools/trace_report.py attribute phase time to hot keys

@@ -244,11 +244,7 @@ class DataPlane : public OverlayNode {
 template <class Msg>
 bool DataPlane<Msg>::transmit(Key to, Msg msg, MessageClass cls) {
   CBPS_ASSERT_MSG(to != id_, "self-transmit must be a local delivery");
-  // Gossip rides best-effort even on a reliable wire: the epidemic's own
-  // redundancy (fan-out + anti-entropy repair) is its loss recovery, and
-  // per-hop acks would double-charge the overhead the benches compare.
-  if (limits().reliable && cls != MessageClass::kGossip &&
-      seq_field(msg) != nullptr) {
+  if (limits().reliable && seq_field(msg) != nullptr) {
     return transmit_reliable(to, std::move(msg), cls);
   }
   if (!wire_transmit(to, std::move(msg), cls)) {

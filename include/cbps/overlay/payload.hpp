@@ -29,7 +29,10 @@ enum class MessageClass : std::uint8_t {
   kCollect,         // ring-neighbor aggregation toward an agent (§4.3.2)
   kStateTransfer,   // subscription-state handover on join/leave, replicas
   kControl,         // overlay maintenance: stabilization, lookups, acks
-  kGossip,          // epidemic pushes, anti-entropy digests and repairs
+  // Nothing sends kGossip since the gossip notify backend was removed.
+  // It stays because cbpsbench's replay reads the "gossip" class into
+  // its notify totals (always 0 now).
+  kGossip,
   kCount,
 };
 

@@ -69,7 +69,7 @@ struct MappingOptions {
   /// Key-space rotation: every SK/EK key is shifted by this offset
   /// modulo 2^m. This is the "nearly static" mapping adjustment of §4.2:
   /// when the mapped region of the event space turns into a hotspot, an
-  /// (infrequently disseminated) epoch offset relocates it to different
+  /// (infrequently distributed) epoch offset relocates it to different
   /// nodes. Applied uniformly to SK and EK, it trivially preserves the
   /// mapping intersection rule.
   Key rotation = 0;

@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <set>
 #include <span>
 #include <unordered_map>
@@ -38,33 +37,6 @@ struct PubSubConfig {
 
   Transport sub_transport = Transport::kUnicast;
   Transport pub_transport = Transport::kUnicast;
-
-  /// How matched notifications travel from the rendezvous to the match
-  /// group (the notify leg; `Transport` above governs the sub/pub legs).
-  enum class Dissemination {
-    kUnicast,  // the paper's default: one NotifyMsg per subscriber
-    kMcast,    // one MultiNotifyMsg through the overlay's m-cast tree
-    kGossip,   // epidemic push + anti-entropy repair (see messages.hpp)
-  };
-
-  Dissemination dissemination = Dissemination::kUnicast;
-
-  /// Gossip backend knobs (ignored unless dissemination == kGossip).
-  /// Fan-out: random group members each infected node pushes to.
-  std::size_t gossip_fanout = 3;
-  /// Push rounds before a record dies (infect-and-die counter);
-  /// 0 = auto: ceil(log2(group size)) + 2.
-  std::uint32_t gossip_rounds = 0;
-  /// Anti-entropy digest-exchange period (0 disables repair).
-  sim::SimTime anti_entropy_period = sim::sec(10);
-  /// Recent-record retention for anti-entropy repair; older records are
-  /// pruned from the seen cache and can no longer be pulled.
-  sim::SimTime gossip_window = sim::sec(60);
-  /// Base seed of the per-node gossip RNG streams (each node derives an
-  /// independent stream from this and its own overlay id, so runs stay
-  /// bit-identical across engine shard counts). PubSubSystem sets it
-  /// from the system seed.
-  std::uint64_t gossip_seed = 0x9e3779b97f4a7c15ull;
 
   /// Buffer matched notifications and send them in periodic per-
   /// subscriber batches (§4.3.2).
@@ -226,27 +198,6 @@ class PubSubNode final : public overlay::OverlayApp {
   /// Per-rendezvous-key load sketches of this node (see KeyLoad).
   const KeyLoad& key_load() const { return key_load_; }
 
-  /// Gossip-backend accounting (all zero unless dissemination==kGossip).
-  struct GossipStats {
-    std::uint64_t pushes_sent = 0;      // epidemic GossipMsg transmissions
-    std::uint64_t duplicates = 0;       // records received more than once
-    std::uint64_t misdirected = 0;      // pushes/digests for a dead member
-    std::uint64_t digests_sent = 0;     // anti-entropy digests (both legs)
-    std::uint64_t repair_records = 0;   // records resurfaced by pull repair
-    std::uint64_t subs_learned = 0;     // owned subs learned via repair
-
-    GossipStats& operator+=(const GossipStats& o) {
-      pushes_sent += o.pushes_sent;
-      duplicates += o.duplicates;
-      misdirected += o.misdirected;
-      digests_sent += o.digests_sent;
-      repair_records += o.repair_records;
-      subs_learned += o.subs_learned;
-      return *this;
-    }
-  };
-  const GossipStats& gossip_stats() const { return gossip_stats_; }
-  std::size_t gossip_seen_size() const { return gossip_seen_.size(); }
   /// Imported records that were not ours to keep and were re-issued as
   /// fresh subscriptions toward their current rendezvous (post-heal
   /// ownership repair).
@@ -293,42 +244,10 @@ class PubSubNode final : public overlay::OverlayApp {
   void handle(const StateMsg& msg, const Arrival& at);
   void handle(const ReplicaMsg& msg, const Arrival& at);
   void handle(const ReplicaRemoveMsg& msg, const Arrival& at);
-  void handle(const MultiNotifyMsg& msg, const Arrival& at);
-  void handle(const GossipMsg& msg, const Arrival& at);
-  void handle(const GossipDigestMsg& msg, const Arrival& at);
-  void handle(const GossipRepairMsg& msg, const Arrival& at);
-  void handle(const GossipSubRepairMsg& msg, const Arrival& at);
 
-  /// The rendezvous side of a publish: match the event and call
-  /// `on_match(record)` for each match this node must notify, i.e. those
-  /// for which one of the covered keys is responsible (with multi-key EK
-  /// mappings only the subscription's selective key is). Charges the
-  /// per-key load (match calls, match-set sizes, notify fan-out to the
-  /// first responsible key) and emits the kHotKey spans.
-  template <class OnMatch>
-  void match_publish(const PublishMsg& msg, const Arrival& at,
-                     OnMatch&& on_match);
   /// Surface one notification addressed to this node: dedup, delay
-  /// stats, kDeliver span, sink — the same whatever backend carried it.
+  /// stats, kDeliver span, sink.
   void surface(const Notification& n);
-
-  // Group dissemination (m-cast and gossip backends).
-  /// The responsible matches of one publish as sorted (subscriber,
-  /// notification) entries.
-  std::vector<GossipEntry> collect_entries(const PublishMsg& msg,
-                                           const Arrival& at);
-  void disseminate_mcast(const PublishMsg& msg, const Arrival& at);
-  void disseminate_gossip(const PublishMsg& msg, const Arrival& at);
-  /// Push `rec` to up to gossip_fanout random group members (never
-  /// self), spending one round. No-op when rounds == 0.
-  void gossip_push(const GossipRecordPtr& rec, std::uint32_t rounds);
-  /// First sight of `rec` (push or repair): cache it, surface own
-  /// entries, arm anti-entropy. Returns false when already seen.
-  bool absorb_gossip_record(const GossipRecordPtr& rec);
-  void schedule_anti_entropy();
-  void anti_entropy_tick();
-  GossipDigestMsg build_digest(Key to, bool reply);
-  std::uint32_t gossip_rounds_for(std::size_t group_size) const;
 
   /// Route one match to its subscriber through the configured path
   /// (immediate / buffered / collected). `trace` is the publish payload's
@@ -380,20 +299,6 @@ class PubSubNode final : public overlay::OverlayApp {
   bool collect_scheduled_ = false;
   bool sweep_scheduled_ = false;
   sim::SimTime sweep_at_ = sim::kSimTimeNever;
-
-  // --- gossip backend state (empty unless dissemination == kGossip) ----
-  /// Per-node RNG stream: peer picks must not consume the overlay or
-  /// workload streams, or the backends would perturb each other's runs.
-  Rng gossip_rng_;
-  /// Recently seen records: dedup for the epidemic and the pull-repair
-  /// inventory for anti-entropy. Ordered (D1): digests iterate it.
-  /// Retention follows each record's seeded_at (one absolute deadline
-  /// for the whole system), so the cache provably drains and the
-  /// anti-entropy timer disarms.
-  std::map<GossipId, GossipRecordPtr> gossip_seen_;
-  bool anti_entropy_scheduled_ = false;
-  std::uint64_t next_gossip_seq_ = 1;
-  GossipStats gossip_stats_;
 
   bool halted_ = false;
 

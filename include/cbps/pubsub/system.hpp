@@ -148,9 +148,6 @@ class PubSubSystem {
   std::uint64_t notifications_delivered() const;
   /// Notifications dropped by the end-to-end duplicate filter (lossy runs).
   std::uint64_t duplicates_suppressed() const;
-  /// Gossip-backend counters summed over all nodes (all zero unless
-  /// pubsub.dissemination == kGossip).
-  PubSubNode::GossipStats gossip_stats() const;
 
   /// Publish-to-notify latency across all subscribers (seconds).
   RunningStat notification_delay() const;

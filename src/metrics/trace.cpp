@@ -22,8 +22,6 @@ const char* to_string(SpanKind kind) {
     case SpanKind::kDeliver: return "deliver";
     case SpanKind::kRetry: return "retry";
     case SpanKind::kDrop: return "drop";
-    case SpanKind::kGossipPush: return "gossip-push";
-    case SpanKind::kGossipRepair: return "gossip-repair";
     case SpanKind::kHotKey: return "hot-key";
     case SpanKind::kCount: break;
   }

@@ -15,7 +15,6 @@ MessageClass class_of(const UnsubscribeMsg&) {
 }
 MessageClass class_of(const PublishMsg&) { return MessageClass::kPublish; }
 MessageClass class_of(const NotifyMsg&) { return MessageClass::kNotify; }
-MessageClass class_of(const MultiNotifyMsg&) { return MessageClass::kNotify; }
 MessageClass class_of(const CollectMsg&) { return MessageClass::kCollect; }
 MessageClass class_of(const StateMsg&) { return MessageClass::kStateTransfer; }
 MessageClass class_of(const ReplicaMsg&) {
@@ -23,12 +22,6 @@ MessageClass class_of(const ReplicaMsg&) {
 }
 MessageClass class_of(const ReplicaRemoveMsg&) {
   return MessageClass::kStateTransfer;
-}
-MessageClass class_of(const GossipMsg&) { return MessageClass::kGossip; }
-MessageClass class_of(const GossipDigestMsg&) { return MessageClass::kGossip; }
-MessageClass class_of(const GossipRepairMsg&) { return MessageClass::kGossip; }
-MessageClass class_of(const GossipSubRepairMsg&) {
-  return MessageClass::kGossip;
 }
 
 /// Sum of `part(x)` over `xs`.
@@ -39,9 +32,8 @@ std::size_t sum_of(const std::vector<T>& xs, Part part) {
       [&](std::size_t total, const T& x) { return total + part(x); });
 }
 
-// Wire sizes. A subscription record (subscribe, state transfer, replica,
-// sub repair): 32 bytes of ids, expiry and header, 24 per constraint, 16
-// per SK run.
+// Wire sizes. A subscription record (subscribe, state transfer, replica):
+// 32 bytes of ids, expiry and header, 24 per constraint, 16 per SK run.
 std::size_t subscription_bytes(const Subscription& sub, std::size_t runs) {
   return 32 + 24 * sub.constraints.size() + 16 * runs;
 }
@@ -55,16 +47,6 @@ std::size_t notification_bytes(const Notification& n) {
   return 24 + 8 * n.event->values.size();
 }
 
-// A group entry (m-cast and gossip backends): subscriber key plus its
-// notification.
-std::size_t entry_bytes(const GossipEntry& e) {
-  return 8 + notification_bytes(e.notification);
-}
-
-std::size_t gossip_record_bytes(const GossipRecordPtr& r) {
-  return 32 + 8 * r->group.size() + sum_of(r->entries, entry_bytes);
-}
-
 std::size_t bytes(const SubscribeMsg& m) {
   return subscription_bytes(*m.sub, m.ranges.size());
 }
@@ -74,9 +56,6 @@ std::size_t bytes(const PublishMsg& m) {
 }
 std::size_t bytes(const NotifyMsg& m) {
   return 16 + sum_of(m.batch, notification_bytes);
-}
-std::size_t bytes(const MultiNotifyMsg& m) {
-  return 8 + sum_of(m.entries, entry_bytes);
 }
 std::size_t bytes(const CollectMsg& m) {
   // Each item adds its range (16) and subscriber key (8).
@@ -89,18 +68,6 @@ std::size_t bytes(const StateMsg& m) {
 }
 std::size_t bytes(const ReplicaMsg& m) { return 8 + stored_bytes(m.record); }
 std::size_t bytes(const ReplicaRemoveMsg&) { return 24; }
-std::size_t bytes(const GossipMsg& m) {
-  return 16 + gossip_record_bytes(m.rec);
-}
-std::size_t bytes(const GossipDigestMsg& m) {
-  return 24 + 16 * m.have.size() + 16 * m.subs.size();
-}
-std::size_t bytes(const GossipRepairMsg& m) {
-  return 16 + sum_of(m.records, gossip_record_bytes);
-}
-std::size_t bytes(const GossipSubRepairMsg& m) {
-  return 8 + sum_of(m.records, stored_bytes);
-}
 
 }  // namespace
 

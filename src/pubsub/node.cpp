@@ -1,8 +1,6 @@
 #include "cbps/pubsub/node.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <set>
 #include <utility>
 
 #include "cbps/common/logging.hpp"
@@ -28,17 +26,12 @@ metrics::TraceRef first_sampled(const std::vector<T>& items,
   return {};
 }
 
-metrics::TraceRef entry_trace(const GossipEntry& e) {
-  return e.notification.trace;
-}
-
 }  // namespace
 
 PubSubNode::PubSubNode(overlay::OverlayNode& overlay,
                        sim::Simulator& sim, const AkMapping& mapping,
                        PubSubConfig cfg)
     : overlay_(overlay), sim_(sim), mapping_(mapping), cfg_(cfg),
-      gossip_rng_(mix64(cfg.gossip_seed ^ mix64(overlay.id()))),
       key_load_(cfg.key_topk_capacity) {
   store_.use_engine(cfg_.match_engine, mapping_.schema());
   overlay_.set_app(this);
@@ -177,7 +170,6 @@ void PubSubNode::halt() {
   notify_buffer_.clear();
   collect_to_succ_.clear();
   collect_to_pred_.clear();
-  gossip_seen_.clear();
 }
 
 std::size_t PubSubNode::re_replicate() {
@@ -290,16 +282,15 @@ void PubSubNode::handle(const ReplicaRemoveMsg& msg, const Arrival&) {
   }
 }
 
-template <class OnMatch>
-void PubSubNode::match_publish(const PublishMsg& msg, const Arrival& at,
-                               OnMatch&& on_match) {
+void PubSubNode::handle(const PublishMsg& msg, const Arrival& at) {
   const std::span<const Key> covered = at.covered;
   const auto matches = store_.match(*msg.event, sim_.now());
   std::vector<std::uint64_t> per_key_notifies(covered.size(), 0);
   for (const SubscriptionStore::Record* rec : matches) {
-    // Mapping-level exactly-once filter. The first responsible covered
-    // key takes the load attribution, so each notification is charged
-    // exactly once.
+    // Mapping-level exactly-once filter: with multi-key EK mappings only
+    // the subscription's selective key notifies. The first responsible
+    // covered key takes the load attribution, so each notification is
+    // charged exactly once.
     const auto responsible = std::find_if(
         covered.begin(), covered.end(), [&](Key k) {
           return mapping_.should_notify(*rec->sub, *msg.event, k);
@@ -307,7 +298,7 @@ void PubSubNode::match_publish(const PublishMsg& msg, const Arrival& at,
     if (responsible == covered.end()) continue;
     ++per_key_notifies[responsible - covered.begin()];
     key_load_.notify_fanout.offer(*responsible);
-    on_match(*rec);
+    route_match(*rec, msg.event, msg.published_at, at.trace);
   }
   const sim::SimTime now = sim_.now();
   for (std::size_t i = 0; i < covered.size(); ++i) {
@@ -318,22 +309,6 @@ void PubSubNode::match_publish(const PublishMsg& msg, const Arrival& at,
                    covered[i], per_key_notifies[i]);
     }
   }
-}
-
-void PubSubNode::handle(const PublishMsg& msg, const Arrival& at) {
-  switch (cfg_.dissemination) {
-    case PubSubConfig::Dissemination::kUnicast:
-      break;
-    case PubSubConfig::Dissemination::kMcast:
-      disseminate_mcast(msg, at);
-      return;
-    case PubSubConfig::Dissemination::kGossip:
-      disseminate_gossip(msg, at);
-      return;
-  }
-  match_publish(msg, at, [&](const SubscriptionStore::Record& rec) {
-    route_match(rec, msg.event, msg.published_at, at.trace);
-  });
 }
 
 void PubSubNode::surface(const Notification& n) {
@@ -379,360 +354,6 @@ void PubSubNode::handle(const NotifyMsg& msg, const Arrival&) {
     return;
   }
   for (const Notification& n : msg.batch) surface(n);
-}
-
-// ---------------------------------------------------------------------------
-// Group dissemination backends: m-cast and gossip (extensions; the
-// paper's unicast notify leg stays the default)
-// ---------------------------------------------------------------------------
-
-std::vector<GossipEntry> PubSubNode::collect_entries(const PublishMsg& msg,
-                                                     const Arrival& at) {
-  std::vector<GossipEntry> entries;
-  match_publish(msg, at, [&](const SubscriptionStore::Record& rec) {
-    entries.push_back(GossipEntry{
-        rec.sub->subscriber,
-        Notification{msg.event, rec.sub->id, msg.published_at, at.trace}});
-  });
-  // Canonical entry order: the record/payload is wire content, so its
-  // layout must not depend on the match engine's internal order (D1).
-  std::sort(entries.begin(), entries.end(),
-            [](const GossipEntry& a, const GossipEntry& b) {
-              if (a.subscriber != b.subscriber) {
-                return a.subscriber < b.subscriber;
-              }
-              return a.notification.subscription < b.notification.subscription;
-            });
-  return entries;
-}
-
-void PubSubNode::disseminate_mcast(const PublishMsg& msg, const Arrival& at) {
-  MultiNotifyMsg out{collect_entries(msg, at)};
-  if (out.entries.empty()) return;
-  std::vector<Key> group;
-  for (const GossipEntry& e : out.entries) {
-    if (group.empty() || group.back() != e.subscriber) {
-      group.push_back(e.subscriber);
-    }
-  }
-  if (trace_ != nullptr) {
-    const auto now = sim_.now();
-    for (GossipEntry& e : out.entries) {
-      Notification& n = e.notification;
-      if (!n.trace.sampled()) continue;
-      const std::uint64_t span =
-          trace_->emit(n.trace, SpanKind::kNotify, overlay_.id(), now, now,
-                       e.subscriber, out.entries.size());
-      if (span != 0) n.trace.parent_span = span;
-    }
-  }
-  ++notify_batches_sent_;
-  notifications_sent_ += out.entries.size();
-  const metrics::TraceRef trace = first_sampled(out.entries, entry_trace);
-  overlay_.m_cast(std::move(group), make_payload(std::move(out), trace));
-}
-
-void PubSubNode::handle(const MultiNotifyMsg& msg, const Arrival& at) {
-  const sim::SimTime now = sim_.now();
-  for (const GossipEntry& e : msg.entries) {
-    if (e.subscriber == overlay_.id()) continue;
-    // We cover this entry's subscriber key but are not that subscriber:
-    // the addressee crashed (or the ring moved). Ghost-drop, as for a
-    // NotifyMsg.
-    if (std::find(at.covered.begin(), at.covered.end(), e.subscriber) !=
-        at.covered.end()) {
-      ++misdirected_notifies_;
-      if (trace_ != nullptr && e.notification.trace.sampled()) {
-        trace_->emit(e.notification.trace, SpanKind::kDrop, overlay_.id(),
-                     now, now,
-                     static_cast<std::uint64_t>(DropReason::kMisdirected));
-      }
-    }
-  }
-  for (const GossipEntry& e : msg.entries) {
-    if (e.subscriber == overlay_.id()) surface(e.notification);
-  }
-}
-
-std::uint32_t PubSubNode::gossip_rounds_for(std::size_t group_size) const {
-  if (cfg_.gossip_rounds != 0) return cfg_.gossip_rounds;
-  // Push epidemics infect the group w.h.p. in O(log n) rounds; two extra
-  // rounds of slack absorb unlucky fan-out collisions.
-  std::uint32_t r = 0;
-  while ((std::size_t{1} << r) < group_size) ++r;
-  return r + 2;
-}
-
-void PubSubNode::disseminate_gossip(const PublishMsg& msg,
-                                    const Arrival& at) {
-  auto rec = std::make_shared<GossipRecord>();
-  rec->entries = collect_entries(msg, at);
-  if (rec->entries.empty()) return;
-  rec->id = GossipId{overlay_.id(), next_gossip_seq_++};
-  rec->seeded_at = sim_.now();
-  for (const GossipEntry& e : rec->entries) {
-    if (rec->group.empty() || rec->group.back() != e.subscriber) {
-      rec->group.push_back(e.subscriber);
-    }
-  }
-  ++notify_batches_sent_;
-  notifications_sent_ += rec->entries.size();
-  const GossipRecordPtr ptr = rec;  // immutable from here on
-  absorb_gossip_record(ptr);  // the seed surfaces its own entries too
-  gossip_push(ptr, gossip_rounds_for(ptr->group.size()));
-}
-
-void PubSubNode::gossip_push(const GossipRecordPtr& rec,
-                             std::uint32_t rounds) {
-  if (rounds == 0) return;
-  std::vector<Key> cand;
-  cand.reserve(rec->group.size());
-  for (Key k : rec->group) {
-    if (k != overlay_.id()) cand.push_back(k);
-  }
-  if (cand.empty()) return;
-  const metrics::TraceRef rtrace = first_sampled(rec->entries, entry_trace);
-  const sim::SimTime now = sim_.now();
-  // Partial Fisher-Yates over the group: fanout distinct peers, drawn
-  // from this node's own gossip stream (never the overlay's or the
-  // workload's — backends must not perturb each other's runs).
-  const std::size_t n = std::min(cfg_.gossip_fanout, cand.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = static_cast<std::size_t>(gossip_rng_.uniform_int(
-        static_cast<std::int64_t>(i),
-        static_cast<std::int64_t>(cand.size() - 1)));
-    std::swap(cand[i], cand[j]);
-    ++gossip_stats_.pushes_sent;
-    if (trace_ != nullptr && rtrace.sampled()) {
-      trace_->emit(rtrace, SpanKind::kGossipPush, overlay_.id(), now, now,
-                   rounds - 1, cand[i]);
-    }
-    overlay_.send(cand[i],
-                  make_payload(GossipMsg{cand[i], rec, rounds - 1}, rtrace));
-  }
-}
-
-bool PubSubNode::absorb_gossip_record(const GossipRecordPtr& rec) {
-  // Past its retention deadline the record is dead system-wide; taking
-  // it (from a repair racing the sender's prune) would restart its
-  // retention here and feed it back into anti-entropy.
-  if (rec->seeded_at + cfg_.gossip_window <= sim_.now()) return false;
-  const auto [it, fresh] = gossip_seen_.try_emplace(rec->id, rec);
-  if (!fresh) return false;
-  for (const GossipEntry& e : rec->entries) {
-    if (e.subscriber == overlay_.id()) surface(e.notification);
-  }
-  schedule_anti_entropy();
-  return true;
-}
-
-void PubSubNode::handle(const GossipMsg& msg, const Arrival& at) {
-  if (msg.target != overlay_.id()) {
-    // Pushes are key-routed, so a crashed member's share lands on its
-    // key's new owner. Ghost-drop; anti-entropy is what recovers the
-    // member if it comes back.
-    ++gossip_stats_.misdirected;
-    if (trace_ != nullptr && at.trace.sampled()) {
-      const sim::SimTime now = sim_.now();
-      trace_->emit(at.trace, SpanKind::kDrop, overlay_.id(), now, now,
-                   static_cast<std::uint64_t>(DropReason::kMisdirected));
-    }
-    return;
-  }
-  if (!absorb_gossip_record(msg.rec)) {
-    ++gossip_stats_.duplicates;
-    return;
-  }
-  // Infect-and-die: forward only on first receipt, with one round spent.
-  gossip_push(msg.rec, msg.rounds_left);
-}
-
-void PubSubNode::schedule_anti_entropy() {
-  if (anti_entropy_scheduled_ || cfg_.anti_entropy_period == 0) return;
-  if (gossip_seen_.empty()) return;
-  anti_entropy_scheduled_ = true;
-  const common::ActorScope as(overlay_.domain());
-  sim_.schedule_after(cfg_.anti_entropy_period, [this] {
-    anti_entropy_scheduled_ = false;
-    if (!halted_) anti_entropy_tick();
-  });
-}
-
-GossipDigestMsg PubSubNode::build_digest(Key to, bool reply) {
-  GossipDigestMsg digest{overlay_.id(), to, reply, {}, {}};
-  digest.have.reserve(gossip_seen_.size());
-  for (const auto& [id, rec] : gossip_seen_) digest.have.push_back(id);
-  // Owned records only: a replica advertised here would make every chain
-  // member look like an owner and re-gossip its backup copy.
-  store_.for_each([&](const SubscriptionStore::Record& rec) {
-    if (rec.replica) return;
-    digest.subs.push_back(GossipSubDigest{rec.sub->id, rec.expires_at});
-  });
-  std::sort(digest.subs.begin(), digest.subs.end(),
-            [](const GossipSubDigest& a, const GossipSubDigest& b) {
-              return a.id < b.id;
-            });
-  return digest;
-}
-
-void PubSubNode::anti_entropy_tick() {
-  const sim::SimTime now = sim_.now();
-  // Retention prune: once the record's system-wide deadline passes it
-  // leaves the repair inventory — and when the cache drains, the timer
-  // disarms, so an idle system quiesces.
-  for (auto it = gossip_seen_.begin(); it != gossip_seen_.end();) {
-    if (it->second->seeded_at + cfg_.gossip_window <= now) {
-      it = gossip_seen_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (gossip_seen_.empty()) return;
-  // Partners: up to fanout uniform picks over every member of every
-  // cached group — the nodes that could be missing one of our records —
-  // plus each record's origin. The origin is never a group member, but
-  // it is the authoritative holder: digesting it lets a member pull
-  // records it lost without waiting for the rendezvous to pick it,
-  // doubling the repair paths per tick. One partner per tick gives too
-  // few exchange attempts inside the retention window when many groups
-  // share a rendezvous; fanout picks keep the repair probability in
-  // step with the push phase.
-  const std::set<Key> peer_set = [&] {
-    std::set<Key> s;
-    for (const auto& [id, rec] : gossip_seen_) {
-      s.insert(rec->group.begin(), rec->group.end());
-      s.insert(id.origin);
-    }
-    s.erase(overlay_.id());
-    return s;
-  }();
-  std::vector<Key> peers(peer_set.begin(), peer_set.end());
-  const std::size_t n = std::min(cfg_.gossip_fanout, peers.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = static_cast<std::size_t>(gossip_rng_.uniform_int(
-        static_cast<std::int64_t>(i),
-        static_cast<std::int64_t>(peers.size() - 1)));
-    std::swap(peers[i], peers[j]);
-    ++gossip_stats_.digests_sent;
-    overlay_.send(peers[i],
-                  make_payload(build_digest(peers[i], /*reply=*/false)));
-  }
-  schedule_anti_entropy();
-}
-
-/// One repair leg: push records + owned subs `msg.from` lacks per its
-/// digest, then (unless the digest is itself a reply) answer with our own
-/// digest.
-void PubSubNode::handle(const GossipDigestMsg& msg, const Arrival&) {
-  if (msg.target != overlay_.id()) {
-    ++gossip_stats_.misdirected;
-    return;
-  }
-  // Event repair: every cached record the digest's have-list lacks —
-  // but only records whose group contains the peer. A record the peer
-  // is not a member of is not the peer's business: pushing it would
-  // spread state beyond the match group and inflate every later digest.
-  // Both sides are sorted, so this is one set-difference walk.
-  GossipRepairMsg rep{overlay_.id(), msg.from, {}};
-  auto have_it = msg.have.begin();
-  for (const auto& [id, rec] : gossip_seen_) {
-    while (have_it != msg.have.end() && *have_it < id) ++have_it;
-    if (have_it != msg.have.end() && *have_it == id) continue;
-    if (!std::binary_search(rec->group.begin(), rec->group.end(),
-                            msg.from)) {
-      continue;
-    }
-    rep.records.push_back(rec);
-  }
-  if (!rep.records.empty()) {
-    overlay_.send(msg.from, make_payload(std::move(rep)));
-  }
-  // Rendezvous-state repair: owned records whose SK ranges contain the
-  // peer's own key — the peer covers that key, so it should be holding
-  // the record as an owner — that its digest does not list. Replica
-  // copies are never offered (see build_digest).
-  std::vector<StoredSubRecord> missing;
-  const RingParams ring = overlay_.ring();
-  store_.for_each([&](const SubscriptionStore::Record& rec) {
-    if (rec.replica) return;
-    const bool relevant = std::any_of(
-        rec.ranges.begin(), rec.ranges.end(), [&](const KeyRange& r) {
-          return ring.in_closed_closed(r.lo, r.hi, msg.from);
-        });
-    if (!relevant) return;
-    const auto it = std::lower_bound(
-        msg.subs.begin(), msg.subs.end(), rec.sub->id,
-        [](const GossipSubDigest& d, SubscriptionId id) { return d.id < id; });
-    if (it != msg.subs.end() && it->id == rec.sub->id) return;
-    missing.push_back({rec.sub, rec.expires_at, rec.ranges, false});
-  });
-  if (!missing.empty()) {
-    // Store iteration order is hash-layout dependent; the wire payload
-    // must not be (D1).
-    std::sort(missing.begin(), missing.end(),
-              [](const StoredSubRecord& a, const StoredSubRecord& b) {
-                return a.sub->id < b.sub->id;
-              });
-    overlay_.send(msg.from, make_payload(GossipSubRepairMsg{
-                                msg.from, std::move(missing)}));
-  }
-  if (!msg.reply) {
-    ++gossip_stats_.digests_sent;
-    overlay_.send(msg.from,
-                  make_payload(build_digest(msg.from, /*reply=*/true)));
-  }
-}
-
-void PubSubNode::handle(const GossipRepairMsg& msg, const Arrival&) {
-  if (msg.target != overlay_.id()) {
-    ++gossip_stats_.misdirected;
-    return;
-  }
-  const sim::SimTime now = sim_.now();
-  for (const GossipRecordPtr& rec : msg.records) {
-    // Repaired records do not re-enter the push phase (no gossip_push):
-    // anti-entropy converges, it does not re-ignite the epidemic.
-    if (!absorb_gossip_record(rec)) continue;
-    ++gossip_stats_.repair_records;
-    const metrics::TraceRef trace = first_sampled(rec->entries, entry_trace);
-    if (trace_ != nullptr && trace.sampled()) {
-      trace_->emit(trace, SpanKind::kGossipRepair, overlay_.id(), now, now,
-                   rec->entries.size());
-    }
-  }
-}
-
-void PubSubNode::handle(const GossipSubRepairMsg& msg, const Arrival&) {
-  if (msg.target != overlay_.id()) {
-    ++gossip_stats_.misdirected;
-    return;
-  }
-  bool any_expiring = false;
-  for (const StoredSubRecord& rec : msg.records) {
-    if (rec.expires_at != sim::kSimTimeNever && rec.expires_at <= sim_.now()) {
-      continue;  // repair must not resurrect an expired subscription
-    }
-    // Coverage check, as on state import: the sender's view of our
-    // responsibility may be stale.
-    if (!std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                     [&](const KeyRange& r) {
-                       return coverage_intersects(r);
-                     })) {
-      continue;
-    }
-    const bool fresh = store_.insert(SubscriptionStore::Record{
-        rec.sub, rec.expires_at, rec.ranges, /*replica=*/false});
-    any_expiring |= rec.expires_at != sim::kSimTimeNever;
-    if (!fresh) continue;
-    ++gossip_stats_.subs_learned;
-    // A record learned (or upgraded from a replica) this way needs a
-    // replica chain along the *current* successors.
-    if (cfg_.replication_factor > 0) {
-      overlay_.send_to_successor(make_payload(ReplicaMsg{
-          {rec.sub, rec.expires_at, rec.ranges}, cfg_.replication_factor}));
-    }
-  }
-  if (any_expiring) schedule_sweep();
 }
 
 // ---------------------------------------------------------------------------

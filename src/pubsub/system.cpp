@@ -17,14 +17,6 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   if (cfg_.chord.reliable_transport()) {
     cfg_.pubsub.duplicate_suppression = true;
   }
-  // The epidemic deliberately delivers the same record many times; the
-  // end-to-end filter is what turns that redundancy back into at-most-
-  // once application delivery. Derive the per-node gossip streams from
-  // the system seed so two seeds give two independent epidemics.
-  if (cfg_.pubsub.dissemination == PubSubConfig::Dissemination::kGossip) {
-    cfg_.pubsub.duplicate_suppression = true;
-  }
-  cfg_.pubsub.gossip_seed = cfg_.seed * 0x9e3779b97f4a7c15ull + 0x6a09e667f3bcc909ull;
   mapping_ = make_mapping(cfg.mapping, std::move(schema), cfg.chord.ring,
                           cfg.mapping_options);
   auto latency = std::make_unique<sim::FixedLatency>(cfg.message_delay);
@@ -257,12 +249,6 @@ std::uint64_t PubSubSystem::duplicates_suppressed() const {
   std::uint64_t n = 0;
   for (const auto& node : nodes_) n += node->duplicates_suppressed();
   return n;
-}
-
-PubSubNode::GossipStats PubSubSystem::gossip_stats() const {
-  PubSubNode::GossipStats total;
-  for (const auto& node : nodes_) total += node->gossip_stats();
-  return total;
 }
 
 RunningStat PubSubSystem::notification_delay() const {

@@ -49,12 +49,6 @@ struct WorkloadSummary {
   double hops_p99 = 0;
   std::uint64_t sim_events = 0;
   sim::SimTime final_now = 0;
-  // Gossip-backend counters (all 0 on the unicast backend).
-  std::uint64_t gossip_pushes = 0;
-  std::uint64_t gossip_duplicates = 0;
-  std::uint64_t gossip_digests = 0;
-  std::uint64_t gossip_repairs = 0;
-  std::uint64_t gossip_subs_learned = 0;
 
   bool operator==(const WorkloadSummary&) const = default;
 };
@@ -62,9 +56,7 @@ struct WorkloadSummary {
 // A pub/sub run with everything turned on at once: lossy wire via a
 // fault script, a mid-run partition, Poisson churn with crashes, the
 // reliable transport and the end-to-end duplicate filter.
-WorkloadSummary run_workload(std::size_t sim_threads,
-                             pubsub::PubSubConfig::Dissemination dissemination =
-                                 pubsub::PubSubConfig::Dissemination::kUnicast) {
+WorkloadSummary run_workload(std::size_t sim_threads) {
   std::string error;
   const auto script = workload::FaultScript::parse(
       "loss at=0 model=uniform rate=0.02; "
@@ -80,7 +72,6 @@ WorkloadSummary run_workload(std::size_t sim_threads,
   cfg.chord.force_reliable = script->needs_reliable_transport();
   cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
   cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
-  cfg.pubsub.dissemination = dissemination;
   cfg.sim_threads = sim_threads;
   pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 9'999));
   EXPECT_EQ(system.sim().thread_count(),
@@ -142,12 +133,6 @@ WorkloadSummary run_workload(std::size_t sim_threads,
   s.hops_p99 = reg.histogram("chord.route_hops").p99();
   s.sim_events = system.sim().events_processed();
   s.final_now = system.sim().now();
-  const pubsub::PubSubNode::GossipStats gs = system.gossip_stats();
-  s.gossip_pushes = gs.pushes_sent;
-  s.gossip_duplicates = gs.duplicates;
-  s.gossip_digests = gs.digests_sent;
-  s.gossip_repairs = gs.repair_records;
-  s.gossip_subs_learned = gs.subs_learned;
   return s;
 }
 
@@ -165,21 +150,6 @@ TEST(ParallelWorkloadTest, ChurnFaultWorkloadIdenticalAcrossShardCounts) {
   EXPECT_GT(serial.retransmits, 0u);
   for (const std::size_t threads : {2, 4, 8}) {
     const WorkloadSummary sharded = run_workload(threads);
-    EXPECT_EQ(serial, sharded) << "divergence at " << threads << " shards";
-  }
-}
-
-// The gossip backend adds per-node RNG streams (peer sampling) and the
-// anti-entropy timer to the mix; the epidemic must still be bit-identical
-// serial vs sharded — traces, oracles and every protocol counter.
-TEST(ParallelWorkloadTest, GossipBackendIdenticalAcrossShardCounts) {
-  constexpr auto kGossip = pubsub::PubSubConfig::Dissemination::kGossip;
-  const WorkloadSummary serial = run_workload(1, kGossip);
-  EXPECT_GT(serial.expected, 0u);
-  EXPECT_GT(serial.gossip_pushes, 0u);
-  EXPECT_GT(serial.gossip_digests, 0u);
-  for (const std::size_t threads : {2, 8}) {
-    const WorkloadSummary sharded = run_workload(threads, kGossip);
     EXPECT_EQ(serial, sharded) << "divergence at " << threads << " shards";
   }
 }

@@ -1,7 +1,7 @@
 // White-box unit tests of the CB-pub/sub node against a scripted fake
 // overlay: exercises the notification paths (immediate / buffered /
-// collect direction), replication chains, state export/import and the
-// gossip repair handlers without any real routing. Also unit-tests the
+// collect direction), replication chains and state export/import
+// without any real routing. Also unit-tests the
 // DeliveryChecker oracle itself.
 #include <gtest/gtest.h>
 
@@ -308,139 +308,6 @@ TEST_F(PubSubNodeUnitTest, UnknownUnsubscribeIsNoOp) {
   EXPECT_TRUE(overlay.sent.empty());
 }
 
-// ---------------------------------------------------------------------------
-// Gossip repair handlers (anti-entropy rendezvous-state legs)
-// ---------------------------------------------------------------------------
-
-TEST_F(PubSubNodeUnitTest, GossipSubRepairLearnsOwnedRecordAndReplicates) {
-  FakeOverlay overlay(RingParams{8}, 100, 50, 150);
-  PubSubConfig cfg;
-  cfg.dissemination = PubSubConfig::Dissemination::kGossip;
-  cfg.replication_factor = 2;
-  auto node = make_node(overlay, cfg);
-
-  const auto sub = make_sub(1, 200, 0, 255);
-  GossipSubRepairMsg repair{/*target=*/100, {}};
-  repair.records.push_back({sub, sim::kSimTimeNever,
-                            mapping_->subscription_ranges(*sub),
-                            /*replica=*/false});
-  node->on_deliver(100, make_payload(repair));
-
-  const auto* rec = node->store().find(1);
-  ASSERT_NE(rec, nullptr);
-  EXPECT_FALSE(rec->replica);  // learned as owned, not as a backup copy
-  EXPECT_EQ(node->gossip_stats().subs_learned, 1u);
-
-  // Learning the record rebuilds its replica chain immediately...
-  ASSERT_EQ(overlay.sent.size(), 1u);
-  const auto* rep = message_as<ReplicaMsg>(overlay.sent[0].payload);
-  ASSERT_NE(rep, nullptr);
-  EXPECT_EQ(rep->remaining_hops, 2u);
-  EXPECT_EQ(rep->record.sub->id, 1u);
-
-  // ...and re_replicate refreshes it like any other owned record, so a
-  // post-heal sweep also re-homes gossip-learned state.
-  overlay.sent.clear();
-  EXPECT_EQ(node->re_replicate(), 1u);
-  ASSERT_EQ(overlay.sent.size(), 1u);
-  EXPECT_NE(message_as<ReplicaMsg>(overlay.sent[0].payload), nullptr);
-}
-
-TEST_F(PubSubNodeUnitTest, GossipSubRepairUpgradesAReplicaToOwned) {
-  FakeOverlay overlay(RingParams{8}, 100, 50, 150);
-  PubSubConfig cfg;
-  cfg.dissemination = PubSubConfig::Dissemination::kGossip;
-  cfg.replication_factor = 2;
-  auto node = make_node(overlay, cfg);
-
-  const auto sub = make_sub(1, 200, 0, 255);
-  const auto ranges = mapping_->subscription_ranges(*sub);
-  // Held as a neighbor's backup first (terminal hop: nothing forwarded).
-  node->on_deliver(100, make_payload(ReplicaMsg{
-                            {sub, sim::kSimTimeNever, ranges},
-                            /*remaining_hops=*/1}));
-  ASSERT_TRUE(node->store().find(1)->replica);
-  overlay.sent.clear();
-
-  GossipSubRepairMsg repair{/*target=*/100, {}};
-  repair.records.push_back({sub, sim::kSimTimeNever, ranges, false});
-  node->on_deliver(100, make_payload(repair));
-
-  EXPECT_FALSE(node->store().find(1)->replica);
-  EXPECT_EQ(node->gossip_stats().subs_learned, 1u);
-  ASSERT_EQ(overlay.sent.size(), 1u);  // fresh ownership, fresh chain
-  EXPECT_NE(message_as<ReplicaMsg>(overlay.sent[0].payload), nullptr);
-}
-
-TEST_F(PubSubNodeUnitTest, GossipSubRepairForAnotherTargetIsGhostDropped) {
-  FakeOverlay overlay(RingParams{8}, 100, 50, 150);
-  PubSubConfig cfg;
-  cfg.dissemination = PubSubConfig::Dissemination::kGossip;
-  auto node = make_node(overlay, cfg);
-  const auto sub = make_sub(1, 200, 0, 255);
-  GossipSubRepairMsg repair{/*target=*/130, {}};
-  repair.records.push_back({sub, sim::kSimTimeNever,
-                            mapping_->subscription_ranges(*sub), false});
-  // Key-routed here, addressed elsewhere.
-  node->on_deliver(100, make_payload(repair));
-  EXPECT_EQ(node->store().find(1), nullptr);
-  EXPECT_EQ(node->gossip_stats().misdirected, 1u);
-}
-
-TEST_F(PubSubNodeUnitTest, ReplicaRecordsAreNeverAdvertisedOrRepaired) {
-  FakeOverlay overlay(RingParams{8}, 100, 50, 150);
-  PubSubConfig cfg;
-  cfg.dissemination = PubSubConfig::Dissemination::kGossip;
-  auto node = make_node(overlay, cfg);
-
-  // A replica-held record whose range covers the digesting peer: if the
-  // replica guard were missing, the node would push it as repair and
-  // every chain member would act like an owner.
-  const auto backup = make_sub(1, 210, 0, 255);
-  node->on_deliver(
-      100, make_payload(ReplicaMsg{
-               {backup, sim::kSimTimeNever,
-                mapping_->subscription_ranges(*backup)},
-               /*remaining_hops=*/1}));
-  overlay.sent.clear();
-
-  node->on_deliver(100, make_payload(GossipDigestMsg{
-                            /*from=*/200, /*target=*/100, /*reply=*/false,
-                            {}, {}}));
-
-  // Only the return digest goes out — no sub repair for the replica, and
-  // the digest advertises nothing.
-  ASSERT_EQ(overlay.sent.size(), 1u);
-  const auto* digest = message_as<GossipDigestMsg>(overlay.sent[0].payload);
-  ASSERT_NE(digest, nullptr);
-  EXPECT_TRUE(digest->reply);
-  EXPECT_TRUE(digest->subs.empty());
-
-  // Contrast: an owned record with the same coverage is both pushed as
-  // repair and advertised in the return digest.
-  const auto owned = make_sub(2, 210, 0, 255);
-  deliver_sub(*node, owned);
-  overlay.sent.clear();
-  node->on_deliver(100, make_payload(GossipDigestMsg{
-                            /*from=*/200, /*target=*/100, /*reply=*/false,
-                            {}, {}}));
-
-  const GossipSubRepairMsg* repair = nullptr;
-  const GossipDigestMsg* reply = nullptr;
-  for (const auto& s : overlay.sent) {
-    if (const auto* r = message_as<GossipSubRepairMsg>(s.payload)) {
-      repair = r;
-    }
-    if (const auto* d = message_as<GossipDigestMsg>(s.payload)) reply = d;
-  }
-  ASSERT_NE(repair, nullptr);
-  ASSERT_EQ(repair->records.size(), 1u);
-  EXPECT_EQ(repair->records[0].sub->id, 2u);  // the owned one, only
-  ASSERT_NE(reply, nullptr);
-  ASSERT_EQ(reply->subs.size(), 1u);
-  EXPECT_EQ(reply->subs[0].id, 2u);
-}
-
 // Regression (duplicate-delivery accounting): the same NotifyMsg
 // replayed at a node — the overlay's ack/retry layer can do exactly that
 // — must surface to the application and the oracle once.
@@ -515,7 +382,6 @@ TEST_F(PubSubNodeUnitTest, ForeignPayloadsAreDropped) {
 // notification), so a drifting shared rule fails here.
 TEST(PubSubMessageTest, EveryMessageHasItsWireSizeAndClass) {
   using overlay::MessageClass;
-  static_assert(std::variant_size_v<Message> == 13);
   const auto make_sub = [](std::size_t constraints) {
     auto s = std::make_shared<Subscription>();
     s->id = 7;
@@ -542,13 +408,6 @@ TEST(PubSubMessageTest, EveryMessageHasItsWireSizeAndClass) {
   // 24 + 8 * values: 48 and 32.
   const Notification n3{ev3, 7, 0, {}};
   const Notification n1{ev1, 8, 0, {}};
-  const std::vector<GossipEntry> entries = {{9, n3}, {11, n1}};
-  // 32 + 8 * 2 members + (32 + 24) + (32 + 8) = 144.
-  const auto rec2 = std::make_shared<const GossipRecord>(
-      GossipRecord{{1, 1}, 0, {9, 11}, entries});
-  // 32 + 8 * 1 member + (32 + 8) = 80.
-  const auto rec1 = std::make_shared<const GossipRecord>(
-      GossipRecord{{1, 2}, 0, {11}, {{11, n1}}});
 
   struct Case {
     const char* name;
@@ -572,17 +431,6 @@ TEST(PubSubMessageTest, EveryMessageHasItsWireSizeAndClass) {
        40 + 48 + 48},
       {"replica remove", ReplicaRemoveMsg{7, 2},
        MessageClass::kStateTransfer, 24},
-      {"multi-notify", MultiNotifyMsg{entries}, MessageClass::kNotify,
-       8 + (32 + 24) + (32 + 8)},
-      {"gossip", GossipMsg{9, rec2, 3}, MessageClass::kGossip, 16 + 144},
-      {"gossip digest",
-       GossipDigestMsg{1, 9, false, {{1, 1}, {1, 2}, {4, 1}},
-                       {{7, 0}, {8, 0}}},
-       MessageClass::kGossip, 24 + 16 * 3 + 16 * 2},
-      {"gossip repair", GossipRepairMsg{1, 9, {rec2, rec1}},
-       MessageClass::kGossip, 16 + 144 + 80},
-      {"gossip sub repair", GossipSubRepairMsg{9, {big, small}},
-       MessageClass::kGossip, 8 + 128 + 72},
   };
   std::vector<bool> seen(std::variant_size_v<Message>, false);
   for (const Case& c : cases) {
@@ -591,7 +439,8 @@ TEST(PubSubMessageTest, EveryMessageHasItsWireSizeAndClass) {
     EXPECT_EQ(p->message_class(), c.cls) << c.name;
     EXPECT_EQ(p->size_bytes(), c.bytes) << c.name;
   }
-  EXPECT_EQ(std::count(seen.begin(), seen.end(), true), 13);
+  const auto covered = std::count(seen.begin(), seen.end(), true);
+  EXPECT_EQ(static_cast<std::size_t>(covered), std::variant_size_v<Message>);
 }
 
 // ---------------------------------------------------------------------------

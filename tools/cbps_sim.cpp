@@ -51,18 +51,15 @@ bool parse_transport(const std::string& s,
   return true;
 }
 
-bool parse_dissemination(const std::string& s,
-                         pubsub::PubSubConfig::Dissemination* out) {
-  if (s == "unicast") {
-    *out = pubsub::PubSubConfig::Dissemination::kUnicast;
-  } else if (s == "mcast" || s == "multicast") {
-    *out = pubsub::PubSubConfig::Dissemination::kMcast;
-  } else if (s == "gossip") {
-    *out = pubsub::PubSubConfig::Dissemination::kGossip;
-  } else {
-    return false;
+/// `ok`, after printing "bad --<flag>: <value> (want <want>)" when it
+/// is false.
+template <class T>
+bool in_range(bool ok, const char* flag, T value, const char* want) {
+  if (!ok) {
+    std::cerr << "bad --" << flag << ": " << value << " (want " << want
+              << ")\n";
   }
-  return true;
+  return ok;
 }
 
 }  // namespace
@@ -73,11 +70,6 @@ int main(int argc, char** argv) {
   std::int64_t seed = 1;
   std::string mapping = "m3";
   std::string transport = "unicast";
-  std::string dissemination = "unicast";
-  std::int64_t gossip_fanout = 3;
-  std::int64_t gossip_rounds = 0;
-  double anti_entropy_s = 10.0;
-  double gossip_window_s = 60.0;
   std::int64_t subs = 1000;
   std::int64_t pubs = 1000;
   std::int64_t selective = 0;
@@ -117,16 +109,6 @@ int main(int argc, char** argv) {
   parser.add("mapping", "m1|m2|m3 (attribute-split, key-space-split, "
              "selective-attribute)", &mapping);
   parser.add("transport", "unicast|mcast|chain", &transport);
-  parser.add("dissemination", "notify-leg backend: unicast|mcast|gossip",
-             &dissemination);
-  parser.add("gossip-fanout", "peers each infected node pushes to",
-             &gossip_fanout);
-  parser.add("gossip-rounds", "infect-and-die round budget (0 = auto: "
-             "ceil(log2(group)) + 2)", &gossip_rounds);
-  parser.add("anti-entropy-s", "gossip anti-entropy period in seconds "
-             "(0 = repair off)", &anti_entropy_s);
-  parser.add("gossip-window-s", "gossip repair retention window in seconds",
-             &gossip_window_s);
   parser.add("subs", "subscriptions to inject (1 per 5s)", &subs);
   parser.add("pubs", "publications to inject (Poisson, mean 5s)", &pubs);
   parser.add("selective", "number of selective attributes (of 4)",
@@ -197,15 +179,46 @@ int main(int argc, char** argv) {
                  "--fault-script cannot be combined with --replay-trace\n");
     return 1;
   }
-  if (seeds < 1 || jobs < 0) {
-    std::fprintf(stderr, "bad --seeds/--jobs\n");
-    return 1;
-  }
-  if (sim_threads < 1 || sim_threads > sim::Simulator::kMaxThreads) {
-    std::fprintf(stderr, "bad --sim-threads: %lld\n",
-                 static_cast<long long>(sim_threads));
-    return 1;
-  }
+  // Out-of-range numbers are flag errors caught before any run starts.
+  // Inside they become unsigned counts (a negative one wraps to ~2^64),
+  // ring and hash widths, sampler parameters and timer delays, where
+  // they would abort on an internal assert or run a meaningless
+  // workload without a word.
+  const bool numbers_ok =
+      in_range(nodes >= 1, "nodes", nodes, ">= 1") &&
+      in_range(ring_bits >= 1 && ring_bits <= 63, "ring-bits", ring_bits,
+               "[1, 63]") &&
+      in_range(static_cast<std::uint64_t>(nodes) <=
+                   (std::uint64_t{1} << ring_bits),
+               "nodes", nodes, "<= 2^ring-bits") &&
+      in_range(subs >= 0, "subs", subs, ">= 0") &&
+      in_range(pubs >= 0, "pubs", pubs, ">= 0") &&
+      in_range(selective >= 0 && selective <= 4, "selective", selective,
+               "[0, 4]") &&
+      in_range(match_prob >= 0.0 && match_prob <= 1.0, "match-prob",
+               match_prob, "[0, 1]") &&
+      in_range(locality >= 0.0 && locality < 1.0, "locality", locality,
+               "[0, 1)") &&
+      in_range(zipf > 0.0, "zipf", zipf, "> 0") &&
+      in_range(discretization >= 1, "discretization", discretization,
+               ">= 1") &&
+      in_range(buffer_period_s >= 0.0, "buffer-period-s", buffer_period_s,
+               ">= 0") &&
+      in_range(replication >= 0, "replication", replication, ">= 0") &&
+      in_range(loss_rate >= 0.0 && loss_rate < 1.0, "loss-rate", loss_rate,
+               "[0, 1)") &&
+      in_range(max_retries >= 0 &&
+                   max_retries <= std::numeric_limits<std::uint32_t>::max(),
+               "max-retries", max_retries, "[0, 2^32)") &&
+      in_range(retry_base_ms >= 0.0, "retry-base-ms", retry_base_ms,
+               ">= 0") &&
+      in_range(seeds >= 1, "seeds", seeds, ">= 1") &&
+      in_range(jobs >= 0, "jobs", jobs, ">= 0") &&
+      in_range(sim_threads >= 1 && sim_threads <= sim::Simulator::kMaxThreads,
+               "sim-threads", sim_threads, "[1, 63]") &&
+      in_range(trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0,
+               "trace-sample-rate", trace_sample_rate, "[0, 1]");
+  if (!numbers_ok) return 1;
   if (seeds > 1 && !(save_trace.empty() && replay_trace.empty())) {
     std::fprintf(stderr,
                  "--seeds > 1 cannot be combined with trace save/replay\n");
@@ -215,11 +228,6 @@ int main(int argc, char** argv) {
     // Every run would clobber the same output file.
     std::fprintf(stderr,
                  "--seeds > 1 cannot be combined with --trace/--metrics-json\n");
-    return 1;
-  }
-  if (trace_sample_rate < 0.0 || trace_sample_rate > 1.0) {
-    std::fprintf(stderr, "bad --trace-sample-rate: %g (want [0,1])\n",
-                 trace_sample_rate);
     return 1;
   }
 
@@ -235,21 +243,6 @@ int main(int argc, char** argv) {
   }
   cfg.sub_transport = t;
   cfg.pub_transport = t;
-  if (!parse_dissemination(dissemination, &cfg.dissemination)) {
-    std::fprintf(stderr, "bad --dissemination: %s\n", dissemination.c_str());
-    return 1;
-  }
-  if (gossip_fanout < 1 || gossip_rounds < 0 || anti_entropy_s < 0.0 ||
-      gossip_window_s <= 0.0) {
-    std::fprintf(stderr, "bad gossip knobs (want fanout >= 1, rounds >= 0, "
-                         "anti-entropy >= 0, window > 0)\n");
-    return 1;
-  }
-  cfg.gossip_fanout = static_cast<std::size_t>(gossip_fanout);
-  cfg.gossip_rounds = static_cast<std::uint32_t>(gossip_rounds);
-  cfg.anti_entropy_period =
-      anti_entropy_s > 0 ? sim::from_seconds(anti_entropy_s) : 0;
-  cfg.gossip_window = sim::from_seconds(gossip_window_s);
   cfg.nodes = static_cast<std::size_t>(nodes);
   cfg.ring_bits = static_cast<unsigned>(ring_bits);
   cfg.seed = static_cast<std::uint64_t>(seed);
@@ -263,11 +256,6 @@ int main(int argc, char** argv) {
   cfg.buffering = buffering;
   cfg.collecting = collecting;
   cfg.buffer_period = sim::from_seconds(buffer_period_s);
-  if (replication < 0) {
-    std::fprintf(stderr, "bad --replication: %lld (want >= 0)\n",
-                 static_cast<long long>(replication));
-    return 1;
-  }
   cfg.replication_factor = static_cast<std::size_t>(replication);
   cfg.sub_ttl = ttl_s > 0 ? sim::from_seconds(ttl_s) : sim::kSimTimeNever;
   const auto engine = pubsub::match_engine_from_string(match_engine);
@@ -287,17 +275,7 @@ int main(int argc, char** argv) {
   cfg.sample_period = sample_period_s > 0
                           ? sim::from_seconds(sample_period_s)
                           : 0;
-  if (loss_rate < 0.0 || loss_rate >= 1.0) {
-    std::fprintf(stderr, "bad --loss-rate: %g (want [0,1))\n", loss_rate);
-    return 1;
-  }
   cfg.loss_rate = loss_rate;
-  if (max_retries < 0 ||
-      max_retries > std::numeric_limits<std::uint32_t>::max()) {
-    std::fprintf(stderr, "bad --max-retries: %lld (want [0, 2^32))\n",
-                 static_cast<long long>(max_retries));
-    return 1;
-  }
   cfg.max_retries = static_cast<std::uint32_t>(max_retries);
   cfg.retry_base = sim::from_seconds(retry_base_ms / 1000.0);
   if (!fault_script.empty()) {
@@ -309,13 +287,11 @@ int main(int argc, char** argv) {
     cfg.fault_script = fault_script;
   }
 
-  std::printf("config: n=%zu ring=2^%u mapping=%s transport=%s "
-              "dissemination=%s subs=%llu "
+  std::printf("config: n=%zu ring=2^%u mapping=%s transport=%s subs=%llu "
               "pubs=%llu selective=%d p=%.2f disc=%lld buf=%d collect=%d "
               "repl=%zu ttl=%s seed=%llu%s\n\n",
               cfg.nodes, cfg.ring_bits, mapping_label(cfg.mapping).c_str(),
               transport_label(t).c_str(),
-              dissemination_label(cfg.dissemination).c_str(),
               static_cast<unsigned long long>(cfg.subscriptions),
               static_cast<unsigned long long>(cfg.publications),
               cfg.selective_attributes, cfg.matching_probability,
@@ -411,25 +387,6 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.sends_failed));
     std::printf("  duplicates suppressed        %10llu\n",
                 static_cast<unsigned long long>(r.duplicates_suppressed));
-  }
-  if (cfg.dissemination == pubsub::PubSubConfig::Dissemination::kGossip) {
-    std::printf("gossip backend (fanout %zu, %s rounds, anti-entropy "
-                "%.0fs):\n",
-                cfg.gossip_fanout,
-                cfg.gossip_rounds > 0
-                    ? std::to_string(cfg.gossip_rounds).c_str()
-                    : "auto",
-                anti_entropy_s);
-    std::printf("  epidemic pushes sent         %10llu\n",
-                static_cast<unsigned long long>(r.gossip_pushes));
-    std::printf("  duplicate records dropped    %10llu\n",
-                static_cast<unsigned long long>(r.gossip_duplicates));
-    std::printf("  anti-entropy digests         %10llu\n",
-                static_cast<unsigned long long>(r.gossip_digests));
-    std::printf("  records pulled by repair     %10llu\n",
-                static_cast<unsigned long long>(r.gossip_repairs));
-    std::printf("  subscriptions learned        %10llu\n",
-                static_cast<unsigned long long>(r.gossip_subs_learned));
   }
   if (!cfg.fault_script.empty()) {
     std::printf("fault scenario:\n");
