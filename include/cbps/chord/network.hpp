@@ -179,7 +179,7 @@ class ChordNetwork {
     // Per-message-class wire service time (sampled latency incl. the
     // gray-failure slowdown, microseconds): the load observatory's
     // per-class service-time profile ("chord.net.delay_us.<class>").
-    std::array<metrics::Histogram*, overlay::kMessageClassCount>
+    std::array<metrics::StripedHistogram*, overlay::kMessageClassCount>
         delay_us_by_class;
   };
   HotStats& hot() { return hot_; }

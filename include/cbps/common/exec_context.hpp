@@ -27,6 +27,12 @@ using Domain = std::uint32_t;
 
 inline constexpr Domain kGlobalDomain = 0;
 
+/// Metrics stripes: stripe 0 (serial / global context) plus one per
+/// shard core of the parallel engine (at most 63, see
+/// sim::Simulator::kMaxThreads). Striped statistics size their parts by
+/// it.
+inline constexpr std::uint32_t kMaxStripes = 64;
+
 struct ExecContext {
   std::uint64_t time = 0;        // simulated time of the running event
   Domain actor_domain = 0;       // who schedules / draws randomness

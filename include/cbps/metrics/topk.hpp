@@ -12,8 +12,8 @@
 //   * every key with true count > N / K is tracked.
 //
 // Determinism contract (the load observatory's fold depends on it):
-//   * storage is a vector sorted by key, so iteration and the min-count
-//     eviction scan are layout-independent (detlint D1 by construction);
+//   * storage is a vector sorted by key, so iteration and victim choice
+//     are layout-independent (detlint D1 by construction);
 //   * eviction tie-breaks are total: minimum count first, then the
 //     LARGEST key id among the minima is evicted (small key ids are the
 //     stickier residents);
@@ -22,6 +22,13 @@
 //     the fold order (only top() truncates). A fold accumulator therefore
 //     grows to at most (#shards x capacity) entries, which is the price
 //     of permutation invariance.
+//
+// Cost: finding the victim takes no per-eviction scan. The sketch keeps
+// the minimum count (the floor) and a bitmask of the cells holding it;
+// the victim is the mask's highest bit, and the cells are rescanned only
+// once every floor cell has been evicted or has grown. An offer costs a
+// binary search plus, on eviction, the shift of the cells between the
+// victim and the new key's slot (and of their mask bits).
 #pragma once
 
 #include <cstddef>
@@ -47,9 +54,10 @@ class TopK {
   void offer(std::uint64_t key, std::uint64_t weight = 1);
 
   /// One unit of load per key, in order: the final state equals one
-  /// offer(k) per key. Each ascending stretch of `keys` is merge-walked
-  /// against the key-sorted cells instead of searched key by key (a
-  /// rendezvous's covered keys wrap past 0 at most once).
+  /// offer(k) per key. Each ascending stretch of `keys` is binary-searched
+  /// once and then merge-walked against the key-sorted cells instead of
+  /// searched key by key (a rendezvous's covered keys wrap past 0 at most
+  /// once).
   void offer_each(std::span<const std::uint64_t> keys);
 
   /// Union-sum fold of another sketch into this one (counts, errors and
@@ -84,11 +92,44 @@ class TopK {
   /// the new cell ends up at.
   std::size_t admit(std::size_t at, std::uint64_t key, std::uint64_t weight);
 
+  /// Add `weight` to tracked cell `i`, leaving the floor mask if it was
+  /// on it.
+  void bump(std::size_t i, std::uint64_t weight) {
+    Entry& e = cells_[i];
+    if (floor_cells_ != 0 && e.count == floor_) {
+      floor_mask()[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+      --floor_cells_;
+    }
+    e.count += weight;
+  }
+
+  /// Index of the eviction victim (the highest cell at the floor),
+  /// taken off the floor mask; rebuilds the mask first when it is empty.
+  std::size_t pop_victim();
+
+  /// The floor mask's words: one inline word while the cells fit in it
+  /// (every sketch of the default capacity, so its evictions never
+  /// allocate), the vector beyond.
+  std::uint64_t* floor_mask() {
+    return floor_bits_.empty() ? &floor_word_ : floor_bits_.data();
+  }
+
   std::size_t capacity_;
   std::uint64_t total_ = 0;
-  // Sorted by key id, so every walk (eviction scan, top(), JSON emission)
+  // Sorted by key id, so every walk (victim choice, top(), JSON emission)
   // is independent of insertion history and hash layout.
   std::vector<Entry> cells_;
+
+  // Floor mask. While floor_cells_ > 0, floor_ is the minimum count and
+  // bit i of floor_mask() is set exactly when cells_[i].count == floor_;
+  // floor_top_ is at or above the word holding the highest set bit.
+  // floor_cells_ == 0 means empty or stale: an insertion below capacity,
+  // merge() and reset() leave it stale, and pop_victim() rebuilds it.
+  std::uint64_t floor_ = 0;
+  std::size_t floor_cells_ = 0;
+  std::size_t floor_top_ = 0;
+  std::uint64_t floor_word_ = 0;
+  std::vector<std::uint64_t> floor_bits_;
 };
 
 }  // namespace cbps::metrics

@@ -35,6 +35,8 @@
 #include <iosfwd>
 #include <vector>
 
+#include "cbps/common/exec_context.hpp"
+
 namespace cbps::metrics {
 
 enum class SpanKind : std::uint8_t {
@@ -132,8 +134,7 @@ class TraceSink {
   void write_chrome_trace(std::ostream& os);
 
  private:
-  // Stripe 0 (serial / global context) + up to 63 shard cores.
-  static constexpr std::size_t kMaxStripes = 64;
+  static constexpr std::size_t kMaxStripes = common::kMaxStripes;
 
   struct Rec {
     Span span;

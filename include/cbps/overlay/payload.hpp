@@ -119,8 +119,7 @@ class TrafficStats {
   void reset();
 
  private:
-  // Stripe 0 (serial / global context) + up to 63 shard cores.
-  static constexpr std::size_t kStripes = 64;
+  static constexpr std::size_t kStripes = common::kMaxStripes;
 
   struct alignas(64) Block {
     std::array<std::uint64_t, kMessageClassCount> hops{};

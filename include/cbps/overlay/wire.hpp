@@ -168,9 +168,11 @@ class Wire {
     metrics::Counter* chain_no_candidate;
     metrics::Counter* net_lost;
     std::array<metrics::Counter*, kMessageClassCount> net_lost_by_class;
-    metrics::Histogram* route_hops;        // hops of completed app routes
-    metrics::Histogram* mcast_fanout;      // branches per m-cast split
-    metrics::Histogram* retries_per_send;  // retransmits per reliable send
+    // Hops of completed app routes, branches per m-cast split and
+    // retransmits per reliable send.
+    metrics::StripedHistogram* route_hops;
+    metrics::StripedHistogram* mcast_fanout;
+    metrics::StripedHistogram* retries_per_send;
   };
 
   /// A `loss_rate` > 0 installs a uniform loss prototype; `latency`

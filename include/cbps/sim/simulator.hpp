@@ -65,6 +65,8 @@ class Simulator {
   /// Most shard threads one engine runs: the EventId core field is 6
   /// bits, and core 0 is the global core.
   static constexpr unsigned kMaxThreads = 63;
+  static_assert(kMaxThreads < common::kMaxStripes,
+                "every shard core needs a metrics stripe of its own");
 
   /// `threads` shard workers (<= kMaxThreads) with conservative
   /// lookahead `lookahead` (the minimum possible network delay). Shards

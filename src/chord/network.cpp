@@ -43,6 +43,10 @@ ChordNetwork::~ChordNetwork() {
 }
 
 ChordNode& ChordNetwork::add_node(const std::string& name) {
+  // Every id ever used stays taken (departed nodes keep their record),
+  // so a full ring would send the salt loop below round forever.
+  CBPS_ASSERT_MSG(peers_.size() < cfg_.ring.size(),
+                  "ring full: every id of the 2^ring-bits key space is taken");
   Key id = consistent_hash(name, cfg_.ring);
   int salt = 0;
   while (peers_.contains(id)) {
@@ -244,8 +248,9 @@ bool ChordNetwork::transmit(ChordNode& from, Key to, WireMessage&& msg,
   if (slow > 1.0) {
     delay = static_cast<sim::SimTime>(static_cast<double>(delay) * slow);
   }
-  // Integer-microsecond samples into a lock-free histogram: the sum is
-  // order-independent, so concurrent shard senders stay deterministic.
+  // Integer-microsecond samples into the sender stripe's part: the
+  // stripe fold is order-independent, so shard senders stay
+  // deterministic.
   hot_.delay_us_by_class[static_cast<std::size_t>(cls)]->add(
       static_cast<double>(delay));
   // The envelope rides inside the event: no allocation per hop.

@@ -1,67 +1,27 @@
 #include "cbps/metrics/histogram.hpp"
 
+#include <bit>
 #include <cmath>
 #include <ostream>
 
 namespace cbps::metrics {
 
-namespace {
-
-void atomic_add(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v,
-                                  std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
-Histogram& Histogram::operator=(const Histogram& o) {
-  if (this == &o) return *this;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i].store(o.bucket(i), std::memory_order_relaxed);
-  }
-  count_.store(o.count_.load(std::memory_order_relaxed),
-               std::memory_order_relaxed);
-  sum_.store(o.sum_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  min_.store(o.min_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  max_.store(o.max_.load(std::memory_order_relaxed),
-             std::memory_order_relaxed);
-  return *this;
-}
-
 std::size_t Histogram::bucket_index(double v) {
   if (!(v > 0.0)) return 0;  // zero, negative, NaN
-  int exp = 0;
-  double m = std::frexp(v, &exp);  // v = m * 2^exp, m in [0.5, 1)
-  if (exp < kMinExp) {
-    exp = kMinExp;
-    m = 0.5;
-  } else if (exp > kMaxExp) {
-    exp = kMaxExp;
-    m = 1.0 - 1.0 / (2 * kSubBuckets);  // top sub-bucket
-  }
-  auto sub = static_cast<int>((m - 0.5) * (2 * kSubBuckets));
-  if (sub < 0) sub = 0;
-  if (sub >= kSubBuckets) sub = kSubBuckets - 1;
-  return static_cast<std::size_t>(exp - kMinExp) * kSubBuckets +
-         static_cast<std::size_t>(sub) + 1;
+  // Read the frexp decomposition v = m * 2^exp, m in [0.5, 1), straight
+  // from the IEEE754 fields: exp is the biased exponent minus 1022, and
+  // the linear sub-bucket floor((m - 0.5) * 2 * kSubBuckets) is the top
+  // log2(kSubBuckets) fraction bits. Subnormals clamp into the bottom
+  // bucket and infinity into the top one.
+  constexpr int kSubBits = std::countr_zero(unsigned{kSubBuckets});
+  static_assert(kSubBuckets == 1 << kSubBits);
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  const int exp = static_cast<int>(bits >> 52) - 1022;
+  if (exp < kMinExp) return 1;
+  if (exp > kMaxExp) return kBucketCount - 1;
+  const auto sub = static_cast<std::size_t>(bits >> (52 - kSubBits)) &
+                   (kSubBuckets - 1);
+  return static_cast<std::size_t>(exp - kMinExp) * kSubBuckets + sub + 1;
 }
 
 double Histogram::bucket_mid(std::size_t i) {
@@ -76,11 +36,11 @@ double Histogram::bucket_mid(std::size_t i) {
 
 void Histogram::add(double v, std::uint64_t weight) {
   if (weight == 0) return;
-  atomic_min(min_, v);
-  atomic_max(max_, v);
-  buckets_[bucket_index(v)].fetch_add(weight, std::memory_order_relaxed);
-  count_.fetch_add(weight, std::memory_order_relaxed);
-  atomic_add(sum_, v * static_cast<double>(weight));
+  if (v < min_) min_ = v;
+  if (v > max_) max_ = v;
+  buckets_[bucket_index(v)] += weight;
+  count_ += weight;
+  sum_ += v * static_cast<double>(weight);
 }
 
 double Histogram::percentile(double p) const {
@@ -94,7 +54,7 @@ double Histogram::percentile(double p) const {
   if (rank == 0) rank = 1;
   std::uint64_t seen = 0;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    seen += bucket(i);
+    seen += buckets_[i];
     if (seen >= rank) {
       double v = bucket_mid(i);
       if (v < min()) v = min();
@@ -106,24 +66,14 @@ double Histogram::percentile(double p) const {
 }
 
 void Histogram::merge(const Histogram& other) {
-  if (other.count() == 0) return;
-  atomic_min(min_, other.min_.load(std::memory_order_relaxed));
-  atomic_max(max_, other.max_.load(std::memory_order_relaxed));
+  if (other.count_ == 0) return;
+  if (other.min_ < min_) min_ = other.min_;
+  if (other.max_ > max_) max_ = other.max_;
   for (std::size_t i = 0; i < kBucketCount; ++i) {
-    buckets_[i].fetch_add(other.bucket(i), std::memory_order_relaxed);
+    buckets_[i] += other.buckets_[i];
   }
-  count_.fetch_add(other.count(), std::memory_order_relaxed);
-  atomic_add(sum_, other.sum());
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(-std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
+  count_ += other.count_;
+  sum_ += other.sum_;
 }
 
 void Histogram::print(std::ostream& os) const {

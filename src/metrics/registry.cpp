@@ -8,6 +8,29 @@
 
 namespace cbps::metrics {
 
+void StripedHistogram::fold() const {
+  for (const std::unique_ptr<Histogram>& p : parts_) {
+    if (p == nullptr || p->count() == 0) continue;
+    total_->merge(*p);
+    p->reset();
+  }
+}
+
+Histogram& Registry::histogram(const std::string& name) {
+  const auto it = striped_.find(name);
+  if (it != striped_.end()) it->second.fold();
+  return histograms_[name];
+}
+
+StripedHistogram* Registry::histogram_handle(const std::string& name) {
+  return &striped_.try_emplace(name, histograms_[name]).first->second;
+}
+
+const std::map<std::string, Histogram>& Registry::histograms() const {
+  for (const auto& [_, h] : striped_) h.fold();
+  return histograms_;
+}
+
 std::uint64_t Registry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
@@ -19,6 +42,7 @@ void Registry::reset_all() {
   // never be destroyed.
   for (auto& [_, c] : counters_) c.reset();
   for (auto& [_, s] : stats_) s.reset();
+  for (const auto& [_, h] : striped_) h.fold();
   for (auto& [_, h] : histograms_) h.reset();
 }
 
@@ -37,7 +61,7 @@ void Registry::print(std::ostream& os) const {
          << " min=" << s.min() << " max=" << s.max();
     lines.emplace_back(&name, line.str());
   }
-  for (const auto& [name, h] : histograms_) {
+  for (const auto& [name, h] : histograms()) {
     std::ostringstream line;
     h.print(line);
     lines.emplace_back(&name, line.str());

@@ -1,6 +1,7 @@
 #include "cbps/metrics/topk.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 namespace cbps::metrics {
@@ -20,6 +21,34 @@ auto slot(Cells& cells, std::uint64_t key) {
 TopK::TopK(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
+std::size_t TopK::pop_victim() {
+  if (floor_cells_ == 0) {
+    floor_ = cells_[0].count;
+    for (const Entry& e : cells_) floor_ = std::min(floor_, e.count);
+    const std::size_t words = (cells_.size() + 63) / 64;
+    if (words == 1) {
+      floor_bits_.clear();
+      floor_word_ = 0;
+    } else {
+      floor_bits_.assign(words, 0);
+    }
+    std::uint64_t* mask = floor_mask();
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      if (cells_[i].count != floor_) continue;
+      mask[i / 64] |= std::uint64_t{1} << (i % 64);
+      ++floor_cells_;
+      floor_top_ = i / 64;
+    }
+  }
+  std::uint64_t* mask = floor_mask();
+  while (mask[floor_top_] == 0) --floor_top_;
+  std::uint64_t& word = mask[floor_top_];
+  const auto bit = static_cast<std::size_t>(std::bit_width(word) - 1);
+  word &= ~(std::uint64_t{1} << bit);
+  --floor_cells_;
+  return floor_top_ * 64 + bit;
+}
+
 std::size_t TopK::admit(std::size_t at, std::uint64_t key,
                         std::uint64_t weight) {
   const auto cell = [this](std::size_t i) {
@@ -27,28 +56,37 @@ std::size_t TopK::admit(std::size_t at, std::uint64_t key,
   };
   if (cells_.size() < capacity_) {
     cells_.insert(cell(at), Entry{key, weight, 0});
+    floor_cells_ = 0;  // the new cell may sit at or below the floor
     return at;
   }
   // Space-saving eviction: replace the minimum-count entry; among equal
   // minima the largest key id goes (total order — no layout dependence).
-  std::size_t victim = 0;
-  std::uint64_t floor = cells_[0].count;
-  for (std::size_t i = 1; i < cells_.size(); ++i) {
-    const Entry& e = cells_[i];
-    if (e.count < floor || (e.count == floor && e.key > cells_[victim].key)) {
-      victim = i;
-      floor = e.count;
-    }
-  }
+  const std::size_t victim = pop_victim();
   // Shift the cells between the victim and the new key's slot by one, so
-  // the vector never changes size.
+  // the vector never changes size. The new cell lands above the floor.
   if (victim < at) {
+    // The cells above the victim are all off the floor mask: their
+    // (clear) bits need no shift.
     --at;
     std::move(cell(victim + 1), cell(at + 1), cell(victim));
   } else {
     std::move_backward(cell(at), cell(victim), cell(victim + 1));
+    // Bits [at, victim) move up one; bit `at` (the new cell) clears.
+    std::uint64_t* mask = floor_mask();
+    const std::size_t lo = at / 64;
+    for (std::size_t w = victim / 64 + 1; w-- > lo;) {
+      std::uint64_t range = ~std::uint64_t{0};
+      if (w == victim / 64 && victim % 64 != 63) {
+        range = (std::uint64_t{1} << (victim % 64 + 1)) - 1;
+      }
+      if (w == lo) range &= ~std::uint64_t{0} << (at % 64);
+      const std::uint64_t carry = w > lo ? mask[w - 1] >> 63 : 0;
+      const std::uint64_t shifted = (mask[w] << 1) | carry;
+      mask[w] = (mask[w] & ~range) | (shifted & range);
+    }
+    mask[lo] &= ~(std::uint64_t{1} << (at % 64));
   }
-  cells_[at] = Entry{key, floor + weight, floor};
+  cells_[at] = Entry{key, floor_ + weight, floor_};
   return at;
 }
 
@@ -56,23 +94,27 @@ void TopK::offer(std::uint64_t key, std::uint64_t weight) {
   if (weight == 0) return;
   total_ += weight;
   const auto it = slot(cells_, key);
+  const auto at = static_cast<std::size_t>(it - cells_.begin());
   if (it != cells_.end() && it->key == key) {
-    it->count += weight;
+    bump(at, weight);
     return;
   }
-  admit(static_cast<std::size_t>(it - cells_.begin()), key, weight);
+  admit(at, key, weight);
 }
 
 void TopK::offer_each(std::span<const std::uint64_t> keys) {
   total_ += keys.size();
   std::size_t at = 0;  // cursor: no cell before it has a key >= the next
-  std::uint64_t prev = 0;
-  for (const std::uint64_t key : keys) {
-    if (key < prev) at = 0;  // a descending step starts a new stretch
-    prev = key;
-    while (at < cells_.size() && cells_[at].key < key) ++at;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::uint64_t key = keys[i];
+    if (i == 0 || key < keys[i - 1]) {
+      // A stretch starts here: binary-search its first slot.
+      at = static_cast<std::size_t>(slot(cells_, key) - cells_.begin());
+    } else {
+      while (at < cells_.size() && cells_[at].key < key) ++at;
+    }
     if (at < cells_.size() && cells_[at].key == key) {
-      ++cells_[at].count;
+      bump(at, 1);
     } else {
       at = admit(at, key, 1);
     }
@@ -84,6 +126,7 @@ void TopK::merge(const TopK& other) {
   TopK merged = sum(capacity_, parts);
   total_ = merged.total_;
   cells_ = std::move(merged.cells_);
+  floor_cells_ = 0;
 }
 
 TopK TopK::sum(std::size_t capacity, std::span<const TopK* const> parts) {
@@ -133,6 +176,7 @@ TopK::Entry TopK::find(std::uint64_t key) const {
 void TopK::reset() {
   total_ = 0;
   cells_.clear();
+  floor_cells_ = 0;
 }
 
 }  // namespace cbps::metrics

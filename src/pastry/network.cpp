@@ -22,6 +22,9 @@ PastryNetwork::~PastryNetwork() {
 }
 
 PastryNode& PastryNetwork::add_node(const std::string& name) {
+  // A full ring would send the salt loop below round forever.
+  CBPS_ASSERT_MSG(nodes_.size() < cfg_.ring.size(),
+                  "ring full: every id of the 2^ring-bits key space is taken");
   Key id = consistent_hash(name, cfg_.ring);
   int salt = 0;
   while (nodes_.contains(id)) {

@@ -157,6 +157,17 @@ class Harness {
 // FingerTable / LocationCache units
 // ---------------------------------------------------------------------------
 
+// A ring whose every id is taken cannot take one more node: add_node
+// asserts instead of re-salting the name forever.
+TEST(ChordRingFullDeathTest, AddNodeToAFullRingAsserts) {
+  sim::Simulator sim;
+  ChordConfig cfg;
+  cfg.ring = RingParams{2};
+  ChordNetwork net(sim, cfg, 1);
+  for (int i = 0; i < 4; ++i) net.add_node("n" + std::to_string(i));
+  EXPECT_DEATH(net.add_node("n4"), "ring full");
+}
+
 TEST(FingerTableTest, StartsFollowPowersOfTwo) {
   const RingParams ring{6};
   FingerTable ft(ring, 10);

@@ -1,5 +1,6 @@
 // Tests for the observability layer: the log-linear histogram, the
-// metrics registry's cached handles and sorted dump, causal-trace
+// metrics registry's cached handles, sorted dump and stripe fold
+// (StripeFoldParityTest also runs under the TSan preset), causal-trace
 // integrity (parents exist and precede children; publish traces
 // terminate consistently with the DeliveryChecker oracle; traces are
 // bit-identical across sweep worker counts), the time-series sampler,
@@ -7,14 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <sstream>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "cbps/common/exec_context.hpp"
 #include "cbps/common/logging.hpp"
 #include "cbps/metrics/histogram.hpp"
 #include "cbps/metrics/registry.hpp"
@@ -24,6 +30,7 @@
 #include "cbps/pubsub/system.hpp"
 #include "cbps/workload/driver.hpp"
 #include "cbps/workload/generator.hpp"
+#include "harness.hpp"
 #include "sweep.hpp"
 
 namespace cbps {
@@ -105,6 +112,56 @@ TEST(HistogramTest, ResetClears) {
   EXPECT_DOUBLE_EQ(h.percentile(50.0), 0.0);
 }
 
+// bucket_index reads the exponent and top fraction bits straight from
+// the double; this is the frexp formulation it replaced, kept as the
+// reference. Both must agree on every positive finite value: random bit
+// patterns over the whole exponent range (subnormals and the clamped
+// edges included), the integers the hot-path histograms record, and
+// every bucket's bounds.
+std::size_t frexp_bucket_index(double v) {
+  if (!(v > 0.0)) return 0;
+  int exp = 0;
+  double m = std::frexp(v, &exp);
+  if (exp < Histogram::kMinExp) {
+    exp = Histogram::kMinExp;
+    m = 0.5;
+  } else if (exp > Histogram::kMaxExp) {
+    exp = Histogram::kMaxExp;
+    m = 1.0 - 1.0 / (2 * Histogram::kSubBuckets);
+  }
+  auto sub = static_cast<int>((m - 0.5) * (2 * Histogram::kSubBuckets));
+  if (sub < 0) sub = 0;
+  if (sub >= Histogram::kSubBuckets) sub = Histogram::kSubBuckets - 1;
+  return static_cast<std::size_t>(exp - Histogram::kMinExp) *
+             Histogram::kSubBuckets +
+         static_cast<std::size_t>(sub) + 1;
+}
+
+TEST(HistogramTest, BucketIndexMatchesFrexpDecomposition) {
+  std::mt19937_64 rng(5);
+  for (int i = 0; i < 200'000; ++i) {
+    // Any finite double: a random sign-cleared bit pattern below inf.
+    const std::uint64_t bits = rng() % 0x7ff0000000000000ull;
+    const double v = std::bit_cast<double>(bits);
+    ASSERT_EQ(Histogram::bucket_index(v), frexp_bucket_index(v)) << v;
+  }
+  for (std::uint64_t n = 0; n < 100'000; ++n) {
+    const auto v = static_cast<double>(n);
+    ASSERT_EQ(Histogram::bucket_index(v), frexp_bucket_index(v)) << v;
+  }
+  for (std::size_t b = 1; b < Histogram::kBucketCount; ++b) {
+    const double mid = Histogram::bucket_mid(b);
+    for (const double v : {mid, std::nextafter(mid, 0.0),
+                           std::nextafter(mid, 1e300), mid * 0.999,
+                           mid * 1.001}) {
+      ASSERT_EQ(Histogram::bucket_index(v), frexp_bucket_index(v)) << v;
+    }
+  }
+  EXPECT_EQ(Histogram::bucket_index(-1.0), 0u);
+  EXPECT_EQ(Histogram::bucket_index(std::nan("")), 0u);
+  EXPECT_EQ(Histogram::bucket_index(1e300), Histogram::kBucketCount - 1);
+}
+
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -112,7 +169,7 @@ TEST(HistogramTest, ResetClears) {
 TEST(RegistryTest, HandlesStayValidAcrossInsertionsAndReset) {
   metrics::Registry reg;
   metrics::Counter* c = reg.counter_handle("alpha");
-  Histogram* h = reg.histogram_handle("beta");
+  metrics::StripedHistogram* h = reg.histogram_handle("beta");
   c->inc(3);
   h->add(1.0);
   // Force rebalancing pressure on the underlying maps.
@@ -123,7 +180,7 @@ TEST(RegistryTest, HandlesStayValidAcrossInsertionsAndReset) {
   EXPECT_EQ(c->value(), 3u);
   reg.reset_all();
   EXPECT_EQ(c->value(), 0u);  // reset in place, not erased
-  EXPECT_EQ(h->count(), 0u);
+  EXPECT_EQ(reg.histogram("beta").count(), 0u);
   c->inc();
   EXPECT_EQ(reg.counter_value("alpha"), 1u);
 }
@@ -430,6 +487,109 @@ TEST(LoggerContextTest, RingIsBounded) {
   EXPECT_NE(lines.front().find("fill 50"), std::string::npos);
   EXPECT_NE(lines.back().find("fill 305"), std::string::npos);
   log.clear_recent();
+}
+
+// ---------------------------------------------------------------------------
+// Stripe fold — registry histograms written from shard stripes
+// ---------------------------------------------------------------------------
+
+// The same integer samples through one stripe (the global context) and
+// through four shard stripes written by four threads at once: the folded
+// histograms must agree bucket for bucket, with identical count, sum,
+// min and max. Each part has one writer, so TSan must see no race.
+TEST(StripeFoldParityTest, FourShardStripesFoldToTheOneStripeHistogram) {
+  struct Sample {
+    double value;
+    std::uint64_t weight;
+  };
+  std::mt19937_64 rng(41);
+  std::vector<Sample> samples(20'000);
+  for (Sample& s : samples) {
+    // Integer values over several octaves, zero included.
+    s.value = static_cast<double>(rng() % (std::uint64_t{1} << (rng() % 31)));
+    s.weight = 1 + rng() % 3;
+  }
+
+  metrics::Registry serial;
+  metrics::StripedHistogram* one = serial.histogram_handle("h");
+  for (const Sample& s : samples) one->add(s.value, s.weight);
+
+  metrics::Registry striped;
+  metrics::StripedHistogram* four = striped.histogram_handle("h");
+  std::vector<std::thread> writers;
+  for (std::uint32_t stripe = 1; stripe <= 4; ++stripe) {
+    writers.emplace_back([&, stripe] {
+      common::exec_context().stripe = stripe;
+      for (std::size_t i = stripe - 1; i < samples.size(); i += 4) {
+        four->add(samples[i].value, samples[i].weight);
+      }
+    });
+  }
+  for (std::thread& t : writers) t.join();
+
+  const metrics::Histogram& a = serial.histogram("h");
+  const metrics::Histogram& b = striped.histogram("h");
+  EXPECT_GT(a.count(), samples.size());
+  EXPECT_EQ(a.buckets(), b.buckets());
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_EQ(a.sum(), b.sum());
+  EXPECT_EQ(a.min(), b.min());
+  EXPECT_EQ(a.max(), b.max());
+  // A second read folds nothing twice, and reset_all() clears the parts.
+  EXPECT_EQ(striped.histograms().at("h").count(), a.count());
+  four->add(7.0);  // global context: stripe 0
+  striped.reset_all();
+  EXPECT_EQ(striped.histogram("h").count(), 0u);
+}
+
+// Slice one top-level section ("name": {...}) out of a metrics JSON
+// document as written by the harness (two-space indent).
+std::string json_section(const std::string& path, const std::string& name) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string doc = ss.str();
+  const std::size_t begin = doc.find("\n  \"" + name + "\": {");
+  if (begin == std::string::npos) return {};
+  return doc.substr(begin, doc.find("\n  }", begin + 1) - begin);
+}
+
+// End to end: a sharded PubSubSystem run's --metrics-json histogram and
+// hot-key sections are byte-identical at --sim-threads 1, 2 and 4. The
+// registry histograms there (wire delays per class, route hops, m-cast
+// fanout, retries under loss) are written from every shard's stripe.
+TEST(StripeFoldParityTest, MetricsJsonHistogramsIdenticalAtOneTwoFourThreads) {
+  const std::string dir = ::testing::TempDir();
+  std::vector<std::string> histograms, hot_keys;
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    bench::ExperimentConfig cfg;
+    cfg.nodes = 48;
+    cfg.ring_bits = 10;
+    cfg.seed = 9;
+    cfg.mapping = pubsub::MappingKind::kAttributeSplit;
+    cfg.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
+    cfg.subscriptions = 150;
+    cfg.publications = 200;
+    cfg.loss_rate = 0.02;
+    cfg.sim_threads = threads;
+    cfg.metrics_json_path =
+        dir + "stripe_fold_t" + std::to_string(threads) + ".json";
+    const bench::ExperimentResult r = bench::run_experiment(cfg);
+    EXPECT_GT(r.notifications_delivered, 0u);
+    histograms.push_back(json_section(cfg.metrics_json_path, "histograms"));
+    hot_keys.push_back(json_section(cfg.metrics_json_path, "hot_keys"));
+    std::remove(cfg.metrics_json_path.c_str());
+  }
+  for (const char* name :
+       {"chord.net.delay_us.subscribe", "chord.route_hops",
+        "chord.mcast_fanout", "chord.retries_per_send"}) {
+    EXPECT_NE(histograms[0].find(name), std::string::npos) << name;
+  }
+  EXPECT_NE(hot_keys[0].find("subs_stored"), std::string::npos);
+  for (std::size_t i = 1; i < histograms.size(); ++i) {
+    EXPECT_EQ(histograms[0], histograms[i]) << "run " << i;
+    EXPECT_EQ(hot_keys[0], hot_keys[i]) << "run " << i;
+  }
 }
 
 }  // namespace

@@ -73,6 +73,17 @@ class PastryHarness {
   std::vector<std::unique_ptr<RecordingApp>> apps;
 };
 
+// A ring whose every id is taken cannot take one more node: add_node
+// asserts instead of re-salting the name forever.
+TEST(PastryRingFullDeathTest, AddNodeToAFullRingAsserts) {
+  sim::Simulator sim;
+  PastryConfig cfg;
+  cfg.ring = RingParams{2};
+  PastryNetwork net(sim, cfg, 1);
+  for (int i = 0; i < 4; ++i) net.add_node("p" + std::to_string(i));
+  EXPECT_DEATH(net.add_node("p4"), "ring full");
+}
+
 TEST(PastryTopologyTest, LeafSetsMatchRingOrder) {
   PastryHarness h(32);
   const auto ids = h.net->ids();

@@ -44,6 +44,81 @@ std::map<std::uint64_t, std::uint64_t> exact_counts(
   return exact;
 }
 
+// The documented space-saving rule, written as plainly as possible: a
+// key-sorted cell list, a linear search per offer and a full scan for
+// every eviction victim (minimum count, then the largest key among the
+// minima). merge() is the union-sum; nothing is evicted there.
+struct NaiveTopK {
+  explicit NaiveTopK(std::size_t cap) : capacity(cap == 0 ? 1 : cap) {}
+
+  void offer(std::uint64_t key, std::uint64_t weight) {
+    if (weight == 0) return;
+    total += weight;
+    for (metrics::TopK::Entry& e : cells) {
+      if (e.key == key) {
+        e.count += weight;
+        return;
+      }
+    }
+    if (cells.size() < capacity) {
+      insert({key, weight, 0});
+      return;
+    }
+    std::size_t victim = 0;
+    for (std::size_t i = 1; i < cells.size(); ++i) {
+      const auto& e = cells[i];
+      const auto& v = cells[victim];
+      if (e.count < v.count || (e.count == v.count && e.key > v.key)) {
+        victim = i;
+      }
+    }
+    const std::uint64_t floor = cells[victim].count;
+    cells.erase(cells.begin() + static_cast<std::ptrdiff_t>(victim));
+    insert({key, floor + weight, floor});
+  }
+
+  void merge(const NaiveTopK& other) {
+    total += other.total;
+    for (const metrics::TopK::Entry& o : other.cells) {
+      bool found = false;
+      for (metrics::TopK::Entry& e : cells) {
+        if (e.key == o.key) {
+          e.count += o.count;
+          e.error += o.error;
+          found = true;
+        }
+      }
+      if (!found) insert(o);
+    }
+  }
+
+  void reset() {
+    total = 0;
+    cells.clear();
+  }
+
+  void insert(const metrics::TopK::Entry& e) {
+    cells.insert(std::upper_bound(cells.begin(), cells.end(), e,
+                                  [](const auto& a, const auto& b) {
+                                    return a.key < b.key;
+                                  }),
+                 e);
+  }
+
+  /// Every cell, in TopK::top()'s order.
+  std::vector<metrics::TopK::Entry> top() const {
+    std::vector<metrics::TopK::Entry> out = cells;
+    std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+      return a.count != b.count ? a.count > b.count : a.key < b.key;
+    });
+    return out;
+  }
+
+  std::size_t capacity;
+  std::uint64_t total = 0;
+  std::vector<metrics::TopK::Entry> cells;  // sorted by key
+};
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -344,6 +419,71 @@ TEST(TopKTest, ResetClearsEverything) {
   EXPECT_TRUE(sketch.empty());
   EXPECT_EQ(sketch.total(), 0u);
   EXPECT_EQ(sketch.capacity(), 4u);
+}
+
+// TopK against the naive reference above on 10^4 generated streams:
+// capacities 1-70 plus 2^20, over key universes small enough that most
+// offers of a new key evict. Each stream interleaves weighted offers
+// (weights 0-3), offer_each batches shaped like a rendezvous's covered
+// keys (distinct ascending keys that wrap past the top once), merges of
+// a second sketch (which leave the sketch over capacity, so later
+// evictions run on an oversized cell list) and resets. Every cell's key,
+// count and error and the total must agree after every operation.
+TEST(TopKTest, MatchesNaiveReferenceOnGeneratedStreams) {
+  constexpr int kStreams = 10'000;
+  constexpr int kOpsPerStream = 40;
+  for (int stream = 0; stream < kStreams; ++stream) {
+    std::mt19937_64 rng(0x70b5eed + static_cast<std::uint64_t>(stream));
+    const std::size_t capacity =
+        stream % 71 == 70 ? std::size_t{1} << 20
+                          : static_cast<std::size_t>(stream % 71) + 1;
+    const std::uint64_t universe =
+        std::min<std::uint64_t>(2 * capacity + 5, 150);
+    metrics::TopK sketch(capacity);
+    NaiveTopK ref(capacity);
+    for (int op = 0; op < kOpsPerStream; ++op) {
+      const std::uint64_t pick = rng() % 100;
+      if (pick < 55) {
+        const std::uint64_t key = rng() % universe;
+        const std::uint64_t weight = rng() % 4;
+        sketch.offer(key, weight);
+        ref.offer(key, weight);
+      } else if (pick < 85) {
+        // Distinct sorted keys, rotated so they ascend from a random
+        // point, pass the top of the universe and ascend again from 0.
+        std::vector<std::uint64_t> keys;
+        for (std::uint64_t k = 0; k < universe; ++k) {
+          if (rng() % 3 == 0) keys.push_back(k);
+        }
+        if (!keys.empty()) {
+          const auto mid = static_cast<std::ptrdiff_t>(rng() % keys.size());
+          std::rotate(keys.begin(), keys.begin() + mid, keys.end());
+        }
+        sketch.offer_each(keys);
+        for (const std::uint64_t k : keys) ref.offer(k, 1);
+      } else if (pick < 97) {
+        metrics::TopK other(capacity);
+        NaiveTopK other_ref(capacity);
+        for (std::uint64_t n = rng() % universe; n-- > 0;) {
+          const std::uint64_t key = rng() % universe;
+          const std::uint64_t weight = rng() % 4;
+          other.offer(key, weight);
+          other_ref.offer(key, weight);
+        }
+        sketch.merge(other);
+        ref.merge(other_ref);
+      } else {
+        sketch.reset();
+        ref.reset();
+      }
+      ASSERT_EQ(sketch.total(), ref.total)
+          << "stream " << stream << " op " << op;
+      ASSERT_EQ(sketch.size(), ref.cells.size())
+          << "stream " << stream << " op " << op;
+      ASSERT_EQ(sketch.top(sketch.size()), ref.top())
+          << "stream " << stream << " op " << op << " capacity " << capacity;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
