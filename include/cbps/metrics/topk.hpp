@@ -24,11 +24,17 @@
 //     of permutation invariance.
 //
 // Cost: finding the victim takes no per-eviction scan. The sketch keeps
-// the minimum count (the floor) and a bitmask of the cells holding it;
-// the victim is the mask's highest bit, and the cells are rescanned only
-// once every floor cell has been evicted or has grown. An offer costs a
-// binary search plus, on eviction, the shift of the cells between the
-// victim and the new key's slot (and of their mask bits).
+// the minimum count (the floor) and a cursor below which every cell still
+// at the floor lies; the victim is the first floor cell found walking
+// down from the cursor, which then stays at the victim. Counts only grow,
+// so the cells are rescanned only once the walk runs out, when every
+// floor cell has been evicted or has grown. An offer costs a binary
+// search plus, on eviction, the shift of the cells between the victim and
+// the new key's slot. The floor state costs no space: total() is the sum
+// of the counts (each offer adds its weight to exactly one cell; an
+// admitted key inherits its victim's count), and the capacity and cursor
+// are 32-bit (2^32 cells would take 96 GiB), so a node's four sketches
+// are no larger than a capacity, a stored total and the cells.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +54,7 @@ class TopK {
     bool operator==(const Entry&) const = default;
   };
 
+  /// At most 2^32 - 1 keys are tracked, whatever `capacity` asks for.
   explicit TopK(std::size_t capacity = kDefaultCapacity);
 
   /// Account `weight` units of load against `key`.
@@ -78,7 +85,8 @@ class TopK {
   /// Count/error for one key (count 0 when untracked).
   Entry find(std::uint64_t key) const;
 
-  std::uint64_t total() const { return total_; }
+  /// Total offered weight: the sum of the counts, O(size()).
+  std::uint64_t total() const;
   std::size_t size() const { return cells_.size(); }
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return cells_.empty(); }
@@ -92,44 +100,22 @@ class TopK {
   /// the new cell ends up at.
   std::size_t admit(std::size_t at, std::uint64_t key, std::uint64_t weight);
 
-  /// Add `weight` to tracked cell `i`, leaving the floor mask if it was
-  /// on it.
-  void bump(std::size_t i, std::uint64_t weight) {
-    Entry& e = cells_[i];
-    if (floor_cells_ != 0 && e.count == floor_) {
-      floor_mask()[i / 64] &= ~(std::uint64_t{1} << (i % 64));
-      --floor_cells_;
-    }
-    e.count += weight;
-  }
-
-  /// Index of the eviction victim (the highest cell at the floor),
-  /// taken off the floor mask; rebuilds the mask first when it is empty.
+  /// Index of the eviction victim (the highest cell at the floor); the
+  /// cursor is left on it. Rescans the cells when no floor cell is left
+  /// below the cursor.
   std::size_t pop_victim();
 
-  /// The floor mask's words: one inline word while the cells fit in it
-  /// (every sketch of the default capacity, so its evictions never
-  /// allocate), the vector beyond.
-  std::uint64_t* floor_mask() {
-    return floor_bits_.empty() ? &floor_word_ : floor_bits_.data();
-  }
-
-  std::size_t capacity_;
-  std::uint64_t total_ = 0;
+  std::uint32_t capacity_;
+  // Floor cursor: no cell at or above cursor_ holds floor_, and floor_ is
+  // at most the minimum count. cursor_ == 0 sends the next eviction to a
+  // rescan; merge() and reset() set it so. Only evictions move it, and
+  // the cells never shrink but by reset(), so it is still 0 after any
+  // insertion below capacity.
+  std::uint32_t cursor_ = 0;
+  std::uint64_t floor_ = 0;
   // Sorted by key id, so every walk (victim choice, top(), JSON emission)
   // is independent of insertion history and hash layout.
   std::vector<Entry> cells_;
-
-  // Floor mask. While floor_cells_ > 0, floor_ is the minimum count and
-  // bit i of floor_mask() is set exactly when cells_[i].count == floor_;
-  // floor_top_ is at or above the word holding the highest set bit.
-  // floor_cells_ == 0 means empty or stale: an insertion below capacity,
-  // merge() and reset() leave it stale, and pop_victim() rebuilds it.
-  std::uint64_t floor_ = 0;
-  std::size_t floor_cells_ = 0;
-  std::size_t floor_top_ = 0;
-  std::uint64_t floor_word_ = 0;
-  std::vector<std::uint64_t> floor_bits_;
 };
 
 }  // namespace cbps::metrics

@@ -1,7 +1,8 @@
 #include "cbps/metrics/topk.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <cstdint>
+#include <span>
 #include <utility>
 
 namespace cbps::metrics {
@@ -18,35 +19,29 @@ auto slot(Cells& cells, std::uint64_t key) {
 
 }  // namespace
 
+// Every pub/sub node carries four sketches: the floor state takes the
+// place of a stored total.
+static_assert(sizeof(TopK) == 2 * sizeof(std::uint64_t) +
+                                  sizeof(std::vector<TopK::Entry>));
+
 TopK::TopK(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(static_cast<std::uint32_t>(
+          std::clamp<std::size_t>(capacity, 1, UINT32_MAX))) {}
 
 std::size_t TopK::pop_victim() {
-  if (floor_cells_ == 0) {
-    floor_ = cells_[0].count;
-    for (const Entry& e : cells_) floor_ = std::min(floor_, e.count);
-    const std::size_t words = (cells_.size() + 63) / 64;
-    if (words == 1) {
-      floor_bits_.clear();
-      floor_word_ = 0;
-    } else {
-      floor_bits_.assign(words, 0);
-    }
-    std::uint64_t* mask = floor_mask();
-    for (std::size_t i = 0; i < cells_.size(); ++i) {
-      if (cells_[i].count != floor_) continue;
-      mask[i / 64] |= std::uint64_t{1} << (i % 64);
-      ++floor_cells_;
-      floor_top_ = i / 64;
-    }
+  std::size_t i = cursor_;
+  while (i > 0 && cells_[i - 1].count != floor_) --i;
+  if (i == 0) {
+    // Every floor cell has been evicted or has grown: rescan.
+    floor_ = std::min_element(cells_.begin(), cells_.end(),
+                              [](const Entry& a, const Entry& b) {
+                                return a.count < b.count;
+                              })->count;
+    i = cells_.size();
+    while (cells_[i - 1].count != floor_) --i;
   }
-  std::uint64_t* mask = floor_mask();
-  while (mask[floor_top_] == 0) --floor_top_;
-  std::uint64_t& word = mask[floor_top_];
-  const auto bit = static_cast<std::size_t>(std::bit_width(word) - 1);
-  word &= ~(std::uint64_t{1} << bit);
-  --floor_cells_;
-  return floor_top_ * 64 + bit;
+  cursor_ = static_cast<std::uint32_t>(i - 1);
+  return cursor_;
 }
 
 std::size_t TopK::admit(std::size_t at, std::uint64_t key,
@@ -56,7 +51,6 @@ std::size_t TopK::admit(std::size_t at, std::uint64_t key,
   };
   if (cells_.size() < capacity_) {
     cells_.insert(cell(at), Entry{key, weight, 0});
-    floor_cells_ = 0;  // the new cell may sit at or below the floor
     return at;
   }
   // Space-saving eviction: replace the minimum-count entry; among equal
@@ -65,26 +59,12 @@ std::size_t TopK::admit(std::size_t at, std::uint64_t key,
   // Shift the cells between the victim and the new key's slot by one, so
   // the vector never changes size. The new cell lands above the floor.
   if (victim < at) {
-    // The cells above the victim are all off the floor mask: their
-    // (clear) bits need no shift.
+    // The cells above the victim are all above the floor.
     --at;
     std::move(cell(victim + 1), cell(at + 1), cell(victim));
-  } else {
+  } else if (victim > at) {
     std::move_backward(cell(at), cell(victim), cell(victim + 1));
-    // Bits [at, victim) move up one; bit `at` (the new cell) clears.
-    std::uint64_t* mask = floor_mask();
-    const std::size_t lo = at / 64;
-    for (std::size_t w = victim / 64 + 1; w-- > lo;) {
-      std::uint64_t range = ~std::uint64_t{0};
-      if (w == victim / 64 && victim % 64 != 63) {
-        range = (std::uint64_t{1} << (victim % 64 + 1)) - 1;
-      }
-      if (w == lo) range &= ~std::uint64_t{0} << (at % 64);
-      const std::uint64_t carry = w > lo ? mask[w - 1] >> 63 : 0;
-      const std::uint64_t shifted = (mask[w] << 1) | carry;
-      mask[w] = (mask[w] & ~range) | (shifted & range);
-    }
-    mask[lo] &= ~(std::uint64_t{1} << (at % 64));
+    ++cursor_;  // the cell below the victim, maybe at the floor, moved up
   }
   cells_[at] = Entry{key, floor_ + weight, floor_};
   return at;
@@ -92,18 +72,16 @@ std::size_t TopK::admit(std::size_t at, std::uint64_t key,
 
 void TopK::offer(std::uint64_t key, std::uint64_t weight) {
   if (weight == 0) return;
-  total_ += weight;
   const auto it = slot(cells_, key);
   const auto at = static_cast<std::size_t>(it - cells_.begin());
   if (it != cells_.end() && it->key == key) {
-    bump(at, weight);
+    it->count += weight;
     return;
   }
   admit(at, key, weight);
 }
 
 void TopK::offer_each(std::span<const std::uint64_t> keys) {
-  total_ += keys.size();
   std::size_t at = 0;  // cursor: no cell before it has a key >= the next
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const std::uint64_t key = keys[i];
@@ -114,7 +92,7 @@ void TopK::offer_each(std::span<const std::uint64_t> keys) {
       while (at < cells_.size() && cells_[at].key < key) ++at;
     }
     if (at < cells_.size() && cells_[at].key == key) {
-      bump(at, 1);
+      ++cells_[at].count;
     } else {
       at = admit(at, key, 1);
     }
@@ -123,19 +101,14 @@ void TopK::offer_each(std::span<const std::uint64_t> keys) {
 
 void TopK::merge(const TopK& other) {
   const TopK* const parts[] = {this, &other};
-  TopK merged = sum(capacity_, parts);
-  total_ = merged.total_;
-  cells_ = std::move(merged.cells_);
-  floor_cells_ = 0;
+  cells_ = std::move(sum(capacity_, parts).cells_);
+  cursor_ = 0;
 }
 
 TopK TopK::sum(std::size_t capacity, std::span<const TopK* const> parts) {
   TopK out(capacity);
   std::size_t cells = 0;
-  for (const TopK* p : parts) {
-    out.total_ += p->total_;
-    cells += p->cells_.size();
-  }
+  for (const TopK* p : parts) cells += p->cells_.size();
   out.cells_.reserve(cells);
   for (const TopK* p : parts) {
     out.cells_.insert(out.cells_.end(), p->cells_.begin(), p->cells_.end());
@@ -173,10 +146,15 @@ TopK::Entry TopK::find(std::uint64_t key) const {
   return *it;
 }
 
+std::uint64_t TopK::total() const {
+  std::uint64_t sum = 0;
+  for (const Entry& e : cells_) sum += e.count;
+  return sum;
+}
+
 void TopK::reset() {
-  total_ = 0;
   cells_.clear();
-  floor_cells_ = 0;
+  cursor_ = 0;
 }
 
 }  // namespace cbps::metrics

@@ -14,12 +14,11 @@
 //   own Payload subclass (5 353 over 200 subscribes, 3 065 over 300
 //   publishes): carrying the messages in one variant payload must not
 //   cost more heap traffic. Both counts were re-measured unchanged once
-//   the TopK sketches kept a floor mask (one inline word for a sketch
-//   of up to 64 cells) and registry histograms got stripe parts
-//   (allocated only by shard stripes; these serial runs write stripe 0
-//   in place), so neither can creep onto the paths. Neither count is
-//   zero — the rendezvous store allocates per record, and every message
-//   is one shared payload.
+//   the TopK sketches kept a floor cursor (no allocation) and registry
+//   histograms got stripe parts (allocated only by shard stripes; these
+//   serial runs write stripe 0 in place), so neither can creep onto the
+//   paths. Neither count is zero — the rendezvous store allocates per
+//   record, and every message is one shared payload.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -177,12 +177,15 @@ TEST(RegistryTest, HandlesStayValidAcrossInsertionsAndReset) {
     reg.counter("extra." + std::to_string(i)).inc();
   }
   EXPECT_EQ(c, reg.counter_handle("alpha"));
+  EXPECT_EQ(h, reg.histogram_handle("beta"));
   EXPECT_EQ(c->value(), 3u);
   reg.reset_all();
   EXPECT_EQ(c->value(), 0u);  // reset in place, not erased
   EXPECT_EQ(reg.histogram("beta").count(), 0u);
   c->inc();
+  h->add(2.0);
   EXPECT_EQ(reg.counter_value("alpha"), 1u);
+  EXPECT_EQ(reg.histogram("beta").count(), 1u);  // the handle still aliases
 }
 
 TEST(RegistryTest, CounterValueDoesNotCreate) {

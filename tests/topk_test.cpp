@@ -8,6 +8,7 @@
 #include <map>
 #include <random>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "cbps/metrics/timeseries.hpp"
@@ -427,7 +428,8 @@ TEST(TopKTest, ResetClearsEverything) {
 // (weights 0-3), offer_each batches shaped like a rendezvous's covered
 // keys (distinct ascending keys that wrap past the top once), merges of
 // a second sketch (which leave the sketch over capacity, so later
-// evictions run on an oversized cell list) and resets. Every cell's key,
+// evictions run on an oversized cell list), copies and moves of the
+// sketch, and resets. Every cell's key,
 // count and error and the total must agree after every operation.
 TEST(TopKTest, MatchesNaiveReferenceOnGeneratedStreams) {
   constexpr int kStreams = 10'000;
@@ -472,6 +474,15 @@ TEST(TopKTest, MatchesNaiveReferenceOnGeneratedStreams) {
         }
         sketch.merge(other);
         ref.merge(other_ref);
+      } else if (pick < 98) {
+        // Copies and moves carry the floor cursor along with the cells.
+        metrics::TopK moved(std::move(sketch));
+        metrics::TopK copy(moved);
+        if (rng() % 2 == 0) {
+          sketch = std::move(moved);
+        } else {
+          sketch = copy;
+        }
       } else {
         sketch.reset();
         ref.reset();
