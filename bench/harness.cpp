@@ -46,7 +46,7 @@ void append_topk(std::string& out, const metrics::TopK& sketch,
   out += "]}";
 }
 
-/// One flat JSON document: every registry counter/stat/histogram (the
+/// One flat JSON document: every registry counter and histogram (the
 /// histograms with their percentiles), the folded per-key hot-key
 /// tables, the harness' derived summary fields, and the time-series
 /// sampler's rows.
@@ -64,21 +64,9 @@ void write_metrics_json(const std::string& path,
     append_escaped(out, name);
     out += "\": " + std::to_string(c.value());
   }
+  // An empty "stats" object keeps the document's shape stable for its
+  // readers; every sample summary is in "histograms".
   out += "\n  },\n  \"stats\": {";
-  first = true;
-  for (const auto& [name, s] : reg.stats()) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"";
-    append_escaped(out, name);
-    out += "\": {\"count\": " + std::to_string(s.count()) + ", \"mean\": ";
-    append_num(out, s.mean());
-    out += ", \"min\": ";
-    append_num(out, s.min());
-    out += ", \"max\": ";
-    append_num(out, s.max());
-    out += "}";
-  }
   // The harness-side distributions live outside the registry; fold them
   // into the same histogram table under stable names.
   std::map<std::string, metrics::Histogram> hists(reg.histograms().begin(),
@@ -336,27 +324,17 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.max_subs_per_node = storage.max_peak;
   r.avg_subs_per_node = storage.avg_peak;
 
-  // Average end-to-end route length over all unicast classes.
-  double total_routes = 0, total_hops = 0;
-  for (MessageClass c : {MessageClass::kSubscribe, MessageClass::kPublish,
-                         MessageClass::kNotify}) {
-    const RunningStat& s = traffic.route_hops(c);
-    total_routes += static_cast<double>(s.count());
-    total_hops += s.sum();
-  }
-  if (total_routes > 0) r.avg_route_hops = total_hops / total_routes;
-
-  const RunningStat delay = system.notification_delay();
-  r.avg_notification_delay_s = delay.mean();
-  r.max_notification_delay_s = delay.max();
-
   const metrics::Histogram delay_hist = system.delay_histogram();
+  r.avg_notification_delay_s = delay_hist.mean();
+  r.max_notification_delay_s = delay_hist.max();
   r.delay_p50_s = delay_hist.p50();
   r.delay_p90_s = delay_hist.p90();
   r.delay_p99_s = delay_hist.p99();
   r.delay_max_s = delay_hist.max();
   metrics::Registry& reg_mut = system.network().registry();
+  // End-to-end length of every completed unicast route.
   const metrics::Histogram& hop_hist = reg_mut.histogram("chord.route_hops");
+  r.avg_route_hops = hop_hist.mean();
   r.hops_p50 = hop_hist.p50();
   r.hops_p90 = hop_hist.p90();
   r.hops_p99 = hop_hist.p99();

@@ -69,7 +69,7 @@ Row run(std::size_t cache_size, bool feedback, std::size_t n,
   for (std::size_t i = 0; i < warmup + messages; ++i) {
     if (i == warmup) {
       sim.run();
-      net.traffic().reset();  // measure the warmed steady state only
+      // Measure the warmed steady state only.
       net.registry().histogram("chord.route_hops").reset();
     }
     ChordNode& src = net.alive_node(static_cast<std::size_t>(
@@ -82,9 +82,7 @@ Row run(std::size_t cache_size, bool feedback, std::size_t n,
   }
   sim.run();
   metrics::Histogram& hops = net.registry().histogram("chord.route_hops");
-  return Row{
-      net.traffic().route_hops(overlay::MessageClass::kPublish).mean(),
-      hops.p50(), hops.p99(), sim.events_processed()};
+  return Row{hops.mean(), hops.p50(), hops.p99(), sim.events_processed()};
 }
 
 }  // namespace

@@ -46,27 +46,18 @@ struct ChordConfig {
   std::uint32_t max_retries = 5;
 
   /// Ack timeout for the first retransmission before any RTT sample
-  /// exists for the peer (and always, when adaptive_rto is off); doubles
-  /// after every retry (exponential backoff). Must comfortably exceed
-  /// one message round-trip.
+  /// exists for the peer; doubles after every retry (exponential
+  /// backoff). Must comfortably exceed one message round-trip. Once the
+  /// peer's link has a clean sample, the first retry timeout is the
+  /// Jacobson/Karn SRTT + 4*RTTVAR instead (see ChordNode::current_rto),
+  /// so retries track the latency model: slow (gray-failing) peers get
+  /// patience, fast links get snappy recovery.
   sim::SimTime retry_base = sim::ms(250);
 
   /// Arm the ack/retry reliability layer even at loss_rate == 0. The
   /// fault-scenario engine needs this: partitions and runtime-installed
   /// loss models drop messages on a wire whose configured rate is 0.
   bool force_reliable = false;
-
-  /// Jacobson/Karn adaptive retransmission: the first retry timeout of a
-  /// reliable send is SRTT + 4*RTTVAR of its link (seeded from acked,
-  /// never-retransmitted transmissions) instead of the fixed retry_base,
-  /// so retries track the latency model — slow (gray-failing) peers get
-  /// patience, fast links get snappy recovery. retry_base remains the
-  /// pre-first-sample default.
-  bool adaptive_rto = true;
-
-  /// Clamp for the adaptive retransmission timeout.
-  sim::SimTime rto_min = sim::ms(100);
-  sim::SimTime rto_max = sim::sec(30);
 
   /// Whether the ack/retry reliability layer is active.
   bool reliable_transport() const {

@@ -75,9 +75,14 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   void start_maintenance();
   void stop_maintenance();
 
+  /// Clamp for the adaptive retransmission timeout.
+  static constexpr sim::SimTime kRtoMin = sim::ms(100);
+  static constexpr sim::SimTime kRtoMax = sim::sec(30);
+
   /// Current retransmission timeout toward `peer`: the Jacobson
-  /// SRTT + 4*RTTVAR estimate once a clean RTT sample exists, the
-  /// configured retry_base before that (introspection for tests).
+  /// SRTT + 4*RTTVAR estimate, clamped to [kRtoMin, kRtoMax], once a
+  /// clean RTT sample exists; the configured retry_base before that
+  /// (introspection for tests).
   sim::SimTime current_rto(Key peer) const { return retry_timeout(peer); }
 
   /// Peers evicted as unreachable, kept for post-partition re-merge
@@ -167,7 +172,6 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
     double rttvar_us = 0.0;
     bool valid = false;
   };
-  void record_rtt_sample(Key peer, sim::SimTime rtt);
   std::unordered_map<Key, RttState> rtt_;
 
   // Peers this node evicted as unreachable. During a partition the far

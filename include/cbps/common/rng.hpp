@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "cbps/common/assert.hpp"
 
@@ -84,33 +83,6 @@ class ZipfSampler {
   double h_x1_;       // h(1.5) - 1
   double h_n_;        // h(n + 0.5)
   double threshold_;  // 2 - h_inv(h(2.5) - 1/2^s)
-};
-
-/// Simple accumulation of sample statistics (used by tests that check
-/// distribution shapes and by the metrics layer).
-class RunningStat {
- public:
-  void add(double x);
-
-  /// Fold another summary into this one (exact: all moments are sums).
-  void merge(const RunningStat& other);
-
-  /// Drop all samples (the object is reusable; references stay valid).
-  void reset() { *this = RunningStat{}; }
-
-  std::uint64_t count() const { return count_; }
-  double mean() const { return count_ ? sum_ / static_cast<double>(count_) : 0.0; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double variance() const;
-  double sum() const { return sum_; }
-
- private:
-  std::uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 }  // namespace cbps

@@ -1,7 +1,8 @@
 // Fixed-bucket log-linear histogram (HdrHistogram-style): one octave per
 // power of two, each split into kSubBuckets linear sub-buckets, so the
 // relative quantization error is bounded by 1/kSubBuckets while add() is
-// a frexp + two integer ops — cheap enough for per-message hot paths.
+// a few integer ops on the IEEE754 exponent and top fraction bits —
+// cheap enough for per-message hot paths.
 //
 // Deterministic by construction: bucket indices come from exact floating-
 // point decomposition (no libm), so two runs that record the same values

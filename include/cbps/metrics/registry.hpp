@@ -1,5 +1,4 @@
-// Named counters, running summaries, and histograms for experiment
-// instrumentation.
+// Named counters and histograms for experiment instrumentation.
 //
 // Benches create one Registry per run, pass it down through the harness,
 // and read it back to print a figure row. Nothing here is global: two
@@ -26,7 +25,6 @@
 #include <string>
 
 #include "cbps/common/exec_context.hpp"
-#include "cbps/common/rng.hpp"
 #include "cbps/metrics/histogram.hpp"
 
 namespace cbps::metrics {
@@ -90,9 +88,6 @@ class Registry {
   /// Find or create a counter.
   Counter& counter(const std::string& name) { return counters_[name]; }
 
-  /// Find or create a running summary.
-  RunningStat& stat(const std::string& name) { return stats_[name]; }
-
   /// Find or create a histogram, with its stripe parts folded in. Write
   /// through it from the global context only; shard code writes through
   /// histogram_handle().
@@ -104,7 +99,6 @@ class Registry {
   // lifetime — std::map nodes never move and reset_all() resets entries
   // in place instead of erasing them.
   Counter* counter_handle(const std::string& name) { return &counters_[name]; }
-  RunningStat* stat_handle(const std::string& name) { return &stats_[name]; }
   StripedHistogram* histogram_handle(const std::string& name);
 
   /// Counter value, 0 if never touched (does not create).
@@ -113,18 +107,16 @@ class Registry {
   void reset_all();
 
   /// Human-readable dump: one table, deterministically sorted by name
-  /// across counters, stats, and histograms (so bench output diffs are
+  /// across counters and histograms (so bench output diffs are
   /// stable run to run).
   void print(std::ostream& os) const;
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, RunningStat>& stats() const { return stats_; }
   /// Every histogram, with its stripe parts folded in.
   const std::map<std::string, Histogram>& histograms() const;
 
  private:
   std::map<std::string, Counter> counters_;
-  std::map<std::string, RunningStat> stats_;
   std::map<std::string, Histogram> histograms_;
   // Writers of the histograms that have a handle; each points into
   // histograms_.

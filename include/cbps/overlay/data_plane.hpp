@@ -401,9 +401,6 @@ void DataPlane<Msg>::handle_data(RouteMsg msg) {
 template <class Msg>
 void DataPlane<Msg>::deliver_route(const RouteMsg& msg) {
   if (offline_) return;  // self-delivery scheduled before the crash
-  const MessageClass cls = msg.payload->message_class();
-  wire_.traffic().record_delivery(cls);
-  wire_.traffic().record_route_complete(cls, msg.hops);
   stats().route_hops->add(msg.hops);
   on_route_delivered(msg);
   if (app_ != nullptr) app_->on_deliver(msg.target, msg.payload);
@@ -487,8 +484,6 @@ void DataPlane<Msg>::run_mcast(std::span<const KeyRange> runs,
 
   const std::uint64_t local_keys = key_count(ring(), part.local);
   if (local_keys > 0 && app_ != nullptr) {
-    const MessageClass cls = payload->message_class();
-    wire_.traffic().record_delivery(cls);
     if (initiator) {
       // Keep the upcall asynchronous even for the initiator.
       wire_.self_deliver([this, local = RunList(part.local), p = payload] {
@@ -583,8 +578,6 @@ void DataPlane<Msg>::run_chain(std::vector<Key> keys,
     (covers(k) ? covered : remaining).push_back(k);
   }
   if (!covered.empty() && app_ != nullptr) {
-    const MessageClass cls = payload->message_class();
-    wire_.traffic().record_delivery(cls);
     if (initiator) {
       PayloadPtr p = payload;
       wire_.self_deliver([this, covered, p] {

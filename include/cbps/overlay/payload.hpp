@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "cbps/common/exec_context.hpp"
-#include "cbps/common/rng.hpp"
 #include "cbps/metrics/trace.hpp"
 
 namespace cbps::overlay {
@@ -62,7 +61,7 @@ class Payload {
 
 using PayloadPtr = std::shared_ptr<const Payload>;
 
-/// One-hop message and delivery counts, split by MessageClass.
+/// One-hop message and byte counts, split by MessageClass.
 ///
 /// A "hop" is one node-to-node message transmission (the unit all the
 /// paper's network figures are expressed in). Self-deliveries are free.
@@ -71,19 +70,14 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 /// per-execution-stripe block (one writer per stripe between engine
 /// barriers — no atomics needed), and readers fold the stripes in fixed
 /// stripe order. Totals stay bit-identical across engines and shard
-/// counts because everything recorded is integer-valued: counts are
-/// exact sums, and RunningStat's moments are sums of (squares of) small
-/// integers, exact in IEEE754 and thus order-independent.
+/// counts because everything recorded is an integer count, and integer
+/// sums are order-independent.
 class TrafficStats {
  public:
-  void record_hop(MessageClass cls) { ++block().hops[index(cls)]; }
   void record_hop(MessageClass cls, std::size_t payload_bytes) {
     Block& b = block();
     ++b.hops[index(cls)];
     b.bytes[index(cls)] += payload_bytes + kHeaderBytes;
-  }
-  void record_delivery(MessageClass cls) {
-    ++block().deliveries[index(cls)];
   }
 
   /// Approximate bytes transmitted, per class (payload + per-message
@@ -95,37 +89,15 @@ class TrafficStats {
   static constexpr std::size_t kHeaderBytes = 48;
 
   std::uint64_t hops(MessageClass cls) const;
-  std::uint64_t deliveries(MessageClass cls) const;
 
   std::uint64_t total_hops() const;
-
-  /// Hops attributable to application requests (everything except
-  /// overlay maintenance).
-  std::uint64_t app_hops() const {
-    return total_hops() - hops(MessageClass::kControl);
-  }
-
-  /// Record a completed unicast route and the number of hops it took
-  /// (feeds the "average hops per message" summaries, e.g. the ~2.5-hop
-  /// observation in §5.1).
-  void record_route_complete(MessageClass cls, std::uint32_t hops) {
-    block().route_hops[index(cls)].add(static_cast<double>(hops));
-  }
-
-  /// Stripe-merged summary (by value: the per-stripe parts are folded
-  /// on each call).
-  RunningStat route_hops(MessageClass cls) const;
-
-  void reset();
 
  private:
   static constexpr std::size_t kStripes = common::kMaxStripes;
 
   struct alignas(64) Block {
     std::array<std::uint64_t, kMessageClassCount> hops{};
-    std::array<std::uint64_t, kMessageClassCount> deliveries{};
     std::array<std::uint64_t, kMessageClassCount> bytes{};
-    std::array<RunningStat, kMessageClassCount> route_hops{};
   };
 
   static std::size_t index(MessageClass cls) {

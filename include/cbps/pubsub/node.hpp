@@ -143,8 +143,9 @@ class PubSubNode final : public overlay::OverlayApp {
   /// Withdraw a previously issued subscription.
   void unsubscribe(SubscriptionId id);
 
-  /// Publish an event (id must be filled in).
-  void publish(EventPtr event);
+  /// Publish an event (id must be filled in). Returns its rendezvous-key
+  /// fan-out (the number of event keys it is sent to).
+  std::size_t publish(EventPtr event);
 
   /// Crash hygiene: stop behaving like a live process. Pending batches
   /// are dropped and the armed one-shot timers become no-ops — a
@@ -177,31 +178,14 @@ class PubSubNode final : public overlay::OverlayApp {
   std::uint64_t duplicates_suppressed() const {
     return duplicates_suppressed_;
   }
-  /// Notifications addressed to a different node that key-routing landed
-  /// here (the addressee crashed, or the ring moved mid-route). Dropped,
-  /// never surfaced: they would be ghost deliveries under a dead
-  /// subscriber's identity.
-  std::uint64_t misdirected_notifies() const {
-    return misdirected_notifies_;
-  }
-  /// Publish-to-notify latency (seconds) of notifications received here.
-  const RunningStat& notification_delay() const {
-    return notification_delay_;
-  }
-  /// Publish-to-notify latency distribution (seconds): same samples as
-  /// notification_delay(), but with percentiles.
+  /// Publish-to-notify latency distribution (seconds) of notifications
+  /// received here.
   const metrics::Histogram& delay_histogram() const { return delay_hist_; }
-  /// Rendezvous-key fan-out per publish issued from this node.
-  const metrics::Histogram& fanout_histogram() const { return fanout_hist_; }
   std::uint64_t notify_batches_sent() const { return notify_batches_sent_; }
   std::uint64_t notifications_sent() const { return notifications_sent_; }
   /// Per-rendezvous-key load sketches of this node (see KeyLoad).
   const KeyLoad& key_load() const { return key_load_; }
 
-  /// Imported records that were not ours to keep and were re-issued as
-  /// fresh subscriptions toward their current rendezvous (post-heal
-  /// ownership repair).
-  std::uint64_t reissued_imports() const { return reissued_imports_; }
   /// A subscription this node issued: the pointer plus the expiry it was
   /// registered with (needed to re-issue it verbatim on refresh).
   struct OwnSub {
@@ -306,12 +290,8 @@ class PubSubNode final : public overlay::OverlayApp {
   std::uint64_t notify_batches_sent_ = 0;
   std::uint64_t notifications_sent_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
-  std::uint64_t misdirected_notifies_ = 0;
-  std::uint64_t reissued_imports_ = 0;
   KeyLoad key_load_;
-  RunningStat notification_delay_;
   metrics::Histogram delay_hist_;
-  metrics::Histogram fanout_hist_;
   // (event, subscription) pairs already surfaced to the sink; only
   // populated when cfg_.duplicate_suppression is on.
   std::set<std::pair<EventId, SubscriptionId>> delivered_;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cbps/chord/network.hpp"
+#include "cbps/metrics/histogram.hpp"
 #include "cbps/metrics/timeseries.hpp"
 #include "cbps/metrics/trace.hpp"
 #include "cbps/pubsub/mapping.hpp"
@@ -149,13 +150,10 @@ class PubSubSystem {
   /// Notifications dropped by the end-to-end duplicate filter (lossy runs).
   std::uint64_t duplicates_suppressed() const;
 
-  /// Publish-to-notify latency across all subscribers (seconds).
-  RunningStat notification_delay() const;
-
   /// Publish-to-notify latency distribution (seconds, percentiles),
-  /// merged across all subscribers.
+  /// merged across all subscribers in ring order.
   metrics::Histogram delay_histogram() const;
-  /// Rendezvous-key fan-out per publish, merged across all publishers.
+  /// Rendezvous-key fan-out per publish().
   metrics::Histogram fanout_histogram() const;
 
   /// Per-rendezvous-key load sketches summed over every node in ring
@@ -213,6 +211,8 @@ class PubSubSystem {
   EventId next_event_id_ = 1;
   std::uint64_t subs_issued_ = 0;
   std::uint64_t pubs_issued_ = 0;
+  // Written by publish() alone, which runs in the global context.
+  metrics::Histogram fanout_;
 };
 
 }  // namespace cbps::pubsub

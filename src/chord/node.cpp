@@ -39,10 +39,6 @@ void ChordNode::reroute(WireMessage msg) {
 }
 
 void ChordNode::on_clean_ack(Key peer, sim::SimTime rtt) {
-  if (config().adaptive_rto) record_rtt_sample(peer, rtt);
-}
-
-void ChordNode::record_rtt_sample(Key peer, sim::SimTime rtt) {
   RttState& s = rtt_[peer];
   const double r = static_cast<double>(rtt);
   if (!s.valid) {
@@ -59,12 +55,10 @@ void ChordNode::record_rtt_sample(Key peer, sim::SimTime rtt) {
 }
 
 sim::SimTime ChordNode::retry_timeout(Key peer) const {
-  if (!config().adaptive_rto) return config().retry_base;
   const auto it = rtt_.find(peer);
   if (it == rtt_.end() || !it->second.valid) return config().retry_base;
   const double rto = it->second.srtt_us + 4.0 * it->second.rttvar_us;
-  return std::clamp(static_cast<sim::SimTime>(rto), config().rto_min,
-                    config().rto_max);
+  return std::clamp(static_cast<sim::SimTime>(rto), kRtoMin, kRtoMax);
 }
 
 void ChordNode::go_offline() {

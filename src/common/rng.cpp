@@ -125,36 +125,4 @@ std::uint64_t ZipfSampler::operator()(Rng& rng) const {
   }
 }
 
-void RunningStat::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
-  ++count_;
-  sum_ += x;
-  sum_sq_ += x * x;
-}
-
-void RunningStat::merge(const RunningStat& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-  sum_sq_ += other.sum_sq_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStat::variance() const {
-  if (count_ < 2) return 0.0;
-  const double n = static_cast<double>(count_);
-  const double m = sum_ / n;
-  return (sum_sq_ - n * m * m) / (n - 1);
-}
-
 }  // namespace cbps

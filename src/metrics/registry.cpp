@@ -37,29 +37,22 @@ std::uint64_t Registry::counter_value(const std::string& name) const {
 }
 
 void Registry::reset_all() {
-  // Reset in place: callers hold Counter&/RunningStat&/Histogram&
+  // Reset in place: callers hold Counter&/Histogram&
   // handles across resets (per-phase measurement), so entries must
   // never be destroyed.
   for (auto& [_, c] : counters_) c.reset();
-  for (auto& [_, s] : stats_) s.reset();
   for (const auto& [_, h] : striped_) h.fold();
   for (auto& [_, h] : histograms_) h.reset();
 }
 
 void Registry::print(std::ostream& os) const {
-  // Merge the three maps into one name-sorted table: each source map is
+  // Merge the two maps into one name-sorted table: each source map is
   // already sorted, so collecting and sorting by name yields a single
   // deterministic interleaving regardless of entry kinds.
   std::vector<std::pair<const std::string*, std::string>> lines;
-  lines.reserve(counters_.size() + stats_.size() + histograms_.size());
+  lines.reserve(counters_.size() + histograms_.size());
   for (const auto& [name, c] : counters_) {
     lines.emplace_back(&name, std::to_string(c.value()));
-  }
-  for (const auto& [name, s] : stats_) {
-    std::ostringstream line;
-    line << "count=" << s.count() << " mean=" << s.mean()
-         << " min=" << s.min() << " max=" << s.max();
-    lines.emplace_back(&name, line.str());
   }
   for (const auto& [name, h] : histograms()) {
     std::ostringstream line;

@@ -34,12 +34,6 @@ std::uint64_t TrafficStats::hops(MessageClass cls) const {
   return n;
 }
 
-std::uint64_t TrafficStats::deliveries(MessageClass cls) const {
-  std::uint64_t n = 0;
-  for (const Block& b : blocks_) n += b.deliveries[index(cls)];
-  return n;
-}
-
 std::uint64_t TrafficStats::bytes(MessageClass cls) const {
   std::uint64_t n = 0;
   for (const Block& b : blocks_) n += b.bytes[index(cls)];
@@ -60,21 +54,6 @@ std::uint64_t TrafficStats::total_bytes() const {
     n = std::accumulate(b.bytes.begin(), b.bytes.end(), n);
   }
   return n;
-}
-
-RunningStat TrafficStats::route_hops(MessageClass cls) const {
-  RunningStat out;
-  for (const Block& b : blocks_) out.merge(b.route_hops[index(cls)]);
-  return out;
-}
-
-void TrafficStats::reset() {
-  for (Block& b : blocks_) {
-    b.hops.fill(0);
-    b.deliveries.fill(0);
-    b.bytes.fill(0);
-    b.route_hops.fill(RunningStat{});
-  }
 }
 
 }  // namespace cbps::overlay

@@ -125,10 +125,9 @@ void PubSubNode::unsubscribe(SubscriptionId id) {
   own_subs_.erase(it);
 }
 
-void PubSubNode::publish(EventPtr event) {
+std::size_t PubSubNode::publish(EventPtr event) {
   CBPS_ASSERT(event != nullptr && event->id != 0);
   const std::vector<Key> keys = mapping_.event_keys(*event);
-  fanout_hist_.add(static_cast<double>(keys.size()));
   metrics::TraceRef trace;
   if (trace_ != nullptr && trace_->enabled()) {
     if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
@@ -147,6 +146,7 @@ void PubSubNode::publish(EventPtr event) {
                                        sim_.now()},
                             trace),
                cfg_.pub_transport);
+  return keys.size();
 }
 
 // ---------------------------------------------------------------------------
@@ -208,7 +208,6 @@ std::size_t PubSubNode::re_replicate() {
   });
   for (const StoredSubRecord& rec : stranded) {
     store_.remove(rec.sub->id);
-    ++reissued_imports_;
     send_to_runs(mapping_.subscription_ranges(*rec.sub),
                  make_payload(SubscribeMsg{rec.sub, rec.expires_at,
                                            rec.ranges}),
@@ -324,7 +323,6 @@ void PubSubNode::surface(const Notification& n) {
   }
   ++notifications_received_;
   const double delay_s = sim::to_seconds(now - n.published_at);
-  notification_delay_.add(delay_s);
   delay_hist_.add(delay_s);
   if (trace_ != nullptr && n.trace.sampled()) {
     // Instant at arrival — a span must not start before its parent (the
@@ -342,7 +340,6 @@ void PubSubNode::handle(const NotifyMsg& msg, const Arrival&) {
     // addressee is gone (crashed, or the ring moved mid-route) the
     // message lands on whoever now owns that key. Surfacing it here
     // would be a ghost delivery under the dead subscriber's identity.
-    misdirected_notifies_ += msg.batch.size();
     if (trace_ != nullptr) {
       const sim::SimTime now = sim_.now();
       for (const Notification& n : msg.batch) {
@@ -631,7 +628,6 @@ void PubSubNode::handle(const StateMsg& msg, const Arrival&) {
                      [&](const KeyRange& r) {
                        return coverage_intersects(r);
                      })) {
-      ++reissued_imports_;
       send_to_runs(mapping_.subscription_ranges(*rec.sub),
                    make_payload(SubscribeMsg{rec.sub, rec.expires_at,
                                              rec.ranges}),

@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "cbps/common/exec_context.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/loss.hpp"
 
@@ -204,8 +205,11 @@ EventId PubSubSystem::publish(std::size_t node_idx,
   event->id = next_event_id_++;
   event->values = std::move(values);
   CBPS_ASSERT_MSG(event->valid_for(schema()), "invalid event");
+  CBPS_ASSERT_MSG(common::exec_context().stripe == 0,
+                  "publications start from global context only");
   ++pubs_issued_;
-  pubsub_node(node_idx).publish(std::move(event));
+  const std::size_t keys = pubsub_node(node_idx).publish(std::move(event));
+  fanout_.add(static_cast<double>(keys));
   return next_event_id_ - 1;
 }
 
@@ -251,12 +255,6 @@ std::uint64_t PubSubSystem::duplicates_suppressed() const {
   return n;
 }
 
-RunningStat PubSubSystem::notification_delay() const {
-  RunningStat total;
-  for (const auto& node : nodes_) total.merge(node->notification_delay());
-  return total;
-}
-
 metrics::Histogram PubSubSystem::delay_histogram() const {
   metrics::Histogram total;
   for (const auto& node : nodes_) total.merge(node->delay_histogram());
@@ -264,9 +262,7 @@ metrics::Histogram PubSubSystem::delay_histogram() const {
 }
 
 metrics::Histogram PubSubSystem::fanout_histogram() const {
-  metrics::Histogram total;
-  for (const auto& node : nodes_) total.merge(node->fanout_histogram());
-  return total;
+  return fanout_;
 }
 
 KeyLoad PubSubSystem::key_load() const {

@@ -319,8 +319,8 @@ TEST(ChordRoutingTest, HopCountBoundedByLogN) {
     h.net->alive_node(0).send(key, std::make_shared<TestPayload>(i));
   }
   h.sim.run();
-  const auto& stat =
-      h.net->traffic().route_hops(MessageClass::kPublish);
+  const metrics::Histogram& stat =
+      h.net->registry().histogram("chord.route_hops");
   ASSERT_EQ(stat.count(), 300u);
   // Chord guarantee: O(log n) hops; with perfect fingers, <= log2(n)+1.
   EXPECT_LE(stat.max(), 8.0);  // log2(128) = 7
@@ -347,13 +347,15 @@ TEST(ChordRoutingTest, LocationCacheShortensRepeatRoutes) {
 
   src.send(key, std::make_shared<TestPayload>(1));
   h.sim.run();
-  const auto first = h.net->traffic().route_hops(MessageClass::kPublish);
+  const metrics::Histogram first =
+      h.net->registry().histogram("chord.route_hops");
   ASSERT_EQ(first.count(), 1u);
   const double first_hops = first.max();
 
   src.send(key, std::make_shared<TestPayload>(2));
   h.sim.run();
-  const auto second = h.net->traffic().route_hops(MessageClass::kPublish);
+  const metrics::Histogram& second =
+      h.net->registry().histogram("chord.route_hops");
   ASSERT_EQ(second.count(), 2u);
   const double second_hops = second.sum() - first_hops;
   if (first_hops > 1.0) {
@@ -374,7 +376,9 @@ TEST(ChordRoutingTest, ManyRoutesAverageBelowLogNWithCache) {
     h.net->alive_node(5).send(key, std::make_shared<TestPayload>(i));
   }
   h.sim.run();
-  const auto& stat = h.net->traffic().route_hops(MessageClass::kPublish);
+  const metrics::Histogram& stat =
+      h.net->registry().histogram("chord.route_hops");
+  ASSERT_EQ(stat.count(), 600u);
   // log2(100) ≈ 6.6; the cache should pull the average well below it
   // (the paper reports ~2.5 at n=500, §5.1).
   EXPECT_LT(stat.mean(), 4.0);

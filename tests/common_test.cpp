@@ -22,6 +22,7 @@
 #include "cbps/common/rng.hpp"
 #include "cbps/common/sha1.hpp"
 #include "cbps/common/sorted_view.hpp"
+#include "cbps/metrics/histogram.hpp"
 
 namespace cbps {
 namespace {
@@ -295,7 +296,7 @@ TEST(RngTest, Uniform01Range) {
 
 TEST(RngTest, ExponentialMean) {
   Rng rng(11);
-  RunningStat stat;
+  metrics::Histogram stat;
   for (int i = 0; i < 100000; ++i) stat.add(rng.exponential(5.0));
   EXPECT_NEAR(stat.mean(), 5.0, 0.1);
   EXPECT_GE(stat.min(), 0.0);
@@ -354,23 +355,6 @@ TEST(ZipfTest, SingleElementDomain) {
   Rng rng(1);
   ZipfSampler zipf(1, 1.2);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(zipf(rng), 1u);
-}
-
-TEST(RunningStatTest, Moments) {
-  RunningStat s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-9);
-}
-
-TEST(RunningStatTest, EmptyIsZero) {
-  RunningStat s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 // Every CBPS_ASSERT failure — in benches and tools as much as under the

@@ -197,7 +197,7 @@ TEST(RegistryTest, CounterValueDoesNotCreate) {
 TEST(RegistryTest, PrintIsOneDeterministicallySortedTable) {
   metrics::Registry reg;
   reg.counter("zulu").inc();
-  reg.stat("mike").add(1.0);
+  reg.histogram("mike").add(1.0);
   reg.histogram("alpha").add(2.0);
   reg.counter("echo").inc();
   std::ostringstream os;

@@ -18,29 +18,19 @@ namespace {
 
 TEST(TrafficStatsTest, PerClassAccounting) {
   TrafficStats stats;
-  stats.record_hop(MessageClass::kSubscribe);
-  stats.record_hop(MessageClass::kSubscribe);
-  stats.record_hop(MessageClass::kPublish);
-  stats.record_hop(MessageClass::kControl);
-  stats.record_delivery(MessageClass::kPublish);
+  stats.record_hop(MessageClass::kSubscribe, 10);
+  stats.record_hop(MessageClass::kSubscribe, 20);
+  stats.record_hop(MessageClass::kPublish, 0);
+  stats.record_hop(MessageClass::kControl, 0);
 
   EXPECT_EQ(stats.hops(MessageClass::kSubscribe), 2u);
   EXPECT_EQ(stats.hops(MessageClass::kPublish), 1u);
   EXPECT_EQ(stats.hops(MessageClass::kNotify), 0u);
   EXPECT_EQ(stats.total_hops(), 4u);
-  EXPECT_EQ(stats.app_hops(), 3u);  // excludes control
-  EXPECT_EQ(stats.deliveries(MessageClass::kPublish), 1u);
-}
-
-TEST(TrafficStatsTest, RouteSummariesAndReset) {
-  TrafficStats stats;
-  stats.record_route_complete(MessageClass::kNotify, 2);
-  stats.record_route_complete(MessageClass::kNotify, 4);
-  EXPECT_EQ(stats.route_hops(MessageClass::kNotify).count(), 2u);
-  EXPECT_DOUBLE_EQ(stats.route_hops(MessageClass::kNotify).mean(), 3.0);
-  stats.reset();
-  EXPECT_EQ(stats.total_hops(), 0u);
-  EXPECT_EQ(stats.route_hops(MessageClass::kNotify).count(), 0u);
+  // Payload plus one envelope per hop.
+  EXPECT_EQ(stats.bytes(MessageClass::kSubscribe),
+            30u + 2 * TrafficStats::kHeaderBytes);
+  EXPECT_EQ(stats.total_bytes(), 30u + 4 * TrafficStats::kHeaderBytes);
 }
 
 TEST(MessageClassTest, Names) {
@@ -369,8 +359,8 @@ TEST(RegistryTest, CountersCreateOnDemand) {
 TEST(RegistryTest, StatsAndPrint) {
   Registry reg;
   reg.counter("alpha").inc(3);
-  reg.stat("lat").add(1.0);
-  reg.stat("lat").add(3.0);
+  reg.histogram("lat").add(1.0);
+  reg.histogram("lat").add(3.0);
   std::ostringstream os;
   reg.print(os);
   EXPECT_NE(os.str().find("alpha"), std::string::npos);
@@ -380,24 +370,24 @@ TEST(RegistryTest, StatsAndPrint) {
 TEST(RegistryTest, ResetAll) {
   Registry reg;
   reg.counter("a").inc(7);
-  reg.stat("s").add(1.0);
+  reg.histogram("s").add(1.0);
   reg.reset_all();
   EXPECT_EQ(reg.counter_value("a"), 0u);
   // Entries are reset in place, never destroyed: names persist (so a
   // post-reset print still shows every metric) with zeroed contents.
-  ASSERT_EQ(reg.stats().size(), 1u);
-  EXPECT_EQ(reg.stats().at("s").count(), 0u);
+  ASSERT_EQ(reg.histograms().size(), 1u);
+  EXPECT_EQ(reg.histograms().at("s").count(), 0u);
 }
 
 TEST(RegistryTest, ResetAllPreservesHandedOutReferences) {
   // Regression: reset_all() used to clear() the underlying maps, which
-  // destroyed the Counter/RunningStat objects long-lived callers hold
+  // destroyed the Counter/Histogram objects long-lived callers hold
   // references to (ChordNetwork caches them per message class) — any
   // use after reset was a use-after-free. Entries must be zeroed in
   // place instead.
   Registry reg;
   Counter& hops = reg.counter("hops");
-  RunningStat& delay = reg.stat("delay");
+  Histogram& delay = reg.histogram("delay");
   hops.inc(5);
   delay.add(2.0);
 
@@ -406,12 +396,12 @@ TEST(RegistryTest, ResetAllPreservesHandedOutReferences) {
   hops.inc(3);
   delay.add(7.0);
   EXPECT_EQ(reg.counter_value("hops"), 3u);
-  ASSERT_EQ(reg.stats().count("delay"), 1u);
-  EXPECT_EQ(reg.stats().at("delay").count(), 1u);
-  EXPECT_DOUBLE_EQ(reg.stats().at("delay").mean(), 7.0);
+  ASSERT_EQ(reg.histograms().count("delay"), 1u);
+  EXPECT_EQ(reg.histograms().at("delay").count(), 1u);
+  EXPECT_DOUBLE_EQ(reg.histograms().at("delay").mean(), 7.0);
   // And the handed-out references still alias the registry's entries.
   EXPECT_EQ(&reg.counter("hops"), &hops);
-  EXPECT_EQ(&reg.stat("delay"), &delay);
+  EXPECT_EQ(&reg.histogram("delay"), &delay);
 }
 
 }  // namespace

@@ -186,8 +186,12 @@ TEST(ParallelWorkloadTest, ExperimentTraceAndResultBitIdentical) {
   EXPECT_EQ(a.trace_spans, b.trace_spans);
   // Doubles too: bit-identical, not just close.
   EXPECT_EQ(a.avg_notification_delay_s, b.avg_notification_delay_s);
+  EXPECT_EQ(a.max_notification_delay_s, b.max_notification_delay_s);
   EXPECT_EQ(a.delay_p99_s, b.delay_p99_s);
+  EXPECT_EQ(a.avg_route_hops, b.avg_route_hops);
   EXPECT_EQ(a.hops_p99, b.hops_p99);
+  EXPECT_EQ(a.fanout_p50, b.fanout_p50);
+  EXPECT_EQ(a.fanout_p99, b.fanout_p99);
 
   const std::string trace_a = slurp(t1);
   EXPECT_FALSE(trace_a.empty());

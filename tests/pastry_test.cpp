@@ -140,8 +140,8 @@ TEST(PastryRoutingTest, HopCountLogarithmic) {
     h.net->node_at(0).send(key, std::make_shared<TestPayload>(i));
   }
   h.sim.run();
-  const auto& stat =
-      h.net->traffic().route_hops(MessageClass::kPublish);
+  const metrics::Histogram& stat =
+      h.net->registry().histogram("pastry.route_hops");
   ASSERT_EQ(stat.count(), 300u);
   // Binary prefix routing resolves >= 1 bit per hop: <= m = 13 always,
   // and on average about log2(128) = 7.

@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "cbps/common/rng.hpp"
+#include "cbps/metrics/histogram.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/pubsub/system.hpp"
 #include "cbps/workload/driver.hpp"
@@ -352,6 +354,27 @@ TEST(PubSubBasicTest, DisjunctionTreatedAsSeparateSubscriptions) {
   EXPECT_FALSE(notified.contains(e3));
 }
 
+TEST(PubSubSystemTest, FanoutHistogramHasOneSamplePerPublish) {
+  for (const MappingKind kind :
+       {MappingKind::kAttributeSplit, MappingKind::kSelectiveAttribute}) {
+    PubSubSystem system(small_config(kind), small_schema());
+    Rng rng(3);
+    constexpr std::size_t kPubs = 40;
+    double keys = 0;
+    for (std::size_t i = 0; i < kPubs; ++i) {
+      Event e;
+      e.values = {rng.uniform_int(0, 9'999), rng.uniform_int(0, 9'999)};
+      e.id = system.publish(i % system.node_count(), e.values);
+      keys += static_cast<double>(system.mapping().event_keys(e).size());
+    }
+    system.quiesce();
+    const metrics::Histogram fanout = system.fanout_histogram();
+    EXPECT_EQ(fanout.count(), kPubs) << to_string(kind);
+    EXPECT_GE(keys, static_cast<double>(kPubs)) << to_string(kind);
+    EXPECT_EQ(fanout.sum(), keys) << to_string(kind);
+  }
+}
+
 TEST(SchemaTest, AttributeIndexLookup) {
   const Schema schema({{"price", {0, 100}}, {"volume", {0, 10}}});
   EXPECT_EQ(schema.attribute_index("price"), std::optional<std::size_t>(0));
@@ -418,10 +441,10 @@ TEST(PubSubBufferingTest, DelayStatReflectsBufferingCost) {
     system.run_for(sim::sec(5));
     system.publish(9, {100, 0});
     system.quiesce();
-    return system.notification_delay();
+    return system.delay_histogram();
   };
-  const RunningStat immediate = run_delay(false);
-  const RunningStat buffered = run_delay(true);
+  const metrics::Histogram immediate = run_delay(false);
+  const metrics::Histogram buffered = run_delay(true);
   ASSERT_EQ(immediate.count(), 1u);
   ASSERT_EQ(buffered.count(), 1u);
   // Immediate: a couple of 50 ms hops. Buffered: + the 10 s period.

@@ -4,6 +4,7 @@
 #include <functional>
 #include <vector>
 
+#include "cbps/metrics/histogram.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/simulator.hpp"
 
@@ -252,7 +253,7 @@ TEST(LatencyTest, FixedLatencyIsConstant) {
 TEST(LatencyTest, UniformLatencyWithinBounds) {
   Rng rng(2);
   UniformLatency lat(ms(10), ms(90));
-  RunningStat stat;
+  metrics::Histogram stat;
   for (int i = 0; i < 10000; ++i) {
     const SimTime v = lat.sample(rng);
     EXPECT_GE(v, ms(10));

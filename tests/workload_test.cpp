@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "cbps/metrics/histogram.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/pubsub/system.hpp"
 #include "cbps/workload/driver.hpp"
@@ -31,7 +32,7 @@ TEST(WorkloadGeneratorTest, ConstraintsCoverEveryAttribute) {
 
 TEST(WorkloadGeneratorTest, NonSelectiveRangeAtMostThreePercent) {
   WorkloadGenerator gen(paper_schema(), {}, 2);
-  RunningStat widths;
+  metrics::Histogram widths;
   for (int i = 0; i < 2000; ++i) {
     for (const auto& c : gen.make_constraints()) {
       widths.add(static_cast<double>(c.range.width()));
@@ -46,7 +47,7 @@ TEST(WorkloadGeneratorTest, SelectiveRangeAtMostPointOnePercent) {
   WorkloadParams wp;
   wp.selective = {true, false, false, false};
   WorkloadGenerator gen(paper_schema(), wp, 3);
-  RunningStat sel_widths;
+  metrics::Histogram sel_widths;
   for (int i = 0; i < 2000; ++i) {
     const auto cs = gen.make_constraints();
     sel_widths.add(static_cast<double>(cs[0].range.width()));
@@ -60,7 +61,7 @@ TEST(WorkloadGeneratorTest, MostRestrictiveRangeMatchesPaperClaim) {
   // 4 constraints spans 0.6% of ATTR_MAX on average (min of 4 uniforms
   // over [0, 3%] has mean 3%/5).
   WorkloadGenerator gen(paper_schema(), {}, 4);
-  RunningStat min_widths;
+  metrics::Histogram min_widths;
   for (int i = 0; i < 5000; ++i) {
     const auto cs = gen.make_constraints();
     std::uint64_t best = ~std::uint64_t{0};
@@ -104,7 +105,7 @@ TEST(WorkloadGeneratorTest, SelectiveCentersAreZipfSkewed) {
 
 TEST(WorkloadGeneratorTest, NonSelectiveCentersRoughlyUniform) {
   WorkloadGenerator gen(paper_schema(), {}, 6);
-  RunningStat centers;
+  metrics::Histogram centers;
   for (int i = 0; i < 4000; ++i) {
     const auto cs = gen.make_constraints();
     centers.add(static_cast<double>((cs[1].range.lo + cs[1].range.hi) / 2));

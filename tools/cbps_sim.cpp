@@ -205,6 +205,7 @@ int main(int argc, char** argv) {
       in_range(buffer_period_s >= 0.0, "buffer-period-s", buffer_period_s,
                ">= 0") &&
       in_range(replication >= 0, "replication", replication, ">= 0") &&
+      in_range(ttl_s >= 0.0, "ttl-s", ttl_s, ">= 0") &&
       in_range(loss_rate >= 0.0 && loss_rate < 1.0, "loss-rate", loss_rate,
                "[0, 1)") &&
       in_range(max_retries >= 0 &&
@@ -217,7 +218,9 @@ int main(int argc, char** argv) {
       in_range(sim_threads >= 1 && sim_threads <= sim::Simulator::kMaxThreads,
                "sim-threads", sim_threads, "[1, 63]") &&
       in_range(trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0,
-               "trace-sample-rate", trace_sample_rate, "[0, 1]");
+               "trace-sample-rate", trace_sample_rate, "[0, 1]") &&
+      in_range(sample_period_s >= 0.0, "sample-period-s", sample_period_s,
+               ">= 0");
   if (!numbers_ok) return 1;
   if (seeds > 1 && !(save_trace.empty() && replay_trace.empty())) {
     std::fprintf(stderr,
