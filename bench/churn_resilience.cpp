@@ -56,7 +56,7 @@ bench::JsonFields metrics_fields(const Row& r) {
 }
 
 Row run(double churn_interval_s, std::size_t replication,
-        const char* fault_script, std::size_t sim_threads) {
+        const char* fault_script) {
   std::string error;
   const auto script = workload::FaultScript::parse(fault_script, &error);
   CBPS_ASSERT_MSG(script.has_value(), "bad churn fault script");
@@ -70,7 +70,6 @@ Row run(double churn_interval_s, std::size_t replication,
   cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
   cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
   cfg.pubsub.replication_factor = replication;
-  cfg.sim_threads = sim_threads;
   pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 99'999));
   system.network().start_maintenance_all();
 
@@ -162,9 +161,8 @@ int main(int argc, char** argv) {
     for (const Case& c : cases) {
       sweep.add("churn=" + std::string(c.label) +
                     "/repl=" + std::to_string(repl),
-                [interval = c.interval_s, repl, script = c.script,
-                 st = sweep.options().sim_threads] {
-                  return run(interval, repl, script, st);
+                [interval = c.interval_s, repl, script = c.script] {
+                  return run(interval, repl, script);
                 });
     }
   }

@@ -98,8 +98,7 @@ bench::JsonFields metrics_fields(const Row& r) {
           {"post_heal_rate", r.post_heal_rate}};
 }
 
-Row run(const Scenario& sc, pubsub::MappingKind mapping,
-        std::size_t sim_threads) {
+Row run(const Scenario& sc, pubsub::MappingKind mapping) {
   std::string error;
   const auto script = workload::FaultScript::parse(sc.script, &error);
   CBPS_ASSERT_MSG(script.has_value(), "bad scenario script");
@@ -113,7 +112,6 @@ Row run(const Scenario& sc, pubsub::MappingKind mapping,
   cfg.mapping = mapping;
   cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
   cfg.pubsub.replication_factor = 2;
-  cfg.sim_threads = sim_threads;
   pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 99'999));
   system.network().start_maintenance_all();
 
@@ -214,9 +212,7 @@ int main(int argc, char** argv) {
   for (const Scenario& sc : kScenarios) {
     for (const auto mapping : mappings) {
       sweep.add(std::string(sc.label) + "/" + mapping_tag(mapping),
-                [&sc, mapping, st = sweep.options().sim_threads] {
-                  return run(sc, mapping, st);
-                });
+                [&sc, mapping] { return run(sc, mapping); });
     }
   }
 

@@ -37,9 +37,8 @@ int main(int argc, char** argv) {
         cfg.subscriptions = 25'000;
         cfg.publications = 0;
         cfg.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
-        // Inject back-to-back: the stored-subscription peak is identical
-        // (no publications, no expiry) and the dense event population is
-        // what the sharded engine's scaling sweep measures.
+        // Inject back-to-back: with no publications and no expiry the
+        // stored-subscription peak does not depend on the pacing.
         cfg.sub_interval = 0;
         sweep.add(mapping_label(mapping) + "/sel" +
                       std::to_string(selective) + "/n=" + std::to_string(n),

@@ -95,7 +95,7 @@ void write_metrics_json(const std::string& path,
     out += "}";
   }
   // Per-rendezvous-key load tables, folded over every node in ring
-  // order (deterministic at any --sim-threads; see KeyLoad).
+  // order (see KeyLoad).
   const pubsub::KeyLoad key_load = system.key_load();
   const std::pair<const char*, const metrics::TopK*> tables[] = {
       {"subs_stored", &key_load.subs_stored},
@@ -129,7 +129,6 @@ void write_metrics_json(const std::string& path,
       {"hot_key_top1_share", r.hot_key_top1_share},
       {"traces_started", static_cast<double>(r.traces_started)},
       {"trace_spans", static_cast<double>(r.trace_spans)},
-      {"sim_threads", static_cast<double>(r.sim_threads)},
       {"sim_stale_entries_skipped",
        static_cast<double>(r.sim_stale_entries_skipped)},
       {"sim_heap_compactions",
@@ -190,7 +189,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   sys_cfg.chord.max_retries = cfg.max_retries;
   sys_cfg.chord.retry_base = cfg.retry_base;
   sys_cfg.chord.force_reliable = fault_script->needs_reliable_transport();
-  sys_cfg.sim_threads = cfg.sim_threads;
   // An output path without an explicit rate means "trace everything".
   sys_cfg.trace_sample_rate = cfg.trace_sample_rate > 0.0
                                   ? cfg.trace_sample_rate
@@ -326,7 +324,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   const metrics::Histogram delay_hist = system.delay_histogram();
   r.avg_notification_delay_s = delay_hist.mean();
-  r.max_notification_delay_s = delay_hist.max();
   r.delay_p50_s = delay_hist.p50();
   r.delay_p90_s = delay_hist.p90();
   r.delay_p99_s = delay_hist.p99();
@@ -368,7 +365,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.fault_crashes = faults ? faults->crashes() : 0;
 
   r.sim_events = system.sim().events_processed();
-  r.sim_threads = system.sim().thread_count();
   r.sim_stale_entries_skipped = system.sim().stale_entries_skipped();
   r.sim_heap_compactions = system.sim().heap_compactions();
 

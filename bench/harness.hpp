@@ -106,11 +106,6 @@ struct ExperimentConfig {
   /// Period of the time-series sampler. 0 = off, unless
   /// metrics_json_path is set (then it defaults to 1 simulated second).
   sim::SimTime sample_period = 0;
-
-  /// Engine worker threads for each point's simulation. >1 shards the
-  /// engine; every metric stays bit-identical to 1 (see
-  /// sim/simulator.hpp), only wall time changes.
-  std::size_t sim_threads = 1;
 };
 
 struct ExperimentResult {
@@ -139,7 +134,6 @@ struct ExperimentResult {
   std::uint64_t notifications_delivered = 0;
   double avg_route_hops = 0;  // mean end-to-end hops of unicast routes
   double avg_notification_delay_s = 0;  // publish-to-notify latency
-  double max_notification_delay_s = 0;
 
   // Distribution metrics (log-scale histograms; §5 reports averages only,
   // the percentiles expose the tail the averages hide).
@@ -187,10 +181,8 @@ struct ExperimentResult {
   // wall time for the simulated-events/sec throughput trajectory).
   std::uint64_t sim_events = 0;
 
-  // Engine health/shape: worker threads the engine actually ran with
-  // (1 = serial, including zero-lookahead fallbacks), lazy-deleted heap
-  // entries skipped at pop, and full heap rebuilds triggered.
-  std::uint64_t sim_threads = 1;
+  // Engine health: lazy-deleted heap entries skipped at pop, and full
+  // heap rebuilds triggered.
   std::uint64_t sim_stale_entries_skipped = 0;
   std::uint64_t sim_heap_compactions = 0;
 };

@@ -68,7 +68,7 @@ bench::JsonFields metrics_fields(const Row& r) {
 
 enum class Churn { kNone, kGraceful, kCrashy };
 
-Row run(double loss_rate, Churn churn_kind, std::size_t sim_threads) {
+Row run(double loss_rate, Churn churn_kind) {
   // The loss regime is a one-directive fault script (the scripted-
   // scenario engine's canonical path) instead of a construction knob.
   workload::FaultScript script;
@@ -89,7 +89,6 @@ Row run(double loss_rate, Churn churn_kind, std::size_t sim_threads) {
   cfg.chord.force_reliable = script.needs_reliable_transport();
   cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
   cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
-  cfg.sim_threads = sim_threads;
   pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 99'999));
   system.network().start_maintenance_all();
 
@@ -178,9 +177,7 @@ int main(int argc, char** argv) {
     for (const Churn churn : churns) {
       sweep.add("loss=" + std::to_string(loss) +
                     "/churn=" + churn_label(churn),
-                [loss, churn, st = sweep.options().sim_threads] {
-                  return run(loss, churn, st);
-                });
+                [loss, churn] { return run(loss, churn); });
     }
   }
 

@@ -78,10 +78,9 @@ bench::JsonFields metrics_fields(const Outcome& o) {
 
 enum class Mode { kMcast, kAggressiveUnicast, kChain };
 
-Outcome run(Mode mode, std::uint64_t range_keys, std::size_t sim_threads,
-            std::size_t n = 500) {
-  // Default wire: fixed 50 ms each way — the engine lookahead.
-  sim::Simulator sim(static_cast<unsigned>(sim_threads), sim::ms(50));
+Outcome run(Mode mode, std::uint64_t range_keys, std::size_t n = 500) {
+  // Default wire: fixed 50 ms each way.
+  sim::Simulator sim;
   ChordConfig cfg;
   cfg.location_cache_size = 0;  // isolate the primitives from caching
   cfg.owner_feedback = false;
@@ -163,9 +162,7 @@ int main(int argc, char** argv) {
     for (const Mode mode : modes) {
       sweep.add(std::string(mode_label(mode)) + "/range=" +
                     std::to_string(range),
-                [mode, range, st = sweep.options().sim_threads] {
-                  return run(mode, range, st);
-                });
+                [mode, range] { return run(mode, range); });
     }
   }
 

@@ -122,9 +122,8 @@ Result drive(sim::Simulator& sim, const std::vector<Key>& ids,
 }
 
 Result run_chord(pubsub::MappingKind kind,
-                 pubsub::PubSubConfig::Transport transport,
-                 std::size_t sim_threads) {
-  sim::Simulator sim(static_cast<unsigned>(sim_threads), sim::ms(50));
+                 pubsub::PubSubConfig::Transport transport) {
+  sim::Simulator sim;
   chord::ChordConfig cfg;
   chord::ChordNetwork net(sim, cfg, 11);
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
@@ -140,9 +139,8 @@ Result run_chord(pubsub::MappingKind kind,
 }
 
 Result run_pastry(pubsub::MappingKind kind,
-                  pubsub::PubSubConfig::Transport transport,
-                  std::size_t sim_threads) {
-  sim::Simulator sim(static_cast<unsigned>(sim_threads), sim::ms(50));
+                  pubsub::PubSubConfig::Transport transport) {
+  sim::Simulator sim;
   pastry::PastryConfig cfg;
   pastry::PastryNetwork net(sim, cfg, 11);
   for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
@@ -183,9 +181,9 @@ int main(int argc, char** argv) {
         c.transport == Transport::kUnicast ? "unicast" : "m-cast";
     for (std::size_t o = 0; o < std::size(overlays); ++o) {
       sweep.add(std::string(c.label) + "/" + tname + "/" + overlays[o],
-                [&c, o, st = sweep.options().sim_threads] {
-                  return o == 0 ? run_chord(c.kind, c.transport, st)
-                                : run_pastry(c.kind, c.transport, st);
+                [&c, o] {
+                  return o == 0 ? run_chord(c.kind, c.transport)
+                                : run_pastry(c.kind, c.transport);
                 });
     }
   }

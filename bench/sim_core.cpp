@@ -1,7 +1,7 @@
 // Scheduler microbench — events/sec through the simulator's dominant
 // schedule/fire/cancel cycles, isolated from any pub/sub logic.
 //
-// Three workloads:
+// Four workloads:
 //   fire         K self-rescheduling events (pure schedule+fire churn,
 //                the publish/notify delivery pattern)
 //   cancel       every fired event schedules a successor AND a decoy
@@ -9,10 +9,9 @@
 //                timer pattern from the reliability layer)
 //   timers       K periodic timers ticking concurrently (stabilize /
 //                retry backoff maintenance load)
-//   shard/tN     the fire chains again, but one actor domain per chain,
-//                through the engine sharded over N worker threads —
-//                the scaling row (shard/t1 always; --sim-threads N
-//                adds shard/tN)
+//   domains      the fire chains again, but one actor domain per chain,
+//                so every schedule allocates its key from its own
+//                domain's counter (the per-node pattern of a ring)
 //
 // Prints events/sec per workload and, with --json, appends a bench
 // record in the same shape the sweep runner emits (see EXPERIMENTS.md).
@@ -151,13 +150,10 @@ Row run_timers(std::uint64_t total_events, std::size_t width) {
   return r;
 }
 
-Row run_shards(std::uint64_t total_events, std::size_t width,
-               std::size_t threads) {
+Row run_domains(std::uint64_t total_events, std::size_t width) {
   // The `fire` chains again, but each chain lives on its own actor
-  // domain so the sharded engine spreads them across worker threads.
-  // The processed-event count and final simulated time are identical at
-  // any thread count; only wall time changes.
-  sim::Simulator sim(static_cast<unsigned>(threads), sim::ms(50));
+  // domain.
+  sim::Simulator sim;
   struct Chain {
     sim::Simulator& sim;
     common::Domain domain = common::kGlobalDomain;
@@ -165,7 +161,7 @@ Row run_shards(std::uint64_t total_events, std::size_t width,
     void arm() {
       if (budget == 0) return;
       --budget;
-      // Key + place the successor on this chain's shard.
+      // Key the successor by this chain's domain.
       const common::ActorScope as(domain);
       sim.schedule_after(sim::us(7), [this] { arm(); });
     }
@@ -178,8 +174,7 @@ Row run_shards(std::uint64_t total_events, std::size_t width,
     c.arm();
   }
   sim.run();
-  Row r{"shard/t" + std::to_string(threads), sim.events_processed(),
-        seconds_since(t0), 0};
+  Row r{"domains", sim.events_processed(), seconds_since(t0), 0};
   r.events_per_sec = static_cast<double>(r.events) / r.wall_s;
   return r;
 }
@@ -189,7 +184,6 @@ Row run_shards(std::uint64_t total_events, std::size_t width,
 int main(int argc, char** argv) {
   std::int64_t events = 2'000'000;
   std::int64_t width = 1024;
-  std::int64_t sim_threads = 1;
   std::int64_t repeat = 1;
   std::string json_path;
   FlagParser parser(
@@ -197,20 +191,11 @@ int main(int argc, char** argv) {
       "the schedule/fire/cancel hot path; no pub/sub logic involved).");
   parser.add("events", "events to process per workload", &events);
   parser.add("width", "concurrently pending events / timers", &width);
-  parser.add("sim-threads",
-             "sharded-engine worker threads for the shard workload "
-             "(> 1 adds a shard/t1 baseline and a shard/tN row)",
-             &sim_threads);
   parser.add("repeat",
              "runs per workload; > 1 reports the median and its IQR",
              &repeat);
   parser.add("json", "append a bench record to this JSON file", &json_path);
   if (!parser.parse(argc, argv, std::cout, std::cerr)) return 1;
-  if (sim_threads < 1 || sim_threads > sim::Simulator::kMaxThreads) {
-    std::fprintf(stderr, "bad --sim-threads: %lld\n",
-                 static_cast<long long>(sim_threads));
-    return 1;
-  }
   if (repeat < 1) {
     std::fprintf(stderr, "bad --repeat: %lld\n",
                  static_cast<long long>(repeat));
@@ -228,11 +213,7 @@ int main(int argc, char** argv) {
   rows.push_back(repeated(reps, [&] { return run_fire(n, w); }));
   rows.push_back(repeated(reps, [&] { return run_cancel(n, w); }));
   rows.push_back(repeated(reps, [&] { return run_timers(n, w); }));
-  rows.push_back(repeated(reps, [&] { return run_shards(n, w, 1); }));
-  if (sim_threads > 1) {
-    const auto t = static_cast<std::size_t>(sim_threads);
-    rows.push_back(repeated(reps, [&] { return run_shards(n, w, t); }));
-  }
+  rows.push_back(repeated(reps, [&] { return run_domains(n, w); }));
   for (const Row& r : rows) {
     std::printf("%-8s %12llu %10.3f %14.0f %14.0f %14.0f\n", r.label.c_str(),
                 static_cast<unsigned long long>(r.events), r.wall_s,

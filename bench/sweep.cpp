@@ -31,7 +31,7 @@ JsonFields json_fields(const ExperimentResult& r) {
        static_cast<double>(r.notifications_delivered)},
       {"avg_route_hops", r.avg_route_hops},
       {"avg_notification_delay_s", r.avg_notification_delay_s},
-      {"max_notification_delay_s", r.max_notification_delay_s},
+      {"max_notification_delay_s", r.delay_max_s},
       {"delay_p50_s", r.delay_p50_s},
       {"delay_p99_s", r.delay_p99_s},
       {"hops_p50", r.hops_p50},

@@ -30,10 +30,6 @@ struct SweepOptions {
   std::size_t jobs = 0;           // 0 = hardware_concurrency
   std::string json_path;          // empty = no JSON dump
   std::string metrics_json_path;  // empty = no distribution-metrics dump
-  /// Engine worker threads inside each point's simulation (parallel
-  /// discrete-event engine; bit-identical results at any value). This is
-  /// orthogonal to --jobs, which runs whole points concurrently.
-  std::size_t sim_threads = 1;
 };
 
 /// Wall-clock cost and simulated-event throughput of one sweep point.
@@ -89,15 +85,10 @@ class Sweep {
   /// should exit (help was printed or a flag was invalid).
   bool parse_args(int argc, char** argv) {
     std::int64_t jobs = 0;
-    std::int64_t sim_threads = 1;
     FlagParser parser(bench_ +
                       " — parameter sweep (each point is an independent "
                       "simulation;\nresults are identical for any --jobs).");
     parser.add("jobs", "worker threads (0 = all hardware threads)", &jobs);
-    parser.add("sim-threads",
-               "engine threads inside each simulation (1-63; shards the "
-               "engine; results bit-identical to 1)",
-               &sim_threads);
     parser.add("json", "dump per-point timings+metrics to this file",
                &opts_.json_path);
     parser.add("metrics-json",
@@ -109,12 +100,7 @@ class Sweep {
       std::cerr << "bad --jobs: " << jobs << '\n';
       return false;
     }
-    if (sim_threads < 1 || sim_threads > sim::Simulator::kMaxThreads) {
-      std::cerr << "bad --sim-threads: " << sim_threads << '\n';
-      return false;
-    }
     opts_.jobs = static_cast<std::size_t>(jobs);
-    opts_.sim_threads = static_cast<std::size_t>(sim_threads);
     return true;
   }
 
@@ -129,15 +115,11 @@ class Sweep {
     bodies_.push_back(std::move(body));
   }
 
-  /// Convenience for the run_experiment benches. The sweep's
-  /// --sim-threads setting is applied to the config at execution time.
+  /// Convenience for the run_experiment benches.
   template <typename R = Result>
     requires std::same_as<R, ExperimentResult>
   void add(std::string label, const ExperimentConfig& cfg) {
-    add(std::move(label), [this, cfg = cfg]() mutable {
-      cfg.sim_threads = opts_.sim_threads;
-      return run_experiment(cfg);
-    });
+    add(std::move(label), [cfg] { return run_experiment(cfg); });
   }
 
   /// Execute every point; `on_row(i, result)` fires on the calling

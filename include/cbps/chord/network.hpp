@@ -107,8 +107,8 @@ class ChordNetwork {
   /// Swap the in-flight loss model at runtime (nullptr = lossless).
   /// The model is a *prototype*: every node keeps its own clone as its
   /// sender-side channel, drawn from its own loss RNG stream, so loss
-  /// decisions are a function of the sender's transmission history alone
-  /// — independent of the engine's shard count. Installing and later
+  /// decisions are a function of the sender's transmission history
+  /// alone. Installing and later
   /// removing a model never perturbs latency or topology sampling.
   void set_loss_model(std::unique_ptr<sim::LossModel> model) {
     wire_.set_loss_model(std::move(model));
@@ -179,7 +179,7 @@ class ChordNetwork {
     // Per-message-class wire service time (sampled latency incl. the
     // gray-failure slowdown, microseconds): the load observatory's
     // per-class service-time profile ("chord.net.delay_us.<class>").
-    std::array<metrics::StripedHistogram*, overlay::kMessageClassCount>
+    std::array<metrics::Histogram*, overlay::kMessageClassCount>
         delay_us_by_class;
   };
   HotStats& hot() { return hot_; }

@@ -32,8 +32,7 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   /// `peer` is this node's record in `net`, created with it by
   /// ChordNetwork; its wire sender carries the node's scheduling domain.
   /// Every self-owned event the node schedules (retransmit timers,
-  /// maintenance) is keyed by — and, under the parallel engine, placed on
-  /// the shard of — that domain.
+  /// maintenance) is keyed by that domain.
   ChordNode(ChordNetwork& net, Peer& peer, Key id, std::string name);
 
   // --- overlay::OverlayNode -------------------------------------------

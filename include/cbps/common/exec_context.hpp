@@ -1,19 +1,18 @@
 // Thread-local execution context shared by the simulation engine and
 // the metrics layer.
 //
-// The engine (serial or sharded) publishes, for the event callback
-// currently running on this thread:
+// The engine publishes, for the event callback currently running on
+// this thread:
 //   - the simulated time of the event,
 //   - the *acting domain* (who is doing the scheduling — used to
-//     attribute canonical event keys, see event_core.hpp),
+//     attribute canonical event keys, see event_core.hpp), and
 //   - the canonical key of the event itself plus a per-event emission
-//     counter (the deterministic sort key for trace spans), and
-//   - the metrics stripe (0 for the serial engine and for barrier /
-//     global-context execution, shard index + 1 inside a parallel
-//     worker) that lock-free striped statistics index with.
+//     counter (the deterministic sort key for trace spans).
 //
-// Keeping this in common/ lets metrics code read the stripe without a
-// dependency on the sim layer, and sim code stays the only writer.
+// It is thread-local because sweeps run whole simulations concurrently,
+// one per worker thread. Keeping it in common/ lets metrics code read it
+// without a dependency on the sim layer, and sim code stays the only
+// writer.
 #pragma once
 
 #include <cstdint>
@@ -27,18 +26,11 @@ using Domain = std::uint32_t;
 
 inline constexpr Domain kGlobalDomain = 0;
 
-/// Metrics stripes: stripe 0 (serial / global context) plus one per
-/// shard core of the parallel engine (at most 63, see
-/// sim::Simulator::kMaxThreads). Striped statistics size their parts by
-/// it.
-inline constexpr std::uint32_t kMaxStripes = 64;
-
 struct ExecContext {
   std::uint64_t time = 0;        // simulated time of the running event
   Domain actor_domain = 0;       // who schedules / draws randomness
   std::uint64_t event_key = 0;   // canonical key of the running event
   std::uint32_t emit_seq = 0;    // per-event trace-span emission counter
-  std::uint32_t stripe = 0;      // metrics stripe (0 = serial/global)
 };
 
 inline ExecContext& exec_context() {
@@ -48,10 +40,9 @@ inline ExecContext& exec_context() {
 
 /// RAII actor switch: node code wraps scheduling of *self-owned* events
 /// (periodic timers, retransmit timers, buffer flushes) in an
-/// ActorScope(my_domain) so the event is keyed by — and placed on the
-/// shard of — its owner even when the node's code happens to run inside
-/// a global-context callback (e.g. a subscribe issued by the driver).
-/// This is what makes every cancel() a same-shard operation.
+/// ActorScope(my_domain) so the event is keyed by — and executes as —
+/// its owner even when the node's code happens to run inside a
+/// global-context callback (e.g. a subscribe issued by the driver).
 class ActorScope {
  public:
   explicit ActorScope(Domain d) : saved_(exec_context().actor_domain) {

@@ -1,6 +1,5 @@
-// Fixed-size worker pool. Two users: the sweep runner runs independent
-// simulations on it (one Simulator/Registry/Rng per task), and a sharded
-// sim::Simulator runs each window's shards on its own pool.
+// Fixed-size worker pool. The sweep runner (and cbps-sim --seeds) runs
+// independent simulations on it, one Simulator/Registry/Rng per task.
 //
 // Deliberately minimal: submit() enqueues a task, wait() blocks until
 // everything submitted so far has finished and rethrows the first task

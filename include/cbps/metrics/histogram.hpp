@@ -8,14 +8,10 @@
 // point decomposition (no libm), so two runs that record the same values
 // in any order produce bit-identical bucket arrays and percentiles.
 //
-// Concurrency: a Histogram is a plain single-writer value (copyable, no
-// atomics). A histogram fed from the parallel engine's shard workers is
-// a Registry histogram written through its StripedHistogram handle: each
-// execution stripe records into a part of its own, and readers fold the
-// parts with merge(). Folding is order-independent wherever the samples
-// are integers — bucket counts and count are exact sums, a double sum of
-// integers below 2^53 is exact in IEEE754, and min/max do not depend on
-// order — so the folded histogram is bit-identical at any shard count.
+// A Histogram is a plain single-writer value (copyable, no atomics).
+// merge() is order-independent wherever the samples are integers —
+// bucket counts and count are exact sums, a double sum of integers
+// below 2^53 is exact in IEEE754, and min/max do not depend on order.
 #pragma once
 
 #include <array>
@@ -56,8 +52,7 @@ class Histogram {
   double p90() const { return percentile(90.0); }
   double p99() const { return percentile(99.0); }
 
-  /// Bucket-wise accumulate (for aggregating per-node histograms and
-  /// folding stripe parts).
+  /// Bucket-wise accumulate (for aggregating per-node histograms).
   void merge(const Histogram& other);
   void reset() { *this = Histogram{}; }
 

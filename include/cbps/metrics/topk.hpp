@@ -20,7 +20,7 @@
 //   * merge() and sum() are a union-sum with NO eviction — associative
 //     and commutative, so folding per-node sketches is invariant under
 //     the fold order (only top() truncates). A fold accumulator therefore
-//     grows to at most (#shards x capacity) entries, which is the price
+//     grows to at most (#sketches x capacity) entries, which is the price
 //     of permutation invariance.
 //
 // Cost: finding the victim takes no per-eviction scan. The sketch keeps

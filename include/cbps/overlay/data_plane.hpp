@@ -115,8 +115,8 @@ class DataPlane : public OverlayNode {
  protected:
   /// `sender` is this node's registration with the wire
   /// (Wire::add_sender): its latency and loss streams and its scheduling
-  /// domain. Every self-owned event the node schedules is keyed by — and,
-  /// under the parallel engine, placed on the shard of — that domain.
+  /// domain. Every self-owned event the node schedules is keyed by that
+  /// domain.
   DataPlane(Wire& wire, Wire::Sender& sender, Key id, std::string name)
       : wire_(wire), id_(id), name_(std::move(name)), sender_(sender) {}
 
@@ -269,9 +269,8 @@ bool DataPlane<Msg>::transmit_reliable(Key to, Msg msg, MessageClass cls) {
   p.cls = cls;
   p.timeout = retry_timeout(to);
   p.sent_at = wire_.sim().now();
-  // Self-owned timer: keyed by (and sharded with) this node even when
-  // the send was issued from a workload's global-context callback, so the
-  // cancel in handle_ack is always a same-shard operation.
+  // Self-owned timer: keyed by this node even when the send was issued
+  // from a workload's global-context callback.
   const common::ActorScope as(domain());
   p.timer =
       wire_.sim().schedule_after(p.timeout, [this, seq] { retransmit(seq); });

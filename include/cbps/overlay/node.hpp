@@ -57,8 +57,8 @@ class OverlayNode {
 
   /// The scheduling domain this node's events run on (see
   /// common::ExecContext). The application layer wraps scheduling of its
-  /// own per-node timers in an ActorScope of this domain so they land on
-  /// the same engine shard as the overlay node. Default: global.
+  /// own per-node timers in an ActorScope of this domain so they are
+  /// keyed like the overlay node's own events. Default: global.
   virtual common::Domain domain() const { return common::kGlobalDomain; }
 
   /// Route `payload` to the node covering `key` (the standard unicast

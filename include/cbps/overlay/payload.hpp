@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "cbps/common/exec_context.hpp"
 #include "cbps/metrics/trace.hpp"
 
 namespace cbps::overlay {
@@ -65,47 +64,32 @@ using PayloadPtr = std::shared_ptr<const Payload>;
 ///
 /// A "hop" is one node-to-node message transmission (the unit all the
 /// paper's network figures are expressed in). Self-deliveries are free.
-///
-/// Striped for the parallel engine: every recording method writes a
-/// per-execution-stripe block (one writer per stripe between engine
-/// barriers — no atomics needed), and readers fold the stripes in fixed
-/// stripe order. Totals stay bit-identical across engines and shard
-/// counts because everything recorded is an integer count, and integer
-/// sums are order-independent.
 class TrafficStats {
  public:
   void record_hop(MessageClass cls, std::size_t payload_bytes) {
-    Block& b = block();
-    ++b.hops[index(cls)];
-    b.bytes[index(cls)] += payload_bytes + kHeaderBytes;
+    ++hops_[index(cls)];
+    bytes_[index(cls)] += payload_bytes + kHeaderBytes;
   }
 
   /// Approximate bytes transmitted, per class (payload + per-message
   /// header).
-  std::uint64_t bytes(MessageClass cls) const;
+  std::uint64_t bytes(MessageClass cls) const { return bytes_[index(cls)]; }
   std::uint64_t total_bytes() const;
 
   /// Fixed per-message envelope overhead assumed by the accounting.
   static constexpr std::size_t kHeaderBytes = 48;
 
-  std::uint64_t hops(MessageClass cls) const;
+  std::uint64_t hops(MessageClass cls) const { return hops_[index(cls)]; }
 
   std::uint64_t total_hops() const;
 
  private:
-  static constexpr std::size_t kStripes = common::kMaxStripes;
-
-  struct alignas(64) Block {
-    std::array<std::uint64_t, kMessageClassCount> hops{};
-    std::array<std::uint64_t, kMessageClassCount> bytes{};
-  };
-
   static std::size_t index(MessageClass cls) {
     return static_cast<std::size_t>(cls);
   }
-  Block& block() { return blocks_[common::exec_context().stripe]; }
 
-  std::vector<Block> blocks_ = std::vector<Block>(kStripes);
+  std::array<std::uint64_t, kMessageClassCount> hops_{};
+  std::array<std::uint64_t, kMessageClassCount> bytes_{};
 };
 
 }  // namespace cbps::overlay

@@ -137,10 +137,8 @@ std::size_t wire_size_bytes(RingParams ring, const M& m) {
 /// Every node draws its latency and loss decisions from its own RNG
 /// streams (seeded from the run seed and the node id) and owns a clone
 /// of the loss-model prototype. This makes every wire draw a pure
-/// function of the sender's own transmission history, which is what
-/// lets the parallel engine transmit from many shards concurrently while
-/// staying bit-identical to the serial run: a single shared stream would
-/// be consumed in wall-clock order.
+/// function of the sender's own transmission history: another node's
+/// traffic never moves it.
 class Wire {
  public:
   /// Data-plane limits, fixed from the overlay's configuration.
@@ -170,9 +168,9 @@ class Wire {
     std::array<metrics::Counter*, kMessageClassCount> net_lost_by_class;
     // Hops of completed app routes, branches per m-cast split and
     // retransmits per reliable send.
-    metrics::StripedHistogram* route_hops;
-    metrics::StripedHistogram* mcast_fanout;
-    metrics::StripedHistogram* retries_per_send;
+    metrics::Histogram* route_hops;
+    metrics::Histogram* mcast_fanout;
+    metrics::Histogram* retries_per_send;
   };
 
   /// A `loss_rate` > 0 installs a uniform loss prototype; `latency`

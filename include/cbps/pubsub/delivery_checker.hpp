@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -81,11 +80,6 @@ class DeliveryChecker {
 
   std::map<SubscriptionId, SubEntry> subs_;
   std::vector<PubEntry> publishes_;
-  // on_notify runs inside subscriber delivery events — concurrently
-  // across shards under the parallel engine. The map is commutative
-  // (keyed counts), so a mutex keeps it deterministic.
-  // detlint: concurrency-ok(commutative keyed counts; TSan-proven in parallel_sim_test)
-  std::mutex notify_mu_;
   std::map<std::pair<EventId, SubscriptionId>, DeliveryInfo> deliveries_;
 };
 

@@ -74,11 +74,9 @@ struct PubSubConfig {
 };
 
 /// Per-rendezvous-key load attribution: one sketch set per node, updated
-/// only from that node's own events (which execute in identical
-/// canonical order at any engine shard count), so each node's sketches
-/// are bit-identical across --sim-threads. PubSubSystem::key_load()
-/// sums them (KeyLoad::sum); the union-sum is permutation-invariant, so
-/// the summed table is deterministic too.
+/// only from that node's own events. PubSubSystem::key_load() sums them
+/// (KeyLoad::sum); the union-sum is permutation-invariant, so the summed
+/// table does not depend on the order of the nodes either.
 struct KeyLoad {
   metrics::TopK subs_stored;    // subscription store ops per covered key
   metrics::TopK match_calls;    // match invocations per covered key
@@ -291,6 +289,10 @@ class PubSubNode final : public overlay::OverlayApp {
   std::uint64_t notifications_sent_ = 0;
   std::uint64_t duplicates_suppressed_ = 0;
   KeyLoad key_load_;
+  // Per node, merged in ring order by PubSubSystem::delay_histogram().
+  // Its sum is a double sum of fractional seconds whose bits depend on
+  // the order of the adds, so one system-wide histogram would change
+  // the reported average delay.
   metrics::Histogram delay_hist_;
   // (event, subscription) pairs already surfaced to the sink; only
   // populated when cfg_.duplicate_suppression is on.

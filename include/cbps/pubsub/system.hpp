@@ -32,12 +32,6 @@ struct SystemConfig {
   /// Fraction of publish/subscribe roots that start a causal trace
   /// (0 = tracing off; the sink is then never even allocated).
   double trace_sample_rate = 0.0;
-  /// Engine worker threads (<= sim::Simulator::kMaxThreads). >1 shards
-  /// the engine with the latency model's min_delay as conservative
-  /// lookahead; results are bit-identical to 1. Runs serially (with a
-  /// logged warning) when the latency model can emit zero delay — there
-  /// is then no usable lookahead.
-  std::size_t sim_threads = 1;
 };
 
 /// A complete simulated deployment of the paper's architecture.
@@ -157,8 +151,7 @@ class PubSubSystem {
   metrics::Histogram fanout_histogram() const;
 
   /// Per-rendezvous-key load sketches summed over every node in ring
-  /// order (the canonical domain order; the union-sum is permutation-
-  /// invariant, so the result is bit-identical at any --sim-threads).
+  /// order.
   /// Crashed/departed nodes are included: load they served before dying
   /// is still load the ring carried.
   KeyLoad key_load() const;
@@ -211,7 +204,7 @@ class PubSubSystem {
   EventId next_event_id_ = 1;
   std::uint64_t subs_issued_ = 0;
   std::uint64_t pubs_issued_ = 0;
-  // Written by publish() alone, which runs in the global context.
+  // One sample per publish(): its rendezvous-key count.
   metrics::Histogram fanout_;
 };
 

@@ -1,34 +1,28 @@
 // Event-queue machinery of the simulation engine.
 //
-// An EventCore is one time-ordered event heap plus the slot storage and
-// periodic-timer table behind it. The engine owns one for the global
-// domain and, when sharded, one per shard. The schedule/fire/cancel cycle
-// is allocation-free in steady state (generation-stamped slots recycled
-// through a free list, inline callbacks, a flat vector heap), and stale
-// entries left behind by cancel() are skipped lazily and compacted away
-// once they dominate.
+// An EventCore is one time-ordered event heap plus the slot storage
+// behind it. The schedule/fire/cancel cycle is allocation-free in steady
+// state (generation-stamped slots recycled through a free list, inline
+// callbacks, a flat vector heap), and stale entries left behind by
+// cancel() are skipped lazily and compacted away once they dominate.
 //
 // Ordering — the determinism contract. Every event carries a canonical
 // 64-bit key
 //
 //     key = (scheduling domain << 40) | per-domain schedule counter
 //
-// and each heap orders by (time, key). Because a domain's counter is
-// only ever bumped while that domain is executing (or, for the global
-// domain, while the engine is between events), the sequence of keys a
-// domain assigns is a pure function of its own execution history — not
-// of how events from *other* domains interleave in wall-clock terms.
-// Serial and sharded runs therefore produce the same keys for the same
-// logical events, and (time, key) is a total order that is identical at
-// any shard count. Domain 0 keys sort before all node keys at equal
-// time, which is exactly the "global events at time t run before node
-// events at t" barrier rule of the sharded engine.
+// and the heap orders by (time, key). Because a domain's counter is only
+// ever bumped while that domain is executing (or, for the global domain,
+// while the engine is between events), the sequence of keys a domain
+// assigns is a pure function of its own execution history. (time, key)
+// is a total order, so events that share a timestamp run in an order
+// that does not depend on the heap's layout, and domain 0 keys sort
+// before all node keys: global events at time t run before node events
+// at t.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cbps/common/assert.hpp"
@@ -68,28 +62,23 @@ class EventCore {
   static constexpr EventId kInvalidEvent = 0;
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  // EventId layout: [core:6][generation:30][slot index + 1:28]. The +1
-  // keeps core 0 / generation 0 / slot 0 distinct from kInvalidEvent. A
-  // slot's generation bumps on every release, so handles to fired,
-  // cancelled, or recycled events go stale (2^30 reuses to alias).
-  static EventId make_id(std::uint32_t core, std::uint32_t gen,
-                         std::uint32_t slot) {
-    CBPS_ASSERT(core < 64 && slot < ((1u << 28) - 1));
-    return (static_cast<EventId>(core) << 58) |
-           (static_cast<EventId>(gen & ((1u << 30) - 1)) << 28) |
+  // EventId layout: [generation:32][slot index + 1:32]. The +1 keeps
+  // generation 0 / slot 0 distinct from kInvalidEvent. A slot's
+  // generation bumps on every release, so handles to fired, cancelled,
+  // or recycled events go stale (2^32 reuses to alias).
+  static EventId make_id(std::uint32_t gen, std::uint32_t slot) {
+    CBPS_ASSERT(slot < kNoSlot);
+    return (static_cast<EventId>(gen) << 32) |
            (static_cast<EventId>(slot) + 1);
   }
-  static std::uint32_t core_of_id(EventId id) {
-    return static_cast<std::uint32_t>(id >> 58);
-  }
   static std::uint32_t slot_of(EventId id) {
-    return static_cast<std::uint32_t>(id & ((1u << 28) - 1)) - 1;
+    return static_cast<std::uint32_t>(id) - 1;
   }
   static std::uint32_t gen_of(EventId id) {
-    return static_cast<std::uint32_t>(id >> 28) & ((1u << 30) - 1);
+    return static_cast<std::uint32_t>(id >> 32);
   }
 
-  explicit EventCore(std::uint32_t core_index = 0) : core_(core_index) {}
+  EventCore() = default;
   EventCore(const EventCore&) = delete;
   EventCore& operator=(const EventCore&) = delete;
 
@@ -119,15 +108,15 @@ class EventCore {
     s.cb = std::move(cb);
     s.armed = true;
     s.target = target;
-    const EventId id = make_id(core_, s.gen, slot);
+    const EventId id = make_id(s.gen, slot);
     heap_.push_back(HeapEntry{t, key, id});
     std::push_heap(heap_.begin(), heap_.end(), HeapGreater{});
     ++live_;
     return id;
   }
 
-  /// Cancel a pending event of *this* core. Returns false if it already
-  /// fired or was already cancelled.
+  /// Cancel a pending event. Returns false if it already fired or was
+  /// already cancelled.
   bool cancel(EventId id) {
     if (!is_live(id)) return false;
     release(slot_of(id));
@@ -141,13 +130,6 @@ class EventCore {
     const std::uint32_t slot = slot_of(id);
     return slot < slots_.size() && slots_[slot].armed &&
            slots_[slot].gen == gen_of(id);
-  }
-
-  /// Time of the earliest live event (kSimTimeNever when empty). Pops
-  /// stale (cancelled) heads as a side effect.
-  SimTime min_time() {
-    skim_stale();
-    return heap_.empty() ? kSimTimeNever : heap_.front().time;
   }
 
   /// Pop the earliest live event if its time is <= `bound`. Returns
@@ -169,28 +151,11 @@ class EventCore {
     return true;
   }
 
-  // --- periodic timers ----------------------------------------------------
-  // The core stores the timer table; the engine drives arming/firing so
-  // it can attribute the rearm key to the timer's owner domain.
-  struct TimerState {
-    SimTime period = 0;
-    // Shared so a fire can keep the body alive while the callback itself
-    // cancels the timer (which erases this state).
-    std::shared_ptr<Callback> cb;
-    EventId next_event = kInvalidEvent;
-    Domain owner = 0;
-  };
-  std::unordered_map<std::uint64_t, TimerState> timers;
-  std::uint64_t next_timer_seq = 1;
-
   // --- accounting ---------------------------------------------------------
   std::size_t live() const { return live_; }
   std::uint64_t processed() const { return processed_; }
   std::uint64_t compactions() const { return compactions_; }
   std::uint64_t stale_skipped() const { return stale_skipped_; }
-  /// Time of the last popped event (the core-local clock floor).
-  SimTime floor_time() const { return floor_; }
-  std::uint32_t core_index() const { return core_; }
 
  private:
   struct Slot {
@@ -279,7 +244,6 @@ class EventCore {
     ++compactions_;
   }
 
-  std::uint32_t core_;
   std::vector<HeapEntry> heap_;  // binary min-heap, front = earliest
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;

@@ -23,8 +23,7 @@ class LossModel {
 
   /// Fresh copy with independent channel state. The network keeps one
   /// channel per *sender* so loss decisions ride the sender's own RNG
-  /// stream (a hard requirement for shard-count-invariant determinism:
-  /// a shared channel would be consumed in wall-clock order).
+  /// stream: another node's traffic never moves them.
   virtual std::unique_ptr<LossModel> clone() const = 0;
 };
 

@@ -248,9 +248,7 @@ bool ChordNetwork::transmit(ChordNode& from, Key to, WireMessage&& msg,
   if (slow > 1.0) {
     delay = static_cast<sim::SimTime>(static_cast<double>(delay) * slow);
   }
-  // Integer-microsecond samples into the sender stripe's part: the
-  // stripe fold is order-independent, so shard senders stay
-  // deterministic.
+  // Integer-microsecond samples.
   hot_.delay_us_by_class[static_cast<std::size_t>(cls)]->add(
       static_cast<double>(delay));
   // The envelope rides inside the event: no allocation per hop.
@@ -276,9 +274,7 @@ bool ChordNetwork::transmit(ChordNode& from, Key to, WireMessage&& msg,
                 "sim::kCallbackBytes is sized to this closure, the largest "
                 "scheduled per hop: resize it along with the closure");
   // Deliver on the destination's scheduling domain: the receive callback
-  // runs on (and is keyed by) the receiver's shard. The latency floor
-  // (LatencyModel::min_delay) is the parallel engine's lookahead, which
-  // is exactly what makes this cross-shard handoff legal mid-window.
+  // runs as the receiver (the key is still the sender's).
   sim().schedule_for(dst.sender->domain, sim().now() + delay,
                      std::move(deliver));
   return true;

@@ -8,29 +8,6 @@
 
 namespace cbps::metrics {
 
-void StripedHistogram::fold() const {
-  for (const std::unique_ptr<Histogram>& p : parts_) {
-    if (p == nullptr || p->count() == 0) continue;
-    total_->merge(*p);
-    p->reset();
-  }
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  const auto it = striped_.find(name);
-  if (it != striped_.end()) it->second.fold();
-  return histograms_[name];
-}
-
-StripedHistogram* Registry::histogram_handle(const std::string& name) {
-  return &striped_.try_emplace(name, histograms_[name]).first->second;
-}
-
-const std::map<std::string, Histogram>& Registry::histograms() const {
-  for (const auto& [_, h] : striped_) h.fold();
-  return histograms_;
-}
-
 std::uint64_t Registry::counter_value(const std::string& name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
@@ -41,7 +18,6 @@ void Registry::reset_all() {
   // handles across resets (per-phase measurement), so entries must
   // never be destroyed.
   for (auto& [_, c] : counters_) c.reset();
-  for (const auto& [_, h] : striped_) h.fold();
   for (auto& [_, h] : histograms_) h.reset();
 }
 
@@ -54,7 +30,7 @@ void Registry::print(std::ostream& os) const {
   for (const auto& [name, c] : counters_) {
     lines.emplace_back(&name, std::to_string(c.value()));
   }
-  for (const auto& [name, h] : histograms()) {
+  for (const auto& [name, h] : histograms_) {
     std::ostringstream line;
     h.print(line);
     lines.emplace_back(&name, line.str());

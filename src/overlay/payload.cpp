@@ -28,32 +28,12 @@ std::string_view to_string(MessageClass cls) {
   return "unknown";
 }
 
-std::uint64_t TrafficStats::hops(MessageClass cls) const {
-  std::uint64_t n = 0;
-  for (const Block& b : blocks_) n += b.hops[index(cls)];
-  return n;
-}
-
-std::uint64_t TrafficStats::bytes(MessageClass cls) const {
-  std::uint64_t n = 0;
-  for (const Block& b : blocks_) n += b.bytes[index(cls)];
-  return n;
-}
-
 std::uint64_t TrafficStats::total_hops() const {
-  std::uint64_t n = 0;
-  for (const Block& b : blocks_) {
-    n = std::accumulate(b.hops.begin(), b.hops.end(), n);
-  }
-  return n;
+  return std::accumulate(hops_.begin(), hops_.end(), std::uint64_t{0});
 }
 
 std::uint64_t TrafficStats::total_bytes() const {
-  std::uint64_t n = 0;
-  for (const Block& b : blocks_) {
-    n = std::accumulate(b.bytes.begin(), b.bytes.end(), n);
-  }
-  return n;
+  return std::accumulate(bytes_.begin(), bytes_.end(), std::uint64_t{0});
 }
 
 }  // namespace cbps::overlay

@@ -47,10 +47,8 @@ Wire::Sender& Wire::add_sender(Key id) {
 std::optional<sim::SimTime> Wire::send(Sender& from, MessageClass cls,
                                        std::size_t bytes) {
   traffic_.record_hop(cls, bytes);
-  // Only the sender's own streams are consulted: transmit is only ever
-  // called from the sending node's own execution context (or from the
-  // exclusive global context), so the draws race with nothing and
-  // replay identically at any shard count.
+  // Only the sender's own streams are consulted, so the draws depend on
+  // the sender's transmission history alone.
   if (from.loss != nullptr && from.loss->drop(from.loss_rng)) {
     stats_.net_lost->inc();
     stats_.net_lost_by_class[static_cast<std::size_t>(cls)]->inc();

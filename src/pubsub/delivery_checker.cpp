@@ -41,8 +41,6 @@ void DeliveryChecker::on_publish(EventPtr event, sim::SimTime when) {
 
 void DeliveryChecker::on_notify(Key subscriber, const Notification& n,
                                 sim::SimTime /*when*/) {
-  // detlint: concurrency-ok(commutative keyed counts; TSan-proven in parallel_sim_test)
-  const std::lock_guard<std::mutex> lock(notify_mu_);
   auto& info = deliveries_[{n.event->id, n.subscription}];
   // Dedup before counting: the pair's subscriber identity is fixed by
   // its first delivery. A replayed/duplicate NotifyMsg must only bump

@@ -402,8 +402,8 @@ void PubSubNode::buffer_notification(Key subscriber, Notification n) {
   notify_buffer_[subscriber].push_back(std::move(n));
   if (!flush_scheduled_) {
     flush_scheduled_ = true;
-    // The flush timer is this node's own event: key/place it on this
-    // node's overlay domain (same shard as the rest of its state).
+    // The flush timer is this node's own event: key it by this node's
+    // overlay domain.
     const common::ActorScope as(overlay_.domain());
     sim_.schedule_after(cfg_.buffer_period, [this] {
       flush_scheduled_ = false;

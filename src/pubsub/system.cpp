@@ -4,7 +4,6 @@
 #include <map>
 #include <utility>
 
-#include "cbps/common/exec_context.hpp"
 #include "cbps/sim/latency.hpp"
 #include "cbps/sim/loss.hpp"
 
@@ -21,8 +20,7 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   mapping_ = make_mapping(cfg.mapping, std::move(schema), cfg.chord.ring,
                           cfg.mapping_options);
   auto latency = std::make_unique<sim::FixedLatency>(cfg.message_delay);
-  sim_ = std::make_unique<sim::Simulator>(
-      static_cast<unsigned>(cfg.sim_threads), latency->min_delay());
+  sim_ = std::make_unique<sim::Simulator>();
   network_ = std::make_unique<chord::ChordNetwork>(
       *sim_, cfg.chord, cfg.seed, std::move(latency));
   if (cfg_.trace_sample_rate > 0.0) {
@@ -205,8 +203,6 @@ EventId PubSubSystem::publish(std::size_t node_idx,
   event->id = next_event_id_++;
   event->values = std::move(values);
   CBPS_ASSERT_MSG(event->valid_for(schema()), "invalid event");
-  CBPS_ASSERT_MSG(common::exec_context().stripe == 0,
-                  "publications start from global context only");
   ++pubs_issued_;
   const std::size_t keys = pubsub_node(node_idx).publish(std::move(event));
   fanout_.add(static_cast<double>(keys));

@@ -1,5 +1,5 @@
-// D4: raw concurrency primitives outside the blessed modules
-// (thread_pool, the simulator, the metrics striped folds).
+// D4: raw concurrency primitives outside the blessed module (the
+// thread pool).
 #include <atomic>
 #include <mutex>
 #include <thread>

@@ -134,23 +134,5 @@ TEST(SweepTest, WritesJsonRecord) {
   std::remove(path.c_str());
 }
 
-// --sim-threads above the engine's shard limit is a flag error, caught
-// before any engine (and its worker threads) exists.
-TEST(SweepTest, ParseArgsRejectsSimThreadsAboveEngineLimit) {
-  auto parse = [](const std::string& flag) {
-    Sweep<SlowRow> sweep("sweep_flags_test");
-    std::string prog = "sweep_flags_test";
-    std::string arg = flag;
-    char* argv[] = {prog.data(), arg.data()};
-    const bool ok = sweep.parse_args(2, argv);
-    return std::make_pair(ok, sweep.options().sim_threads);
-  };
-  EXPECT_FALSE(parse("--sim-threads=64").first);
-  EXPECT_FALSE(parse("--sim-threads=0").first);
-  const auto [ok, threads] = parse("--sim-threads=63");
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(threads, sim::Simulator::kMaxThreads);
-}
-
 }  // namespace
 }  // namespace cbps::bench

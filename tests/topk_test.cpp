@@ -1,6 +1,7 @@
 // Load-observatory unit tests: the space-saving sketch's accuracy and
-// determinism guarantees (the fold across shards depends on them) plus
-// TimeSeries edge cases the sampler can hit on degenerate runs.
+// determinism guarantees (the fold over per-node sketches depends on
+// them) plus TimeSeries edge cases the sampler can hit on degenerate
+// runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -264,7 +265,7 @@ TEST(TopKTest, TopOrdersByCountThenKey) {
   EXPECT_EQ(top[2].key, 6u);
 }
 
-// The fold across shards must not depend on merge order: union-sum with
+// The fold over sketches must not depend on merge order: union-sum with
 // no eviction is associative and commutative.
 TEST(TopKTest, MergeIsPermutationInvariant) {
   const auto stream = skewed_stream(12000, 7);

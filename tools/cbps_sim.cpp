@@ -92,7 +92,6 @@ int main(int argc, char** argv) {
   std::string fault_script;
   std::int64_t seeds = 1;
   std::int64_t jobs = 0;
-  std::int64_t sim_threads = 1;
   std::string json_path;
   std::string trace_path;
   double trace_sample_rate = 0.0;
@@ -152,9 +151,6 @@ int main(int argc, char** argv) {
              "independent run each, starting at --seed)", &seeds);
   parser.add("jobs", "worker threads for --seeds sweeps (0 = all hardware "
              "threads)", &jobs);
-  parser.add("sim-threads", "engine worker threads inside each run (1-63; "
-             "shards the engine; results are bit-identical to 1, only "
-             "wall time changes)", &sim_threads);
   parser.add("json", "dump per-run timings+metrics to this file",
              &json_path);
   parser.add("trace", "write the causal message trace here (.jsonl = one "
@@ -215,8 +211,6 @@ int main(int argc, char** argv) {
                ">= 0") &&
       in_range(seeds >= 1, "seeds", seeds, ">= 1") &&
       in_range(jobs >= 0, "jobs", jobs, ">= 0") &&
-      in_range(sim_threads >= 1 && sim_threads <= sim::Simulator::kMaxThreads,
-               "sim-threads", sim_threads, "[1, 63]") &&
       in_range(trace_sample_rate >= 0.0 && trace_sample_rate <= 1.0,
                "trace-sample-rate", trace_sample_rate, "[0, 1]") &&
       in_range(sample_period_s >= 0.0, "sample-period-s", sample_period_s,
@@ -311,7 +305,6 @@ int main(int argc, char** argv) {
   bench::SweepOptions so;
   so.jobs = static_cast<std::size_t>(jobs);
   so.json_path = json_path;
-  so.sim_threads = static_cast<std::size_t>(sim_threads);
   sweep.set_options(so);
   for (std::int64_t i = 0; i < seeds; ++i) {
     ExperimentConfig point = cfg;
