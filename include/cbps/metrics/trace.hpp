@@ -12,8 +12,8 @@
 // records by that key, renumbers span ids 1..n in sorted order, and
 // remaps parent references. Inside event callbacks that order is the
 // emission order; emits made outside any callback (setup, application
-// calls between engine runs) carry event key 0, which the sort moves
-// ahead of the events at their timestamp.
+// calls between engine runs) carry event key 0 and are sorted in by
+// time.
 //
 // The trace context (trace id + parent span id) rides in two places:
 //  * `Payload::trace` — set once by the pub/sub layer before the payload
