@@ -82,7 +82,10 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   /// SRTT + 4*RTTVAR estimate, clamped to [kRtoMin, kRtoMax], once a
   /// clean RTT sample exists; the configured retry_base before that
   /// (introspection for tests).
-  sim::SimTime current_rto(Key peer) const { return retry_timeout(peer); }
+  sim::SimTime current_rto(Key peer) const {
+    const overlay::RttEstimate* rtt = rtt_estimate(peer);
+    return retry_timeout(rtt != nullptr ? *rtt : overlay::RttEstimate{});
+  }
 
   /// Peers evicted as unreachable, kept for post-partition re-merge
   /// probing (introspection for tests).
@@ -105,8 +108,9 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   /// A graceful-leave handover whose successor died goes to the next
   /// live successor.
   void reroute(WireMessage msg) override;
-  sim::SimTime retry_timeout(Key peer) const override;
-  void on_clean_ack(Key peer, sim::SimTime rtt) override;
+  /// Jacobson/Karn: SRTT + 4*RTTVAR toward the peer once a clean RTT
+  /// sample exists, instead of the fixed retry_base.
+  sim::SimTime retry_timeout(const overlay::RttEstimate& rtt) const override;
   /// Owner feedback: tell the route's origin who covers its key.
   void on_route_delivered(const overlay::RouteMsg& msg) override;
 
@@ -161,17 +165,6 @@ class ChordNode final : public overlay::DataPlane<WireMessage> {
   std::uint64_t next_req_id_ = 1;
   std::unordered_map<std::uint64_t, std::size_t> pending_finger_fixes_;
   static constexpr std::uint64_t kJoinReqId = ~std::uint64_t{0};
-
-  // Jacobson/Karn RTT estimator, one per peer. Samples come only from
-  // acks of never-retransmitted sends (Karn's rule); the first retry
-  // timeout toward a peer is then SRTT + 4*RTTVAR instead of the fixed
-  // retry_base.
-  struct RttState {
-    double srtt_us = 0.0;
-    double rttvar_us = 0.0;
-    bool valid = false;
-  };
-  std::unordered_map<Key, RttState> rtt_;
 
   // Peers this node evicted as unreachable. During a partition the far
   // side of the cut accumulates here; after heal, maintenance probes

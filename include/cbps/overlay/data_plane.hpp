@@ -21,15 +21,15 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "cbps/common/assert.hpp"
 #include "cbps/common/exec_context.hpp"
+#include "cbps/common/flat_id_map.hpp"
 #include "cbps/common/logging.hpp"
+#include "cbps/overlay/link.hpp"
 #include "cbps/overlay/mcast_partition.hpp"
 #include "cbps/overlay/node.hpp"
 #include "cbps/overlay/wire.hpp"
@@ -109,7 +109,18 @@ class DataPlane : public OverlayNode {
 
   /// Reliable sends awaiting acknowledgment (introspection for tests).
   std::size_t pending_send_count() const {
-    return reliability_->pending_sends.size();
+    std::size_t n = 0;
+    for (const Link& l : reliability_->links) n += l.pending.size();
+    return n;
+  }
+
+  /// Sequence ids this node remembers for duplicate suppression: the
+  /// holes below each link's highest received id (introspection for
+  /// tests).
+  std::size_t dedup_state_size() const {
+    std::size_t n = 0;
+    for (const Link& l : reliability_->links) n += l.seen.holes();
+    return n;
   }
 
  protected:
@@ -134,10 +145,9 @@ class DataPlane : public OverlayNode {
   /// A reliable send other than a route, m-cast or chain hop lost its
   /// peer (already evicted); the default counts the send as failed.
   virtual void reroute(Msg msg);
-  /// First retransmission timeout toward `peer`.
-  virtual sim::SimTime retry_timeout(Key peer) const;
-  /// An ack of a never-retransmitted send arrived after `rtt`.
-  virtual void on_clean_ack(Key /*peer*/, sim::SimTime /*rtt*/) {}
+  /// First retransmission timeout toward a peer whose round trip is
+  /// estimated by `rtt`; the default is the fixed Limits::retry_base.
+  virtual sim::SimTime retry_timeout(const RttEstimate& rtt) const;
   /// A route reached its owner here, before the application upcall.
   virtual void on_route_delivered(const RouteMsg& /*msg*/) {}
 
@@ -151,12 +161,21 @@ class DataPlane : public OverlayNode {
   /// already processed is re-acked (its ack was lost) and dropped.
   bool ack_and_dedup(Key from, const Msg& msg);
 
+  /// Round-trip estimate toward `peer`; nullptr before any reliable
+  /// traffic with it.
+  const RttEstimate* rtt_estimate(Key peer) const {
+    const std::uint32_t i = reliability_->index.find(peer);
+    return i == FlatIdMap::kNone ? nullptr : &reliability_->links[i].rtt;
+  }
+
   /// Handlers for arriving application messages.
   void handle_data(RouteMsg msg);
   void handle_data(const McastMsg& msg);
   void handle_data(ChainMsg msg);
   void handle_data(const NeighborMsg& msg);
-  void handle_data(const AckMsg& msg) { handle_ack(msg.acked_seq); }
+  /// An ack from `from`: it retires the send with that id on our link to
+  /// `from`.
+  void handle_data(Key from, const AckMsg& msg);
 
   Wire& wire_;
   const Key id_;
@@ -168,8 +187,10 @@ class DataPlane : public OverlayNode {
   const Wire::Limits& limits() const { return wire_.limits(); }
 
   bool transmit_reliable(Key to, Msg msg, MessageClass cls);
-  void retransmit(std::uint64_t seq);
-  void handle_ack(std::uint64_t acked_seq);
+  void retransmit(std::uint32_t link, std::uint64_t seq);
+  /// Position of `peer`'s link record, created on first use. Positions
+  /// are stable; references are not (a new link may move the others).
+  std::uint32_t link_of(Key peer);
 
   void deliver_route(const RouteMsg& msg);
   void forward_route(RouteMsg msg);
@@ -212,11 +233,14 @@ class DataPlane : public OverlayNode {
   std::string name_;
   Wire::Sender& sender_;
 
-  // Ack/retry reliability layer (armed only when Limits::reliable). Each
-  // reliable send is parked here, keyed by its sequence id, until the
-  // hop-level ack arrives or the retry budget is exhausted.
+  // Ack/retry reliability layer (armed only when Limits::reliable): one
+  // link record per peer this node has exchanged reliable traffic with.
+  // Sequence ids count per (sender, receiver) link, so a receiver sees
+  // 1, 2, 3, … from each sender. Each reliable send is parked on its
+  // link until the hop-level ack arrives or the retry budget is
+  // exhausted.
   struct PendingSend {
-    Key to = 0;
+    std::uint64_t seq = 0;
     Msg msg;                     // retransmission copy (payload shared)
     MessageClass cls = MessageClass::kControl;
     std::uint32_t retries = 0;   // retransmissions performed so far
@@ -224,12 +248,19 @@ class DataPlane : public OverlayNode {
     sim::SimTime sent_at = 0;    // original transmission time (RTT)
     sim::Simulator::EventId timer = sim::Simulator::kInvalidEvent;
   };
+  struct Link {
+    Key peer = 0;
+    // Outbound: the id of the next send to `peer`, the sends it has not
+    // acked (ascending by id: ids only grow), and its round trip.
+    std::uint64_t next_seq = 1;
+    std::vector<PendingSend> pending;
+    RttEstimate rtt;
+    // Inbound: the ids that arrived from `peer`.
+    SeqWindow seen;
+  };
   struct Reliability {
-    std::unordered_map<std::uint64_t, PendingSend> pending_sends;
-    std::uint64_t next_send_seq = 1;
-    // Receiver-side duplicate suppression: per-sender set of already
-    // processed sequence ids.
-    std::unordered_map<Key, std::unordered_set<std::uint64_t>> seen_seqs;
+    FlatIdMap index;          // peer -> position in `links`
+    std::vector<Link> links;  // in creation order; never removed
   };
   // Held out of line: lossless runs never touch it, and keeping it off
   // the node's first cache lines keeps the routing state each hop reads
@@ -256,35 +287,63 @@ bool DataPlane<Msg>::transmit(Key to, Msg msg, MessageClass cls) {
 }
 
 template <class Msg>
+std::uint32_t DataPlane<Msg>::link_of(Key peer) {
+  auto& links = reliability_->links;
+  const auto [i, added] = reliability_->index.emplace(
+      peer, static_cast<std::uint32_t>(links.size()));
+  if (added) links.emplace_back().peer = peer;
+  return i;
+}
+
+template <class Msg>
 bool DataPlane<Msg>::transmit_reliable(Key to, Msg msg, MessageClass cls) {
-  const std::uint64_t seq = reliability_->next_send_seq++;
+  const std::uint32_t li = link_of(to);
+  const std::uint64_t seq = reliability_->links[li].next_seq++;
   *seq_field(msg) = seq;
   if (!wire_transmit(to, Msg(msg), cls)) {
+    // Nothing went on the wire, so the peer never sees this id: the next
+    // send to it takes the id again rather than leave a hole behind.
+    --reliability_->links[li].next_seq;
     stats().send_to_dead->inc();
     on_peer_dead(to);
     return false;
   }
+  Link& link = reliability_->links[li];
   PendingSend p;
-  p.to = to;
+  p.seq = seq;
   p.cls = cls;
-  p.timeout = retry_timeout(to);
+  p.timeout = retry_timeout(link.rtt);
   p.sent_at = wire_.sim().now();
   // Self-owned timer: keyed by this node even when the send was issued
   // from a workload's global-context callback.
   const common::ActorScope as(domain());
-  p.timer =
-      wire_.sim().schedule_after(p.timeout, [this, seq] { retransmit(seq); });
+  p.timer = wire_.sim().schedule_after(
+      p.timeout, [this, li, seq] { retransmit(li, seq); });
   p.msg = std::move(msg);  // retransmission copy; payload ptr is shared
-  reliability_->pending_sends.emplace(seq, std::move(p));
+  link.pending.push_back(std::move(p));
   return true;
 }
 
+namespace detail {
+
+/// The pending send with id `seq` in an ascending-id list, or its end.
+template <class Pending>
+auto find_pending(Pending& pending, std::uint64_t seq) {
+  const auto it = std::lower_bound(
+      pending.begin(), pending.end(), seq,
+      [](const auto& p, std::uint64_t s) { return p.seq < s; });
+  return it != pending.end() && it->seq == seq ? it : pending.end();
+}
+
+}  // namespace detail
+
 template <class Msg>
-void DataPlane<Msg>::retransmit(std::uint64_t seq) {
-  auto& pending = reliability_->pending_sends;
-  auto it = pending.find(seq);
+void DataPlane<Msg>::retransmit(std::uint32_t link, std::uint64_t seq) {
+  const Key to = reliability_->links[link].peer;
+  auto& pending = reliability_->links[link].pending;
+  auto it = detail::find_pending(pending, seq);
   if (it == pending.end()) return;  // acked since the timer fired
-  PendingSend& p = it->second;
+  PendingSend& p = *it;
   if (p.retries >= limits().max_retries) {
     stats().send_failed->inc();
     stats().retries_per_send->add(p.retries);
@@ -296,22 +355,21 @@ void DataPlane<Msg>::retransmit(std::uint64_t seq) {
   ++p.retries;
   stats().retransmits->inc();
   span(detail::wire_ref(p.msg), metrics::SpanKind::kRetry, p.retries);
-  if (wire_transmit(p.to, Msg(p.msg), p.cls)) {
+  if (wire_transmit(to, Msg(p.msg), p.cls)) {
     p.timeout *= 2;  // exponential backoff
     const common::ActorScope as(domain());
-    p.timer = wire_.sim().schedule_after(p.timeout,
-                                         [this, seq] { retransmit(seq); });
+    p.timer = wire_.sim().schedule_after(
+        p.timeout, [this, link, seq] { retransmit(link, seq); });
     return;
   }
   // The peer died while we were retrying. Evict it, then re-route the
   // message through a live candidate where the semantics allow it. The
   // seq is reset to 0 so the re-injected copy gets a fresh id (and a
   // fresh pending entry) at its next transmit.
-  const Key dead = p.to;
   Msg msg = std::move(p.msg);
   pending.erase(it);
   stats().send_to_dead->inc();
-  on_peer_dead(dead);
+  on_peer_dead(to);
   if (auto* r = std::get_if<RouteMsg>(&msg)) {
     r->seq = 0;
     forward_route(std::move(*r));
@@ -334,32 +392,31 @@ void DataPlane<Msg>::reroute(Msg /*msg*/) {
 }
 
 template <class Msg>
-sim::SimTime DataPlane<Msg>::retry_timeout(Key /*peer*/) const {
+sim::SimTime DataPlane<Msg>::retry_timeout(const RttEstimate& /*rtt*/) const {
   return limits().retry_base;
 }
 
 template <class Msg>
-void DataPlane<Msg>::handle_ack(std::uint64_t acked_seq) {
-  auto& pending = reliability_->pending_sends;
-  auto it = pending.find(acked_seq);
-  if (it == pending.end()) return;  // late ack of a retransmit
-  stats().retries_per_send->add(it->second.retries);
+void DataPlane<Msg>::handle_data(Key from, const AckMsg& msg) {
+  const std::uint32_t li = reliability_->index.find(from);
+  if (li == FlatIdMap::kNone) return;
+  Link& link = reliability_->links[li];
+  const auto it = detail::find_pending(link.pending, msg.acked_seq);
+  if (it == link.pending.end()) return;  // late ack of a retransmit
+  stats().retries_per_send->add(it->retries);
   // Karn's rule: only never-retransmitted sends yield RTT samples — an
   // ack after a retransmission is ambiguous about which copy it answers.
-  if (it->second.retries == 0) {
-    on_clean_ack(it->second.to, wire_.sim().now() - it->second.sent_at);
-  }
-  wire_.sim().cancel(it->second.timer);
-  pending.erase(it);
+  if (it->retries == 0) link.rtt.add_sample(wire_.sim().now() - it->sent_at);
+  wire_.sim().cancel(it->timer);
+  link.pending.erase(it);
 }
 
 template <class Msg>
 void DataPlane<Msg>::cancel_pending_sends() {
-  // detlint: unordered-ok(cancel marks slots stale; commutative, no output)
-  for (auto& [_, p] : reliability_->pending_sends) {
-    wire_.sim().cancel(p.timer);
+  for (Link& link : reliability_->links) {
+    for (PendingSend& p : link.pending) wire_.sim().cancel(p.timer);
+    link.pending.clear();
   }
-  reliability_->pending_sends.clear();
 }
 
 template <class Msg>
@@ -369,7 +426,7 @@ bool DataPlane<Msg>::ack_and_dedup(Key from, const Msg& msg) {
   // The ack goes out unconditionally: a duplicate means our previous ack
   // was lost in flight.
   transmit(from, AckMsg{*seq}, MessageClass::kControl);
-  if (reliability_->seen_seqs[from].insert(*seq).second) return true;
+  if (reliability_->links[link_of(from)].seen.accept(*seq)) return true;
   stats().dup_suppressed->inc();
   return false;
 }

@@ -57,7 +57,9 @@ class Schema {
     std::vector<AttributeDef> attrs;
     attrs.reserve(d);
     for (std::size_t i = 0; i < d; ++i) {
-      attrs.push_back({"a" + std::to_string(i), {0, attr_max}});
+      std::string name(1, 'a');
+      name += std::to_string(i);
+      attrs.push_back({std::move(name), {0, attr_max}});
     }
     return Schema(std::move(attrs));
   }

@@ -38,26 +38,9 @@ void ChordNode::reroute(WireMessage msg) {
   transmit(succ, std::move(*pl), MessageClass::kStateTransfer);
 }
 
-void ChordNode::on_clean_ack(Key peer, sim::SimTime rtt) {
-  RttState& s = rtt_[peer];
-  const double r = static_cast<double>(rtt);
-  if (!s.valid) {
-    // RFC 6298 initialization: SRTT = R, RTTVAR = R/2.
-    s.srtt_us = r;
-    s.rttvar_us = r / 2.0;
-    s.valid = true;
-    return;
-  }
-  // Jacobson's EWMA (alpha = 1/8, beta = 1/4), variance first.
-  const double err = r - s.srtt_us;
-  s.rttvar_us += ((err < 0 ? -err : err) - s.rttvar_us) / 4.0;
-  s.srtt_us += err / 8.0;
-}
-
-sim::SimTime ChordNode::retry_timeout(Key peer) const {
-  const auto it = rtt_.find(peer);
-  if (it == rtt_.end() || !it->second.valid) return config().retry_base;
-  const double rto = it->second.srtt_us + 4.0 * it->second.rttvar_us;
+sim::SimTime ChordNode::retry_timeout(const overlay::RttEstimate& rtt) const {
+  if (!rtt.valid) return config().retry_base;
+  const double rto = rtt.srtt_us + 4.0 * rtt.rttvar_us;
   return std::clamp(static_cast<sim::SimTime>(rto), kRtoMin, kRtoMax);
 }
 
@@ -481,7 +464,9 @@ void ChordNode::receive(Envelope&& env) {
   std::visit(
       [&](auto&& m) {
         using T = std::decay_t<decltype(m)>;
-        if constexpr (overlay::is_data_message_v<T>) {
+        if constexpr (std::is_same_v<T, overlay::AckMsg>) {
+          handle_data(env.from, m);
+        } else if constexpr (overlay::is_data_message_v<T>) {
           handle_data(std::move(m));
         } else if constexpr (std::is_same_v<T, OwnerInfoMsg>) {
           cache_.insert(m.owner, m.owner_range_lo);

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "cbps/common/logging.hpp"
 #include "cbps/pastry/pastry.hpp"
@@ -104,7 +106,16 @@ std::optional<Key> PastryNode::next_hop(Key key) {
 void PastryNode::receive(Key from, overlay::DataMessage&& msg) {
   const logctx::ScopedNode log_node(id_);
   if (!ack_and_dedup(from, msg)) return;
-  std::visit([this](auto&& m) { handle_data(std::move(m)); }, std::move(msg));
+  std::visit(
+      [this, from](auto&& m) {
+        if constexpr (std::is_same_v<std::decay_t<decltype(m)>,
+                                     overlay::AckMsg>) {
+          handle_data(from, m);
+        } else {
+          handle_data(std::move(m));
+        }
+      },
+      std::move(msg));
 }
 
 }  // namespace cbps::pastry

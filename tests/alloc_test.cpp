@@ -7,6 +7,10 @@
 //   and the local keys live in reused per-thread buffers, a one-run
 //   McastMsg holds its run inline, and the hop rides by value in its
 //   event.
+// - The same ring with the ack/retry layer armed on a lossless wire must
+//   forward reliable unicast hops without a heap allocation: the
+//   retransmission copy waits on its peer's link record and the
+//   receiver's duplicate filter is a per-link window, not a set of ids.
 // - Allocations per M1 m-cast subscribe and per M3 unicast publish (the
 //   publish -> match -> notify path) on a small PubSubSystem are printed,
 //   so before/after figures can be quoted, and held to a ceiling. The
@@ -81,7 +85,7 @@ struct NoopPayload final : overlay::Payload {
 
 class NoopApp final : public overlay::OverlayApp {
  public:
-  void on_deliver(Key, const overlay::PayloadPtr&) override {}
+  void on_deliver(Key, const overlay::PayloadPtr&) override { ++routed; }
   void on_deliver_mcast(std::span<const Key> covered,
                         const overlay::PayloadPtr&) override {
     keys += covered.size();
@@ -92,6 +96,7 @@ class NoopApp final : public overlay::OverlayApp {
   void import_state(const overlay::PayloadPtr&) override {}
 
   std::uint64_t keys = 0;
+  std::uint64_t routed = 0;
 };
 
 TEST(AllocGuardTest, SteadyStateMcastHopsDoNotAllocate) {
@@ -157,6 +162,65 @@ TEST(AllocGuardTest, SteadyStateMcastHopsDoNotAllocate) {
               static_cast<unsigned long long>(hops),
               static_cast<unsigned long long>(allocations));
   EXPECT_EQ(allocations, 0u) << "over " << hops << " m-cast hops";
+}
+
+TEST(AllocGuardTest, SteadyStateReliableUnicastHopsDoNotAllocate) {
+  // The ack/retry layer armed on a lossless wire: every hop parks a
+  // retransmission copy on its link, the receiver acks it and records
+  // its id, and the ack retires the copy. None of that may allocate once
+  // the links exist — a per-message hash node (a seen-set entry or a
+  // pending-send map node) would show here as at least one allocation
+  // per hop.
+  sim::Simulator sim;
+  chord::ChordConfig cfg;
+  cfg.force_reliable = true;
+  chord::ChordNetwork net(sim, cfg, 7);
+  for (int i = 0; i < 64; ++i) net.add_node("n" + std::to_string(i));
+  net.build_static_ring();
+  NoopApp app;
+  for (const Key id : net.alive_ids()) net.node(id)->set_app(&app);
+  const RingParams ring = net.ring();
+
+  constexpr std::size_t kSends = 200;
+  const auto round = [&] {
+    std::vector<overlay::PayloadPtr> payloads;
+    for (std::size_t i = 0; i < kSends; ++i) {
+      payloads.push_back(std::make_shared<NoopPayload>());
+    }
+    return allocations_during([&] {
+      for (std::size_t i = 0; i < kSends; ++i) {
+        const Key key = ring.add(0, 977 * static_cast<Key>(i + 1));
+        net.alive_node((i * 13) % 64).send(key, std::move(payloads[i]));
+      }
+      sim.run();
+    });
+  };
+  // Warm-up: creates every link the sends use and grows the link
+  // records, the location caches and the event queue to working size.
+  // The routes settle as the location caches learn the owners, so the
+  // third round still opens a few links (10 allocations); the fourth
+  // opens none. The earlier seen-set layout made 394 over these 197 hops:
+  // one set node and one pending-send map node per hop.
+  round();
+  round();
+  round();
+
+  const std::uint64_t hops_before =
+      net.traffic().hops(overlay::MessageClass::kSubscribe);
+  const metrics::Histogram& acked =
+      net.registry().histogram("chord.retries_per_send");
+  const std::uint64_t acked_before = acked.count();
+  const std::uint64_t routed_before = app.routed;
+  const std::uint64_t allocations = round();
+  const std::uint64_t hops =
+      net.traffic().hops(overlay::MessageClass::kSubscribe) - hops_before;
+  EXPECT_EQ(app.routed - routed_before, kSends);
+  EXPECT_GT(hops, kSends / 2);
+  EXPECT_EQ(acked.count() - acked_before, hops);  // every hop was reliable
+  std::printf("reliable unicast hops: %llu, heap allocations: %llu\n",
+              static_cast<unsigned long long>(hops),
+              static_cast<unsigned long long>(allocations));
+  EXPECT_EQ(allocations, 0u) << "over " << hops << " reliable hops";
 }
 
 TEST(AllocGuardTest, PrintsAllocationsPerM1Subscribe) {

@@ -97,6 +97,10 @@ struct ChordOverlay {
   using Network = chord::ChordNetwork;
   static constexpr const char* kStatPrefix = "chord.";
   static std::vector<Key> ids(const Network& net) { return net.alive_ids(); }
+  /// Hand `msg` to node `to` as if it arrived from `from`.
+  static void inject(Network& net, Key to, Key from, overlay::NeighborMsg msg) {
+    net.node(to)->receive(chord::Envelope{from, false, 0, std::move(msg)});
+  }
 };
 
 struct PastryOverlay {
@@ -104,6 +108,9 @@ struct PastryOverlay {
   using Network = pastry::PastryNetwork;
   static constexpr const char* kStatPrefix = "pastry.";
   static std::vector<Key> ids(const Network& net) { return net.ids(); }
+  static void inject(Network& net, Key to, Key from, overlay::NeighborMsg msg) {
+    net.node(to)->receive(from, std::move(msg));
+  }
 };
 
 template <class Overlay>
@@ -413,6 +420,168 @@ TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   std::size_t pending = 0;
   for (Key id : net.ids()) pending += net.node(id)->pending_send_count();
   EXPECT_EQ(pending, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Duplicate suppression: the per-link window against a seen-set
+// ---------------------------------------------------------------------------
+
+/// One arrival at a receiver: the sender and the id it stamped.
+struct Arrival {
+  Key from;
+  std::uint64_t seq;
+};
+
+/// A seeded arrival stream from `senders`, each numbering its sends
+/// 1..kIds: some ids never arrive (lost for good), most arrive in
+/// order, some late (reordered behind later ids), some two or more
+/// times (retransmissions whose ack was lost), and the senders' streams
+/// interleave at random.
+std::vector<Arrival> arrival_stream(const std::vector<Key>& senders,
+                                    std::uint64_t seed) {
+  constexpr std::uint64_t kIds = 400;
+  Rng rng(seed);
+  std::vector<std::vector<Arrival>> per_sender;
+  for (Key from : senders) {
+    std::vector<std::pair<double, std::uint64_t>> timed;  // (time, id)
+    for (std::uint64_t seq = 1; seq <= kIds; ++seq) {
+      if (rng.bernoulli(0.05)) continue;
+      const double t = static_cast<double>(seq) +
+                       (rng.bernoulli(0.2) ? rng.uniform_real(0, 25) : 0);
+      timed.emplace_back(t, seq);
+      while (rng.bernoulli(0.15)) {
+        timed.emplace_back(t + rng.uniform_real(0, 40), seq);
+      }
+    }
+    std::stable_sort(timed.begin(), timed.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    per_sender.emplace_back();
+    for (const auto& [_, seq] : timed) per_sender.back().push_back({from, seq});
+  }
+  std::vector<Arrival> out;
+  std::vector<std::size_t> next(per_sender.size(), 0);
+  for (std::size_t left = senders.size(); left > 0;) {
+    const auto s = static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(per_sender.size()) - 1));
+    if (next[s] == per_sender[s].size()) continue;
+    out.push_back(per_sender[s][next[s]++]);
+    if (next[s] == per_sender[s].size()) --left;
+  }
+  return out;
+}
+
+template <class Overlay>
+void check_dedup_window_matches_a_seen_set() {
+  // The receiver must accept or suppress every arrival exactly as a set
+  // of every (sender, id) it has processed would — the window is only a
+  // compact encoding of that set.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    LossHarness<Overlay> h(5, typename Overlay::Config{}, seed);
+    const Key receiver = h.ids[0];
+    const std::vector<Key> senders(h.ids.begin() + 1, h.ids.end());
+    std::set<std::pair<Key, std::uint64_t>> seen;
+    std::map<Key, std::uint64_t> highest;
+    std::uint64_t duplicates = 0;
+    std::size_t step = 0;
+    for (const Arrival& a : arrival_stream(senders, seed)) {
+      const std::size_t before = h.deliveries.size();
+      Overlay::inject(*h.net, receiver, a.from,
+                      overlay::NeighborMsg{std::make_shared<TagPayload>(0),
+                                           a.seq});
+      const bool want = seen.insert({a.from, a.seq}).second;
+      ASSERT_EQ(h.deliveries.size() > before, want)
+          << "seed " << seed << " step " << step << ": sender " << a.from
+          << " id " << a.seq;
+      duplicates += want ? 0 : 1;
+      highest[a.from] = std::max(highest[a.from], a.seq);
+      ++step;
+    }
+    h.sim.run();  // the acks reach senders that are waiting for none
+    EXPECT_GT(duplicates, 100u);
+    EXPECT_EQ(h.stat("dup_suppressed"), duplicates);
+    // The window keeps exactly the ids missing below each highest id.
+    std::size_t missing = 0;
+    for (const auto& [from, top] : highest) {
+      for (std::uint64_t seq = 1; seq < top; ++seq) {
+        missing += seen.contains({from, seq}) ? 0 : 1;
+      }
+    }
+    EXPECT_GT(missing, 0u);
+    EXPECT_EQ(h.net->node(receiver)->dedup_state_size(), missing);
+  }
+}
+
+TEST(ChordLossTest, DedupWindowMatchesASeenSet) {
+  check_dedup_window_matches_a_seen_set<ChordOverlay>();
+}
+
+TEST(PastryLossTest, DedupWindowMatchesASeenSet) {
+  check_dedup_window_matches_a_seen_set<PastryOverlay>();
+}
+
+TEST(ChordLossTest, RefusedSendGivesItsIdBack) {
+  // A send the network refuses never reaches the peer, so the link takes
+  // its id back: the next send to that peer reuses it, and the peer's
+  // window is not left with a hole that nothing can fill.
+  chord::ChordConfig cfg;
+  cfg.force_reliable = true;
+  ChordLossHarness h(2, cfg);
+  const Key a = h.ids[0];
+  const Key b = h.ids[1];
+  h.node(0).send_to_successor(std::make_shared<TagPayload>(0));  // id 1
+  h.sim.run();
+  h.net->set_partition({{a}, {b}});
+  h.node(0).send_to_successor(std::make_shared<TagPayload>(1));  // refused
+  h.sim.run();
+  EXPECT_EQ(h.stat("net.partition_refused"), 1u);
+  h.net->heal_partition();
+  // `a` evicted `b`; hearing from it again puts it back as successor.
+  h.node(1).send_to_successor(std::make_shared<TagPayload>(2));
+  h.sim.run();
+  h.node(0).send_to_successor(std::make_shared<TagPayload>(3));  // id 2
+  h.sim.run();
+  std::vector<std::pair<Key, int>> got;
+  for (const TagDelivery& d : h.deliveries) got.emplace_back(d.node, d.tag);
+  const std::vector<std::pair<Key, int>> want = {{b, 0}, {a, 1}, {a, 2},
+                                                 {b, 3}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(h.stat("dup_suppressed"), 0u);
+  EXPECT_EQ(h.net->node(b)->dedup_state_size(), 0u);
+}
+
+template <class Overlay>
+void check_dedup_state_stays_small_over_a_lossy_link() {
+  // 10 000 reliable hops from one node to the other over a link that
+  // drops a fifth of the data and a fifth of the acks. A seen-set would
+  // hold 10 000 ids; the window holds only the ids that never arrived,
+  // and an id can only stay missing if its send exhausted its retries.
+  typename Overlay::Config cfg;
+  cfg.loss_rate = 0.2;
+  LossHarness<Overlay> h(2, cfg, 4);
+  constexpr int kHops = 10'000;
+  for (int i = 0; i < kHops; ++i) {
+    h.node(0).send_to_successor(std::make_shared<TagPayload>(i));
+    if (i % 100 == 99) h.sim.run();
+  }
+  h.sim.run();
+  const std::uint64_t failed = h.stat("send_failed");
+  EXPECT_LE(h.deliveries.size(), static_cast<std::size_t>(kHops));
+  EXPECT_GE(h.deliveries.size() + failed, static_cast<std::size_t>(kHops));
+  EXPECT_GT(h.stat("dup_suppressed"), 100u);
+  EXPECT_EQ(h.pending_total(), 0u);
+  const std::size_t state = h.net->node(h.ids[1])->dedup_state_size();
+  EXPECT_LE(state, failed);
+  EXPECT_LE(state, 8u);
+}
+
+TEST(ChordLossTest, DedupStateStaysSmallOverALossyLink) {
+  check_dedup_state_stays_small_over_a_lossy_link<ChordOverlay>();
+}
+
+TEST(PastryLossTest, DedupStateStaysSmallOverALossyLink) {
+  check_dedup_state_stays_small_over_a_lossy_link<PastryOverlay>();
 }
 
 // ---------------------------------------------------------------------------
