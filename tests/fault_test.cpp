@@ -5,8 +5,11 @@
 // determinism of churn + fault runs across sweep worker counts.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "cbps/chord/network.hpp"
@@ -426,6 +429,162 @@ TEST(FaultScenarioTest, CrashedSubscriberReceivesNoGhostNotifications) {
                                                      : report.issues[0]);
   EXPECT_EQ(report.expected, 23u);  // 24 subscribers minus the victim
 }
+
+// ---------------------------------------------------------------------------
+// Stored runs: every copy of a subscription carries SK(sub)
+// ---------------------------------------------------------------------------
+
+/// The SK runs a stored or handed-over record carries.
+const std::vector<KeyRange>& runs_of(
+    const pubsub::SubscriptionStore::Record& r) {
+  return r.ranges;
+}
+const std::vector<KeyRange>& runs_of(const pubsub::StoredSubRecord& r) {
+  return r.ranges;
+}
+
+/// Sits between a Chord node and its pub/sub layer and hands every record
+/// the layer exports (join pull, predecessor adoption, graceful leave) to
+/// `check` on its way out; everything else passes straight through.
+class HandoverTap final : public overlay::OverlayApp {
+ public:
+  using Check = std::function<void(const pubsub::StoredSubRecord&)>;
+  HandoverTap(pubsub::PubSubNode& node, Check check)
+      : node_(node), check_(std::move(check)) {
+    node_.overlay().set_app(this);
+  }
+
+  void on_deliver(Key key, const overlay::PayloadPtr& payload) override {
+    node_.on_deliver(key, payload);
+  }
+  void on_deliver_mcast(std::span<const Key> covered,
+                        const overlay::PayloadPtr& payload) override {
+    node_.on_deliver_mcast(covered, payload);
+  }
+  overlay::PayloadPtr export_state(Key range_lo, Key range_hi,
+                                   bool remove) override {
+    overlay::PayloadPtr state = node_.export_state(range_lo, range_hi, remove);
+    const pubsub::Message* msg = pubsub::message_of(*state);
+    const auto* handed = msg == nullptr
+                             ? nullptr
+                             : std::get_if<pubsub::StateMsg>(msg);
+    EXPECT_NE(handed, nullptr);
+    if (handed != nullptr) {
+      for (const auto& rec : handed->records) check_(rec);
+    }
+    return state;
+  }
+  void import_state(const overlay::PayloadPtr& state) override {
+    node_.import_state(state);
+  }
+
+ private:
+  pubsub::PubSubNode& node_;
+  Check check_;
+};
+
+struct StoredRunsCase {
+  const char* name;
+  pubsub::MappingKind mapping;
+  bool collecting;
+};
+
+class StoredRunsTest : public ::testing::TestWithParam<StoredRunsCase> {};
+
+TEST_P(StoredRunsTest, EveryCopyCarriesItsSubscriptionsRuns) {
+  // Replication 2, joins, a graceful leave and a correlated crash burst:
+  // every path that stores, replicates, adopts, re-homes or hands over a
+  // record runs. Whatever the path, a record's runs must be SK(sub).
+  const auto script =
+      FaultScript::parse("crash_burst at=200 count=4 correlation=0.6");
+  ASSERT_TRUE(script.has_value());
+  pubsub::SystemConfig cfg = fault_config(40, *script, /*replication=*/2);
+  cfg.mapping = GetParam().mapping;
+  cfg.pubsub.collecting = GetParam().collecting;
+  pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 99'999));
+  const pubsub::AkMapping& mapping = system.mapping();
+  system.network().start_maintenance_all();
+
+  std::size_t handed = 0;
+  const auto check_handed = [&](const pubsub::StoredSubRecord& rec) {
+    ++handed;
+    EXPECT_EQ(runs_of(rec), mapping.subscription_ranges(*rec.sub))
+        << "handed-over sub " << rec.sub->id;
+  };
+  std::vector<std::unique_ptr<HandoverTap>> taps;
+  const auto tap = [&](std::size_t i) {
+    taps.push_back(std::make_unique<HandoverTap>(system.pubsub_node(i),
+                                                 check_handed));
+  };
+  for (std::size_t i = 0; i < system.node_count(); ++i) tap(i);
+
+  std::size_t owned = 0;
+  std::size_t replicas = 0;
+  const auto check_stores = [&] {
+    for (std::size_t i = 0; i < system.node_count(); ++i) {
+      if (!system.network().is_alive(system.node_id(i))) continue;
+      system.pubsub_node(i).store().for_each(
+          [&](const pubsub::SubscriptionStore::Record& rec) {
+            ++(rec.replica ? replicas : owned);
+            EXPECT_EQ(runs_of(rec), mapping.subscription_ranges(*rec.sub))
+                << (rec.replica ? "replica" : "owned") << " sub "
+                << rec.sub->id << " at node " << system.node_id(i);
+          });
+    }
+  };
+
+  FaultScriptRunner runner(system, *script, 5);
+  runner.start();
+  workload::WorkloadParams wp;
+  wp.matching_probability = 0.8;
+  workload::WorkloadGenerator gen(system.schema(), wp, 23);
+  std::vector<pubsub::SubscriptionPtr> active;
+  for (std::size_t i = 0; i < 60; ++i) {
+    active.push_back(system.subscribe((i * 7) % system.node_count(),
+                                      gen.make_constraints()));
+    system.run_for(sim::sec(1));
+  }
+  system.run_for(sim::sec(20));
+  check_stores();
+
+  for (const std::string name : {"joiner-a", "joiner-b", "joiner-c"}) {
+    tap(system.join_node(name));
+    system.run_for(sim::sec(15));
+  }
+  system.leave_node(3);
+  system.run_for(sim::sec(60));
+  check_stores();
+
+  // Past the crash burst: adopt replicas, rebuild chains, publish.
+  system.run_for(sim::sec(80));
+  EXPECT_EQ(runner.crashes(), 4u);
+  system.re_replicate_all();
+  for (std::size_t i = 0; i < 40; ++i) {
+    system.publish((i * 5) % system.node_count(),
+                   gen.make_event_values(active));
+    system.run_for(sim::sec(1));
+  }
+  system.run_for(sim::sec(30));
+  system.network().stop_maintenance_all();
+  system.quiesce();
+  check_stores();
+
+  EXPECT_GT(owned, 0u);
+  EXPECT_GT(replicas, 0u);
+  EXPECT_GT(handed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ReplicatedCrashBurst, StoredRunsTest,
+    ::testing::Values(
+        StoredRunsCase{"m1", pubsub::MappingKind::kAttributeSplit, false},
+        StoredRunsCase{"m2", pubsub::MappingKind::kKeySpaceSplit, false},
+        StoredRunsCase{"m3", pubsub::MappingKind::kSelectiveAttribute, false},
+        StoredRunsCase{"m2_collecting", pubsub::MappingKind::kKeySpaceSplit,
+                       true}),
+    [](const ::testing::TestParamInfo<StoredRunsCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------------
 // Membership guard death tests
