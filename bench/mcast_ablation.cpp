@@ -86,7 +86,7 @@ Outcome run(Mode mode, std::uint64_t range_keys, std::size_t n = 500) {
   cfg.owner_feedback = false;
   ChordNetwork net(sim, cfg, 99);
   for (std::size_t i = 0; i < n; ++i) {
-    net.add_node("node-" + std::to_string(i));
+    net.add_node(std::string("node-").append(std::to_string(i)));
   }
   net.build_static_ring();
   std::vector<std::unique_ptr<CountingApp>> apps;

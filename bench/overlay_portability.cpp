@@ -126,7 +126,9 @@ Result run_chord(pubsub::MappingKind kind,
   sim::Simulator sim;
   chord::ChordConfig cfg;
   chord::ChordNetwork net(sim, cfg, 11);
-  for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) {
+    net.add_node(std::string("c").append(std::to_string(i)));
+  }
   net.build_static_ring();
   Result r = drive(
       sim, net.alive_ids(),
@@ -143,7 +145,9 @@ Result run_pastry(pubsub::MappingKind kind,
   sim::Simulator sim;
   pastry::PastryConfig cfg;
   pastry::PastryNetwork net(sim, cfg, 11);
-  for (int i = 0; i < 200; ++i) net.add_node("c" + std::to_string(i));
+  for (int i = 0; i < 200; ++i) {
+    net.add_node(std::string("c").append(std::to_string(i)));
+  }
   net.build_static_ring();
   Result r = drive(
       sim, net.ids(),

@@ -54,7 +54,7 @@ Row run(std::size_t cache_size, bool feedback, std::size_t n,
   cfg.owner_feedback = feedback;
   ChordNetwork net(sim, cfg, 12345);
   for (std::size_t i = 0; i < n; ++i) {
-    net.add_node("node-" + std::to_string(i));
+    net.add_node(std::string("node-").append(std::to_string(i)));
   }
   net.build_static_ring();
   std::vector<std::unique_ptr<NullApp>> apps;

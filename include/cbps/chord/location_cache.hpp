@@ -40,7 +40,8 @@ class LocationCache {
 
   /// The lowest cached node id believed to cover `key`, if any (a pure
   /// function of the cache contents, detlint D1). Refreshes the LRU
-  /// position of the hit. O(log C) when the cached ranges are accurate.
+  /// position of the hit. A hit is O(log C) when the cached ranges are
+  /// accurate; a miss reads every entry above `key`, O(C).
   std::optional<Key> find_owner(Key key);
 
   /// The cached node other than `self` farthest from `self` within

@@ -75,6 +75,13 @@ struct MappingOptions {
   Key rotation = 0;
 };
 
+/// SK(sigma) as AkMapping::subscription_ranges returns it. SK is a pure
+/// function of sigma, so the subscriber computes it once and every
+/// message and stored record that carries sigma shares that one
+/// immutable copy: a rendezvous copy, a replica or a handed-over record
+/// costs a reference count, not an allocation.
+using RunsPtr = std::shared_ptr<const std::vector<KeyRange>>;
+
 /// Abstract stateless mapping (the paper's "subscription-static"
 /// mappings: SK/EK never depend on which subscriptions are stored).
 ///

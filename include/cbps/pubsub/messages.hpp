@@ -6,6 +6,9 @@
 // rule per message (messages.cpp), so a size rule shared by several
 // messages (a stored-subscription record, a notification) is written
 // once.
+//
+// A message that carries a subscription shares its SK runs (RunsPtr)
+// with every other copy; the wire still charges each message for them.
 
 #pragma once
 
@@ -42,7 +45,7 @@ struct Notification {
 struct SubscribeMsg {
   SubscriptionPtr sub;
   sim::SimTime expires_at = sim::kSimTimeNever;  // absolute sim time
-  std::vector<KeyRange> ranges;  // full SK(sub) as contiguous runs
+  RunsPtr runs;  // SK(sub), shared with the subscriber's copy
 };
 
 /// Removes a subscription from its rendezvous keys.
@@ -81,7 +84,7 @@ struct CollectMsg {
 struct StoredSubRecord {
   SubscriptionPtr sub;
   sim::SimTime expires_at = sim::kSimTimeNever;
-  std::vector<KeyRange> ranges;
+  RunsPtr runs;  // SK(sub), shared with the sender's record
   /// Whether the receiver should hold this as a replica (crash backup)
   /// rather than as owned state.
   bool replica = false;

@@ -185,10 +185,12 @@ class PubSubNode final : public overlay::OverlayApp {
   const KeyLoad& key_load() const { return key_load_; }
 
   /// A subscription this node issued: the pointer plus the expiry it was
-  /// registered with (needed to re-issue it verbatim on refresh).
+  /// registered with and its SK runs (needed to re-issue it verbatim on
+  /// refresh, and to withdraw it).
   struct OwnSub {
     SubscriptionPtr sub;
     sim::SimTime expires_at = sim::kSimTimeNever;
+    RunsPtr runs;
   };
 
   /// Subscriptions this node issued and has not withdrawn.
@@ -256,6 +258,8 @@ class PubSubNode final : public overlay::OverlayApp {
   // Ring geometry helpers for collecting (§4.3.2).
   bool covers_key(Key k) const;
   bool coverage_intersects(const KeyRange& r) const;
+  /// Whether any of `runs` intersects this node's coverage.
+  bool any_run_in_coverage(const std::vector<KeyRange>& runs) const;
   const KeyRange* my_range_for(const SubscriptionStore::Record& rec) const;
   bool is_agent_for(const KeyRange& r) const;
   bool agent_toward_successor(const KeyRange& r) const;

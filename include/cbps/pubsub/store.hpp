@@ -2,7 +2,10 @@
 //
 // A node stores each subscription at most once regardless of how many of
 // its keys the node covers; records carry the expiry time and the SK key
-// runs (needed for collecting-agent election and state handover). An
+// runs (needed for collecting-agent election and state handover). The
+// runs are the subscriber's one immutable copy, shared by pointer
+// (RunsPtr), so storing, replicating or handing over a record neither
+// allocates nor copies them. An
 // ordered expiry index makes expiration sweeps O(log n) so the paper's
 // 25k-subscription memory experiments stay cheap.
 //
@@ -46,8 +49,8 @@ class SubscriptionStore : private SlotTable {
   struct Record {
     SubscriptionPtr sub;
     sim::SimTime expires_at = sim::kSimTimeNever;
-    std::vector<KeyRange> ranges;  // full SK(sub) as contiguous runs
-    bool replica = false;          // held for a neighbor's crash recovery
+    RunsPtr runs;          // SK(sub), shared with every other copy
+    bool replica = false;  // held for a neighbor's crash recovery
   };
 
   SubscriptionStore() = default;
@@ -89,7 +92,8 @@ class SubscriptionStore : private SlotTable {
   /// non-replica insert upgraded an existing replica record to an owned
   /// one (fresh ownership needs a fresh replication chain).
   bool insert(Record&& record);
-  /// Copying form, for callers that keep their record.
+  /// Copying form, for callers that keep their record (a copy shares
+  /// the record's subscription and runs).
   bool insert(const Record& record) { return insert(Record(record)); }
 
   /// Remove by id. Returns true if present.

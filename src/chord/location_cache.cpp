@@ -74,7 +74,13 @@ std::optional<Key> LocationCache::find_owner(Key key) {
   }
   // From `key` upward a wrapping entry always covers it and any other
   // entry does iff range_lo < key. With accurate ranges the first entry
-  // at or above `key` is its owner, so the walk stops at once.
+  // at or above `key` is its owner, so a hit stops at once. A miss does
+  // not: when no entry covers `key`, the walk reads every entry above it
+  // before it gives up, O(C). Misses are the common case. On cbpsbench's
+  // publish_m3_unicast (seed 1) 77% of calls miss and each miss reads
+  // ~36 entries, while a hit reads one. A version that finds the first
+  // coverer in O(log C) measured within noise there (~1.05x), so the
+  // walk stays.
   for (auto it = lower_bound(key); it != entries_.end(); ++it) {
     if (it->range_lo > it->node || it->range_lo < key) return touch(*it);
   }

@@ -108,14 +108,20 @@ bool PastryNetwork::transmit(PastryNode& from, Key to,
   // Lost in flight: the hop and bytes are charged, nothing arrives.
   if (!delay) return true;
 
-  // The message rides inside the event: no allocation per hop.
-  auto deliver = [dst = &dst, from = from.id(),
-                  msg = std::move(msg)]() mutable {
-    dst->receive(from, std::move(msg));
+  // The message rides inside the event: no allocation per hop. It is a
+  // named struct passed as a temporary, not a named lambda: GCC 12 at
+  // -O3 reports -Wmaybe-uninitialized on destroying the moved-from
+  // lambda's message variant.
+  struct Deliver {
+    PastryNode* dst;
+    Key from;
+    overlay::DataMessage msg;
+    void operator()() { dst->receive(from, std::move(msg)); }
   };
-  static_assert(sim::Simulator::Callback::stores_inline<decltype(deliver)>,
+  static_assert(sim::Simulator::Callback::stores_inline<Deliver>,
                 "a Pastry hop must not heap-allocate its delivery event");
-  sim().schedule_for(dst.domain(), sim().now() + *delay, std::move(deliver));
+  sim().schedule_for(dst.domain(), sim().now() + *delay,
+                     Deliver{&dst, from.id(), std::move(msg)});
   return true;
 }
 

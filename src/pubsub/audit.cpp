@@ -112,7 +112,7 @@ SystemAuditReport audit_system(PubSubSystem& system) {
       // coverage through at least one of its key runs (a single-node
       // ring covers everything).
       const bool placed =
-          n == 1 || std::any_of(rec.ranges.begin(), rec.ranges.end(),
+          n == 1 || std::any_of(rec.runs->begin(), rec.runs->end(),
                                 [&](const KeyRange& r) {
                                   return range_intersects(ring, pred,
                                                           ids[i], r);

@@ -34,11 +34,12 @@ std::size_t sum_of(const std::vector<T>& xs, Part part) {
 
 // Wire sizes. A subscription record (subscribe, state transfer, replica):
 // 32 bytes of ids, expiry and header, 24 per constraint, 16 per SK run.
+// The runs are shared in memory, but every message charges them in full.
 std::size_t subscription_bytes(const Subscription& sub, std::size_t runs) {
   return 32 + 24 * sub.constraints.size() + 16 * runs;
 }
 std::size_t stored_bytes(const StoredSubRecord& r) {
-  return subscription_bytes(*r.sub, r.ranges.size());
+  return subscription_bytes(*r.sub, r.runs->size());
 }
 
 // A notification: subscription id, publish time and event id (24), plus
@@ -48,7 +49,7 @@ std::size_t notification_bytes(const Notification& n) {
 }
 
 std::size_t bytes(const SubscribeMsg& m) {
-  return subscription_bytes(*m.sub, m.ranges.size());
+  return subscription_bytes(*m.sub, m.runs->size());
 }
 std::size_t bytes(const UnsubscribeMsg&) { return 16; }
 std::size_t bytes(const PublishMsg& m) {

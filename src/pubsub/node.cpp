@@ -75,15 +75,18 @@ void PubSubNode::subscribe(SubscriptionPtr sub, sim::SimTime ttl) {
   CBPS_ASSERT(sub != nullptr && sub->id != 0);
   CBPS_ASSERT_MSG(sub->subscriber == overlay_.id(),
                   "subscription's subscriber key must be this node");
-  const std::vector<KeyRange> runs = mapping_.subscription_ranges(*sub);
+  // SK(sub) is computed here, once: every message, stored copy, replica
+  // and handed-over record of this subscription shares these runs.
+  const RunsPtr runs = std::make_shared<const std::vector<KeyRange>>(
+      mapping_.subscription_ranges(*sub));
   const sim::SimTime expiry =
       ttl == sim::kSimTimeNever ? sim::kSimTimeNever : sim_.now() + ttl;
-  own_subs_[sub->id] = OwnSub{sub, expiry};
+  own_subs_[sub->id] = OwnSub{sub, expiry, runs};
   metrics::TraceRef trace;
   if (trace_ != nullptr && trace_->enabled()) {
     if (const std::uint64_t tid = trace_->maybe_start_trace(); tid != 0) {
       const auto now = sim_.now();
-      const std::uint64_t keys = key_count(mapping_.ring(), runs);
+      const std::uint64_t keys = key_count(mapping_.ring(), *runs);
       const std::uint64_t root = trace_->emit(
           metrics::TraceRef{tid, 0}, SpanKind::kSubscribe, overlay_.id(),
           now, now, sub->id, keys);
@@ -93,7 +96,7 @@ void PubSubNode::subscribe(SubscriptionPtr sub, sim::SimTime ttl) {
       trace = metrics::TraceRef{tid, map_span};
     }
   }
-  send_to_runs(runs, make_payload(SubscribeMsg{sub, expiry, runs}, trace),
+  send_to_runs(*runs, make_payload(SubscribeMsg{sub, expiry, runs}, trace),
                cfg_.sub_transport);
 }
 
@@ -108,9 +111,8 @@ std::size_t PubSubNode::refresh_subscriptions() {
         own.expires_at <= sim_.now()) {
       continue;  // already expired; a refresh must not resurrect it
     }
-    const std::vector<KeyRange> runs = mapping_.subscription_ranges(*own.sub);
-    send_to_runs(runs,
-                 make_payload(SubscribeMsg{own.sub, own.expires_at, runs}),
+    send_to_runs(*own.runs,
+                 make_payload(SubscribeMsg{own.sub, own.expires_at, own.runs}),
                  cfg_.sub_transport);
     ++n;
   }
@@ -120,8 +122,8 @@ std::size_t PubSubNode::refresh_subscriptions() {
 void PubSubNode::unsubscribe(SubscriptionId id) {
   auto it = own_subs_.find(id);
   if (it == own_subs_.end()) return;
-  send_to_runs(mapping_.subscription_ranges(*it->second.sub),
-               make_payload(UnsubscribeMsg{id}), cfg_.sub_transport);
+  send_to_runs(*it->second.runs, make_payload(UnsubscribeMsg{id}),
+               cfg_.sub_transport);
   own_subs_.erase(it);
 }
 
@@ -178,46 +180,35 @@ std::size_t PubSubNode::re_replicate() {
   // its range while still holding only the passive copy — with no owner,
   // nothing would ever rebuild the chain and a second crash loses the
   // record. Collect before upgrading (no mutation during for_each).
-  std::vector<StoredSubRecord> adopt;
+  std::vector<SubscriptionStore::Record> adopt;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
-    if (!rec.replica) return;
-    if (std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                    [&](const KeyRange& r) {
-                      return coverage_intersects(r);
-                    })) {
-      adopt.push_back({rec.sub, rec.expires_at, rec.ranges, false});
-    }
+    if (rec.replica && any_run_in_coverage(*rec.runs)) adopt.push_back(rec);
   });
-  for (const StoredSubRecord& rec : adopt) {
-    store_.insert(SubscriptionStore::Record{rec.sub, rec.expires_at,
-                                            rec.ranges, /*replica=*/false});
+  for (SubscriptionStore::Record& rec : adopt) {
+    rec.replica = false;
+    store_.insert(std::move(rec));
   }
   // Re-home second: an owned record none of whose ranges intersect our
   // coverage is stranded here (accepted while our predecessor was
   // unknown mid-repair, so our believed coverage was transiently huge).
   // Re-issue it toward its current rendezvous and drop our copy.
-  std::vector<StoredSubRecord> stranded;
+  std::vector<SubscriptionStore::Record> stranded;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
-    if (rec.replica) return;
-    if (!std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                     [&](const KeyRange& r) {
-                       return coverage_intersects(r);
-                     })) {
-      stranded.push_back({rec.sub, rec.expires_at, rec.ranges, false});
+    if (!rec.replica && !any_run_in_coverage(*rec.runs)) {
+      stranded.push_back(rec);
     }
   });
-  for (const StoredSubRecord& rec : stranded) {
+  for (const SubscriptionStore::Record& rec : stranded) {
     store_.remove(rec.sub->id);
-    send_to_runs(mapping_.subscription_ranges(*rec.sub),
-                 make_payload(SubscribeMsg{rec.sub, rec.expires_at,
-                                           rec.ranges}),
+    send_to_runs(*rec.runs,
+                 make_payload(SubscribeMsg{rec.sub, rec.expires_at, rec.runs}),
                  cfg_.sub_transport);
   }
   std::size_t n = 0;
   store_.for_each([&](const SubscriptionStore::Record& rec) {
     if (rec.replica) return;
     overlay_.send_to_successor(make_payload(ReplicaMsg{
-        {rec.sub, rec.expires_at, rec.ranges}, cfg_.replication_factor}));
+        {rec.sub, rec.expires_at, rec.runs}, cfg_.replication_factor}));
     ++n;
   });
   return n;
@@ -245,11 +236,11 @@ void PubSubNode::handle(const SubscribeMsg& msg, const Arrival& at) {
   // covers (an m-cast delivery stores under several keys at once).
   key_load_.subs_stored.offer_each(at.covered);
   const bool fresh = store_.insert(SubscriptionStore::Record{
-      msg.sub, msg.expires_at, msg.ranges, /*replica=*/false});
+      msg.sub, msg.expires_at, msg.runs, /*replica=*/false});
   if (msg.expires_at != sim::kSimTimeNever) schedule_sweep();
   if (fresh && cfg_.replication_factor > 0) {
     overlay_.send_to_successor(make_payload(ReplicaMsg{
-        {msg.sub, msg.expires_at, msg.ranges}, cfg_.replication_factor}));
+        {msg.sub, msg.expires_at, msg.runs}, cfg_.replication_factor}));
   }
 }
 
@@ -264,7 +255,7 @@ void PubSubNode::handle(const UnsubscribeMsg& msg, const Arrival&) {
 void PubSubNode::handle(const ReplicaMsg& msg, const Arrival&) {
   store_.insert(SubscriptionStore::Record{msg.record.sub,
                                           msg.record.expires_at,
-                                          msg.record.ranges,
+                                          msg.record.runs,
                                           /*replica=*/true});
   if (msg.record.expires_at != sim::kSimTimeNever) schedule_sweep();
   if (msg.remaining_hops > 1) {
@@ -540,9 +531,16 @@ bool PubSubNode::coverage_intersects(const KeyRange& r) const {
          ring.in_closed_closed(r.lo, r.hi, ring.add(pred, 1));
 }
 
+bool PubSubNode::any_run_in_coverage(
+    const std::vector<KeyRange>& runs) const {
+  return std::any_of(runs.begin(), runs.end(), [&](const KeyRange& r) {
+    return coverage_intersects(r);
+  });
+}
+
 const KeyRange* PubSubNode::my_range_for(
     const SubscriptionStore::Record& rec) const {
-  for (const KeyRange& r : rec.ranges) {
+  for (const KeyRange& r : *rec.runs) {
     if (coverage_intersects(r)) return &r;
   }
   return nullptr;
@@ -581,11 +579,11 @@ overlay::PayloadPtr PubSubNode::export_state(Key range_lo, Key range_hi,
       // participate in; hand replicas over as replicas. We keep our own
       // copies too (extra copies are harmless: a replica only ever
       // matches events once its holder legitimately covers their keys).
-      out.push_back({rec.sub, rec.expires_at, rec.ranges, true});
+      out.push_back({rec.sub, rec.expires_at, rec.runs, true});
       return;
     }
-    if (std::any_of(rec.ranges.begin(), rec.ranges.end(), in_handed_range)) {
-      out.push_back({rec.sub, rec.expires_at, rec.ranges, false});
+    if (std::any_of(rec.runs->begin(), rec.runs->end(), in_handed_range)) {
+      out.push_back({rec.sub, rec.expires_at, rec.runs, false});
     }
   });
 
@@ -596,7 +594,7 @@ overlay::PayloadPtr PubSubNode::export_state(Key range_lo, Key range_hi,
     const bool nothing_left = range_hi == overlay_.id();
     store_.remove_if([&](const SubscriptionStore::Record& rec) {
       if (rec.replica) return false;
-      if (!std::any_of(rec.ranges.begin(), rec.ranges.end(),
+      if (!std::any_of(rec.runs->begin(), rec.runs->end(),
                        in_handed_range)) {
         return false;
       }
@@ -605,7 +603,7 @@ overlay::PayloadPtr PubSubNode::export_state(Key range_lo, Key range_hi,
         return ring.in_open_closed(range_hi, overlay_.id(), r.lo) ||
                ring.in_closed_closed(r.lo, r.hi, ring.add(range_hi, 1));
       };
-      return !std::any_of(rec.ranges.begin(), rec.ranges.end(),
+      return !std::any_of(rec.runs->begin(), rec.runs->end(),
                           in_remaining);
     });
   }
@@ -623,24 +621,20 @@ void PubSubNode::handle(const StateMsg& msg, const Arrival&) {
     // on a node the re-merged ring no longer makes responsible for any
     // of the record's ranges. Storing it here would strand it — re-issue
     // it as a fresh subscription toward the current rendezvous instead.
-    if (!rec.replica &&
-        !std::any_of(rec.ranges.begin(), rec.ranges.end(),
-                     [&](const KeyRange& r) {
-                       return coverage_intersects(r);
-                     })) {
-      send_to_runs(mapping_.subscription_ranges(*rec.sub),
+    if (!rec.replica && !any_run_in_coverage(*rec.runs)) {
+      send_to_runs(*rec.runs,
                    make_payload(SubscribeMsg{rec.sub, rec.expires_at,
-                                             rec.ranges}),
+                                             rec.runs}),
                    cfg_.sub_transport);
       continue;
     }
     const bool fresh = store_.insert(SubscriptionStore::Record{
-        rec.sub, rec.expires_at, rec.ranges, rec.replica});
+        rec.sub, rec.expires_at, rec.runs, rec.replica});
     // A freshly learned owned record needs its replica chain built along
     // the *current* successors (the exporter's chain predates the move).
     if (fresh && !rec.replica && cfg_.replication_factor > 0) {
       overlay_.send_to_successor(make_payload(ReplicaMsg{
-          {rec.sub, rec.expires_at, rec.ranges}, cfg_.replication_factor}));
+          {rec.sub, rec.expires_at, rec.runs}, cfg_.replication_factor}));
     }
     any_expiring |= rec.expires_at != sim::kSimTimeNever;
   }

@@ -73,7 +73,7 @@ bool SubscriptionStore::insert(Record&& record) {
     }
     return true;
   }
-  // Refresh: update expiry and ranges; a non-replica insert upgrades a
+  // Refresh: update expiry and runs; a non-replica insert upgrades a
   // replica record to owned.
   Record& existing = slots_[found];
   if (existing.expires_at != record.expires_at) {
@@ -94,7 +94,7 @@ bool SubscriptionStore::insert(Record&& record) {
     existing.sub = std::move(record.sub);
     if (reindex) index_->insert(found, *existing.sub);
   }
-  existing.ranges = std::move(record.ranges);
+  existing.runs = std::move(record.runs);
   if (existing.replica && !record.replica) {
     existing.replica = false;
     ++owned_;

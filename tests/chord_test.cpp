@@ -113,7 +113,7 @@ class Harness {
                    std::uint64_t seed = 1) {
     net = std::make_unique<ChordNetwork>(sim, cfg, seed);
     for (std::size_t i = 0; i < n; ++i) {
-      net->add_node("n" + std::to_string(i));
+      net->add_node(std::string("n").append(std::to_string(i)));
     }
     net->build_static_ring();
     attach_apps();
@@ -164,7 +164,9 @@ TEST(ChordRingFullDeathTest, AddNodeToAFullRingAsserts) {
   ChordConfig cfg;
   cfg.ring = RingParams{2};
   ChordNetwork net(sim, cfg, 1);
-  for (int i = 0; i < 4; ++i) net.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    net.add_node(std::string("n").append(std::to_string(i)));
+  }
   EXPECT_DEATH(net.add_node("n4"), "ring full");
 }
 
@@ -673,7 +675,8 @@ TEST(ChordJoinTest, ManySequentialJoins) {
   Harness h(8, maintenance_config());
   h.net->start_maintenance_all();
   for (int i = 0; i < 8; ++i) {
-    h.net->join_node("j" + std::to_string(i), h.net->alive_ids()[0]);
+    h.net->join_node(std::string("j").append(std::to_string(i)),
+                     h.net->alive_ids()[0]);
     h.attach_apps();
     h.sim.run_until(h.sim.now() + sim::sec(30));
   }
@@ -882,7 +885,7 @@ TEST(ChordNetworkTest, AliveNodeIndexesInIdOrderAndStaysFastAtScale) {
   const std::size_t kNodes = 8'192;
   for (std::size_t i = 0; i < kNodes; ++i) {
     net.add_node_with_id(static_cast<Key>(i * 7 + 3),
-                         "n" + std::to_string(i));
+                         std::string("n").append(std::to_string(i)));
   }
 
   // Dense indexing agrees with the sorted id list, including after a

@@ -89,7 +89,8 @@ TEST(Sha1Test, ResetReusesObject) {
 TEST(ConsistentHashTest, WithinKeySpace) {
   const RingParams ring{13};
   for (int i = 0; i < 1000; ++i) {
-    const Key k = consistent_hash("node-" + std::to_string(i), ring);
+    const Key k =
+        consistent_hash(std::string("node-").append(std::to_string(i)), ring);
     EXPECT_LE(k, ring.max_key());
   }
 }

@@ -437,10 +437,10 @@ TEST(FaultScenarioTest, CrashedSubscriberReceivesNoGhostNotifications) {
 /// The SK runs a stored or handed-over record carries.
 const std::vector<KeyRange>& runs_of(
     const pubsub::SubscriptionStore::Record& r) {
-  return r.ranges;
+  return *r.runs;
 }
 const std::vector<KeyRange>& runs_of(const pubsub::StoredSubRecord& r) {
-  return r.ranges;
+  return *r.runs;
 }
 
 /// Sits between a Chord node and its pub/sub layer and hands every record
@@ -595,7 +595,9 @@ using FaultGuardDeathTest = ::testing::Test;
 TEST(FaultGuardDeathTest, DoubleRemovalIsRejected) {
   sim::Simulator sim;
   chord::ChordNetwork net(sim, chord::ChordConfig{}, 3);
-  for (int i = 0; i < 3; ++i) net.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 3; ++i) {
+    net.add_node(std::string("n").append(std::to_string(i)));
+  }
   net.build_static_ring();
   const Key victim = net.alive_ids()[0];
   net.crash(victim);

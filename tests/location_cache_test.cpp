@@ -236,8 +236,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Range(4u, 14u),
                        ::testing::Values<std::size_t>(0, 1, 8, 128)),
     [](const auto& info) {
-      return "bits" + std::to_string(std::get<0>(info.param)) + "_cap" +
-             std::to_string(std::get<1>(info.param));
+      return std::string("bits")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("_cap")
+          .append(std::to_string(std::get<1>(info.param)));
     });
 
 }  // namespace

@@ -120,7 +120,7 @@ class LossHarness {
                        std::uint64_t seed = 1) {
     net = std::make_unique<typename Overlay::Network>(sim, cfg, seed);
     for (std::size_t i = 0; i < n; ++i) {
-      net->add_node("n" + std::to_string(i));
+      net->add_node(std::string("n").append(std::to_string(i)));
     }
     net->build_static_ring();
     ids = Overlay::ids(*net);
@@ -295,7 +295,9 @@ TEST(ChordLossTest, GracefulLeaveHandsOverStateDespiteHeavyLoss) {
   cfg.loss_rate = 0.6;
   cfg.max_retries = 20;
   chord::ChordNetwork net(sim, cfg, 13);
-  for (int i = 0; i < 8; ++i) net.add_node("n" + std::to_string(i));
+  for (int i = 0; i < 8; ++i) {
+    net.add_node(std::string("n").append(std::to_string(i)));
+  }
   net.build_static_ring();
   std::map<Key, IntBagApp> apps;
   for (Key id : net.alive_ids()) net.node(id)->set_app(&apps[id]);
@@ -388,7 +390,9 @@ TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   pastry::PastryConfig cfg;
   cfg.loss_rate = 0.05;
   pastry::PastryNetwork net(sim, cfg, 5);
-  for (int i = 0; i < 32; ++i) net.add_node("p" + std::to_string(i));
+  for (int i = 0; i < 32; ++i) {
+    net.add_node(std::string("p").append(std::to_string(i)));
+  }
   net.build_static_ring();
   std::vector<TagDelivery> deliveries;
   std::vector<std::unique_ptr<TagApp>> apps;

@@ -58,7 +58,7 @@ class PastryHarness {
   explicit PastryHarness(std::size_t n, PastryConfig cfg = {}) {
     net = std::make_unique<PastryNetwork>(sim, cfg, 5);
     for (std::size_t i = 0; i < n; ++i) {
-      net->add_node("p" + std::to_string(i));
+      net->add_node(std::string("p").append(std::to_string(i)));
     }
     net->build_static_ring();
     for (Key id : net->ids()) {
@@ -80,7 +80,9 @@ TEST(PastryRingFullDeathTest, AddNodeToAFullRingAsserts) {
   PastryConfig cfg;
   cfg.ring = RingParams{2};
   PastryNetwork net(sim, cfg, 1);
-  for (int i = 0; i < 4; ++i) net.add_node("p" + std::to_string(i));
+  for (int i = 0; i < 4; ++i) {
+    net.add_node(std::string("p").append(std::to_string(i)));
+  }
   EXPECT_DEATH(net.add_node("p4"), "ring full");
 }
 
@@ -305,7 +307,9 @@ TEST_P(PastryPubSubTest, EndToEndExactlyOnce) {
   PastryConfig cfg;
   cfg.ring = RingParams{12};
   PastryNetwork net(sim, cfg, 9);
-  for (int i = 0; i < 32; ++i) net.add_node("pp" + std::to_string(i));
+  for (int i = 0; i < 32; ++i) {
+    net.add_node(std::string("pp").append(std::to_string(i)));
+  }
   net.build_static_ring();
 
   const pubsub::Schema schema = pubsub::Schema::uniform(3, 99'999);

@@ -104,9 +104,10 @@ class PubSubNodeUnitTest : public ::testing::Test {
   // Deliver a subscription to the node as if routed there.
   void deliver_sub(PubSubNode& node, const SubscriptionPtr& sub,
                    sim::SimTime expiry = sim::kSimTimeNever) {
-    const auto ranges = mapping_->subscription_ranges(*sub);
-    node.on_deliver(ranges.front().lo,
-                    make_payload(SubscribeMsg{sub, expiry, ranges}));
+    const auto runs = std::make_shared<const std::vector<KeyRange>>(
+        mapping_->subscription_ranges(*sub));
+    node.on_deliver(runs->front().lo,
+                    make_payload(SubscribeMsg{sub, expiry, runs}));
   }
 
   void deliver_pub(PubSubNode& node, Key key, Value value, EventId id) {
@@ -401,10 +402,13 @@ TEST(PubSubMessageTest, EveryMessageHasItsWireSizeAndClass) {
   const SubscriptionPtr sub1 = make_sub(1);
   const EventPtr ev3 = make_event(3);
   const EventPtr ev1 = make_event(1);
-  const std::vector<KeyRange> runs3 = {{1, 2}, {5, 9}, {20, 20}};
+  const auto runs3 = std::make_shared<const std::vector<KeyRange>>(
+      std::vector<KeyRange>{{1, 2}, {5, 9}, {20, 20}});
+  const auto runs1 = std::make_shared<const std::vector<KeyRange>>(
+      std::vector<KeyRange>{{3, 4}});
   // 32 + 24 * 2 constraints + 16 * 3 runs = 128; 32 + 24 + 16 = 72.
   const StoredSubRecord big{sub2, sim::kSimTimeNever, runs3, false};
-  const StoredSubRecord small{sub1, sim::sec(4), {{3, 4}}, true};
+  const StoredSubRecord small{sub1, sim::sec(4), runs1, true};
   // 24 + 8 * values: 48 and 32.
   const Notification n3{ev3, 7, 0, {}};
   const Notification n1{ev1, 8, 0, {}};

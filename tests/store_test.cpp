@@ -4,8 +4,9 @@
 // drive every match engine against a plain reference model (an ordered
 // id map plus Subscription::matches), with each engine's raw match order
 // pinned by a committed per-script digest, as is each index's footprint
-// and bucket layout; and the refresh that drops a Subscription's last
-// owner before its bucket entries are registered.
+// and bucket layout; the refresh that drops a Subscription's last owner
+// before its bucket entries are registered; and the size of a record,
+// which shares its SK runs instead of owning a copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -182,7 +184,7 @@ struct ScriptDigests {
 struct RefRecord {
   SubscriptionPtr sub;
   sim::SimTime expires_at = sim::kSimTimeNever;
-  std::vector<KeyRange> ranges;
+  RunsPtr runs;
   bool replica = false;
 };
 
@@ -191,7 +193,7 @@ class ReferenceStore {
  public:
   bool insert(const SubscriptionStore::Record& r) {
     auto [it, fresh] = by_id_.try_emplace(
-        r.sub->id, RefRecord{r.sub, r.expires_at, r.ranges, r.replica});
+        r.sub->id, RefRecord{r.sub, r.expires_at, r.runs, r.replica});
     if (fresh) {
       if (!r.replica) note_owned(+1);
       return true;
@@ -199,7 +201,7 @@ class ReferenceStore {
     RefRecord& rec = it->second;
     rec.sub = r.sub;
     rec.expires_at = r.expires_at;
-    rec.ranges = r.ranges;
+    rec.runs = r.runs;
     if (rec.replica && !r.replica) {
       rec.replica = false;
       note_owned(+1);
@@ -361,7 +363,7 @@ ScriptDigests run_script(std::uint64_t seed, MatchEngine engine) {
       const auto lo = static_cast<Key>(rng.uniform_int(0, 1 << 20));
       ranges.push_back({lo, lo + static_cast<Key>(rng.uniform_int(0, 64))});
     }
-    return ranges;
+    return std::make_shared<const std::vector<KeyRange>>(std::move(ranges));
   };
   const auto stored = [&](SubscriptionId id) -> const RefRecord* {
     const auto it = ref.records().find(id);
@@ -390,11 +392,11 @@ ScriptDigests run_script(std::uint64_t seed, MatchEngine engine) {
     } else if (roll < 0.48 && have != nullptr) {
       // Refresh with changed constraints.
       apply({make_sub(id, random_constraints(rng, schema)), random_expiry(),
-             have->ranges, have->replica && rng.bernoulli(0.5)});
+             have->runs, have->replica && rng.bernoulli(0.5)});
     } else if (roll < 0.53 && have != nullptr) {
       // Replica -> owned upgrade (or an owned refresh) with the same
       // pointer.
-      apply({have->sub, have->expires_at, have->ranges, false});
+      apply({have->sub, have->expires_at, have->runs, false});
     } else if (roll < 0.68) {
       const bool expect = ref.remove(id);
       EXPECT_EQ(store.remove(id), expect);
@@ -448,7 +450,8 @@ ScriptDigests run_script(std::uint64_t seed, MatchEngine engine) {
     if (found != nullptr && want != nullptr) {
       EXPECT_EQ(found->sub, want->sub);
       EXPECT_EQ(found->expires_at, want->expires_at);
-      EXPECT_EQ(found->ranges, want->ranges);
+      // A refresh replaces the runs by pointer, never by copy.
+      EXPECT_EQ(found->runs, want->runs);
       EXPECT_EQ(found->replica, want->replica);
     }
     std::vector<SubscriptionId> visited;
@@ -630,6 +633,26 @@ TEST(StoreSlotTableTest, SameConstraintsRefreshDropsOldPointerBeforeMatch) {
     EXPECT_EQ(ids_at({680, 55}), (std::vector<SubscriptionId>{4}))
         << to_string(engine);
   }
+}
+
+// A record is two shared pointers (subscription and SK runs), the expiry
+// and the replica flag: it owns no copy of the runs. A node holds one per
+// stored copy, so under M1 records are most of a rendezvous node's
+// footprint.
+TEST(StoreLayoutTest, RecordSharesItsRunsByPointer) {
+  static_assert(std::is_same_v<decltype(SubscriptionStore::Record::runs),
+                               RunsPtr>);
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(SubscriptionStore::Record), 48u);
+  }
+  const auto runs = std::make_shared<const std::vector<KeyRange>>(
+      std::vector<KeyRange>{{3, 9}});
+  SubscriptionStore store;
+  const SubscriptionStore::Record rec{make_sub(1, {}), sim::kSimTimeNever,
+                                      runs, false};
+  EXPECT_TRUE(store.insert(rec));
+  EXPECT_EQ(store.find(1)->runs, runs);  // shared, not copied
+  EXPECT_EQ(runs.use_count(), 3);        // runs, rec and the stored copy
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(SweepTest, RowsReportInSweepOrderEvenWhenLaterPointsFinishFirst) {
   // Earlier points sleep longer, so completion order is roughly the
   // reverse of sweep order.
   for (std::size_t i = 0; i < 8; ++i) {
-    sweep.add("p" + std::to_string(i), [i] {
+    sweep.add(std::string("p").append(std::to_string(i)), [i] {
       std::this_thread::sleep_for(std::chrono::milliseconds(5 * (8 - i)));
       return SlowRow{i};
     });
