@@ -1,52 +1,54 @@
-// Counting-based matching index.
+// Access-predicate matching index.
 //
 // The paper's rendezvous nodes "match e against the subscriptions they
 // host" (§3.2); the straightforward scan is linear in the number of
-// stored subscriptions. This index implements the classic counting
-// algorithm of Fabret et al. (the paper's [6]): per attribute, constraint
-// intervals are registered in coarse value buckets; matching an event
-// stabs one bucket per attribute, counts satisfied constraints per
-// subscription, and reports the subscriptions whose entire conjunction
-// is satisfied. Expected cost is proportional to the number of
-// *satisfied constraints*, not the number of subscriptions.
+// stored subscriptions. This index follows the paper's [6] (Fabret et
+// al.) in clustering each subscription under one access predicate: its
+// **pivot**, the constraint on its lowest-numbered attribute. Per
+// attribute, pivot intervals are registered in coarse value buckets;
+// matching an event stabs one bucket per attribute, and every entry
+// whose pivot range holds the value is checked against all of its
+// slot's constraints, read from one flat per-slot array of `d` intervals
+// (each clamped to its attribute's domain; an unconstrained attribute
+// holds the full Value range, so a value outside the domain never
+// satisfies a constraint and never fails an unconstrained attribute).
+// Cost is proportional to the number of *satisfied pivots*.
 //
 // Buckets are sized to the index's contents. Each attribute starts with
 // one bucket and splits every bucket in two whenever it holds more than
-// kSubsPerBucket registered subscriptions per bucket, up to the
-// `buckets_per_attribute` cap; it never shrinks. An empty index
-// allocates no buckets. An attribute that has held more than
-// kSubsPerBucket x cap / 2 subscriptions (512 at the default cap of 256)
-// is on the cap layout, the one this index used to allocate up front.
-// Bucket b at split level `shift` holds the cap layout's buckets c with
+// kSubsPerBucket pivots per bucket, up to the `buckets_per_attribute`
+// cap; it never shrinks. An empty index allocates no buckets. Bucket b at
+// split level `shift` holds the cap layout's buckets c with
 // c >> shift == b, so a split copies each parent's entries, in order,
 // into its children.
 //
 // Subscriptions are numbered by the slots of the table they live in (the
-// store's record slots). Bucket entries carry the slot, so a match counts
-// into flat per-slot arrays and reports slots; the index keeps no
-// subscription pointer and no id. The index is exact: match_into()
-// reports precisely the registered slots whose subscription matches the
-// event, which the differential tests check against the store's
-// brute-force scan.
+// store's record slots). Bucket entries carry the slot and report it;
+// the index keeps no subscription pointer and no id. The index is exact:
+// match_into() reports precisely the registered slots whose subscription
+// matches the event, which the differential tests check against the
+// store's brute-force scan.
 //
 // Bucket registration is batched: insert() records the slot, and the
-// pending bucket entries are registered in insertion order at the next
-// match or remove, reading each slot's constraints from the table then. A
-// node that stores subscriptions but never matches or removes one never
-// pays for their buckets. A flush counts the whole batch first, so each
-// attribute splits at most once per batch.
+// pending pivots and per-slot intervals are written in insertion order
+// at the next match or remove, reading each slot's constraints from the
+// table then. A node that stores subscriptions but never matches or
+// removes one never pays for their buckets. A flush counts the whole
+// batch first, so each attribute splits at most once per batch.
 //
-// Neither batching nor the bucket count changes match output, order
-// included. Every bucket lists its entries in registration order (pushes
-// append, splits and removals keep the order), and every entry whose
-// range contains a value lies in the bucket that value stabs under any
-// bucket count. The first-touch order a match reports therefore depends
-// only on the attribute order and the registration order.
+// The output order is the counting algorithm's first-touch order, which
+// neither batching nor the bucket count changes. A matching subscription
+// satisfies every constraint, so counting first touched it at its lowest
+// constrained attribute: its pivot, where this index reports it. Every
+// bucket lists its entries in registration order (pushes append, splits
+// and removals keep the order), and every entry whose range contains a
+// value lies in the bucket that value stabs under any bucket count. The
+// order therefore depends only on the attribute order and the
+// registration order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -72,7 +74,7 @@ class SlotTable {
 class CountingIndex {
  public:
   /// `buckets_per_attribute` caps each attribute's bucket count. It
-  /// trades insertion cost (an interval is registered in every bucket it
+  /// trades insertion cost (a pivot is registered in every bucket it
   /// overlaps) against stab precision.
   CountingIndex(const SlotTable& table, const Schema& schema,
                 std::size_t buckets_per_attribute = 256);
@@ -97,9 +99,9 @@ class CountingIndex {
   /// Number of registered subscriptions.
   std::size_t size() const { return size_; }
 
-  /// Heap footprint of the bucket/scratch structures in bytes, pending
-  /// registrations included (not the subscriptions, which the table
-  /// owns).
+  /// Heap footprint in bytes of the buckets, the per-slot intervals and
+  /// flags, and the pending and constraint-free slot lists (not the
+  /// subscriptions, which the table owns).
   std::size_t memory_bytes() const;
 
   /// Buckets allocated for `attr`: 0 until an entry registers on it, then
@@ -109,12 +111,8 @@ class CountingIndex {
   }
 
  private:
-  /// Registered subscriptions per bucket above which an attribute splits.
+  /// Pivots per bucket above which an attribute splits.
   static constexpr std::size_t kSubsPerBucket = 4;
-
-  /// need_ value of a slot with no registered subscription.
-  static constexpr std::uint32_t kVacant =
-      std::numeric_limits<std::uint32_t>::max();
 
   struct Entry {
     std::uint32_t slot;
@@ -129,7 +127,7 @@ class CountingIndex {
     std::vector<std::vector<Entry>> buckets;
     // Bucket b covers the cap layout's buckets c with c >> shift == b.
     unsigned shift = 0;
-    std::size_t registered = 0;  // live subscriptions with entries here
+    std::size_t registered = 0;  // live subscriptions pivoted here
   };
 
   /// Bucket of `v` under the cap layout (buckets_per_attribute_ buckets).
@@ -144,9 +142,12 @@ class CountingIndex {
   }
   /// Allocate or split `attr`'s buckets to fit its registered count.
   void fit(std::size_t attr) const;
-  /// Register the bucket entries of every pending insert, in order,
+  /// Register every pending insert's pivot and intervals, in order,
   /// after fitting each attribute to its count with the batch included.
   void register_pending() const;
+  /// The constraint on the lowest-numbered attribute (`sub` must have
+  /// one).
+  static const Constraint& pivot(const Subscription& sub);
 
   const SlotTable& table_;
   Schema schema_;
@@ -158,15 +159,13 @@ class CountingIndex {
   mutable std::vector<std::uint32_t> pending_;
   // Slots of subscriptions with no constraints: they match every event.
   std::vector<std::uint32_t> match_all_;
-  // slot -> constraints a match must satisfy (kVacant: unregistered).
-  std::vector<std::uint32_t> need_;
+  // slot -> whether a subscription is registered there.
+  std::vector<std::uint8_t> registered_;
   std::size_t size_ = 0;
-  // Epoch-stamped scratch: bumping epoch_ invalidates every count, so a
-  // match never clears (or allocates) the buffers it counts into.
-  mutable std::vector<std::uint32_t> scratch_count_;
-  mutable std::vector<std::uint64_t> scratch_epoch_;
-  mutable std::vector<std::uint32_t> scratch_touched_;
-  mutable std::uint64_t epoch_ = 0;
+  // slot * d + attr -> the slot's interval on attr, written when its
+  // pivot registers: the constraint clamped to the domain, or the full
+  // Value range when unconstrained.
+  mutable std::vector<ClosedInterval> bounds_;
 };
 
 }  // namespace cbps::pubsub

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 namespace cbps::pubsub {
 
@@ -31,6 +32,11 @@ std::pair<std::size_t, std::size_t> CountingIndex::span(
   const ClosedInterval clamped = *range.intersect(schema_.domain(attr));
   return {cap_bucket(attr, clamped.lo) >> shift,
           cap_bucket(attr, clamped.hi) >> shift};
+}
+
+const Constraint& CountingIndex::pivot(const Subscription& sub) {
+  return *std::ranges::min_element(sub.constraints, {},
+                                   &Constraint::attribute);
 }
 
 void CountingIndex::fit(std::size_t attr) const {
@@ -66,9 +72,9 @@ void CountingIndex::fit(std::size_t attr) const {
 bool CountingIndex::insert(std::uint32_t slot, const Subscription& sub) {
   CBPS_ASSERT_MSG(sub.well_formed_for(schema_),
                   "subscription/schema mismatch");
-  if (slot >= need_.size()) need_.resize(slot + 1, kVacant);
-  if (need_[slot] != kVacant) return false;
-  need_[slot] = static_cast<std::uint32_t>(sub.constraints.size());
+  if (slot >= registered_.size()) registered_.resize(slot + 1, 0);
+  if (registered_[slot]) return false;
+  registered_[slot] = 1;
   ++size_;
 
   // A constraint disjoint from its domain makes the whole conjunction
@@ -92,21 +98,30 @@ void CountingIndex::register_pending() const {
   // one registration at a time: same buckets, same order, same
   // capacities.
   for (const std::uint32_t slot : pending_) {
-    for (const Constraint& c : table_.at(slot).constraints) {
-      ++attrs_[c.attribute].registered;
-    }
+    ++attrs_[pivot(table_.at(slot)).attribute].registered;
   }
   for (std::size_t attr = 0; attr < attrs_.size(); ++attr) {
     const Attribute& a = attrs_[attr];
     if (a.registered > kSubsPerBucket * a.buckets.size()) fit(attr);
   }
+  const std::size_t d = schema_.dimensions();
+  if (bounds_.size() < registered_.size() * d) {
+    bounds_.resize(registered_.size() * d);
+  }
   for (const std::uint32_t slot : pending_) {
-    for (const Constraint& c : table_.at(slot).constraints) {
-      Attribute& a = attrs_[c.attribute];
-      const auto [first, last] = span(c.attribute, c.range, a.shift);
-      for (std::size_t b = first; b <= last; ++b) {
-        a.buckets[b].push_back(Entry{slot, c.range});
-      }
+    const Subscription& sub = table_.at(slot);
+    ClosedInterval* box = &bounds_[slot * d];
+    std::fill(box, box + d,
+              ClosedInterval{std::numeric_limits<Value>::min(),
+                             std::numeric_limits<Value>::max()});
+    for (const Constraint& c : sub.constraints) {
+      box[c.attribute] = *c.range.intersect(schema_.domain(c.attribute));
+    }
+    const Constraint& p = pivot(sub);
+    Attribute& a = attrs_[p.attribute];
+    const auto [first, last] = span(p.attribute, p.range, a.shift);
+    for (std::size_t b = first; b <= last; ++b) {
+      a.buckets[b].push_back(Entry{slot, p.range});
     }
   }
   // Release the batch: between batches the index holds what eager
@@ -115,9 +130,9 @@ void CountingIndex::register_pending() const {
 }
 
 bool CountingIndex::remove(std::uint32_t slot) {
-  if (slot >= need_.size() || need_[slot] == kVacant) return false;
+  if (slot >= registered_.size() || !registered_[slot]) return false;
   register_pending();
-  need_[slot] = kVacant;
+  registered_[slot] = 0;
   --size_;
 
   const Subscription& sub = table_.at(slot);
@@ -127,48 +142,34 @@ bool CountingIndex::remove(std::uint32_t slot) {
     std::erase(match_all_, slot);
     return true;
   }
-  for (const Constraint& c : sub.constraints) {
-    Attribute& a = attrs_[c.attribute];
-    --a.registered;
-    const auto [first, last] = span(c.attribute, c.range, a.shift);
-    for (std::size_t b = first; b <= last; ++b) {
-      std::erase_if(a.buckets[b],
-                    [slot](const Entry& e) { return e.slot == slot; });
-    }
+  const Constraint& p = pivot(sub);
+  Attribute& a = attrs_[p.attribute];
+  --a.registered;
+  const auto [first, last] = span(p.attribute, p.range, a.shift);
+  for (std::size_t b = first; b <= last; ++b) {
+    std::erase_if(a.buckets[b],
+                  [slot](const Entry& e) { return e.slot == slot; });
   }
   return true;
 }
 
 void CountingIndex::match_into(const Event& e,
                                std::vector<std::uint32_t>& slots) const {
-  CBPS_ASSERT(e.values.size() == schema_.dimensions());
+  const std::size_t d = schema_.dimensions();
+  CBPS_ASSERT(e.values.size() == d);
   register_pending();
-  ++epoch_;
-  if (scratch_count_.size() < need_.size()) {
-    scratch_count_.resize(need_.size(), 0);
-    scratch_epoch_.resize(need_.size(), 0);
-  }
-  scratch_touched_.clear();
-  for (std::size_t attr = 0; attr < schema_.dimensions(); ++attr) {
+  slots.insert(slots.end(), match_all_.begin(), match_all_.end());
+  for (std::size_t attr = 0; attr < d; ++attr) {
     const Value v = e.values[attr];
     const Attribute& a = attrs_[attr];
     if (a.buckets.empty() || !schema_.domain(attr).contains(v)) continue;
-    const auto& bucket = a.buckets[cap_bucket(attr, v) >> a.shift];
-    for (const Entry& entry : bucket) {
+    for (const Entry& entry : a.buckets[cap_bucket(attr, v) >> a.shift]) {
       if (!entry.range.contains(v)) continue;
-      if (scratch_epoch_[entry.slot] != epoch_) {
-        scratch_epoch_[entry.slot] = epoch_;
-        scratch_count_[entry.slot] = 1;
-        scratch_touched_.push_back(entry.slot);
-      } else {
-        ++scratch_count_[entry.slot];
-      }
+      const ClosedInterval* box = &bounds_[entry.slot * d];
+      std::size_t held = 0;
+      while (held < d && box[held].contains(e.values[held])) ++held;
+      if (held == d) slots.push_back(entry.slot);
     }
-  }
-  slots.reserve(slots.size() + match_all_.size() + scratch_touched_.size());
-  slots.insert(slots.end(), match_all_.begin(), match_all_.end());
-  for (const std::uint32_t slot : scratch_touched_) {
-    if (scratch_count_[slot] == need_[slot]) slots.push_back(slot);
   }
 }
 
@@ -182,10 +183,8 @@ std::size_t CountingIndex::memory_bytes() const {
   }
   bytes += pending_.capacity() * sizeof(std::uint32_t);
   bytes += match_all_.capacity() * sizeof(std::uint32_t);
-  bytes += need_.capacity() * sizeof(std::uint32_t);
-  bytes += scratch_count_.capacity() * sizeof(std::uint32_t);
-  bytes += scratch_epoch_.capacity() * sizeof(std::uint64_t);
-  bytes += scratch_touched_.capacity() * sizeof(std::uint32_t);
+  bytes += registered_.capacity() * sizeof(std::uint8_t);
+  bytes += bounds_.capacity() * sizeof(ClosedInterval);
   return bytes;
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <utility>
 #include <vector>
@@ -211,10 +212,12 @@ TEST(CountingIndexTest, EquivalentToBruteForceOnRandomWorkload) {
   }
 }
 
-// The counting index as it was before bucket registration was batched
-// and buckets were sized to the contents: insert() registers every bucket
-// entry at once, into a fixed layout. Kept as the reference for the
-// index's match output, order included.
+// The counting algorithm as the index ran it before it registered each
+// subscription under one pivot, batched registration and sized buckets
+// to the contents: insert() registers every constraint in every bucket it
+// spans, at once, into a fixed layout, and a match counts satisfied
+// constraints per subscription. Kept as the reference for the index's
+// match output, order included.
 class EagerCountingIndex {
  public:
   EagerCountingIndex(const Schema& schema, std::size_t buckets)
@@ -388,7 +391,9 @@ TEST(CountingIndexTest, BatchedRegistrationMatchesEagerOrder) {
 // back. After every step a match must return the eager index's ids in the
 // eager index's order (the eager index sits on the cap layout all along),
 // and each attribute must pass through every split level: 1, 2, 4, ...,
-// then the cap itself (7 is not a power of two).
+// then the cap itself (7 is not a power of two). A subscription registers
+// on its lowest constrained attribute only, so the lowest constrained
+// attribute cycles through all of them.
 TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
   const Schema schema = Schema::uniform(3, 9'999);
   const std::map<std::size_t, std::set<std::size_t>> levels = {
@@ -409,7 +414,7 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
     std::vector<SubscriptionPtr> live;
     std::vector<SubscriptionPtr> removed;
     SubscriptionId next_id = 1;
-    for (int step = 0; step < 2500; ++step) {
+    for (int step = 0; step < 4500; ++step) {
       const double roll = rng.uniform01();
       if (roll < 0.7 || live.empty()) {
         SubscriptionPtr s;
@@ -418,7 +423,10 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
           removed.pop_back();
         } else {
           auto cs = gen.make_constraints();
-          while (!cs.empty() && rng.bernoulli(0.2)) cs.pop_back();
+          const std::size_t lowest = next_id % schema.dimensions();
+          cs.erase(cs.begin(),
+                   cs.begin() + static_cast<std::ptrdiff_t>(lowest));
+          while (cs.size() > 1 && rng.bernoulli(0.2)) cs.pop_back();
           s = make_sub(next_id++, std::move(cs));
         }
         ASSERT_EQ(index.insert(s), eager.insert(s));
@@ -448,6 +456,137 @@ TEST(CountingIndexTest, ContentSizedGrowthMatchesEagerOrder) {
       EXPECT_EQ(seen[a], expected_levels) << "cap " << cap << " attr " << a;
       EXPECT_EQ(index->bucket_count(a), cap);
     }
+  }
+}
+
+// Generated differential test of pivot registration. Constraint lists
+// come in shuffled attribute order with random attributes omitted
+// (attribute 0 too, so every attribute serves as a pivot); ranges are
+// degenerate, inside the domain, past either edge of it or wholly
+// outside it; events sit inside, on the domain edges or outside the
+// domain. Inserts, refreshes with changed constraints, removes and
+// matches interleave. Every match must report the set brute force finds
+// under the index's domain contract (a constraint never holds for a
+// value outside its attribute's domain), in the eager index's order.
+TEST(CountingIndexTest, PivotRegistrationAgreesWithOracles) {
+  const Schema schema({{"a", {0, 999}},
+                       {"b", {-500, 499}},
+                       {"c", {0, 9}},
+                       {"d", {1'000, 1'999}}});
+  const std::size_t dims = schema.dimensions();
+  const auto holds = [&](const Subscription& s, const Event& e) {
+    return std::all_of(s.constraints.begin(), s.constraints.end(),
+                       [&](const Constraint& c) {
+                         const Value v = e.values[c.attribute];
+                         return schema.domain(c.attribute).contains(v) &&
+                                c.range.contains(v);
+                       });
+  };
+  for (const std::uint64_t seed : {5u, 41u, 97u}) {
+    Rng rng(seed);
+    const auto range_on = [&](const ClosedInterval& dom) -> ClosedInterval {
+      const auto w = static_cast<std::int64_t>(dom.width());
+      const Value a = rng.uniform_int(dom.lo, dom.hi);
+      const Value b = rng.uniform_int(dom.lo, dom.hi);
+      const double roll = rng.uniform01();
+      if (roll < 0.2) return ClosedInterval::point(a);
+      if (roll < 0.35) return {dom.lo - rng.uniform_int(1, w), a};
+      if (roll < 0.5) return {a, dom.hi + rng.uniform_int(1, w)};
+      if (roll < 0.55) return {dom.lo - 1, dom.hi + 1};
+      if (roll < 0.57) {  // wholly outside: the subscription is inert
+        const Value lo = dom.hi + rng.uniform_int(1, 5);
+        return {lo, lo + rng.uniform_int(0, 5)};
+      }
+      return {std::min(a, b), std::max(a, b)};
+    };
+    const auto constraints = [&] {
+      std::vector<Constraint> cs;
+      for (std::size_t attr = 0; attr < dims; ++attr) {
+        if (rng.bernoulli(0.6)) cs.push_back({attr, range_on(schema.domain(attr))});
+      }
+      for (std::size_t i = cs.size(); i > 1; --i) {  // Fisher-Yates
+        std::swap(cs[i - 1], cs[static_cast<std::size_t>(rng.uniform_int(
+                                 0, static_cast<std::int64_t>(i) - 1))]);
+      }
+      return cs;
+    };
+    const auto value_on = [&](const ClosedInterval& dom) -> Value {
+      const double roll = rng.uniform01();
+      if (roll < 0.15) return dom.lo;
+      if (roll < 0.3) return dom.hi;
+      if (roll < 0.4) return dom.lo - rng.uniform_int(1, 3);
+      if (roll < 0.5) return dom.hi + rng.uniform_int(1, 3);
+      return rng.uniform_int(dom.lo, dom.hi);
+    };
+    Indexed index(schema, 16);
+    EagerCountingIndex eager(schema, 16);
+    std::vector<SubscriptionPtr> live;
+    std::vector<std::size_t> pivots(dims, 0);
+    SubscriptionId next_id = 1;
+    std::size_t reported = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const double roll = rng.uniform01();
+      if (roll < 0.35 || live.empty()) {
+        auto s = make_sub(next_id++, constraints());
+        if (!s->constraints.empty()) {
+          ++pivots[std::ranges::min_element(s->constraints, {},
+                                            &Constraint::attribute)
+                       ->attribute];
+        }
+        ASSERT_TRUE(index.insert(s));
+        ASSERT_TRUE(eager.insert(s));
+        live.push_back(std::move(s));
+      } else if (roll < 0.5) {
+        // Refresh: the same id under changed constraints, re-registered
+        // the way the store does it (remove, then insert into the slot).
+        auto& held = live[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1))];
+        auto s = make_sub(held->id, constraints());
+        ASSERT_TRUE(index.remove(held->id));
+        ASSERT_TRUE(eager.remove(held->id));
+        ASSERT_TRUE(index.insert(s));
+        ASSERT_TRUE(eager.insert(s));
+        held = std::move(s);
+      } else if (roll < 0.65) {
+        const auto pick = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(live.size()) - 1));
+        ASSERT_TRUE(index.remove(live[pick]->id));
+        ASSERT_TRUE(eager.remove(live[pick]->id));
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      } else {
+        // Half the events aim at a live subscription's intervals.
+        const Subscription* target =
+            !live.empty() && rng.bernoulli(0.5)
+                ? live[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(live.size()) - 1))].get()
+                : nullptr;
+        Event e;
+        e.id = static_cast<EventId>(step + 1);
+        for (std::size_t attr = 0; attr < dims; ++attr) {
+          const Constraint* c = target ? target->constraint_on(attr) : nullptr;
+          const auto in = c ? c->range.intersect(schema.domain(attr))
+                            : std::nullopt;
+          e.values.push_back(in && rng.bernoulli(0.9)
+                                 ? value_on(*in)
+                                 : value_on(schema.domain(attr)));
+        }
+        const auto got = index.match(e);
+        ASSERT_EQ(got, eager.match(e)) << "seed " << seed << " step " << step;
+        std::set<SubscriptionId> expected;
+        for (const auto& s : live) {
+          if (holds(*s, e)) expected.insert(s->id);
+        }
+        ASSERT_EQ(std::set<SubscriptionId>(got.begin(), got.end()), expected)
+            << "seed " << seed << " step " << step;
+        ASSERT_EQ(got.size(), expected.size()) << "duplicate ids reported";
+        reported += got.size();
+      }
+      ASSERT_EQ(index.size(), live.size());
+    }
+    for (std::size_t attr = 0; attr < dims; ++attr) {
+      EXPECT_GT(pivots[attr], 50u) << "seed " << seed << " attr " << attr;
+    }
+    EXPECT_GT(reported, 500u) << "seed " << seed;
   }
 }
 
