@@ -167,10 +167,11 @@ constexpr std::size_t kScripts =
 
 // Per script and engine: FNV-1a over index_memory_bytes() after every
 // step and, under the counting engine, every attribute's bucket_count().
-// Recorded from the counting index that registered its pending entries
-// one at a time, splitting an attribute whenever one more entry
-// overflowed it; batched registration must reproduce its buckets and
-// capacities exactly.
+// Brute force has no index, so its column hashes zeros. The counting
+// column was re-recorded when the index began registering each
+// subscription under its pivot alone, with per-slot intervals in place
+// of the match scratch; any later change to its buckets or capacities
+// shows here.
 constexpr std::uint64_t kIndexLayoutDigests[][2] = {
 #include "store_index_layout_digests.inc"
 };
