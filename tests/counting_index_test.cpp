@@ -502,7 +502,9 @@ TEST(CountingIndexTest, PivotRegistrationAgreesWithOracles) {
     const auto constraints = [&] {
       std::vector<Constraint> cs;
       for (std::size_t attr = 0; attr < dims; ++attr) {
-        if (rng.bernoulli(0.6)) cs.push_back({attr, range_on(schema.domain(attr))});
+        if (rng.bernoulli(0.6)) {
+          cs.push_back({attr, range_on(schema.domain(attr))});
+        }
       }
       for (std::size_t i = cs.size(); i > 1; --i) {  // Fisher-Yates
         std::swap(cs[i - 1], cs[static_cast<std::size_t>(rng.uniform_int(
