@@ -1,15 +1,24 @@
-// Extension experiment — the fault matrix: scripted fault scenarios
-// (partition/heal, bursty Gilbert–Elliott loss, gray failures,
-// correlated crash bursts, and all of them at once) crossed with the
-// paper's AK mappings.
+// Extension experiment — the fault matrix, the one fault bench: rows of
+// (FaultScript, AK mapping, replication factor) on one workload.
 //
-// Each cell runs the standard workload under one FaultScript and
-// reports the overall and post-heal delivery ratios, the reliability
-// overhead paid (retransmissions, messages cut by the partition), how
-// long the ring took to re-merge after heal, and what the post-run
-// invariant auditor found. The headline: with replication and the
-// ack/retry layer, every scenario returns to delivery ratio 1.0 after
-// its faults clear, and the auditor certifies the ring and the
+// Three groups of rows:
+//  - scripted scenarios (partition/heal, bursty Gilbert–Elliott loss,
+//    gray failures, correlated crash bursts, and all of them at once)
+//    crossed with Mappings 1 and 3 at replication 2;
+//  - uniform loss crossed with Poisson churn whose removals are all
+//    graceful or all crashes (Mapping 3, no replication): what the
+//    hop-by-hop ack/retry layer buys back on a lossy wire;
+//  - Poisson churn at falling mean intervals, and two correlated crash
+//    bursts, with and without replication (§4.1): the paper's
+//    self-configuration claim (§1) under dynamic membership.
+//
+// Each row reports the overall and post-heal delivery ratios, the
+// reliability overhead paid (retransmissions, messages lost or cut by
+// a partition, sends that spent their retry budget), the membership
+// events, how long the ring took to re-merge after a heal, and what the
+// post-run invariant auditor found. The headline: with replication and
+// the ack/retry layer, every scenario returns to delivery ratio 1.0
+// after its faults clear, and the auditor certifies the ring and the
 // subscription placement.
 #include <cstdio>
 #include <functional>
@@ -29,38 +38,68 @@ namespace {
 
 struct Scenario {
   const char* label;
-  const char* script;          // FaultScript text ("" = baseline)
-  double post_heal_from_s;     // post-heal window start (0 = whole run)
+  const char* script;  // FaultScript text ("" = baseline)
 };
 
 // Faults start after the 60 subscriptions have registered (t = 300 s)
 // and clear with enough run left (~1500 s of publications) to observe
 // recovery.
 const Scenario kScenarios[] = {
-    {"baseline", "", 0},
-    {"partition", "partition at=400 heal=700 frac=0.4", 760},
+    {"baseline", ""},
+    {"partition", "partition at=400 heal=700 frac=0.4"},
     {"burst_loss",
-     "loss at=300 until=1200 model=ge p=0.02 q=0.2 good=0.005 bad=0.7",
-     1260},
-    {"gray", "slow at=300 until=1200 nodes=6 factor=8", 0},
-    {"crash_burst", "crash_burst at=700 count=6 correlation=0.7", 760},
+     "loss at=300 until=1200 model=ge p=0.02 q=0.2 good=0.005 bad=0.7"},
+    {"gray", "slow at=300 until=1200 nodes=6 factor=8"},
+    {"crash_burst", "crash_burst at=700 count=6 correlation=0.7"},
     {"combined",
      "loss at=300 until=1200 model=ge p=0.02 q=0.2 good=0.005 bad=0.7\n"
      "slow at=300 until=1200 nodes=4 factor=6\n"
      "partition at=400 heal=700 frac=0.3\n"
-     "crash_burst at=900 count=4 correlation=0.5",
-     1260},
+     "crash_burst at=900 count=4 correlation=0.5"},
+};
+
+// Loss for the whole run, crossed with Poisson(45 s) churn up to the
+// end of the publications.
+const Scenario kLosses[] = {{"", ""},
+                            {"loss1", "loss at=0 rate=0.01"},
+                            {"loss2", "loss at=0 rate=0.02"},
+                            {"loss5", "loss at=0 rate=0.05"}};
+const Scenario kLossChurns[] = {
+    {"", ""},
+    {"leave45", "churn at=0 until=2000 interval=45 crash=0"},
+    {"crash45", "churn at=0 until=2000 interval=45 crash=1"}};
+
+// Poisson churn (40% joins; removals half graceful, half crashes), and
+// two crash bursts correlated along the ring — the regime replication
+// is for.
+const Scenario kChurns[] = {
+    {"churn120", "churn at=0 until=2000 interval=120"},
+    {"churn60", "churn at=0 until=2000 interval=60"},
+    {"churn30", "churn at=0 until=2000 interval=30"},
+    {"churn15", "churn at=0 until=2000 interval=15"},
+    {"burst2x5",
+     "crash_burst at=600 count=5 correlation=0.7\n"
+     "crash_burst at=1400 count=5 correlation=0.7"},
+};
+
+// One row: its name (the scenario, plus "/r0" without replication),
+// fault script, mapping and replication factor (2 or 0).
+struct Cell {
+  std::string name;
+  std::string script;
+  pubsub::MappingKind mapping;
+  std::size_t replication;
 };
 
 struct Row {
   std::uint64_t expected = 0;
   std::uint64_t missing = 0;
-  std::uint64_t duplicates = 0;
+  std::uint64_t duplicates = 0;  // surfaced past the filter
   double delivery_rate = 1.0;
   double post_heal_rate = 1.0;
   std::uint64_t retransmits = 0;
   std::uint64_t partition_cut = 0;  // refused + dropped at the cut
-  std::uint64_t crashes = 0;
+  std::uint64_t crashes = 0;        // by bursts and churn
   double recovery_s = -1.0;  // heal -> ring audit clean (-1 = n/a)
   bool ring_ok = false;
   std::uint64_t audit_violations = 0;  // placement+replica+rendezvous
@@ -68,6 +107,12 @@ struct Row {
   double delay_p99_s = 0;
   double hops_p50 = 0;
   double hops_p99 = 0;
+  std::uint64_t dups_suppressed = 0;  // absorbed by the filter
+  std::uint64_t lost = 0;             // dropped in flight
+  std::uint64_t sends_failed = 0;
+  std::uint64_t total_hops = 0;
+  double retries_p99 = 0;
+  std::uint64_t churn_events = 0;  // joins + leaves + crashes
   std::uint64_t sim_events = 0;
 };
 
@@ -86,7 +131,13 @@ bench::JsonFields json_fields(const Row& r) {
           {"delay_p50_s", r.delay_p50_s},
           {"delay_p99_s", r.delay_p99_s},
           {"hops_p50", r.hops_p50},
-          {"hops_p99", r.hops_p99}};
+          {"hops_p99", r.hops_p99},
+          {"dups_suppressed", static_cast<double>(r.dups_suppressed)},
+          {"lost", static_cast<double>(r.lost)},
+          {"sends_failed", static_cast<double>(r.sends_failed)},
+          {"total_hops", static_cast<double>(r.total_hops)},
+          {"retries_p99", r.retries_p99},
+          {"churn_events", static_cast<double>(r.churn_events)}};
 }
 
 bench::JsonFields metrics_fields(const Row& r) {
@@ -98,9 +149,9 @@ bench::JsonFields metrics_fields(const Row& r) {
           {"post_heal_rate", r.post_heal_rate}};
 }
 
-Row run(const Scenario& sc, pubsub::MappingKind mapping) {
+Row run(const Cell& cell) {
   std::string error;
-  const auto script = workload::FaultScript::parse(sc.script, &error);
+  const auto script = workload::FaultScript::parse(cell.script, &error);
   CBPS_ASSERT_MSG(script.has_value(), "bad scenario script");
 
   pubsub::SystemConfig cfg;
@@ -109,9 +160,9 @@ Row run(const Scenario& sc, pubsub::MappingKind mapping) {
   cfg.chord.ring = RingParams{12};
   cfg.chord.stabilize_period = sim::sec(5);
   cfg.chord.force_reliable = script->needs_reliable_transport();
-  cfg.mapping = mapping;
+  cfg.mapping = cell.mapping;
   cfg.pubsub.sub_transport = pubsub::PubSubConfig::Transport::kMulticast;
-  cfg.pubsub.replication_factor = 2;
+  cfg.pubsub.replication_factor = cell.replication;
   pubsub::PubSubSystem system(cfg, pubsub::Schema::uniform(3, 99'999));
   system.network().start_maintenance_all();
 
@@ -158,9 +209,10 @@ Row run(const Scenario& sc, pubsub::MappingKind mapping) {
   system.run_for(sim::sec(2'000));
   system.run_for(sim::sec(200));  // drain retries + final repairs
 
+  // Post-heal window: publications a minute after every fault cleared.
   const auto report = checker.verify(/*grace=*/sim::sec(15));
   const auto post_heal = checker.verify(
-      /*grace=*/sim::sec(15), sim::from_seconds(sc.post_heal_from_s));
+      /*grace=*/sim::sec(15), script->all_clear_at() + sim::sec(60));
   const auto audit = pubsub::audit_system(system);
   const metrics::Registry& reg = system.network().registry();
 
@@ -181,7 +233,9 @@ Row run(const Scenario& sc, pubsub::MappingKind mapping) {
   row.retransmits = reg.counter_value("chord.retransmits");
   row.partition_cut = reg.counter_value("chord.net.partition_refused") +
                       reg.counter_value("chord.net.partition_dropped");
-  row.crashes = runner.crashes();
+  row.crashes = runner.crashes() + runner.churn_crashes();
+  row.churn_events =
+      runner.churn_joins() + runner.churn_leaves() + row.crashes;
   row.recovery_s = *recovery_s;
   row.ring_ok = audit.ring.ok();
   row.audit_violations = audit.misplaced_records + audit.under_replicated +
@@ -192,6 +246,11 @@ Row run(const Scenario& sc, pubsub::MappingKind mapping) {
   metrics::Registry& reg_mut = system.network().registry();
   row.hops_p50 = reg_mut.histogram("chord.route_hops").p50();
   row.hops_p99 = reg_mut.histogram("chord.route_hops").p99();
+  row.dups_suppressed = system.duplicates_suppressed();
+  row.lost = reg.counter_value("chord.net.lost");
+  row.sends_failed = reg.counter_value("chord.send_failed");
+  row.total_hops = system.traffic().total_hops();
+  row.retries_p99 = reg_mut.histogram("chord.retries_per_send").p99();
   row.sim_events = system.sim().events_processed();
   return row;
 }
@@ -206,26 +265,46 @@ int main(int argc, char** argv) {
   bench::Sweep<Row> sweep("fault_matrix");
   if (!sweep.parse_args(argc, argv)) return 1;
 
-  const pubsub::MappingKind mappings[] = {
-      pubsub::MappingKind::kAttributeSplit,
-      pubsub::MappingKind::kSelectiveAttribute};
+  using pubsub::MappingKind;
+  std::vector<Cell> cells;
   for (const Scenario& sc : kScenarios) {
-    for (const auto mapping : mappings) {
-      sweep.add(std::string(sc.label) + "/" + mapping_tag(mapping),
-                [&sc, mapping] { return run(sc, mapping); });
+    for (const auto mapping : {MappingKind::kAttributeSplit,
+                               MappingKind::kSelectiveAttribute}) {
+      cells.push_back({sc.label, sc.script, mapping, 2});
     }
   }
+  for (const Scenario& loss : kLosses) {
+    for (const Scenario& churn : kLossChurns) {
+      std::string name = std::string(loss.label) +
+                         (*loss.label && *churn.label ? "+" : "") +
+                         churn.label;
+      cells.push_back({(name.empty() ? "baseline" : name) + "/r0",
+                       std::string(loss.script) + "\n" + churn.script,
+                       MappingKind::kSelectiveAttribute, 0});
+    }
+  }
+  for (const std::size_t repl : {0, 2}) {
+    for (const Scenario& sc : kChurns) {
+      cells.push_back({std::string(sc.label) + (repl == 0 ? "/r0" : ""),
+                       sc.script, MappingKind::kSelectiveAttribute, repl});
+    }
+  }
+  for (const Cell& cell : cells) {
+    sweep.add(cell.name + "/" + mapping_tag(cell.mapping),
+              [&cell] { return run(cell); });
+  }
 
-  std::puts("=== Fault matrix: scripted scenarios x AK mapping ===");
-  std::puts("64 nodes, repl=2, 60 subscriptions + 300 publications;");
-  std::puts("partition 40% for 300s / GE burst loss / gray x8 / crash");
-  std::puts("bursts (correlated along the ring) / all combined\n");
+  std::puts("=== Fault matrix: fault scripts x AK mapping x replication ===");
+  std::puts("64 nodes, 60 subscriptions + 300 publications (~1500s), repl=2");
+  std::puts("unless /r0; partition 40% for 300s / GE burst loss / gray x8 /");
+  std::puts("crash bursts (correlated along the ring) / all combined; then");
+  std::puts("uniform loss x Poisson(45s) churn, all leaves or all crashes;");
+  std::puts("then Poisson churn every 120..15s (joins 40%, crashes half the");
+  std::puts("removals) and two 5-node crash bursts\n");
   std::printf("%-11s %-3s %9s %8s %6s %10s %10s %8s %7s %9s %5s %5s\n",
               "scenario", "map", "expected", "missing", "dups", "delivered",
               "post-heal", "retrans", "cut", "recover", "ring", "viol");
-  const std::size_t per_group = std::size(mappings);
   sweep.run([&](std::size_t i, const Row& r) {
-    const Scenario& sc = kScenarios[i / per_group];
     char recover[16];
     if (r.recovery_s < 0) {
       std::snprintf(recover, sizeof recover, "-");
@@ -235,7 +314,7 @@ int main(int argc, char** argv) {
     std::printf(
         "%-11s %-3s %9llu %8llu %6llu %9.1f%% %9.1f%% %8llu %7llu %9s "
         "%5s %5llu\n",
-        sc.label, mapping_tag(mappings[i % per_group]),
+        cells[i].name.c_str(), mapping_tag(cells[i].mapping),
         static_cast<unsigned long long>(r.expected),
         static_cast<unsigned long long>(r.missing),
         static_cast<unsigned long long>(r.duplicates),
@@ -245,9 +324,11 @@ int main(int argc, char** argv) {
         r.ring_ok ? "ok" : "BAD",
         static_cast<unsigned long long>(r.audit_violations));
   });
-  std::puts("\npost-heal = delivery ratio counting only publications after");
-  std::puts("the scenario's faults cleared; recover = partition heal to a");
-  std::puts("clean ring audit; viol = post-run placement/replication/");
-  std::puts("rendezvous violations found by the invariant auditor.");
+  std::puts("\npost-heal = delivery ratio counting only publications issued");
+  std::puts("60s after the script's last fault cleared; recover = partition");
+  std::puts("heal to a clean ring audit; viol = post-run placement/");
+  std::puts("replication/rendezvous violations found by the invariant");
+  std::puts("auditor. Lost messages, failed sends, suppressed duplicates,");
+  std::puts("retry p99 and churn events are in the --json record.");
   return 0;
 }

@@ -274,7 +274,10 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       // With maintenance timers armed the queue never drains: advance in
       // time chunks until the workload completes, give retries and
       // repairs a drain window, then stop maintenance and flush the rest.
+      // Churn stops with the workload: a join after maintenance stops
+      // would arm its node's timer again and the queue would never drain.
       while (!driver.finished()) system.run_for(sim::sec(60));
+      faults->stop_churn();
       system.run_for(sim::sec(120));
       system.network().stop_maintenance_all();
       system.stop_sampler();
@@ -362,7 +365,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   r.duplicates_suppressed = system.duplicates_suppressed();
   r.partition_cut = reg.counter_value("chord.net.partition_refused") +
                     reg.counter_value("chord.net.partition_dropped");
-  r.fault_crashes = faults ? faults->crashes() : 0;
+  if (faults) {
+    r.fault_crashes = faults->crashes();
+    r.churn_joins = faults->churn_joins();
+    r.churn_leaves = faults->churn_leaves();
+    r.churn_crashes = faults->churn_crashes();
+  }
 
   r.sim_events = system.sim().events_processed();
   r.sim_stale_entries_skipped = system.sim().stale_entries_skipped();

@@ -41,6 +41,12 @@ struct Subscription {
   /// e in sigma: every constraint satisfied (paper's matching relation).
   bool matches(const Event& e) const;
 
+  /// matches(e) under the schema's domains: a constraint holds only for
+  /// a value inside both its range and its attribute's domain, so a
+  /// value outside the domain satisfies no constraint (and still passes
+  /// an unconstrained attribute). This is the counting index's contract.
+  bool matches_within(const Event& e, const Schema& schema) const;
+
   /// Constraint attributes are distinct, in-range for the schema, and
   /// ranges lie within the attribute domains.
   bool valid_for(const Schema& schema) const;

@@ -1,5 +1,6 @@
 // Scripted fault scenarios: time-stamped partitions, loss regimes,
-// gray failures and crash bursts, driven by the simulator clock.
+// gray failures, crash bursts and membership churn, driven by the
+// simulator clock.
 //
 // Replaces the benches' ad-hoc fault knobs with one declarative spec a
 // CLI flag can carry. The text format is one directive per line (or
@@ -11,17 +12,21 @@
 //   loss at=5 until=35 model=ge p=0.05 q=0.25 good=0.01 bad=0.8
 //   slow at=10 until=50 nodes=3 factor=8
 //   crash_burst at=20 count=5 correlation=0.7
+//   churn at=0 until=2000 interval=45 join=0.4 crash=0.5
 //   checkpoint at=60 label=post-heal
 //
 // A FaultScriptRunner schedules the parsed directives against a
 // PubSubSystem: partitions split the ring into two contiguous arcs and
 // heal on time (triggering replica-chain repair), loss swaps the wire's
 // loss model, slow marks gray nodes, crash bursts kill ring-correlated
-// victims, checkpoints invoke a caller hook (where benches audit).
+// victims, churn runs a ChurnDriver (Poisson joins, graceful leaves and
+// crashes) from `at` to its required `until`, checkpoints invoke a
+// caller hook (where benches audit).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -30,6 +35,7 @@
 #include "cbps/common/rng.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/pubsub/system.hpp"
+#include "cbps/workload/churn.hpp"
 
 namespace cbps::workload {
 
@@ -39,13 +45,15 @@ struct FaultDirective {
     kLoss,
     kSlow,
     kCrashBurst,
+    kChurn,
     kCheckpoint,
   };
   enum class LossKind : std::uint8_t { kUniform, kGilbertElliott };
 
   Kind kind = Kind::kCheckpoint;
   sim::SimTime at = 0;
-  /// End of the fault (partition heal / loss cleared / slow cleared).
+  /// End of the fault (partition heal / loss cleared / slow cleared /
+  /// churn stopped; churn requires it).
   /// kSimTimeNever = the fault persists to the end of the run.
   sim::SimTime until = sim::kSimTimeNever;
 
@@ -65,6 +73,10 @@ struct FaultDirective {
   // crash_burst
   std::size_t count = 1;       // victims
   double correlation = 0.0;    // P(next victim = ring successor of last)
+
+  // churn: `interval`, `join` and `crash` set the first three fields;
+  // min_nodes is derived when the directive fires.
+  ChurnParams churn;
 
   // checkpoint
   std::string label;
@@ -107,8 +119,8 @@ class FaultScriptRunner {
                     std::uint64_t seed, Protected is_protected = nullptr);
 
   void set_checkpoint_callback(CheckpointFn fn) { on_checkpoint_ = std::move(fn); }
-  /// Crashed victims are reported here so the oracle stops expecting
-  /// deliveries to them.
+  /// Crashed victims (of bursts and churn alike) are reported here so
+  /// the oracle stops expecting deliveries to them.
   void set_delivery_checker(pubsub::DeliveryChecker* checker) {
     checker_ = checker;
   }
@@ -116,11 +128,30 @@ class FaultScriptRunner {
   /// Schedule every directive. Call once, then run the simulator.
   void start();
 
+  /// Stop every running churn process and keep later `churn`
+  /// directives from starting one. A run that drains the event queue
+  /// calls this first: a join arms its node's maintenance timer, so
+  /// churn past the end of the workload would keep the queue alive.
+  void stop_churn();
+
+  /// Seed of the ChurnDriver that the directive at `index` of the script
+  /// starts: a stream of its own, so a script's other directives draw
+  /// the same numbers with or without churn.
+  static std::uint64_t churn_seed(std::uint64_t seed, std::size_t index);
+
   // --- introspection ------------------------------------------------------
   std::uint64_t partitions_applied() const { return partitions_; }
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t loss_swaps() const { return loss_swaps_; }
   std::uint64_t slow_marks() const { return slow_marks_; }
+  std::uint64_t churn_joins() const;
+  std::uint64_t churn_leaves() const;
+  std::uint64_t churn_crashes() const;
+  /// The driver of each `churn` directive that has fired, in firing
+  /// order.
+  const std::vector<std::unique_ptr<ChurnDriver>>& churn_drivers() const {
+    return churn_;
+  }
   /// Heal time of the last partition (kSimTimeNever if none healed yet).
   sim::SimTime last_heal_at() const { return last_heal_at_; }
 
@@ -131,9 +162,11 @@ class FaultScriptRunner {
   void apply_loss(const FaultDirective& d);
   void apply_slow(const FaultDirective& d);
   void apply_crash_burst(const FaultDirective& d);
+  void apply_churn(const FaultDirective& d);
 
   pubsub::PubSubSystem& system_;
   FaultScript script_;
+  std::uint64_t seed_;
   Rng rng_;
   Protected is_protected_;
   pubsub::DeliveryChecker* checker_ = nullptr;
@@ -144,6 +177,8 @@ class FaultScriptRunner {
   std::uint64_t loss_swaps_ = 0;
   std::uint64_t slow_marks_ = 0;
   sim::SimTime last_heal_at_ = sim::kSimTimeNever;
+  std::vector<std::unique_ptr<ChurnDriver>> churn_;
+  bool churn_stopped_ = false;
 };
 
 }  // namespace cbps::workload

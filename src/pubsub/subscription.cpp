@@ -28,6 +28,16 @@ bool Subscription::matches(const Event& e) const {
       });
 }
 
+bool Subscription::matches_within(const Event& e,
+                                  const Schema& schema) const {
+  return std::all_of(
+      constraints.begin(), constraints.end(), [&](const Constraint& c) {
+        if (c.attribute >= e.values.size()) return false;
+        const Value v = e.values[c.attribute];
+        return c.range.contains(v) && schema.domain(c.attribute).contains(v);
+      });
+}
+
 bool Subscription::valid_for(const Schema& schema) const {
   if (!well_formed_for(schema)) return false;
   return std::all_of(

@@ -43,11 +43,13 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
   return out;
 }
 
+// Every number is finite: strtod also reads "inf" and "nan", which no
+// key means.
 bool parse_double(std::string_view s, double* out) {
   const std::string tmp(s);
   char* end = nullptr;
   const double v = std::strtod(tmp.c_str(), &end);
-  if (end != tmp.c_str() + tmp.size()) return false;
+  if (end != tmp.c_str() + tmp.size() || !std::isfinite(v)) return false;
   *out = v;
   return true;
 }
@@ -56,19 +58,33 @@ bool parse_prob(std::string_view s, double* out) {
   return parse_double(s, out) && *out >= 0.0 && *out <= 1.0;
 }
 
+// 2^64 as a double: the first value that neither SimTime nor size_t
+// holds (a cast from it or above is undefined).
+constexpr double kTwoPow64 = 18446744073709551616.0;
+
 bool parse_time_s(std::string_view s, sim::SimTime* out) {
   double secs = 0.0;
-  if (!parse_double(s, &secs) || secs < 0.0) return false;
+  if (!parse_double(s, &secs) || secs < 0.0 || secs * 1e6 >= kTwoPow64) {
+    return false;
+  }
   *out = sim::from_seconds(secs);
   return true;
 }
 
 bool parse_count(std::string_view s, std::size_t* out) {
   double v = 0.0;
-  if (!parse_double(s, &v) || v < 1.0 || v != std::floor(v)) return false;
+  if (!parse_double(s, &v) || v < 1.0 || v != std::floor(v) ||
+      v >= kTwoPow64) {
+    return false;
+  }
   *out = static_cast<std::size_t>(v);
   return true;
 }
+
+// A gray node stretches each hop's integer delay by its factor; beyond a
+// million-fold (a 1 ms hop taking over 16 minutes) the node is down, not
+// gray, and the stretched delay no longer fits the clock.
+constexpr double kMaxSlowFactor = 1e6;
 
 }  // namespace
 
@@ -123,6 +139,8 @@ std::optional<FaultScript> FaultScript::parse(std::string_view text,
       d.kind = FaultDirective::Kind::kSlow;
     } else if (name == "crash_burst") {
       d.kind = FaultDirective::Kind::kCrashBurst;
+    } else if (name == "churn") {
+      d.kind = FaultDirective::Kind::kChurn;
     } else if (name == "checkpoint") {
       d.kind = FaultDirective::Kind::kCheckpoint;
       d.label = "checkpoint";
@@ -165,11 +183,19 @@ std::optional<FaultScript> FaultScript::parse(std::string_view text,
       } else if (key == "nodes") {
         ok = parse_count(val, &d.nodes);
       } else if (key == "factor") {
-        ok = parse_double(val, &d.factor) && d.factor >= 1.0;
+        ok = parse_double(val, &d.factor) && d.factor >= 1.0 &&
+             d.factor <= kMaxSlowFactor;
       } else if (key == "count") {
         ok = parse_count(val, &d.count);
       } else if (key == "correlation") {
         ok = parse_prob(val, &d.correlation);
+      } else if (key == "interval") {
+        ok = parse_double(val, &d.churn.mean_interval_s) &&
+             d.churn.mean_interval_s > 0.0;
+      } else if (key == "join") {
+        ok = parse_prob(val, &d.churn.join_fraction);
+      } else if (key == "crash") {
+        ok = parse_prob(val, &d.churn.crash_fraction);
       } else if (key == "label") {
         d.label = std::string(val);
       } else {
@@ -186,6 +212,12 @@ std::optional<FaultScript> FaultScript::parse(std::string_view text,
 
     if (!has_at) {
       fail(error, "directive '" + std::string(stmt) + "' needs at=<secs>");
+      return std::nullopt;
+    }
+    // Churn is a Poisson process: without an end it never stops.
+    if (d.kind == FaultDirective::Kind::kChurn &&
+        d.until == sim::kSimTimeNever) {
+      fail(error, "churn needs until=<secs> in '" + std::string(stmt) + "'");
       return std::nullopt;
     }
     if (d.until != sim::kSimTimeNever && d.until <= d.at) {
@@ -209,6 +241,7 @@ FaultScriptRunner::FaultScriptRunner(pubsub::PubSubSystem& system,
                                      Protected is_protected)
     : system_(system),
       script_(std::move(script)),
+      seed_(seed),
       rng_(seed ^ 0xfa017c7a5c31ull),
       is_protected_(std::move(is_protected)) {}
 
@@ -232,6 +265,9 @@ void FaultScriptRunner::apply(const FaultDirective& d) {
       break;
     case FaultDirective::Kind::kCrashBurst:
       apply_crash_burst(d);
+      break;
+    case FaultDirective::Kind::kChurn:
+      apply_churn(d);
       break;
     case FaultDirective::Kind::kCheckpoint:
       if (on_checkpoint_) on_checkpoint_(d.label, system_.sim().now());
@@ -355,6 +391,48 @@ void FaultScriptRunner::apply_crash_burst(const FaultDirective& d) {
   // correlated burst can take out an entire owner+replica chain, which
   // only the subscriber's own soft state can restore.
   schedule_re_replication(/*refresh_subs=*/true);
+}
+
+void FaultScriptRunner::apply_churn(const FaultDirective& d) {
+  if (churn_stopped_) return;
+  ChurnParams params = d.churn;
+  params.min_nodes = system_.network().alive_count() / 2;
+  const auto index =
+      static_cast<std::size_t>(&d - script_.directives.data());
+  auto& driver = churn_.emplace_back(std::make_unique<ChurnDriver>(
+      system_, params, churn_seed(seed_, index), is_protected_));
+  driver->set_delivery_checker(checker_);
+  driver->start();
+  system_.sim().schedule_at(d.until,
+                            [driver = driver.get()] { driver->stop(); });
+}
+
+void FaultScriptRunner::stop_churn() {
+  churn_stopped_ = true;
+  for (const auto& driver : churn_) driver->stop();
+}
+
+std::uint64_t FaultScriptRunner::churn_seed(std::uint64_t seed,
+                                            std::size_t index) {
+  return mix64(seed ^ 0xc4a2e5eedull) + index;
+}
+
+std::uint64_t FaultScriptRunner::churn_joins() const {
+  std::uint64_t n = 0;
+  for (const auto& driver : churn_) n += driver->joins();
+  return n;
+}
+
+std::uint64_t FaultScriptRunner::churn_leaves() const {
+  std::uint64_t n = 0;
+  for (const auto& driver : churn_) n += driver->leaves();
+  return n;
+}
+
+std::uint64_t FaultScriptRunner::churn_crashes() const {
+  std::uint64_t n = 0;
+  for (const auto& driver : churn_) n += driver->crashes();
+  return n;
 }
 
 void FaultScriptRunner::schedule_re_replication(bool refresh_subs) {

@@ -638,6 +638,7 @@ TEST(StoreWithIndexTest, MatchesLikeBruteForceStore) {
   workload::WorkloadGenerator gen(schema, {}, 5);
 
   SubscriptionStore brute;
+  brute.use_engine(MatchEngine::kBruteForce, schema);
   SubscriptionStore indexed;
   indexed.use_counting_index(schema, 64);
   EXPECT_EQ(brute.engine(), MatchEngine::kBruteForce);
@@ -660,6 +661,11 @@ TEST(StoreWithIndexTest, MatchesLikeBruteForceStore) {
     Event e;
     e.id = static_cast<EventId>(trial + 1);
     e.values = gen.make_random_values();
+    // Every fifth event leaves the domain on one attribute.
+    if (trial % 5 == 0) {
+      e.values[static_cast<std::size_t>(trial) % 3] =
+          trial % 2 == 0 ? -1 : 10'000;
+    }
     auto ids_of = [](const std::vector<const SubscriptionStore::Record*>&
                          recs) {
       std::set<SubscriptionId> ids;
@@ -685,6 +691,7 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
     Rng& rng = gen.rng();
 
     SubscriptionStore brute;
+    brute.use_engine(MatchEngine::kBruteForce, schema);
     SubscriptionStore counting;
     counting.use_counting_index(schema, 64);
     SubscriptionStore* stores[] = {&brute, &counting};
@@ -701,6 +708,12 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
         std::erase_if(cs,
                       [](const Constraint& c) { return c.attribute == 2; });
         cs.push_back({2, {200'000, 200'100}});
+      } else if (rng.bernoulli(0.1)) {
+        // Straddling a domain edge: only the in-domain part can match.
+        std::erase_if(cs,
+                      [](const Constraint& c) { return c.attribute == 1; });
+        cs.push_back({1, rng.bernoulli(0.5) ? ClosedInterval{-500, 20'000}
+                                            : ClosedInterval{90'000, 150'000}});
       }
       return cs;
     };
@@ -751,6 +764,13 @@ TEST(MatchEngineDifferentialTest, EnginesAgreeUnderRandomChurn) {
         }
       } else {
         e.values = gen.make_random_values();
+      }
+      // Some events leave the domain on one attribute, inside or outside
+      // a straddling constraint's range.
+      if (rng.bernoulli(0.2)) {
+        const Value outside[] = {-1, -400, 100'000, 120'000, 200'050};
+        e.values[static_cast<std::size_t>(rng.uniform_int(0, 2))] =
+            outside[rng.uniform_int(0, 4)];
       }
 
       auto ids_of = [](const std::vector<const SubscriptionStore::Record*>&

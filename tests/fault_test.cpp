@@ -5,6 +5,7 @@
 // determinism of churn + fault runs across sweep worker counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
@@ -92,11 +93,13 @@ TEST(FaultScriptTest, ParsesEveryDirectiveKind) {
       "loss at=5 until=35 model=ge p=0.05 q=0.25 good=0.01 bad=0.8\n"
       "slow at=10 until=50 nodes=3 factor=8; crash_burst at=20 count=5 "
       "correlation=0.7\n"
-      "checkpoint at=60 label=post-heal\n";
+      "checkpoint at=60 label=post-heal\n"
+      "churn at=5 until=90 interval=12.5 join=0.3 crash=1\n"
+      "churn at=7 until=9\n";
   std::string error;
   const auto script = FaultScript::parse(text, &error);
   ASSERT_TRUE(script.has_value()) << error;
-  ASSERT_EQ(script->directives.size(), 5u);
+  ASSERT_EQ(script->directives.size(), 7u);
 
   const FaultDirective& part = script->directives[0];
   EXPECT_EQ(part.kind, FaultDirective::Kind::kPartition);
@@ -126,6 +129,22 @@ TEST(FaultScriptTest, ParsesEveryDirectiveKind) {
   const FaultDirective& cp = script->directives[4];
   EXPECT_EQ(cp.kind, FaultDirective::Kind::kCheckpoint);
   EXPECT_EQ(cp.label, "post-heal");
+
+  const FaultDirective& churn = script->directives[5];
+  EXPECT_EQ(churn.kind, FaultDirective::Kind::kChurn);
+  EXPECT_EQ(churn.at, sim::sec(5));
+  EXPECT_EQ(churn.until, sim::sec(90));
+  EXPECT_DOUBLE_EQ(churn.churn.mean_interval_s, 12.5);
+  EXPECT_DOUBLE_EQ(churn.churn.join_fraction, 0.3);
+  EXPECT_DOUBLE_EQ(churn.churn.crash_fraction, 1.0);
+
+  // join and crash default to ChurnParams' fractions.
+  const FaultDirective& plain = script->directives[6];
+  EXPECT_EQ(plain.kind, FaultDirective::Kind::kChurn);
+  EXPECT_DOUBLE_EQ(plain.churn.join_fraction,
+                   workload::ChurnParams{}.join_fraction);
+  EXPECT_DOUBLE_EQ(plain.churn.crash_fraction,
+                   workload::ChurnParams{}.crash_fraction);
 }
 
 TEST(FaultScriptTest, EmptyAndCommentOnlyInputsParseToEmptyScripts) {
@@ -145,6 +164,23 @@ TEST(FaultScriptTest, RejectsMalformedInput) {
       "slow at=2 factor=0.5",          // slowdown below 1 is a speedup
       "crash_burst at=1 count=0",      // empty burst
       "partition at=1 frac=1.0",       // cutting everyone is no partition
+      "churn at=1 interval=10",        // churn without an end
+      "churn at=1 until=9 interval=0",     // no mean inter-arrival
+      "churn at=1 until=9 interval=-3",
+      "churn at=1 until=9 interval=inf",
+      "churn at=1 until=9 join=1.5",       // probabilities
+      "churn at=1 until=9 join=-0.1",
+      "churn at=1 until=9 crash=2",
+      "churn at=1 until=9 crash=nan",
+      // Values no SimTime or size_t holds (their casts are undefined).
+      "crash_burst at=1e300 count=1",
+      "loss at=inf rate=0.1",
+      "loss at=nan rate=0.1",
+      "churn at=1 until=1e300",
+      "slow at=1 until=50 nodes=2 factor=inf",
+      "slow at=1 until=50 nodes=2 factor=1e300",
+      "slow at=1 until=50 nodes=1e30",
+      "crash_burst at=1 count=1e30",
   };
   for (const char* text : bad_inputs) {
     std::string error;
@@ -156,6 +192,9 @@ TEST(FaultScriptTest, RejectsMalformedInput) {
 TEST(FaultScriptTest, ReliableTransportOnlyWhenMessagesCanBeLost) {
   EXPECT_FALSE(FaultScript::parse("slow at=1 nodes=2 factor=4; "
                                   "checkpoint at=9")
+                   ->needs_reliable_transport());
+  // Churn crashes cost rendezvous state, not messages.
+  EXPECT_FALSE(FaultScript::parse("churn at=1 until=9 crash=1")
                    ->needs_reliable_transport());
   EXPECT_TRUE(FaultScript::parse("partition at=1 heal=5 frac=0.3")
                   ->needs_reliable_transport());
@@ -177,6 +216,11 @@ TEST(FaultScriptTest, AllClearTracksTheLatestFault) {
   // ever clears it.
   EXPECT_EQ(FaultScript::parse("loss at=30 rate=0.1")->all_clear_at(),
             sim::sec(30));
+  // Churn clears when it stops.
+  EXPECT_EQ(FaultScript::parse("crash_burst at=100 count=2\n"
+                               "churn at=20 until=150 interval=10")
+                ->all_clear_at(),
+            sim::sec(150));
 }
 
 // ---------------------------------------------------------------------------
@@ -613,6 +657,108 @@ TEST(FaultGuardDeathTest, LastAliveNodeCannotBeRemoved) {
   const Key only = net.alive_ids()[0];
   EXPECT_DEATH(net.crash(only), "last alive");
   EXPECT_DEATH(net.leave_gracefully(only), "last alive");
+}
+
+// ---------------------------------------------------------------------------
+// The churn directive
+// ---------------------------------------------------------------------------
+
+pubsub::SystemConfig churn_system_config() {
+  pubsub::SystemConfig cfg;
+  cfg.nodes = 24;
+  cfg.seed = 5;
+  cfg.chord.ring = RingParams{11};
+  cfg.chord.stabilize_period = sim::sec(5);
+  cfg.mapping = pubsub::MappingKind::kSelectiveAttribute;
+  return cfg;
+}
+
+// A `churn` directive is a ChurnDriver started at `at` and stopped at
+// `until`, seeded from the runner's seed on its own stream, with half
+// the ring as its floor and the runner's protected set: wiring that
+// driver by hand must log the same joins, leaves and crashes, at the
+// same times, on the same nodes.
+TEST(ChurnDirectiveTest, ReproducesAHandWiredChurnDriver) {
+  const auto is_protected = [](Key id) { return id % 5 == 0; };
+  const auto script = FaultScript::parse(
+      "slow at=40 until=300 nodes=2 factor=4\n"
+      "churn at=60 until=900 interval=15 join=0.3 crash=0.5");
+  ASSERT_TRUE(script.has_value());
+  const pubsub::SystemConfig cfg = churn_system_config();
+
+  pubsub::PubSubSystem scripted(cfg, pubsub::Schema::uniform(2, 999));
+  scripted.network().start_maintenance_all();
+  FaultScriptRunner runner(scripted, *script, 77, is_protected);
+  runner.start();
+  scripted.run_for(sim::sec(1'000));
+  ASSERT_EQ(runner.churn_drivers().size(), 1u);
+  const auto& got = runner.churn_drivers().front()->event_log();
+
+  pubsub::PubSubSystem wired(cfg, pubsub::Schema::uniform(2, 999));
+  wired.network().start_maintenance_all();
+  FaultScript slow_only = *script;
+  slow_only.directives.pop_back();
+  FaultScriptRunner slow_runner(wired, slow_only, 77, is_protected);
+  slow_runner.start();
+  workload::ChurnParams params;
+  params.mean_interval_s = 15;
+  params.join_fraction = 0.3;
+  params.crash_fraction = 0.5;
+  params.min_nodes = cfg.nodes / 2;
+  workload::ChurnDriver churn(wired, params,
+                              FaultScriptRunner::churn_seed(77, 1),
+                              is_protected);
+  wired.sim().schedule_at(sim::sec(60), [&churn] { churn.start(); });
+  wired.sim().schedule_at(sim::sec(900), [&churn] { churn.stop(); });
+  wired.run_for(sim::sec(1'000));
+  const auto& want = churn.event_log();
+
+  using Kind = workload::ChurnDriver::ChurnEvent::Kind;
+  const auto count = [&got](Kind k) {
+    return std::count_if(got.begin(), got.end(),
+                         [k](const auto& e) { return e.kind == k; });
+  };
+  EXPECT_GT(count(Kind::kJoin), 0);
+  EXPECT_GT(count(Kind::kLeave), 0);
+  EXPECT_GT(count(Kind::kCrash), 0);
+  EXPECT_EQ(runner.churn_joins(),
+            static_cast<std::uint64_t>(count(Kind::kJoin)));
+  EXPECT_EQ(runner.churn_leaves(),
+            static_cast<std::uint64_t>(count(Kind::kLeave)));
+  EXPECT_EQ(runner.churn_crashes(),
+            static_cast<std::uint64_t>(count(Kind::kCrash)));
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].kind, want[i].kind) << i;
+    EXPECT_EQ(got[i].node, want[i].node) << i;
+    EXPECT_EQ(got[i].at, want[i].at) << i;
+    EXPECT_GE(got[i].at, sim::sec(60));
+    EXPECT_LE(got[i].at, sim::sec(900));
+    if (got[i].kind != Kind::kJoin) {
+      EXPECT_FALSE(is_protected(got[i].node)) << i;
+    }
+  }
+}
+
+// stop_churn() ends a running churn process and keeps a later directive
+// from starting one, so a run can drain its event queue.
+TEST(ChurnDirectiveTest, StopChurnEndsEveryChurnProcess) {
+  const auto script = FaultScript::parse(
+      "churn at=10 until=5000 interval=5\n"
+      "churn at=400 until=5000 interval=5");
+  ASSERT_TRUE(script.has_value());
+  pubsub::PubSubSystem system(churn_system_config(),
+                              pubsub::Schema::uniform(2, 999));
+  system.network().start_maintenance_all();
+  FaultScriptRunner runner(system, *script, 3);
+  runner.start();
+  system.run_for(sim::sec(200));
+  ASSERT_EQ(runner.churn_drivers().size(), 1u);
+  runner.stop_churn();
+  const std::size_t events = runner.churn_drivers().front()->events();
+  system.run_for(sim::sec(600));
+  EXPECT_EQ(runner.churn_drivers().size(), 1u);
+  EXPECT_EQ(runner.churn_drivers().front()->events(), events);
 }
 
 // ---------------------------------------------------------------------------

@@ -636,6 +636,38 @@ TEST(StoreSlotTableTest, SameConstraintsRefreshDropsOldPointerBeforeMatch) {
   }
 }
 
+// Both engines hold one domain contract: a value outside its attribute's
+// domain satisfies no constraint, even one whose range reaches past the
+// domain, and still passes an unconstrained attribute. Brute force used
+// to read the raw range and match {[500, 2000]} at 1500 on [0, 999].
+TEST(StoreDomainTest, ValueOutsideTheDomainSatisfiesNoConstraint) {
+  const Schema one = Schema::uniform(1, 999);
+  const Schema two = Schema::uniform(2, 999);
+  for (const MatchEngine engine : kEngines) {
+    SubscriptionStore store;
+    store.use_engine(engine, one);
+    store.insert({make_sub(1, {{0, {500, 2000}}}), sim::kSimTimeNever, {},
+                  false});
+    Event e;
+    e.id = 1;
+    e.values = {1500};
+    EXPECT_TRUE(store.match(e, 0).empty()) << to_string(engine);
+    e.values = {700};
+    EXPECT_EQ(store.match(e, 0).size(), 1u) << to_string(engine);
+
+    SubscriptionStore wide;
+    wide.use_engine(engine, two);
+    wide.insert({make_sub(2, {{0, {-50, 100}}}), sim::kSimTimeNever, {},
+                 false});
+    wide.insert({make_sub(3, {}), sim::kSimTimeNever, {}, false});
+    e.values = {-10, 5};  // outside attribute 0's domain
+    ASSERT_EQ(wide.match(e, 0).size(), 1u) << to_string(engine);
+    EXPECT_EQ(wide.match(e, 0).front()->sub->id, 3u) << to_string(engine);
+    e.values = {50, 5000};  // outside unconstrained attribute 1's domain
+    EXPECT_EQ(wide.match(e, 0).size(), 2u) << to_string(engine);
+  }
+}
+
 // A record is two shared pointers (subscription and SK runs), the expiry
 // and the replica flag: it owns no copy of the runs. A node holds one per
 // stored copy, so under M1 records are most of a rendezvous node's
