@@ -1,8 +1,9 @@
 // Tests for the fault-scenario engine: Gilbert–Elliott bursty loss,
 // FaultScript parsing, adaptive (Jacobson/Karn) retransmission timeouts,
 // scripted partition/heal with the post-heal invariant auditor, the
-// ghost-delivery regression, membership-guard death tests and the
-// determinism of churn + fault runs across sweep worker counts.
+// ghost-delivery regression, membership-guard death tests, the `churn`
+// directive against a hand-wired ChurnDriver, and the determinism of
+// churn + fault runs across sweep worker counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
