@@ -182,7 +182,9 @@ MicroRow run_match(std::size_t n_subs, bool counting_index) {
   const auto schema = paper_schema();
   workload::WorkloadGenerator gen(schema, {}, 44);
   pubsub::SubscriptionStore store;
-  if (counting_index) store.use_counting_index(schema);
+  store.use_engine(counting_index ? pubsub::MatchEngine::kCountingIndex
+                                  : pubsub::MatchEngine::kBruteForce,
+                   schema);
   for (std::size_t i = 0; i < n_subs; ++i) {
     auto s = std::make_shared<pubsub::Subscription>();
     s->id = static_cast<SubscriptionId>(i + 1);

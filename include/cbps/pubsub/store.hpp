@@ -66,10 +66,10 @@ class SubscriptionStore : private SlotTable {
                                              buckets_per_attribute);
   }
 
-  /// Install `engine` (call before any insert). Brute force keeps the
-  /// schema to hold the counting index's domain contract (see
-  /// Subscription::matches_within); a store that never installs an
-  /// engine matches raw ranges.
+  /// Install `engine` (call before any insert). Every store that
+  /// matches is set up this way: brute force keeps the schema to hold
+  /// the counting index's domain contract (see
+  /// Subscription::matches_within), so both engines match alike.
   void use_engine(MatchEngine engine, const Schema& schema) {
     if (engine == MatchEngine::kCountingIndex) {
       use_counting_index(schema);
@@ -152,7 +152,7 @@ class SubscriptionStore : private SlotTable {
   FlatIdMap ids_;                           // id -> slot
   std::multimap<sim::SimTime, std::uint32_t> expiry_index_;  // -> slot
   std::unique_ptr<CountingIndex> index_;  // null = brute force
-  std::optional<Schema> schema_;          // brute force's domains
+  std::optional<Schema> schema_;  // brute force's domains (use_engine)
   mutable std::vector<std::uint32_t> scratch_slots_;
   std::size_t owned_ = 0;
   std::size_t peak_owned_ = 0;

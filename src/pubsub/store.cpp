@@ -142,13 +142,11 @@ std::vector<const SubscriptionStore::Record*> SubscriptionStore::match(
     }
     return out;
   }
+  CBPS_ASSERT_MSG(schema_.has_value(), "use_engine before matching");
   out.reserve(size());
   for (const Record& rec : slots_) {
     if (rec.sub == nullptr || rec.expires_at <= now) continue;
-    if (schema_ ? rec.sub->matches_within(e, *schema_)
-                : rec.sub->matches(e)) {
-      out.push_back(&rec);
-    }
+    if (rec.sub->matches_within(e, *schema_)) out.push_back(&rec);
   }
   // Brute force is the oracle engine: its match order must be a pure
   // function of the stored set, not of slot reuse (D1).

@@ -101,6 +101,7 @@ TEST(SubscriptionStoreTest, RefreshUpdatesExpiryIndex) {
 
 TEST(SubscriptionStoreTest, MatchSkipsExpired) {
   SubscriptionStore store;
+  store.use_engine(MatchEngine::kBruteForce, small_schema());
   store.insert({store_sub(1, 0, 100), sim::sec(5), {}, false});
   Event e;
   e.id = 1;
