@@ -233,9 +233,12 @@ Row run(const Cell& cell) {
   row.retransmits = reg.counter_value("chord.retransmits");
   row.partition_cut = reg.counter_value("chord.net.partition_refused") +
                       reg.counter_value("chord.net.partition_dropped");
-  row.crashes = runner.crashes() + runner.churn_crashes();
-  row.churn_events =
-      runner.churn_joins() + runner.churn_leaves() + row.crashes;
+  row.crashes = runner.crashes();
+  row.churn_events = runner.crashes();
+  for (const auto& churn : runner.churn_drivers()) {
+    row.crashes += churn->crashes();
+    row.churn_events += churn->events();
+  }
   row.recovery_s = *recovery_s;
   row.ring_ok = audit.ring.ok();
   row.audit_violations = audit.misplaced_records + audit.under_replicated +

@@ -367,9 +367,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
                     reg.counter_value("chord.net.partition_dropped");
   if (faults) {
     r.fault_crashes = faults->crashes();
-    r.churn_joins = faults->churn_joins();
-    r.churn_leaves = faults->churn_leaves();
-    r.churn_crashes = faults->churn_crashes();
+    r.churn_ran = !faults->churn_drivers().empty();
+    for (const auto& churn : faults->churn_drivers()) {
+      r.churn_joins += churn->joins();
+      r.churn_leaves += churn->leaves();
+      r.churn_crashes += churn->crashes();
+    }
   }
 
   r.sim_events = system.sim().events_processed();

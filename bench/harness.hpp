@@ -176,7 +176,8 @@ struct ExperimentResult {
   // Fault-scenario accounting (0 unless cfg.fault_script ran).
   std::uint64_t partition_cut = 0;   // messages refused/dropped at a cut
   std::uint64_t fault_crashes = 0;   // nodes crashed by crash bursts
-  std::uint64_t churn_joins = 0;     // membership events of churn
+  bool churn_ran = false;            // a churn directive fired
+  std::uint64_t churn_joins = 0;     // its membership events
   std::uint64_t churn_leaves = 0;
   std::uint64_t churn_crashes = 0;
 

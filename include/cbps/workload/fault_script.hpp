@@ -12,7 +12,7 @@
 //   loss at=5 until=35 model=ge p=0.05 q=0.25 good=0.01 bad=0.8
 //   slow at=10 until=50 nodes=3 factor=8
 //   crash_burst at=20 count=5 correlation=0.7
-//   churn at=0 until=2000 interval=45 join=0.4 crash=0.5
+//   churn at=0 until=2000 interval=45 crash=0.5
 //   checkpoint at=60 label=post-heal
 //
 // A FaultScriptRunner schedules the parsed directives against a
@@ -74,8 +74,9 @@ struct FaultDirective {
   std::size_t count = 1;       // victims
   double correlation = 0.0;    // P(next victim = ring successor of last)
 
-  // churn: `interval`, `join` and `crash` set the first three fields;
-  // min_nodes is derived when the directive fires.
+  // churn: `interval` (mean seconds between events, 1 ms to 10^9 s) and
+  // `crash` set mean_interval_s and crash_fraction; the join fraction
+  // stays ChurnParams' and min_nodes is derived when the directive fires.
   ChurnParams churn;
 
   // checkpoint
@@ -144,11 +145,8 @@ class FaultScriptRunner {
   std::uint64_t crashes() const { return crashes_; }
   std::uint64_t loss_swaps() const { return loss_swaps_; }
   std::uint64_t slow_marks() const { return slow_marks_; }
-  std::uint64_t churn_joins() const;
-  std::uint64_t churn_leaves() const;
-  std::uint64_t churn_crashes() const;
   /// The driver of each `churn` directive that has fired, in firing
-  /// order.
+  /// order (its joins, leaves, crashes and event log).
   const std::vector<std::unique_ptr<ChurnDriver>>& churn_drivers() const {
     return churn_;
   }

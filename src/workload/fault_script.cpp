@@ -86,6 +86,13 @@ bool parse_count(std::string_view s, std::size_t* out) {
 // gray, and the stretched delay no longer fits the clock.
 constexpr double kMaxSlowFactor = 1e6;
 
+// Churn's mean inter-arrival. Below a thousand clock ticks, waits round
+// to 0 us and the process fires without end at one instant. Above 10^9 s
+// the longest exponential draw (37 means, Rng::exponential's 2^-53
+// floor) no longer fits SimTime.
+constexpr double kMinChurnIntervalS = 1e-3;
+constexpr double kMaxChurnIntervalS = 1e9;
+
 }  // namespace
 
 bool FaultScript::needs_reliable_transport() const {
@@ -191,9 +198,8 @@ std::optional<FaultScript> FaultScript::parse(std::string_view text,
         ok = parse_prob(val, &d.correlation);
       } else if (key == "interval") {
         ok = parse_double(val, &d.churn.mean_interval_s) &&
-             d.churn.mean_interval_s > 0.0;
-      } else if (key == "join") {
-        ok = parse_prob(val, &d.churn.join_fraction);
+             d.churn.mean_interval_s >= kMinChurnIntervalS &&
+             d.churn.mean_interval_s <= kMaxChurnIntervalS;
       } else if (key == "crash") {
         ok = parse_prob(val, &d.churn.crash_fraction);
       } else if (key == "label") {
@@ -415,24 +421,6 @@ void FaultScriptRunner::stop_churn() {
 std::uint64_t FaultScriptRunner::churn_seed(std::uint64_t seed,
                                             std::size_t index) {
   return mix64(seed ^ 0xc4a2e5eedull) + index;
-}
-
-std::uint64_t FaultScriptRunner::churn_joins() const {
-  std::uint64_t n = 0;
-  for (const auto& driver : churn_) n += driver->joins();
-  return n;
-}
-
-std::uint64_t FaultScriptRunner::churn_leaves() const {
-  std::uint64_t n = 0;
-  for (const auto& driver : churn_) n += driver->leaves();
-  return n;
-}
-
-std::uint64_t FaultScriptRunner::churn_crashes() const {
-  std::uint64_t n = 0;
-  for (const auto& driver : churn_) n += driver->crashes();
-  return n;
 }
 
 void FaultScriptRunner::schedule_re_replication(bool refresh_subs) {

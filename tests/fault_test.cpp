@@ -95,7 +95,7 @@ TEST(FaultScriptTest, ParsesEveryDirectiveKind) {
       "slow at=10 until=50 nodes=3 factor=8; crash_burst at=20 count=5 "
       "correlation=0.7\n"
       "checkpoint at=60 label=post-heal\n"
-      "churn at=5 until=90 interval=12.5 join=0.3 crash=1\n"
+      "churn at=5 until=90 interval=12.5 crash=1\n"
       "churn at=7 until=9\n";
   std::string error;
   const auto script = FaultScript::parse(text, &error);
@@ -136,14 +136,13 @@ TEST(FaultScriptTest, ParsesEveryDirectiveKind) {
   EXPECT_EQ(churn.at, sim::sec(5));
   EXPECT_EQ(churn.until, sim::sec(90));
   EXPECT_DOUBLE_EQ(churn.churn.mean_interval_s, 12.5);
-  EXPECT_DOUBLE_EQ(churn.churn.join_fraction, 0.3);
   EXPECT_DOUBLE_EQ(churn.churn.crash_fraction, 1.0);
 
-  // join and crash default to ChurnParams' fractions.
+  // The join fraction is always ChurnParams'; crash defaults to it too.
+  EXPECT_DOUBLE_EQ(churn.churn.join_fraction,
+                   workload::ChurnParams{}.join_fraction);
   const FaultDirective& plain = script->directives[6];
   EXPECT_EQ(plain.kind, FaultDirective::Kind::kChurn);
-  EXPECT_DOUBLE_EQ(plain.churn.join_fraction,
-                   workload::ChurnParams{}.join_fraction);
   EXPECT_DOUBLE_EQ(plain.churn.crash_fraction,
                    workload::ChurnParams{}.crash_fraction);
 }
@@ -169,15 +168,17 @@ TEST(FaultScriptTest, RejectsMalformedInput) {
       "churn at=1 until=9 interval=0",     // no mean inter-arrival
       "churn at=1 until=9 interval=-3",
       "churn at=1 until=9 interval=inf",
-      "churn at=1 until=9 join=1.5",       // probabilities
-      "churn at=1 until=9 join=-0.1",
-      "churn at=1 until=9 crash=2",
+      "churn at=1 until=9 interval=1e-9",  // waits round to 0 us
+      "churn at=1 until=9 join=0.5",       // the join fraction is fixed
+      "churn at=1 until=9 crash=2",        // a probability
+      "churn at=1 until=9 crash=-0.1",
       "churn at=1 until=9 crash=nan",
       // Values no SimTime or size_t holds (their casts are undefined).
       "crash_burst at=1e300 count=1",
       "loss at=inf rate=0.1",
       "loss at=nan rate=0.1",
       "churn at=1 until=1e300",
+      "churn at=1 until=9 interval=1e300",
       "slow at=1 until=50 nodes=2 factor=inf",
       "slow at=1 until=50 nodes=2 factor=1e300",
       "slow at=1 until=50 nodes=1e30",
@@ -683,7 +684,7 @@ TEST(ChurnDirectiveTest, ReproducesAHandWiredChurnDriver) {
   const auto is_protected = [](Key id) { return id % 5 == 0; };
   const auto script = FaultScript::parse(
       "slow at=40 until=300 nodes=2 factor=4\n"
-      "churn at=60 until=900 interval=15 join=0.3 crash=0.5");
+      "churn at=60 until=900 interval=15 crash=0.5");
   ASSERT_TRUE(script.has_value());
   const pubsub::SystemConfig cfg = churn_system_config();
 
@@ -693,7 +694,8 @@ TEST(ChurnDirectiveTest, ReproducesAHandWiredChurnDriver) {
   runner.start();
   scripted.run_for(sim::sec(1'000));
   ASSERT_EQ(runner.churn_drivers().size(), 1u);
-  const auto& got = runner.churn_drivers().front()->event_log();
+  const workload::ChurnDriver& driver = *runner.churn_drivers().front();
+  const auto& got = driver.event_log();
 
   pubsub::PubSubSystem wired(cfg, pubsub::Schema::uniform(2, 999));
   wired.network().start_maintenance_all();
@@ -703,7 +705,6 @@ TEST(ChurnDirectiveTest, ReproducesAHandWiredChurnDriver) {
   slow_runner.start();
   workload::ChurnParams params;
   params.mean_interval_s = 15;
-  params.join_fraction = 0.3;
   params.crash_fraction = 0.5;
   params.min_nodes = cfg.nodes / 2;
   workload::ChurnDriver churn(wired, params,
@@ -722,11 +723,10 @@ TEST(ChurnDirectiveTest, ReproducesAHandWiredChurnDriver) {
   EXPECT_GT(count(Kind::kJoin), 0);
   EXPECT_GT(count(Kind::kLeave), 0);
   EXPECT_GT(count(Kind::kCrash), 0);
-  EXPECT_EQ(runner.churn_joins(),
-            static_cast<std::uint64_t>(count(Kind::kJoin)));
-  EXPECT_EQ(runner.churn_leaves(),
+  EXPECT_EQ(driver.joins(), static_cast<std::uint64_t>(count(Kind::kJoin)));
+  EXPECT_EQ(driver.leaves(),
             static_cast<std::uint64_t>(count(Kind::kLeave)));
-  EXPECT_EQ(runner.churn_crashes(),
+  EXPECT_EQ(driver.crashes(),
             static_cast<std::uint64_t>(count(Kind::kCrash)));
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {

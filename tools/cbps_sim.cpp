@@ -8,7 +8,6 @@
 //
 // Prints the configuration, the per-request hop costs, storage stats and
 // (with --verify) the delivery-correctness ledger.
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -280,19 +279,12 @@ int main(int argc, char** argv) {
   cfg.loss_rate = loss_rate;
   cfg.max_retries = static_cast<std::uint32_t>(max_retries);
   cfg.retry_base = sim::from_seconds(retry_base_ms / 1000.0);
-  bool churn = false;
   if (!fault_script.empty()) {
     std::string fs_error;
-    const auto parsed = workload::FaultScript::parse(fault_script, &fs_error);
-    if (!parsed) {
+    if (!workload::FaultScript::parse(fault_script, &fs_error)) {
       std::fprintf(stderr, "bad --fault-script: %s\n", fs_error.c_str());
       return 1;
     }
-    using Kind = workload::FaultDirective::Kind;
-    churn = std::any_of(parsed->directives.begin(), parsed->directives.end(),
-                        [](const workload::FaultDirective& d) {
-                          return d.kind == Kind::kChurn;
-                        });
     cfg.fault_script = fault_script;
   }
 
@@ -402,7 +394,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.partition_cut));
     std::printf("  nodes crashed by script      %10llu\n",
                 static_cast<unsigned long long>(r.fault_crashes));
-    if (churn) {
+    if (r.churn_ran) {
       std::printf("  churn joins                  %10llu\n",
                   static_cast<unsigned long long>(r.churn_joins));
       std::printf("  churn leaves                 %10llu\n",
