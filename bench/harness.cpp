@@ -17,6 +17,12 @@ using overlay::MessageClass;
 
 namespace {
 
+// The paper's attribute space (§5.1): d = 4 attributes over [0, 10^6].
+constexpr std::size_t kDimensions = 4;
+constexpr Value kAttrMax = 1'000'000;
+// Entries per sketch in the metrics JSON hot-key tables.
+constexpr std::size_t kHotKeyTableSize = 16;
+
 void append_escaped(std::string& out, const std::string& s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') out += '\\';
@@ -31,12 +37,11 @@ void append_num(std::string& out, double v) {
 }
 
 /// Append one hot-key table: {"total": N, "entries": [{key,count,error}]}.
-void append_topk(std::string& out, const metrics::TopK& sketch,
-                 std::size_t table_size) {
+void append_topk(std::string& out, const metrics::TopK& sketch) {
   out += "{\"total\": " + std::to_string(sketch.total()) +
          ", \"entries\": [";
   bool first = true;
-  for (const metrics::TopK::Entry& e : sketch.top(table_size)) {
+  for (const metrics::TopK::Entry& e : sketch.top(kHotKeyTableSize)) {
     if (!first) out += ", ";
     first = false;
     out += "{\"key\": " + std::to_string(e.key) +
@@ -52,8 +57,7 @@ void append_topk(std::string& out, const metrics::TopK& sketch,
 /// sampler's rows.
 void write_metrics_json(const std::string& path,
                         pubsub::PubSubSystem& system,
-                        const ExperimentResult& r,
-                        std::size_t hot_key_table_size) {
+                        const ExperimentResult& r) {
   const metrics::Registry& reg = system.network().registry();
   std::string out = "{\n  \"counters\": {";
   bool first = true;
@@ -111,7 +115,7 @@ void write_metrics_json(const std::string& path,
     out += "    \"";
     out += name;
     out += "\": ";
-    append_topk(out, *sketch, hot_key_table_size);
+    append_topk(out, *sketch);
   }
   out += "\n  },\n  \"summary\": {";
   const std::pair<const char*, double> summary[] = {
@@ -184,7 +188,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   sys_cfg.pubsub.buffer_period = cfg.buffer_period;
   sys_cfg.pubsub.match_engine = cfg.match_engine;
   sys_cfg.pubsub.replication_factor = cfg.replication_factor;
-  sys_cfg.pubsub.key_topk_capacity = cfg.key_topk_capacity;
   sys_cfg.chord.loss_rate = cfg.loss_rate;
   sys_cfg.chord.max_retries = cfg.max_retries;
   sys_cfg.chord.retry_base = cfg.retry_base;
@@ -194,8 +197,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
                                   ? cfg.trace_sample_rate
                                   : (cfg.trace_path.empty() ? 0.0 : 1.0);
 
-  pubsub::Schema schema =
-      pubsub::Schema::uniform(cfg.dimensions, cfg.attr_max);
+  pubsub::Schema schema = pubsub::Schema::uniform(kDimensions, kAttrMax);
   pubsub::PubSubSystem system(sys_cfg, schema);
 
   pubsub::DeliveryChecker checker;
@@ -212,12 +214,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   workload::WorkloadParams wp;
   wp.nonselective_range_frac = cfg.nonselective_frac;
-  wp.selective_range_frac = cfg.selective_frac;
   wp.matching_probability = cfg.matching_probability;
   wp.zipf_exponent = cfg.zipf_exponent;
-  wp.selective.assign(cfg.dimensions, false);
+  wp.selective.assign(kDimensions, false);
   for (int i = 0; i < cfg.selective_attributes &&
-                  i < static_cast<int>(cfg.dimensions);
+                  i < static_cast<int>(kDimensions);
        ++i) {
     wp.selective[static_cast<std::size_t>(i)] = true;
   }
@@ -225,7 +226,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
 
   workload::DriverParams dp;
   dp.sub_interval = cfg.sub_interval;
-  dp.pub_mean_interval_s = cfg.pub_mean_interval_s;
   dp.sub_ttl = cfg.sub_ttl;
   dp.max_subscriptions = cfg.subscriptions;
   dp.max_publications = cfg.publications;
@@ -403,8 +403,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     write_trace_file(cfg.trace_path, *system.trace_sink());
   }
   if (!cfg.metrics_json_path.empty()) {
-    write_metrics_json(cfg.metrics_json_path, system, r,
-                       cfg.hot_key_table_size);
+    write_metrics_json(cfg.metrics_json_path, system, r);
   }
   return r;
 }

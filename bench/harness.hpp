@@ -31,12 +31,10 @@ struct ExperimentConfig {
   sim::SimTime buffer_period = sim::sec(5);
   Value discretization = 1;
 
-  // Workload (§5.1 defaults).
-  std::size_t dimensions = 4;
-  Value attr_max = 1'000'000;
+  // Workload (§5.1 defaults; d = 4 attributes over [0, 10^6], and
+  // selective ranges span 0.1% of the domain).
   int selective_attributes = 0;   // how many of the d attrs are selective
   double nonselective_frac = 0.03;
-  double selective_frac = 0.001;
   // Zipf exponent for selective-attribute centers. The paper does not
   // state its value; 0.7 reproduces the reported Figure 6/8 shape
   // (moderate popularity skew — with s=1 a single rank-1 hotspot
@@ -45,8 +43,9 @@ struct ExperimentConfig {
   double matching_probability = 0.5;
   std::uint64_t subscriptions = 1000;
   std::uint64_t publications = 1000;
+  // One subscription every 5 s; publications arrive as a Poisson process
+  // with the same mean (DriverParams').
   sim::SimTime sub_interval = sim::sec(5);
-  double pub_mean_interval_s = 5.0;
   sim::SimTime sub_ttl = sim::kSimTimeNever;  // expiration time
   double event_locality = 0.0;  // §4.3.2 temporal locality of the stream
 
@@ -95,14 +94,9 @@ struct ExperimentConfig {
   /// leaves tracing entirely off (no sink is allocated).
   double trace_sample_rate = 0.0;
   /// Dump the metrics registry (counters, histograms with percentiles)
-  /// plus the per-key hot-key tables and the time-series samples to
-  /// this JSON file (empty = off).
+  /// plus the per-key hot-key tables (the 16 heaviest keys of each
+  /// sketch) and the time-series samples to this JSON file (empty = off).
   std::string metrics_json_path;
-  /// Capacity of the per-node rendezvous-key heavy-hitter sketches
-  /// (metrics::TopK); count error is bounded by per-node load / capacity.
-  std::size_t key_topk_capacity = metrics::TopK::kDefaultCapacity;
-  /// Entries per sketch emitted into the metrics JSON hot-key tables.
-  std::size_t hot_key_table_size = 16;
   /// Period of the time-series sampler. 0 = off, unless
   /// metrics_json_path is set (then it defaults to 1 simulated second).
   sim::SimTime sample_period = 0;

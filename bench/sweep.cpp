@@ -1,12 +1,14 @@
 #include "sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <mutex>
+#include <thread>
 
 #include "cbps/common/assert.hpp"
-#include "cbps/common/thread_pool.hpp"
 
 namespace cbps::bench {
 
@@ -72,7 +74,8 @@ JsonFields metrics_fields(const ExperimentResult& r) {
 namespace detail {
 
 std::size_t resolve_jobs(std::size_t requested) {
-  return requested == 0 ? common::ThreadPool::hardware_threads() : requested;
+  if (requested != 0) return requested;
+  return std::max<std::size_t>(1, std::thread::hardware_concurrency());
 }
 
 void run_indexed(std::size_t count, std::size_t jobs,
@@ -92,42 +95,40 @@ void run_indexed(std::size_t count, std::size_t jobs,
   std::mutex mu;
   std::condition_variable point_done;
   std::vector<char> completed(count, 0);
+  std::exception_ptr first_error;
   std::atomic<std::size_t> next{0};
-
-  common::ThreadPool pool(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    pool.submit([&] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= count) return;
-        try {
-          body(i);
-        } catch (...) {
-          // Mark complete so the reporter can't deadlock, then let the
-          // pool surface the exception from wait().
-          {
-            const std::lock_guard<std::mutex> lock(mu);
-            completed[i] = 1;
-          }
-          point_done.notify_all();
-          throw;
-        }
-        {
-          const std::lock_guard<std::mutex> lock(mu);
-          completed[i] = 1;
-        }
-        point_done.notify_all();
+  const auto work = [&] {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      std::exception_ptr error;
+      try {
+        body(i);
+      } catch (...) {
+        error = std::current_exception();
       }
-    });
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        completed[i] = 1;
+        if (error && !first_error) first_error = error;
+      }
+      point_done.notify_all();
+    }
+  };
+  {
+    // jthreads join on scope exit, also when done() throws.
+    std::vector<std::jthread> workers;
+    workers.reserve(jobs);
+    for (std::size_t w = 0; w < jobs; ++w) workers.emplace_back(work);
+    // Report rows in sweep order as they become available.
+    for (std::size_t i = 0; i < count; ++i) {
+      std::unique_lock lock(mu);
+      point_done.wait(lock, [&] { return completed[i] != 0; });
+      lock.unlock();
+      done(i);
+    }
   }
-  // Report rows in sweep order as they become available.
-  for (std::size_t i = 0; i < count; ++i) {
-    std::unique_lock lock(mu);
-    point_done.wait(lock, [&] { return completed[i] != 0; });
-    lock.unlock();
-    done(i);
-  }
-  pool.wait();  // joins the logic above; rethrows the first task error
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 namespace {

@@ -54,9 +54,11 @@ JsonFields metrics_fields(const ExperimentResult& r);
 
 namespace detail {
 
-/// Run body(i) for i in [0, count) on `jobs` workers; invoke done(i) on
+/// Run body(i) for i in [0, count) on `jobs` threads; invoke done(i) on
 /// the calling thread in ascending order as results become available.
-/// jobs <= 1 runs everything inline with no threads at all.
+/// A throwing body still counts as done; once every thread has joined,
+/// the first exception thrown is rethrown. jobs <= 1 runs everything
+/// inline with no threads at all.
 void run_indexed(std::size_t count, std::size_t jobs,
                  const std::function<void(std::size_t)>& body,
                  const std::function<void(std::size_t)>& done);

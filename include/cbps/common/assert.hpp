@@ -10,24 +10,10 @@
 
 namespace cbps::detail {
 
-// Pre-abort diagnostics hook. The logger (always linked via
-// cbps_common) installs a dump of its recent-lines ring here at static
-// init, so *every* CBPS_ASSERT failure — in benches and tools as much
-// as under the audit_* checks — prints the log lines leading up to the
-// violation. A function pointer keeps this header free of any logging
-// dependency.
-using AssertDumpHook = void (*)();
-
-inline AssertDumpHook& assert_dump_hook() {
-  static AssertDumpHook hook = nullptr;
-  return hook;
-}
-
 [[noreturn]] inline void assert_fail(const char* expr, const char* file,
                                      int line, const char* msg) {
   std::fprintf(stderr, "CBPS_ASSERT failed: %s at %s:%d%s%s\n", expr, file,
                line, msg ? " — " : "", msg ? msg : "");
-  if (AssertDumpHook hook = assert_dump_hook()) hook();
   std::abort();
 }
 

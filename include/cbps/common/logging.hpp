@@ -4,7 +4,8 @@
 // logger is a global singleton so examples can flip verbosity with one
 // call. It is the one piece of state shared between concurrently-running
 // simulations (the sweep runner executes one per worker thread), so the
-// level is atomic and lines are written whole under a mutex.
+// level is atomic and lines are written whole under a mutex. A line
+// below the level is never formatted.
 //
 // Context: log lines are prefixed with the current simulated time and
 // node id when available. Both live in thread-local state set by RAII
@@ -12,22 +13,13 @@
 // (logctx::ScopedClock), and message receive paths install the handling
 // node's id (logctx::ScopedNode) — so concurrent sweep workers each see
 // their own simulation's context.
-//
-// The logger also keeps a bounded ring of the most recent formatted
-// lines (including lines below the console level, down to ring_level),
-// which the invariant auditor dumps when a post-fault check fails: the
-// lines leading up to the violation are usually the story.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <iostream>
 #include <mutex>
 #include <sstream>
-#include <string>
 #include <string_view>
-#include <vector>
 
 namespace cbps {
 
@@ -107,38 +99,16 @@ class Logger {
   }
   LogLevel level() const { return level_.load(std::memory_order_relaxed); }
 
-  /// Lines below the console level but at/above the ring level are
-  /// still formatted and kept in the recent-lines ring.
-  void set_ring_level(LogLevel level) {
-    ring_level_.store(level, std::memory_order_relaxed);
-  }
-  LogLevel ring_level() const {
-    return ring_level_.load(std::memory_order_relaxed);
-  }
-
-  bool enabled(LogLevel level) const {
-    return level >= this->level() || level >= ring_level();
-  }
+  bool enabled(LogLevel level) const { return level >= this->level(); }
 
   void write(LogLevel level, std::string_view msg);
-
-  /// Most recent formatted lines, oldest first (bounded; see kRingCap).
-  std::vector<std::string> recent_lines() const;
-  /// Dump the ring to `os` and clear it (used on invariant failure).
-  void dump_recent(std::ostream& os);
-  void clear_recent();
-
-  static constexpr std::size_t kRingCap = 256;
 
  private:
   Logger() = default;
   // detlint: concurrency-ok(global log level read by concurrent sweep workers)
   std::atomic<LogLevel> level_ = LogLevel::kWarn;
-  // detlint: concurrency-ok(global log level read by concurrent sweep workers)
-  std::atomic<LogLevel> ring_level_ = LogLevel::kInfo;
-  // detlint: concurrency-ok(whole-line console/ring mutex; log text never feeds run state)
-  mutable std::mutex write_mu_;
-  std::deque<std::string> ring_;
+  // detlint: concurrency-ok(whole-line console mutex; log text never feeds run state)
+  std::mutex write_mu_;
 };
 
 namespace detail {

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
 #include <limits>
 
 namespace cbps::metrics {
@@ -55,9 +54,6 @@ class Histogram {
   /// Bucket-wise accumulate (for aggregating per-node histograms).
   void merge(const Histogram& other);
   void reset() { *this = Histogram{}; }
-
-  /// One-line summary: count/mean/p50/p90/p99/max.
-  void print(std::ostream& os) const;
 
   const std::array<std::uint64_t, kBucketCount>& buckets() const {
     return buckets_;

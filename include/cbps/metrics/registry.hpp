@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 
 #include "cbps/metrics/histogram.hpp"
@@ -21,7 +20,6 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
   std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
@@ -38,22 +36,17 @@ class Registry {
   // Cached-handle API: resolve the name once, hold the pointer, and
   // record through it on hot paths (a std::map string lookup per
   // message is measurable). Pointers are stable for the Registry's
-  // lifetime — std::map nodes never move and reset_all() resets entries
-  // in place instead of erasing them.
+  // lifetime — std::map nodes never move and no entry is ever erased.
   Counter* counter_handle(const std::string& name) { return &counters_[name]; }
   Histogram* histogram_handle(const std::string& name) {
     return &histograms_[name];
   }
 
   /// Counter value, 0 if never touched (does not create).
-  std::uint64_t counter_value(const std::string& name) const;
-
-  void reset_all();
-
-  /// Human-readable dump: one table, deterministically sorted by name
-  /// across counters and histograms (so bench output diffs are
-  /// stable run to run).
-  void print(std::ostream& os) const;
+  std::uint64_t counter_value(const std::string& name) const {
+    const auto it = counters_.find(name);
+    return it == counters_.end() ? 0 : it->second.value();
+  }
 
   const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Histogram>& histograms() const {

@@ -1,7 +1,7 @@
 // Periodic time-series recorder: a fixed column schema plus rows of
 // (sim-time, values). The sampling *task* lives with whoever owns a
 // simulator (PubSubSystem arms a periodic timer); this class is just the
-// deterministic storage + JSON/CSV export, so fault-script runs can plot
+// deterministic storage + JSON export, so fault-script runs can plot
 // degradation and recovery curves.
 #pragma once
 
@@ -27,8 +27,6 @@ class TimeSeries {
 
   /// {"columns":[...],"rows":[[t_s, v0, v1, ...], ...]}
   void write_json(std::ostream& os) const;
-  /// Header line then one comma-separated row per sample.
-  void write_csv(std::ostream& os) const;
 
  private:
   std::vector<std::string> columns_;

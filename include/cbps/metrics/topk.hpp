@@ -90,7 +90,6 @@ class TopK {
   std::size_t size() const { return cells_.size(); }
   std::size_t capacity() const { return capacity_; }
   bool empty() const { return cells_.empty(); }
-  void reset();
 
   static constexpr std::size_t kDefaultCapacity = 32;
 

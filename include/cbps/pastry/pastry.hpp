@@ -74,7 +74,6 @@ class PastryNode final : public overlay::DataPlane<overlay::DataMessage> {
   const std::vector<std::optional<Key>>& routing_table() const {
     return table_;
   }
-  const std::vector<Key>& leaf_predecessors() const { return leaf_pred_; }
   const std::vector<Key>& leaf_successors() const { return leaf_succ_; }
 
   /// Install exact state (static topology construction). Leaves are

@@ -157,19 +157,8 @@ enum class MappingKind {
 
 std::string_view to_string(MappingKind kind);
 
-/// How Attribute-Split's EK picks "some i" (§4.2 leaves the choice free).
-enum class EventAttrPolicy {
-  kFixedFirst,  // always attribute 0
-  kByEventId,   // event id modulo d — spreads rendezvous load
-};
-
 std::unique_ptr<AkMapping> make_mapping(MappingKind kind, Schema schema,
                                         RingParams ring,
                                         MappingOptions options = {});
-
-/// Attribute-Split with an explicit event-attribute policy.
-std::unique_ptr<AkMapping> make_attribute_split(
-    Schema schema, RingParams ring, MappingOptions options,
-    EventAttrPolicy policy);
 
 }  // namespace cbps::pubsub

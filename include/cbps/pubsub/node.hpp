@@ -52,9 +52,6 @@ struct PubSubConfig {
   /// crashed rendezvous' state survives (§4.1). 0 disables.
   std::size_t replication_factor = 0;
 
-  /// Default subscription lifetime (kSimTimeNever = no expiration).
-  sim::SimTime default_ttl = sim::kSimTimeNever;
-
   /// Matching engine at the rendezvous (brute-force scan or the
   /// counting index of Fabret et al., the paper's [6]).
   MatchEngine match_engine = MatchEngine::kBruteForce;
@@ -132,10 +129,11 @@ class PubSubNode final : public overlay::OverlayApp {
   void set_trace_sink(metrics::TraceSink* sink) { trace_ = sink; }
 
   // --- application API: the paper's sub() / pub() ----------------------
-  /// Register `sub` (id and subscriber key must be filled in) for `ttl`.
+  /// Register `sub` (id and subscriber key must be filled in) for `ttl`;
+  /// without one it never expires.
   void subscribe(SubscriptionPtr sub, sim::SimTime ttl);
   void subscribe(SubscriptionPtr sub) {
-    subscribe(std::move(sub), cfg_.default_ttl);
+    subscribe(std::move(sub), sim::kSimTimeNever);
   }
 
   /// Withdraw a previously issued subscription.

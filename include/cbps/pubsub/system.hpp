@@ -28,7 +28,6 @@ struct SystemConfig {
   PubSubConfig pubsub;
   MappingKind mapping = MappingKind::kSelectiveAttribute;
   MappingOptions mapping_options;
-  sim::SimTime message_delay = sim::ms(50);  // paper default (§5.1)
   /// Fraction of publish/subscribe roots that start a causal trace
   /// (0 = tracing off; the sink is then never even allocated).
   double trace_sample_rate = 0.0;
@@ -128,12 +127,6 @@ class PubSubSystem {
   };
   StorageStats storage_stats() const;
 
-  /// Storage aggregated per physical host (sums each host's virtual
-  /// nodes; identical to storage_stats() when virtual_nodes_per_host
-  /// is 1). Host peaks are the sums of per-virtual peaks — exact for
-  /// monotonically growing stores.
-  StorageStats host_storage_stats() const;
-
   std::size_t host_count() const;
   /// The physical host owning node i.
   std::size_t host_of(std::size_t i) const { return host_of_[i]; }
@@ -176,7 +169,6 @@ class PubSubSystem {
   /// the periodic timer otherwise keeps the event queue alive forever.
   void start_sampler(sim::SimTime period);
   void stop_sampler();
-  bool sampler_running() const { return sampler_timer_ != 0; }
   const metrics::TimeSeries& timeseries() const { return series_; }
 
  private:

@@ -13,15 +13,15 @@
 //   slow at=10 until=50 nodes=3 factor=8
 //   crash_burst at=20 count=5 correlation=0.7
 //   churn at=0 until=2000 interval=45 crash=0.5
-//   checkpoint at=60 label=post-heal
 //
 // A FaultScriptRunner schedules the parsed directives against a
 // PubSubSystem: partitions split the ring into two contiguous arcs and
 // heal on time (triggering replica-chain repair), loss swaps the wire's
 // loss model, slow marks gray nodes, crash bursts kill ring-correlated
 // victims, churn runs a ChurnDriver (Poisson joins, graceful leaves and
-// crashes) from `at` to its required `until`, checkpoints invoke a
-// caller hook (where benches audit).
+// crashes) from `at` to its required `until`. Every time is at most
+// 10^9 s, so the follow-ups the runner schedules after one still fit
+// the clock.
 #pragma once
 
 #include <cstdint>
@@ -46,11 +46,10 @@ struct FaultDirective {
     kSlow,
     kCrashBurst,
     kChurn,
-    kCheckpoint,
   };
   enum class LossKind : std::uint8_t { kUniform, kGilbertElliott };
 
-  Kind kind = Kind::kCheckpoint;
+  Kind kind = Kind::kPartition;
   sim::SimTime at = 0;
   /// End of the fault (partition heal / loss cleared / slow cleared /
   /// churn stopped; churn requires it).
@@ -78,9 +77,6 @@ struct FaultDirective {
   // `crash` set mean_interval_s and crash_fraction; the join fraction
   // stays ChurnParams' and min_nodes is derived when the directive fires.
   ChurnParams churn;
-
-  // checkpoint
-  std::string label;
 };
 
 struct FaultScript {
@@ -112,14 +108,10 @@ class FaultScriptRunner {
   /// Exempts nodes (by overlay key) from crash bursts — e.g. designated
   /// subscribers/publishers of the measuring workload.
   using Protected = std::function<bool(Key)>;
-  /// Invoked at each `checkpoint` directive.
-  using CheckpointFn =
-      std::function<void(const std::string& label, sim::SimTime when)>;
 
   FaultScriptRunner(pubsub::PubSubSystem& system, FaultScript script,
                     std::uint64_t seed, Protected is_protected = nullptr);
 
-  void set_checkpoint_callback(CheckpointFn fn) { on_checkpoint_ = std::move(fn); }
   /// Crashed victims (of bursts and churn alike) are reported here so
   /// the oracle stops expecting deliveries to them.
   void set_delivery_checker(pubsub::DeliveryChecker* checker) {
@@ -155,7 +147,7 @@ class FaultScriptRunner {
 
  private:
   void apply(const FaultDirective& d);
-  void schedule_re_replication(bool refresh_subs);
+  void schedule_re_replication();
   void apply_partition(const FaultDirective& d);
   void apply_loss(const FaultDirective& d);
   void apply_slow(const FaultDirective& d);
@@ -168,7 +160,6 @@ class FaultScriptRunner {
   Rng rng_;
   Protected is_protected_;
   pubsub::DeliveryChecker* checker_ = nullptr;
-  CheckpointFn on_checkpoint_;
 
   std::uint64_t partitions_ = 0;
   std::uint64_t crashes_ = 0;

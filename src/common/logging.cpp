@@ -1,24 +1,10 @@
 #include "cbps/common/logging.hpp"
 
 #include <cstdio>
-
-#include "cbps/common/assert.hpp"
+#include <iostream>
+#include <string>
 
 namespace cbps {
-
-namespace {
-
-// Wire the assertion failure path to the recent-lines ring for every
-// binary that links the logger (tests, benches, tools alike): the lines
-// leading up to a CBPS_ASSERT are usually the story.
-[[maybe_unused]] const bool g_assert_hook_installed = [] {
-  detail::assert_dump_hook() = [] {
-    Logger::instance().dump_recent(std::cerr);
-  };
-  return true;
-}();
-
-}  // namespace
 
 namespace logctx {
 
@@ -71,37 +57,10 @@ void Logger::write(LogLevel level, std::string_view msg) {
   line += ' ';
   line += msg;
 
-  const bool to_console = level >= this->level();
   std::ostream& os = (level >= LogLevel::kWarn) ? std::cerr : std::clog;
-  // detlint: concurrency-ok(whole-line console/ring mutex; log text never feeds run state)
+  // detlint: concurrency-ok(whole-line console mutex; log text never feeds run state)
   const std::lock_guard<std::mutex> lock(write_mu_);
-  if (level >= ring_level()) {
-    if (ring_.size() >= kRingCap) ring_.pop_front();
-    ring_.push_back(line);
-  }
-  if (to_console) os << line << '\n';
-}
-
-std::vector<std::string> Logger::recent_lines() const {
-  // detlint: concurrency-ok(ring snapshot under the logger mutex)
-  const std::lock_guard<std::mutex> lock(write_mu_);
-  return {ring_.begin(), ring_.end()};
-}
-
-void Logger::dump_recent(std::ostream& os) {
-  // detlint: concurrency-ok(ring snapshot under the logger mutex)
-  const std::lock_guard<std::mutex> lock(write_mu_);
-  if (ring_.empty()) return;
-  os << "--- recent log lines (" << ring_.size() << ") ---\n";
-  for (const auto& l : ring_) os << l << '\n';
-  os << "--- end recent log lines ---\n";
-  ring_.clear();
-}
-
-void Logger::clear_recent() {
-  // detlint: concurrency-ok(ring snapshot under the logger mutex)
-  const std::lock_guard<std::mutex> lock(write_mu_);
-  ring_.clear();
+  os << line << '\n';
 }
 
 }  // namespace cbps

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cmath>
-#include <ostream>
 
 namespace cbps::metrics {
 
@@ -74,11 +73,6 @@ void Histogram::merge(const Histogram& other) {
   }
   count_ += other.count_;
   sum_ += other.sum_;
-}
-
-void Histogram::print(std::ostream& os) const {
-  os << "count=" << count() << " mean=" << mean() << " p50=" << p50()
-     << " p90=" << p90() << " p99=" << p99() << " max=" << max();
 }
 
 }  // namespace cbps::metrics

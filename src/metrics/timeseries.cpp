@@ -26,15 +26,4 @@ void TimeSeries::write_json(std::ostream& os) const {
   os << "\n]}";
 }
 
-void TimeSeries::write_csv(std::ostream& os) const {
-  os << "t_s";
-  for (const auto& c : columns_) os << "," << c;
-  os << "\n";
-  for (std::size_t i = 0; i < times_us_.size(); ++i) {
-    os << static_cast<double>(times_us_[i]) / 1e6;
-    for (double v : rows_[i]) os << "," << v;
-    os << "\n";
-  }
-}
-
 }  // namespace cbps::metrics

@@ -152,9 +152,4 @@ std::uint64_t TopK::total() const {
   return sum;
 }
 
-void TopK::reset() {
-  cells_.clear();
-  cursor_ = 0;
-}
-
 }  // namespace cbps::metrics

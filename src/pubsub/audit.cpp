@@ -1,11 +1,9 @@
 #include "cbps/pubsub/audit.hpp"
 
 #include <algorithm>
-#include <iostream>
 #include <sstream>
 #include <unordered_set>
 
-#include "cbps/common/logging.hpp"
 #include "cbps/common/sorted_view.hpp"
 
 namespace cbps::pubsub {
@@ -170,13 +168,6 @@ SystemAuditReport audit_system(PubSubSystem& system) {
         add_issue(report.issues, os.str());
       }
     }
-  }
-  if (!report.ok()) {
-    // The lines leading up to the violation are usually the story: dump
-    // the logger's recent-lines ring (kept even below the console level)
-    // next to the verdict.
-    std::cerr << "[audit] invariant violation; recent log lines:\n";
-    Logger::instance().dump_recent(std::cerr);
   }
   return report;
 }

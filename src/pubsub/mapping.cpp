@@ -143,11 +143,9 @@ namespace {
 
 class AttributeSplitMapping final : public AkMapping {
  public:
-  AttributeSplitMapping(Schema schema, RingParams ring,
-                        MappingOptions opt, EventAttrPolicy policy)
+  AttributeSplitMapping(Schema schema, RingParams ring, MappingOptions opt)
       : AkMapping(std::move(schema), ring, opt.rotation),
-        hashers_(make_hashers(schema_, ring.bits(), opt)),
-        policy_(policy) {}
+        hashers_(make_hashers(schema_, ring.bits(), opt)) {}
 
   std::string_view name() const override { return "attribute-split"; }
 
@@ -164,17 +162,15 @@ class AttributeSplitMapping final : public AkMapping {
     return runs;
   }
 
+  // §4.2 leaves "some i" free; the event id modulo d spreads the
+  // rendezvous load over every attribute.
   std::vector<Key> event_keys_impl(const Event& e) const override {
-    const std::size_t i =
-        policy_ == EventAttrPolicy::kFixedFirst
-            ? 0
-            : static_cast<std::size_t>(e.id % schema_.dimensions());
+    const auto i = static_cast<std::size_t>(e.id % schema_.dimensions());
     return {hashers_[i].hash(e.value(i))};
   }
 
  private:
   std::vector<ScalingHasher> hashers_;
-  EventAttrPolicy policy_;
 };
 
 // ---------------------------------------------------------------------------
@@ -294,8 +290,8 @@ std::unique_ptr<AkMapping> make_mapping(MappingKind kind, Schema schema,
                                         MappingOptions options) {
   switch (kind) {
     case MappingKind::kAttributeSplit:
-      return std::make_unique<AttributeSplitMapping>(
-          std::move(schema), ring, options, EventAttrPolicy::kByEventId);
+      return std::make_unique<AttributeSplitMapping>(std::move(schema), ring,
+                                                     options);
     case MappingKind::kKeySpaceSplit:
       return std::make_unique<KeySpaceSplitMapping>(std::move(schema), ring,
                                                     options);
@@ -305,14 +301,6 @@ std::unique_ptr<AkMapping> make_mapping(MappingKind kind, Schema schema,
   }
   CBPS_ASSERT_MSG(false, "unknown mapping kind");
   return nullptr;
-}
-
-std::unique_ptr<AkMapping> make_attribute_split(Schema schema,
-                                                RingParams ring,
-                                                MappingOptions options,
-                                                EventAttrPolicy policy) {
-  return std::make_unique<AttributeSplitMapping>(std::move(schema), ring,
-                                                 options, policy);
 }
 
 }  // namespace cbps::pubsub

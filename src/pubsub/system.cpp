@@ -19,10 +19,9 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
   }
   mapping_ = make_mapping(cfg.mapping, std::move(schema), cfg.chord.ring,
                           cfg.mapping_options);
-  auto latency = std::make_unique<sim::FixedLatency>(cfg.message_delay);
   sim_ = std::make_unique<sim::Simulator>();
   network_ = std::make_unique<chord::ChordNetwork>(
-      *sim_, cfg.chord, cfg.seed, std::move(latency));
+      *sim_, cfg.chord, cfg.seed, sim::default_latency());
   if (cfg_.trace_sample_rate > 0.0) {
     trace_sink_ =
         std::make_unique<metrics::TraceSink>(cfg_.trace_sample_rate);
@@ -56,42 +55,6 @@ PubSubSystem::PubSubSystem(SystemConfig cfg, Schema schema) : cfg_(cfg) {
 }
 
 std::size_t PubSubSystem::host_count() const { return hosts_; }
-
-PubSubSystem::StorageStats PubSubSystem::host_storage_stats() const {
-  StorageStats s;
-  std::vector<std::size_t> owned(hosts_, 0);
-  std::vector<std::size_t> peak(hosts_, 0);
-  std::vector<std::size_t> replicas(hosts_, 0);
-  std::vector<bool> alive(hosts_, false);
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (!network_->is_alive(node_ids_[i])) continue;
-    const std::size_t h = host_of_[i];
-    alive[h] = true;
-    const SubscriptionStore& store = nodes_[i]->store();
-    owned[h] += store.owned_size();
-    peak[h] += store.peak_owned_size();
-    replicas[h] += store.size() - store.owned_size();
-  }
-  std::size_t alive_hosts = 0;
-  std::size_t sum_owned = 0;
-  std::size_t sum_peak = 0;
-  for (std::size_t h = 0; h < hosts_; ++h) {
-    if (!alive[h]) continue;
-    ++alive_hosts;
-    sum_owned += owned[h];
-    sum_peak += peak[h];
-    s.max_owned = std::max(s.max_owned, owned[h]);
-    s.max_peak = std::max(s.max_peak, peak[h]);
-    s.total_replicas += replicas[h];
-  }
-  if (alive_hosts == 0) return s;
-  s.total_owned = sum_owned;
-  s.avg_owned =
-      static_cast<double>(sum_owned) / static_cast<double>(alive_hosts);
-  s.avg_peak =
-      static_cast<double>(sum_peak) / static_cast<double>(alive_hosts);
-  return s;
-}
 
 PubSubSystem::~PubSubSystem() { stop_sampler(); }
 

@@ -62,9 +62,16 @@ bool parse_prob(std::string_view s, double* out) {
 // holds (a cast from it or above is undefined).
 constexpr double kTwoPow64 = 18446744073709551616.0;
 
+// Longest span a script may name, for times and churn's mean interval
+// alike. The runner schedules follow-ups after a script time (replica
+// repair 8 stabilize periods after a heal; churn's next event up to 37
+// mean intervals, Rng::exponential's 2^-53 floor, after the last), and
+// 10^9 s leaves room for them below SimTime's 2^64 us.
+constexpr double kMaxScriptSeconds = 1e9;
+
 bool parse_time_s(std::string_view s, sim::SimTime* out) {
   double secs = 0.0;
-  if (!parse_double(s, &secs) || secs < 0.0 || secs * 1e6 >= kTwoPow64) {
+  if (!parse_double(s, &secs) || secs < 0.0 || secs > kMaxScriptSeconds) {
     return false;
   }
   *out = sim::from_seconds(secs);
@@ -86,12 +93,9 @@ bool parse_count(std::string_view s, std::size_t* out) {
 // gray, and the stretched delay no longer fits the clock.
 constexpr double kMaxSlowFactor = 1e6;
 
-// Churn's mean inter-arrival. Below a thousand clock ticks, waits round
-// to 0 us and the process fires without end at one instant. Above 10^9 s
-// the longest exponential draw (37 means, Rng::exponential's 2^-53
-// floor) no longer fits SimTime.
+// Churn's shortest mean inter-arrival. Below a thousand clock ticks,
+// waits round to 0 us and the process fires without end at one instant.
 constexpr double kMinChurnIntervalS = 1e-3;
-constexpr double kMaxChurnIntervalS = 1e9;
 
 }  // namespace
 
@@ -148,9 +152,6 @@ std::optional<FaultScript> FaultScript::parse(std::string_view text,
       d.kind = FaultDirective::Kind::kCrashBurst;
     } else if (name == "churn") {
       d.kind = FaultDirective::Kind::kChurn;
-    } else if (name == "checkpoint") {
-      d.kind = FaultDirective::Kind::kCheckpoint;
-      d.label = "checkpoint";
     } else {
       fail(error, "unknown directive '" + std::string(name) + "'");
       return std::nullopt;
@@ -199,11 +200,9 @@ std::optional<FaultScript> FaultScript::parse(std::string_view text,
       } else if (key == "interval") {
         ok = parse_double(val, &d.churn.mean_interval_s) &&
              d.churn.mean_interval_s >= kMinChurnIntervalS &&
-             d.churn.mean_interval_s <= kMaxChurnIntervalS;
+             d.churn.mean_interval_s <= kMaxScriptSeconds;
       } else if (key == "crash") {
         ok = parse_prob(val, &d.churn.crash_fraction);
-      } else if (key == "label") {
-        d.label = std::string(val);
       } else {
         fail(error, "unknown key '" + std::string(key) + "' in '" +
                         std::string(stmt) + "'");
@@ -275,9 +274,6 @@ void FaultScriptRunner::apply(const FaultDirective& d) {
     case FaultDirective::Kind::kChurn:
       apply_churn(d);
       break;
-    case FaultDirective::Kind::kCheckpoint:
-      if (on_checkpoint_) on_checkpoint_(d.label, system_.sim().now());
-      break;
   }
 }
 
@@ -313,7 +309,7 @@ void FaultScriptRunner::apply_partition(const FaultDirective& d) {
     // refresh their soft state: a subscription issued *during* the cut
     // toward the other side exhausts its retry budget and is never
     // stored — only the subscriber can re-issue it.
-    schedule_re_replication(/*refresh_subs=*/true);
+    schedule_re_replication();
   });
 }
 
@@ -396,7 +392,7 @@ void FaultScriptRunner::apply_crash_burst(const FaultDirective& d) {
   // died adopt their records), and have subscribers re-issue — a
   // correlated burst can take out an entire owner+replica chain, which
   // only the subscriber's own soft state can restore.
-  schedule_re_replication(/*refresh_subs=*/true);
+  schedule_re_replication();
 }
 
 void FaultScriptRunner::apply_churn(const FaultDirective& d) {
@@ -423,18 +419,15 @@ std::uint64_t FaultScriptRunner::churn_seed(std::uint64_t seed,
   return mix64(seed ^ 0xc4a2e5eedull) + index;
 }
 
-void FaultScriptRunner::schedule_re_replication(bool refresh_subs) {
+void FaultScriptRunner::schedule_re_replication() {
   const sim::SimTime period = system_.config().chord.stabilize_period;
-  if (period == 0 || (system_.config().pubsub.replication_factor == 0 &&
-                      !refresh_subs)) {
-    return;
-  }
+  if (period == 0) return;
   // Two passes: an early one catches the common case, a late one re-runs
   // after a large contiguous hole (several adjacent crashes, or a whole
   // partition arc) has taken extra stabilization rounds to close.
-  const auto pass = [this, refresh_subs] {
+  const auto pass = [this] {
     system_.re_replicate_all();
-    if (refresh_subs) system_.refresh_all_subscriptions();
+    system_.refresh_all_subscriptions();
   };
   system_.sim().schedule_after(2 * period, pass);
   system_.sim().schedule_after(8 * period, pass);

@@ -1,5 +1,4 @@
-// D4: raw concurrency primitives outside the blessed module (the
-// thread pool).
+// D4: raw concurrency primitives without a waiver.
 #include <atomic>
 #include <mutex>
 #include <thread>

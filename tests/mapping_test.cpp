@@ -129,12 +129,14 @@ class MappingFig3Test : public ::testing::Test {
 TEST_F(MappingFig3Test, AttributeSplit) {
   // With the key space coinciding with the attribute space (m=3, so
   // h = identity): SK = H(c1) ∪ H(c2) = {0,1} ∪ {4,5,6}; EK ∈ SK.
-  auto mapping = make_attribute_split(schema_, RingParams{3}, {},
-                                      EventAttrPolicy::kFixedFirst);
+  auto mapping = make_mapping(MappingKind::kAttributeSplit, schema_,
+                              RingParams{3});
   EXPECT_EQ(mapping->subscription_keys(sub_),
             (std::vector<Key>{0, 1, 4, 5, 6}));
-  // Figure 3(b): EK(e) = h(e.a1) = 1.
-  EXPECT_EQ(mapping->event_keys(event_), std::vector<Key>{1});
+  // Figure 3(b): EK(e) = h(e.a1) = 1. EK hashes attribute (event id mod
+  // d), so an even id picks a1.
+  const Event even_id = make_event({1, 6}, 2);
+  EXPECT_EQ(mapping->event_keys(even_id), std::vector<Key>{1});
 }
 
 TEST_F(MappingFig3Test, KeySpaceSplit) {

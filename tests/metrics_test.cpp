@@ -1,9 +1,9 @@
 // Tests for the observability layer: the log-linear histogram, the
-// metrics registry's cached handles and sorted dump, causal-trace
+// metrics registry's cached handles, causal-trace
 // integrity (parents exist and precede children; publish traces
 // terminate consistently with the DeliveryChecker oracle; traces are
 // bit-identical across sweep worker counts), the time-series sampler,
-// and the logger's sim-time/node context plus recent-lines ring.
+// and the logger's sim-time/node context.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,7 +163,7 @@ TEST(HistogramTest, BucketIndexMatchesFrexpDecomposition) {
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(RegistryTest, HandlesStayValidAcrossInsertionsAndReset) {
+TEST(RegistryTest, HandlesStayValidAcrossInsertions) {
   metrics::Registry reg;
   metrics::Counter* c = reg.counter_handle("alpha");
   metrics::Histogram* h = reg.histogram_handle("beta");
@@ -176,42 +176,16 @@ TEST(RegistryTest, HandlesStayValidAcrossInsertionsAndReset) {
   EXPECT_EQ(c, reg.counter_handle("alpha"));
   EXPECT_EQ(h, reg.histogram_handle("beta"));
   EXPECT_EQ(c->value(), 3u);
-  reg.reset_all();
-  EXPECT_EQ(c->value(), 0u);  // reset in place, not erased
-  EXPECT_EQ(reg.histogram("beta").count(), 0u);
   c->inc();
   h->add(2.0);
-  EXPECT_EQ(reg.counter_value("alpha"), 1u);
-  EXPECT_EQ(reg.histogram("beta").count(), 1u);  // the handle still aliases
+  EXPECT_EQ(reg.counter_value("alpha"), 4u);
+  EXPECT_EQ(reg.histogram("beta").count(), 2u);  // the handle still aliases
 }
 
 TEST(RegistryTest, CounterValueDoesNotCreate) {
   metrics::Registry reg;
   EXPECT_EQ(reg.counter_value("never.touched"), 0u);
   EXPECT_TRUE(reg.counters().empty());
-}
-
-TEST(RegistryTest, PrintIsOneDeterministicallySortedTable) {
-  metrics::Registry reg;
-  reg.counter("zulu").inc();
-  reg.histogram("mike").add(1.0);
-  reg.histogram("alpha").add(2.0);
-  reg.counter("echo").inc();
-  std::ostringstream os;
-  reg.print(os);
-  const std::string out = os.str();
-  const auto a = out.find("alpha");
-  const auto e = out.find("echo");
-  const auto m = out.find("mike");
-  const auto z = out.find("zulu");
-  ASSERT_NE(a, std::string::npos);
-  ASSERT_NE(e, std::string::npos);
-  ASSERT_NE(m, std::string::npos);
-  ASSERT_NE(z, std::string::npos);
-  // Sorted by name regardless of metric type.
-  EXPECT_LT(a, e);
-  EXPECT_LT(e, m);
-  EXPECT_LT(m, z);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,69 +398,38 @@ TEST(TimeSeriesTest, AppendAndExport) {
   ts.append(1'000'000, {1.0, 2.0});
   ts.append(2'000'000, {3.0, 4.5});
   EXPECT_EQ(ts.size(), 2u);
-  std::ostringstream json, csv;
+  std::ostringstream json;
   ts.write_json(json);
-  ts.write_csv(csv);
-  EXPECT_NE(json.str().find("\"columns\""), std::string::npos);
+  EXPECT_EQ(json.str().rfind("{\"columns\":[\"t_s\",\"a\",\"b\"]", 0), 0u);
   EXPECT_NE(json.str().find("\"rows\""), std::string::npos);
   EXPECT_NE(json.str().find("4.5"), std::string::npos);
-  EXPECT_EQ(csv.str().rfind("t_s,a,b", 0), 0u);  // header first
 }
 
 // ---------------------------------------------------------------------------
-// Logger context + recent-lines ring
+// Logger context
 // ---------------------------------------------------------------------------
-
-TEST(LoggerContextTest, RingKeepsLinesBelowConsoleLevel) {
-  Logger& log = Logger::instance();
-  log.clear_recent();
-  // Console at WARN (default): the INFO line must not print, but the
-  // ring (at INFO) still captures it for post-mortem dumps.
-  CBPS_LOG_INFO << "metrics_test ring probe xyzzy";
-  const auto lines = log.recent_lines();
-  ASSERT_FALSE(lines.empty());
-  EXPECT_NE(lines.back().find("xyzzy"), std::string::npos);
-  std::ostringstream os;
-  log.dump_recent(os);
-  EXPECT_NE(os.str().find("xyzzy"), std::string::npos);
-  EXPECT_TRUE(log.recent_lines().empty());  // dump clears
-}
 
 TEST(LoggerContextTest, ScopedGuardsPrefixSimTimeAndNode) {
-  Logger& log = Logger::instance();
-  log.clear_recent();
   static constexpr std::uint64_t kNowUs = 1'500'000;
   const auto now_fn = [](const void*) -> std::uint64_t { return kNowUs; };
+  ::testing::internal::CaptureStderr();
   {
     logctx::ScopedClock clock(nullptr, +now_fn);
     logctx::ScopedNode node(42);
-    CBPS_LOG_INFO << "prefixed line";
+    CBPS_LOG_WARN << "prefixed line";
   }
-  CBPS_LOG_INFO << "bare line";
-  const auto lines = log.recent_lines();
-  ASSERT_GE(lines.size(), 2u);
-  const std::string& prefixed = lines[lines.size() - 2];
-  const std::string& bare = lines.back();
+  CBPS_LOG_WARN << "bare line";
+  std::istringstream err(::testing::internal::GetCapturedStderr());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(err, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 2u);
+  const std::string& prefixed = lines[0];
+  const std::string& bare = lines[1];
   EXPECT_NE(prefixed.find("[t=1.500000s]"), std::string::npos);
   EXPECT_NE(prefixed.find("[n=42]"), std::string::npos);
+  EXPECT_NE(prefixed.find("prefixed line"), std::string::npos);
   // Guards restore the previous (empty) context on scope exit.
-  EXPECT_EQ(bare.find("[n="), std::string::npos);
-  EXPECT_EQ(bare.find("[t="), std::string::npos);
-  log.clear_recent();
-}
-
-TEST(LoggerContextTest, RingIsBounded) {
-  Logger& log = Logger::instance();
-  log.clear_recent();
-  for (std::size_t i = 0; i < Logger::kRingCap + 50; ++i) {
-    CBPS_LOG_INFO << "fill " << i;
-  }
-  const auto lines = log.recent_lines();
-  EXPECT_EQ(lines.size(), Logger::kRingCap);
-  // Oldest lines were evicted: the ring now starts at "fill 50".
-  EXPECT_NE(lines.front().find("fill 50"), std::string::npos);
-  EXPECT_NE(lines.back().find("fill 305"), std::string::npos);
-  log.clear_recent();
+  EXPECT_EQ(bare, "[WARN ] bare line");
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
-// Tests for the parallel sweep runner: determinism across --jobs and
-// in-sweep-order row reporting.
+// Tests for the parallel sweep runner: determinism across --jobs,
+// in-sweep-order row reporting and the worker threads' lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -108,6 +111,67 @@ TEST(SweepTest, BodyExceptionPropagatesFromRun) {
   sweep.add("ok", [] { return SlowRow{0}; });
   sweep.add("bad", []() -> SlowRow { throw std::runtime_error("boom"); });
   EXPECT_THROW(sweep.run(), std::runtime_error);
+}
+
+TEST(SweepTest, ZeroJobsResolveToAtLeastOneWorker) {
+  EXPECT_GE(detail::resolve_jobs(0), 1u);
+  EXPECT_EQ(detail::resolve_jobs(3), 3u);
+}
+
+TEST(SweepTest, ZeroJobsResolveToHardwareConcurrency) {
+  EXPECT_EQ(detail::resolve_jobs(0),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+}
+
+TEST(SweepTest, MoreJobsThanPointsRunEachBodyOnce) {
+  constexpr std::size_t kPoints = 3;
+  std::array<std::atomic<int>, kPoints> runs{};
+  std::vector<std::size_t> reported;
+  detail::run_indexed(
+      kPoints, 8, [&](std::size_t i) { runs[i].fetch_add(1); },
+      [&](std::size_t i) { reported.push_back(i); });
+  for (const std::atomic<int>& r : runs) EXPECT_EQ(r.load(), 1);
+  EXPECT_EQ(reported, (std::vector<std::size_t>{0, 1, 2}));
+}
+
+TEST(SweepTest, ZeroPointsReturnAtEightJobs) {
+  Sweep<SlowRow> sweep("sweep_empty_test");
+  SweepOptions opts;
+  opts.jobs = 8;
+  sweep.set_options(opts);
+  EXPECT_TRUE(sweep.run().empty());
+}
+
+TEST(SweepTest, ZeroPointsRunNoBodyAtEightJobs) {
+  std::size_t calls = 0;
+  detail::run_indexed(
+      0, 8, [&](std::size_t) { ++calls; }, [&](std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0u);
+}
+
+TEST(SweepTest, TwoThrowingBodiesRethrowOneAndJoinEveryWorker) {
+  Sweep<SlowRow> sweep("sweep_two_throws_test");
+  SweepOptions opts;
+  opts.jobs = 4;
+  sweep.set_options(opts);
+  std::atomic<int> finished{0};
+  for (std::size_t i = 0; i < 8; ++i) {
+    if (i == 1 || i == 5) {
+      sweep.add("bad", []() -> SlowRow { throw std::runtime_error("boom"); });
+    } else {
+      sweep.add("ok", [i, &finished] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        finished.fetch_add(1);
+        return SlowRow{i};
+      });
+    }
+  }
+  std::size_t rows = 0;
+  EXPECT_THROW(sweep.run([&](std::size_t, const SlowRow&) { ++rows; }),
+               std::runtime_error);
+  // Every point was reported and every worker joined before the rethrow.
+  EXPECT_EQ(rows, 8u);
+  EXPECT_EQ(finished.load(), 6);
 }
 
 TEST(SweepTest, WritesJsonRecord) {
