@@ -95,7 +95,8 @@ void run_indexed(std::size_t count, std::size_t jobs,
   std::mutex mu;
   std::condition_variable point_done;
   std::vector<char> completed(count, 0);
-  std::exception_ptr first_error;
+  std::vector<std::exception_ptr> errors(count);
+  std::exception_ptr failed;  // the lowest failed index's error
   std::atomic<std::size_t> next{0};
   const auto work = [&] {
     for (;;) {
@@ -110,7 +111,7 @@ void run_indexed(std::size_t count, std::size_t jobs,
       {
         const std::lock_guard<std::mutex> lock(mu);
         completed[i] = 1;
-        if (error && !first_error) first_error = error;
+        errors[i] = error;
       }
       point_done.notify_all();
     }
@@ -120,15 +121,18 @@ void run_indexed(std::size_t count, std::size_t jobs,
     std::vector<std::jthread> workers;
     workers.reserve(jobs);
     for (std::size_t w = 0; w < jobs; ++w) workers.emplace_back(work);
-    // Report rows in sweep order as they become available.
+    // Report rows in sweep order as they become available, up to the
+    // first failed point: the rows the serial mode prints.
     for (std::size_t i = 0; i < count; ++i) {
       std::unique_lock lock(mu);
       point_done.wait(lock, [&] { return completed[i] != 0; });
+      failed = errors[i];
       lock.unlock();
+      if (failed) break;
       done(i);
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (failed) std::rethrow_exception(failed);
 }
 
 namespace {

@@ -56,9 +56,9 @@ namespace detail {
 
 /// Run body(i) for i in [0, count) on `jobs` threads; invoke done(i) on
 /// the calling thread in ascending order as results become available.
-/// A throwing body still counts as done; once every thread has joined,
-/// the first exception thrown is rethrown. jobs <= 1 runs everything
-/// inline with no threads at all.
+/// Reporting stops before the lowest index whose body threw; once every
+/// thread has joined, that index's exception is rethrown. jobs <= 1 runs
+/// everything inline with no threads at all, and reports the same rows.
 void run_indexed(std::size_t count, std::size_t jobs,
                  const std::function<void(std::size_t)>& body,
                  const std::function<void(std::size_t)>& done);

@@ -1,5 +1,5 @@
-// Wire-level messages exchanged between Chord nodes: the shared
-// application messages plus Chord's membership protocol.
+// Wire-level messages exchanged between Chord nodes: the application
+// messages of overlay/wire.hpp plus Chord's membership protocol.
 //
 // Everything a node sends travels as one of these variants inside an
 // Envelope that also carries the sender's identity and (claimed) covered
@@ -81,11 +81,10 @@ struct SuccLeaveMsg {
   std::uint64_t seq = 0;  // reliability sequence id (0 = no ack wanted)
 };
 
-/// Chord's wire: the shared application messages (overlay/wire.hpp)
-/// first, then the membership protocol's own. The ack/retry layer also
-/// stamps the state-carrying membership messages (every one with a
-/// `seq` field: PullStateReq, StateTransferMsg, PredLeaveMsg,
-/// SuccLeaveMsg).
+/// Chord's wire: the application messages (overlay/wire.hpp) first,
+/// then the membership protocol's own. The ack/retry layer also stamps
+/// the state-carrying membership messages (every one with a `seq`
+/// field: PullStateReq, StateTransferMsg, PredLeaveMsg, SuccLeaveMsg).
 using WireMessage =
     std::variant<overlay::RouteMsg, overlay::McastMsg, overlay::ChainMsg,
                  overlay::NeighborMsg, overlay::AckMsg, OwnerInfoMsg,

@@ -1,8 +1,7 @@
-// Per-peer state of the hop-by-hop reliability layer that does not
-// depend on an overlay's wire variant: the receive window that suppresses
-// duplicate arrivals and the round-trip estimate that times the first
-// retransmission. DataPlane keeps one of each per peer, in its link
-// record.
+// Per-peer state of the hop-by-hop reliability layer: the receive window
+// that suppresses duplicate arrivals and the round-trip estimate that
+// times the first retransmission. chord::ChordNode keeps one of each per
+// peer, in its link record.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +43,8 @@ class SeqWindow {
 };
 
 /// Jacobson's smoothed round trip toward one peer (RFC 6298). Samples
-/// come only from acks of never-retransmitted sends (Karn's rule); an
-/// overlay may time its first retransmission from it
-/// (DataPlane::retry_timeout).
+/// come only from acks of never-retransmitted sends (Karn's rule); the
+/// first retransmission is timed from it (ChordNode::current_rto).
 struct RttEstimate {
   double srtt_us = 0.0;
   double rttvar_us = 0.0;

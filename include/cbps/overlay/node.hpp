@@ -1,10 +1,9 @@
 // Overlay-facing interfaces between the key-based routing substrate and
 // the CB-pub/sub layer (paper Figure 2).
 //
-// The pub/sub layer is written only against these interfaces; the Chord
-// library implements them. Any other structured overlay (Pastry, CAN,
-// Tapestry) could be slotted in below without touching pub/sub code —
-// the portability claim of §3.1 footnote 1.
+// The pub/sub layer is written only against these interfaces (the
+// paper's §4.1 API); the Chord library implements them, and a test can
+// stand in a fake overlay of its own.
 #pragma once
 
 #include <span>

@@ -1,12 +1,11 @@
-// The application wire shared by every overlay: the messages a node's
-// data plane exchanges (unicast routes, m-cast segments, chain walks,
-// neighbor sends and their hop-level acks), their wire-size rule, and
-// the per-network Wire that draws every transmission's loss and latency
+// The application wire of the overlay: the messages a node's data plane
+// exchanges (unicast routes, m-cast segments, chain walks, neighbor
+// sends and their hop-level acks), their wire-size rule, and the
+// per-network Wire that draws every transmission's loss and latency
 // from the sender's own streams and accounts its hops and bytes.
 //
-// An overlay's wire variant lists these five structs first and may add
-// its own membership messages after them (Chord does; Pastry's topology
-// is static and carries only these).
+// Chord's wire variant (chord/wire.hpp) lists these five structs first
+// and adds its membership messages after them.
 #pragma once
 
 #include <array>
@@ -16,7 +15,6 @@
 #include <optional>
 #include <string>
 #include <type_traits>
-#include <variant>
 #include <vector>
 
 #include "cbps/common/key_range.hpp"
@@ -86,31 +84,6 @@ inline constexpr bool is_data_message_v =
     std::is_same_v<T, ChainMsg> || std::is_same_v<T, NeighborMsg> ||
     std::is_same_v<T, AckMsg>;
 
-/// The wire of an overlay with no membership protocol of its own.
-using DataMessage =
-    std::variant<RouteMsg, McastMsg, ChainMsg, NeighborMsg, AckMsg>;
-
-/// Pointer to the reliability sequence field of an ack-eligible message
-/// (every alternative with a `seq` member), nullptr for everything else.
-/// AckMsg is excluded by its field name.
-template <class... Ts>
-std::uint64_t* seq_field(std::variant<Ts...>& msg) {
-  return std::visit(
-      [](auto& m) -> std::uint64_t* {
-        if constexpr (requires { m.seq; }) {
-          return &m.seq;
-        } else {
-          return nullptr;
-        }
-      },
-      msg);
-}
-
-template <class... Ts>
-const std::uint64_t* seq_field(const std::variant<Ts...>& msg) {
-  return seq_field(const_cast<std::variant<Ts...>&>(msg));
-}
-
 /// Approximate wire size of an application message: the payload plus
 /// 8 bytes per carried key (an m-cast message is charged for every key
 /// its runs cover). An ack is a small fixed-size control message.
@@ -151,9 +124,9 @@ class Wire {
   };
 
   /// Registry handles resolved once at construction so per-message code
-  /// never does a std::map string lookup. Names are `<prefix>.<stat>`.
+  /// never does a std::map string lookup. Names are `chord.<stat>`.
   struct Stats {
-    Stats(metrics::Registry& reg, const std::string& prefix);
+    explicit Stats(metrics::Registry& reg);
 
     metrics::Counter* send_to_dead;
     metrics::Counter* retransmits;
@@ -175,16 +148,15 @@ class Wire {
 
   /// A `loss_rate` > 0 installs a uniform loss prototype; `latency`
   /// defaults to sim::default_latency().
-  Wire(sim::Simulator& sim, const std::string& stat_prefix,
-       Limits limits, std::uint64_t seed, double loss_rate,
-       std::unique_ptr<sim::LatencyModel> latency);
+  Wire(sim::Simulator& sim, Limits limits, std::uint64_t seed,
+       double loss_rate, std::unique_ptr<sim::LatencyModel> latency);
 
   Wire(const Wire&) = delete;
   Wire& operator=(const Wire&) = delete;
 
   /// One node's transmission state: its scheduling domain and the
   /// latency and loss streams every one of its sends draws from. A node
-  /// holds its own Sender (DataPlane::sender), so a send looks nothing
+  /// holds its own Sender (chord::Peer::sender), so a send looks nothing
   /// up by id.
   struct Sender {
     common::Domain domain = common::kGlobalDomain;

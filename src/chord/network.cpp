@@ -28,7 +28,7 @@ ChordNetwork::ChordNetwork(sim::Simulator& sim, ChordConfig cfg,
                            std::uint64_t seed,
                            std::unique_ptr<sim::LatencyModel> latency)
     : cfg_(cfg),
-      wire_(sim, "chord",
+      wire_(sim,
             {cfg.ring, cfg.max_route_hops, cfg.reliable_transport(),
              cfg.max_retries, cfg.retry_base},
             seed, cfg.loss_rate, std::move(latency)) {}

@@ -13,30 +13,16 @@ using overlay::MessageClass;
 using overlay::PayloadPtr;
 
 ChordNode::ChordNode(ChordNetwork& net, Peer& peer, Key id, std::string name)
-    : DataPlane(net.wire(), *peer.sender, id, std::move(name)),
+    : wire_(net.wire()),
+      id_(id),
+      name_(std::move(name)),
+      sender_(*peer.sender),
       net_(net),
       peer_(peer),
       fingers_(net.ring(), id),
       cache_(net.ring(), net.config().location_cache_size) {}
 
 const ChordConfig& ChordNode::config() const { return net_.config(); }
-
-bool ChordNode::wire_transmit(Key to, WireMessage&& msg, MessageClass cls) {
-  return net_.transmit(*this, to, std::move(msg), cls);
-}
-
-void ChordNode::reroute(WireMessage msg) {
-  // The successor we were handing our state to died mid-handover; hand
-  // it to the next live successor instead (the dead one is evicted).
-  auto* pl = std::get_if<PredLeaveMsg>(&msg);
-  const Key succ = successor_id();
-  if (pl == nullptr || succ == id_) {
-    DataPlane::reroute(std::move(msg));
-    return;
-  }
-  pl->seq = 0;
-  transmit(succ, std::move(*pl), MessageClass::kStateTransfer);
-}
 
 sim::SimTime ChordNode::retry_timeout(const overlay::RttEstimate& rtt) const {
   if (!rtt.valid) return config().retry_base;
@@ -118,13 +104,6 @@ std::optional<Key> ChordNode::next_hop(Key key) {
   if (auto c = closest_preceding(key)) return c;
   if (!succs_.empty()) return succs_.front();
   return std::nullopt;
-}
-
-void ChordNode::on_route_delivered(const overlay::RouteMsg& msg) {
-  if (config().owner_feedback && msg.origin != id_ && msg.hops > 1) {
-    transmit(msg.origin, OwnerInfoMsg{id_, has_pred_ ? pred_ : id_},
-             MessageClass::kControl);
-  }
 }
 
 const std::vector<Key>& ChordNode::mcast_candidates() {
@@ -496,5 +475,3 @@ void ChordNode::receive(Envelope&& env) {
 }
 
 }  // namespace cbps::chord
-
-template class cbps::overlay::DataPlane<cbps::chord::WireMessage>;

@@ -4,35 +4,34 @@
 
 namespace cbps::overlay {
 
-Wire::Stats::Stats(metrics::Registry& reg, const std::string& prefix)
-    : send_to_dead(reg.counter_handle(prefix + ".send_to_dead")),
-      retransmits(reg.counter_handle(prefix + ".retransmits")),
-      send_failed(reg.counter_handle(prefix + ".send_failed")),
-      dup_suppressed(reg.counter_handle(prefix + ".dup_suppressed")),
-      route_dropped(reg.counter_handle(prefix + ".route_dropped")),
-      route_no_candidate(reg.counter_handle(prefix + ".route_no_candidate")),
-      mcast_dropped_keys(reg.counter_handle(prefix + ".mcast_dropped_keys")),
-      chain_dropped(reg.counter_handle(prefix + ".chain_dropped")),
-      chain_no_candidate(reg.counter_handle(prefix + ".chain_no_candidate")),
-      net_lost(reg.counter_handle(prefix + ".net.lost")),
-      route_hops(reg.histogram_handle(prefix + ".route_hops")),
-      mcast_fanout(reg.histogram_handle(prefix + ".mcast_fanout")),
-      retries_per_send(reg.histogram_handle(prefix + ".retries_per_send")) {
+Wire::Stats::Stats(metrics::Registry& reg)
+    : send_to_dead(reg.counter_handle("chord.send_to_dead")),
+      retransmits(reg.counter_handle("chord.retransmits")),
+      send_failed(reg.counter_handle("chord.send_failed")),
+      dup_suppressed(reg.counter_handle("chord.dup_suppressed")),
+      route_dropped(reg.counter_handle("chord.route_dropped")),
+      route_no_candidate(reg.counter_handle("chord.route_no_candidate")),
+      mcast_dropped_keys(reg.counter_handle("chord.mcast_dropped_keys")),
+      chain_dropped(reg.counter_handle("chord.chain_dropped")),
+      chain_no_candidate(reg.counter_handle("chord.chain_no_candidate")),
+      net_lost(reg.counter_handle("chord.net.lost")),
+      route_hops(reg.histogram_handle("chord.route_hops")),
+      mcast_fanout(reg.histogram_handle("chord.mcast_fanout")),
+      retries_per_send(reg.histogram_handle("chord.retries_per_send")) {
   for (std::size_t c = 0; c < kMessageClassCount; ++c) {
     net_lost_by_class[c] = reg.counter_handle(
-        prefix + ".net.lost." +
+        std::string("chord.net.lost.") +
         std::string(to_string(static_cast<MessageClass>(c))));
   }
 }
 
-Wire::Wire(sim::Simulator& sim, const std::string& stat_prefix,
-           Limits limits, std::uint64_t seed, double loss_rate,
-           std::unique_ptr<sim::LatencyModel> latency)
+Wire::Wire(sim::Simulator& sim, Limits limits, std::uint64_t seed,
+           double loss_rate, std::unique_ptr<sim::LatencyModel> latency)
     : sim_(sim),
       limits_(limits),
       seed_(seed),
       latency_(latency ? std::move(latency) : sim::default_latency()),
-      stats_(registry_, stat_prefix) {
+      stats_(registry_) {
   if (loss_rate > 0.0) loss_ = std::make_unique<sim::UniformLoss>(loss_rate);
 }
 

@@ -17,6 +17,7 @@
 #include "cbps/chord/network.hpp"
 #include "cbps/chord/node.hpp"
 #include "cbps/common/rng.hpp"
+#include "cbps/metrics/trace.hpp"
 #include "cbps/overlay/node.hpp"
 #include "cbps/sim/simulator.hpp"
 
@@ -386,6 +387,42 @@ TEST(ChordRoutingTest, ManyRoutesAverageBelowLogNWithCache) {
   EXPECT_LT(stat.mean(), 4.0);
 }
 
+TEST(ChordTraceTest, RouteHopSpansCarryHopsSoFar) {
+  // Every forwarding step records the hops taken so far: a route of h
+  // hops emits route-hop spans with hops 0..h-1, and the spans of all
+  // routes add up to the publish hops on the wire.
+  Harness h(64);
+  metrics::TraceSink sink(1.0);
+  h.net->set_trace_sink(&sink);
+  Rng rng(8);
+  for (int i = 0; i < 100; ++i) {
+    auto payload = std::make_shared<TestPayload>(i);
+    payload->trace = {sink.maybe_start_trace(), 0};
+    const Key key = static_cast<Key>(
+        rng.uniform_int(0, static_cast<std::int64_t>(h.net->ring().max_key())));
+    h.net->alive_node(static_cast<std::size_t>(rng.uniform_int(0, 63)))
+        .send(key, std::move(payload));
+  }
+  h.sim.run();
+
+  std::map<std::uint64_t, std::vector<std::uint64_t>> hops_by_trace;
+  for (const metrics::Span& s : sink.spans()) {
+    if (s.kind == metrics::SpanKind::kRouteHop) {
+      hops_by_trace[s.trace_id].push_back(s.b);
+    }
+  }
+  std::uint64_t total_hops = 0;
+  for (auto& [trace, hops] : hops_by_trace) {
+    std::sort(hops.begin(), hops.end());
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+      EXPECT_EQ(hops[i], i) << "trace " << trace;
+    }
+    total_hops += hops.size();
+  }
+  EXPECT_GT(hops_by_trace.size(), 50u);
+  EXPECT_EQ(total_hops, h.net->traffic().hops(MessageClass::kPublish));
+}
+
 // ---------------------------------------------------------------------------
 // m-cast (Figure 4)
 // ---------------------------------------------------------------------------
@@ -519,6 +556,27 @@ TEST(ChordMcastTest, WrappingRange) {
   std::size_t total = 0;
   for (const McastDelivery& d : h.recorder.mcast) total += d.keys.size();
   EXPECT_EQ(total, targets.size());
+}
+
+TEST(ChordMcastTest, WrappingRangeAndDuplicates) {
+  // Every key of a range across the ring's wrap point, listed twice:
+  // each key is delivered once, and each covering node is reached once.
+  Harness h(16);
+  const RingParams ring = h.net->ring();
+  std::vector<Key> targets;
+  for (const Key k : key_range(ring.sub(0, 100), 300, ring)) {
+    targets.push_back(k);
+    targets.push_back(k);
+  }
+  h.net->alive_node(3).m_cast(targets, std::make_shared<TestPayload>(2));
+  h.sim.run();
+  std::size_t total = 0;
+  std::set<Key> seen;
+  for (const McastDelivery& d : h.recorder.mcast) {
+    EXPECT_TRUE(seen.insert(d.node).second) << "node " << d.node;
+    total += d.keys.size();
+  }
+  EXPECT_EQ(total, 300u);
 }
 
 TEST(ChordMcastTest, DuplicateAndSingletonKeys) {
@@ -750,6 +808,8 @@ TEST(ChordEdgeTest, TwoNodeRingRoutesBothWays) {
   Harness h(2);
   const auto ids = h.net->alive_ids();
   ChordNode& a = *h.net->node(ids[0]);
+  EXPECT_EQ(a.successor_id(), ids[1]);
+  EXPECT_EQ(a.predecessor_id(), ids[1]);
   // Keys on both arcs route to the right owner.
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
@@ -862,6 +922,21 @@ TEST(ChordMcastTest, ConnectionBoundPreserved) {
       h.net->traffic().hops(overlay::MessageClass::kPublish);
   EXPECT_GE(hops, 63u);
   EXPECT_LE(hops, 2 * 63u);
+}
+
+TEST(ChordEdgeTest, SingleNodeSelfDelivers) {
+  // Alone in the ring, a node covers every key: a send and an m-cast
+  // come back to it as upcalls, and nothing touches the wire.
+  Harness h(1);
+  ChordNode& only = h.net->alive_node(0);
+  only.send(1234, std::make_shared<TestPayload>(1));
+  only.m_cast({1, 2, 3}, std::make_shared<TestPayload>(2));
+  h.sim.run();
+  ASSERT_EQ(h.recorder.unicast.size(), 1u);
+  EXPECT_EQ(h.recorder.unicast[0].key, 1234u);
+  ASSERT_EQ(h.recorder.mcast.size(), 1u);
+  EXPECT_EQ(h.recorder.mcast[0].keys, (std::vector<Key>{1, 2, 3}));
+  EXPECT_EQ(h.net->traffic().total_hops(), 0u);
 }
 
 TEST(ChordEdgeTest, EmptyMcastIsNoOp) {

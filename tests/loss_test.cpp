@@ -1,8 +1,8 @@
 // Tests for message-loss fault injection (sim::LossModel) and the
 // hop-by-hop ack/retry reliability layer: the loss model itself, the
-// Chord and Pastry transport mechanics (retransmission, duplicate
-// suppression, retry-budget exhaustion, zero-overhead gating), and
-// end-to-end exactly-once pub/sub delivery under loss and churn.
+// Chord transport mechanics (retransmission, duplicate suppression,
+// retry-budget exhaustion, zero-overhead gating), and end-to-end
+// exactly-once pub/sub delivery under loss and churn.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "cbps/chord/network.hpp"
 #include "cbps/chord/node.hpp"
 #include "cbps/common/rng.hpp"
-#include "cbps/pastry/pastry.hpp"
 #include "cbps/pubsub/delivery_checker.hpp"
 #include "cbps/sim/loss.hpp"
 #include "cbps/workload/churn.hpp"
@@ -51,7 +50,7 @@ TEST(UniformLossTest, RateIsHonoredStatistically) {
 }
 
 // ---------------------------------------------------------------------------
-// Transport scaffolding, for either overlay
+// Transport scaffolding
 // ---------------------------------------------------------------------------
 
 struct TagPayload final : overlay::Payload {
@@ -92,38 +91,16 @@ class TagApp final : public overlay::OverlayApp {
   std::vector<TagDelivery>& sink_;
 };
 
-struct ChordOverlay {
-  using Config = chord::ChordConfig;
-  using Network = chord::ChordNetwork;
-  static constexpr const char* kStatPrefix = "chord.";
-  static std::vector<Key> ids(const Network& net) { return net.alive_ids(); }
-  /// Hand `msg` to node `to` as if it arrived from `from`.
-  static void inject(Network& net, Key to, Key from, overlay::NeighborMsg msg) {
-    net.node(to)->receive(chord::Envelope{from, false, 0, std::move(msg)});
-  }
-};
-
-struct PastryOverlay {
-  using Config = pastry::PastryConfig;
-  using Network = pastry::PastryNetwork;
-  static constexpr const char* kStatPrefix = "pastry.";
-  static std::vector<Key> ids(const Network& net) { return net.ids(); }
-  static void inject(Network& net, Key to, Key from, overlay::NeighborMsg msg) {
-    net.node(to)->receive(from, std::move(msg));
-  }
-};
-
-template <class Overlay>
-class LossHarness {
+class ChordLossHarness {
  public:
-  explicit LossHarness(std::size_t n, typename Overlay::Config cfg,
-                       std::uint64_t seed = 1) {
-    net = std::make_unique<typename Overlay::Network>(sim, cfg, seed);
+  explicit ChordLossHarness(std::size_t n, chord::ChordConfig cfg,
+                            std::uint64_t seed = 1) {
+    net = std::make_unique<chord::ChordNetwork>(sim, cfg, seed);
     for (std::size_t i = 0; i < n; ++i) {
       net->add_node(std::string("n").append(std::to_string(i)));
     }
     net->build_static_ring();
-    ids = Overlay::ids(*net);
+    ids = net->alive_ids();
     for (Key id : ids) {
       apps.push_back(std::make_unique<TagApp>(id, deliveries));
       net->node(id)->set_app(apps.back().get());
@@ -134,14 +111,13 @@ class LossHarness {
     return net->registry().counter_value(name);
   }
 
-  /// Counter `name` under this overlay's prefix ("net.lost" is
-  /// "chord.net.lost" on Chord).
-  std::uint64_t stat(const std::string& name) const {
-    return counter(Overlay::kStatPrefix + name);
-  }
-
   /// Node by dense index, in id order.
-  overlay::OverlayNode& node(std::size_t i) { return *net->node(ids.at(i)); }
+  chord::ChordNode& node(std::size_t i) { return *net->node(ids.at(i)); }
+
+  /// Hand `msg` to node `to` as if it arrived from `from`.
+  void inject(Key to, Key from, overlay::NeighborMsg msg) {
+    net->node(to)->receive(chord::Envelope{from, false, 0, std::move(msg)});
+  }
 
   std::size_t pending_total() const {
     std::size_t total = 0;
@@ -150,17 +126,14 @@ class LossHarness {
   }
 
   sim::Simulator sim;
-  std::unique_ptr<typename Overlay::Network> net;
+  std::unique_ptr<chord::ChordNetwork> net;
   std::vector<Key> ids;  // sorted
   std::vector<TagDelivery> deliveries;
   std::vector<std::unique_ptr<TagApp>> apps;
 };
 
-using ChordLossHarness = LossHarness<ChordOverlay>;
-
 // ---------------------------------------------------------------------------
-// Ack/retry mechanics (the shared data plane, checked on both overlays
-// where a test is written over LossHarness<Overlay>)
+// Ack/retry mechanics
 // ---------------------------------------------------------------------------
 
 TEST(ChordLossTest, DropsAreCountedPerMessageClass) {
@@ -222,11 +195,10 @@ TEST(ChordLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
   EXPECT_EQ(h.pending_total(), 0u);
 }
 
-template <class Overlay>
-void check_mcast_under_loss_covers_every_target_exactly_once() {
-  typename Overlay::Config cfg;
+TEST(ChordLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
+  chord::ChordConfig cfg;
   cfg.loss_rate = 0.05;
-  LossHarness<Overlay> h(32, cfg, 6);
+  ChordLossHarness h(32, cfg, 6);
   const RingParams ring = h.net->ring();
   std::vector<Key> targets;
   for (std::uint64_t i = 0; i < 500; ++i) targets.push_back(ring.wrap(i * 11));
@@ -246,17 +218,9 @@ void check_mcast_under_loss_covers_every_target_exactly_once() {
   }
   EXPECT_EQ(seen.size(), expected.size());
   EXPECT_EQ(total, targets.size());
-  EXPECT_GT(h.stat("net.lost"), 0u);
-  EXPECT_EQ(h.stat("send_failed"), 0u);
+  EXPECT_GT(h.counter("chord.net.lost"), 0u);
+  EXPECT_EQ(h.counter("chord.send_failed"), 0u);
   EXPECT_EQ(h.pending_total(), 0u);
-}
-
-TEST(ChordLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
-  check_mcast_under_loss_covers_every_target_exactly_once<ChordOverlay>();
-}
-
-TEST(PastryLossTest, McastUnderLossCoversEveryTargetExactlyOnce) {
-  check_mcast_under_loss_covers_every_target_exactly_once<PastryOverlay>();
 }
 
 // App with actual state, for exercising the graceful-leave handover.
@@ -314,38 +278,28 @@ TEST(ChordLossTest, GracefulLeaveHandsOverStateDespiteHeavyLoss) {
   EXPECT_EQ(net.registry().counter_value("chord.send_failed"), 0u);
 }
 
-template <class Overlay>
-void check_retry_budget_exhaustion_counts_failed_send() {
-  typename Overlay::Config cfg;
+TEST(ChordLossTest, RetryBudgetExhaustionCountsFailedSend) {
+  chord::ChordConfig cfg;
   cfg.loss_rate = 1.0;  // black hole: nothing ever arrives
   cfg.max_retries = 3;
-  LossHarness<Overlay> h(2, cfg, 7);
+  ChordLossHarness h(2, cfg, 7);
   // Key owned by the peer, so the send must cross the (dead) wire.
   h.node(0).send(h.ids[1], std::make_shared<TagPayload>(1));
   h.sim.run();
 
   EXPECT_TRUE(h.deliveries.empty());
-  EXPECT_EQ(h.stat("retransmits"), 3u);
-  EXPECT_EQ(h.stat("send_failed"), 1u);
-  EXPECT_EQ(h.stat("net.lost"), 4u);  // original + 3 retries
+  EXPECT_EQ(h.counter("chord.retransmits"), 3u);
+  EXPECT_EQ(h.counter("chord.send_failed"), 1u);
+  EXPECT_EQ(h.counter("chord.net.lost"), 4u);  // original + 3 retries
   EXPECT_EQ(h.pending_total(), 0u);  // budget spent => entry dropped
 }
 
-TEST(ChordLossTest, RetryBudgetExhaustionCountsFailedSend) {
-  check_retry_budget_exhaustion_counts_failed_send<ChordOverlay>();
-}
-
-TEST(PastryLossTest, RetryBudgetExhaustionCountsFailedSend) {
-  check_retry_budget_exhaustion_counts_failed_send<PastryOverlay>();
-}
-
-template <class Overlay>
-void check_zero_loss_rate_keeps_reliability_layer_disarmed() {
+TEST(ChordLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
   // At loss 0 the reliability machinery must be completely inert: no
   // acks, no timers, no parked sends — and therefore the retry knobs
   // must not change a single transmitted message.
-  auto run = [](typename Overlay::Config cfg) {
-    LossHarness<Overlay> h(24, cfg, 8);
+  auto run = [](chord::ChordConfig cfg) {
+    ChordLossHarness h(24, cfg, 8);
     Rng rng(9);
     for (int i = 0; i < 100; ++i) {
       const Key key = static_cast<Key>(rng.uniform_int(
@@ -354,76 +308,23 @@ void check_zero_loss_rate_keeps_reliability_layer_disarmed() {
           .send(key, std::make_shared<TagPayload>(i));
     }
     h.sim.run();
-    EXPECT_EQ(h.stat("net.lost"), 0u);
-    EXPECT_EQ(h.stat("retransmits"), 0u);
-    EXPECT_EQ(h.stat("dup_suppressed"), 0u);
+    EXPECT_EQ(h.counter("chord.net.lost"), 0u);
+    EXPECT_EQ(h.counter("chord.retransmits"), 0u);
+    EXPECT_EQ(h.counter("chord.dup_suppressed"), 0u);
     EXPECT_EQ(h.pending_total(), 0u);
     std::vector<std::pair<Key, int>> log;
     for (const TagDelivery& d : h.deliveries) log.emplace_back(d.node, d.tag);
     return std::make_pair(log, h.net->traffic().total_hops());
   };
 
-  typename Overlay::Config plain;
-  typename Overlay::Config tweaked;
+  chord::ChordConfig plain;
+  chord::ChordConfig tweaked;
   tweaked.max_retries = 50;
   tweaked.retry_base = sim::ms(1);
   const auto a = run(plain);
   const auto b = run(tweaked);
   EXPECT_EQ(a.first, b.first);    // identical deliveries, in order
   EXPECT_EQ(a.second, b.second);  // identical wire traffic
-}
-
-TEST(ChordLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
-  check_zero_loss_rate_keeps_reliability_layer_disarmed<ChordOverlay>();
-}
-
-TEST(PastryLossTest, ZeroLossRateKeepsReliabilityLayerDisarmed) {
-  check_zero_loss_rate_keeps_reliability_layer_disarmed<PastryOverlay>();
-}
-
-// ---------------------------------------------------------------------------
-// Pastry ack/retry
-// ---------------------------------------------------------------------------
-
-TEST(PastryLossTest, AckRetryRecoversEveryUnicastAtModerateLoss) {
-  sim::Simulator sim;
-  pastry::PastryConfig cfg;
-  cfg.loss_rate = 0.05;
-  pastry::PastryNetwork net(sim, cfg, 5);
-  for (int i = 0; i < 32; ++i) {
-    net.add_node(std::string("p").append(std::to_string(i)));
-  }
-  net.build_static_ring();
-  std::vector<TagDelivery> deliveries;
-  std::vector<std::unique_ptr<TagApp>> apps;
-  for (Key id : net.ids()) {
-    apps.push_back(std::make_unique<TagApp>(id, deliveries));
-    net.node(id)->set_app(apps.back().get());
-  }
-
-  Rng rng(6);
-  const int kSends = 150;
-  for (int i = 0; i < kSends; ++i) {
-    const Key key = static_cast<Key>(rng.uniform_int(
-        0, static_cast<std::int64_t>(net.ring().max_key())));
-    net.node_at(static_cast<std::size_t>(rng.uniform_int(0, 31)))
-        .send(key, std::make_shared<TagPayload>(i));
-  }
-  sim.run();
-
-  ASSERT_EQ(deliveries.size(), static_cast<std::size_t>(kSends));
-  std::set<int> tags;
-  for (const TagDelivery& d : deliveries) {
-    EXPECT_TRUE(tags.insert(d.tag).second) << "tag " << d.tag << " twice";
-    ASSERT_EQ(d.keys.size(), 1u);
-    EXPECT_EQ(d.node, net.oracle_successor(d.keys[0]));
-  }
-  EXPECT_GT(net.registry().counter_value("pastry.net.lost"), 0u);
-  EXPECT_GT(net.registry().counter_value("pastry.retransmits"), 0u);
-  EXPECT_EQ(net.registry().counter_value("pastry.send_failed"), 0u);
-  std::size_t pending = 0;
-  for (Key id : net.ids()) pending += net.node(id)->pending_send_count();
-  EXPECT_EQ(pending, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -476,13 +377,12 @@ std::vector<Arrival> arrival_stream(const std::vector<Key>& senders,
   return out;
 }
 
-template <class Overlay>
-void check_dedup_window_matches_a_seen_set() {
+TEST(ChordLossTest, DedupWindowMatchesASeenSet) {
   // The receiver must accept or suppress every arrival exactly as a set
   // of every (sender, id) it has processed would — the window is only a
   // compact encoding of that set.
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    LossHarness<Overlay> h(5, typename Overlay::Config{}, seed);
+    ChordLossHarness h(5, chord::ChordConfig{}, seed);
     const Key receiver = h.ids[0];
     const std::vector<Key> senders(h.ids.begin() + 1, h.ids.end());
     std::set<std::pair<Key, std::uint64_t>> seen;
@@ -491,9 +391,8 @@ void check_dedup_window_matches_a_seen_set() {
     std::size_t step = 0;
     for (const Arrival& a : arrival_stream(senders, seed)) {
       const std::size_t before = h.deliveries.size();
-      Overlay::inject(*h.net, receiver, a.from,
-                      overlay::NeighborMsg{std::make_shared<TagPayload>(0),
-                                           a.seq});
+      h.inject(receiver, a.from,
+               overlay::NeighborMsg{std::make_shared<TagPayload>(0), a.seq});
       const bool want = seen.insert({a.from, a.seq}).second;
       ASSERT_EQ(h.deliveries.size() > before, want)
           << "seed " << seed << " step " << step << ": sender " << a.from
@@ -504,7 +403,7 @@ void check_dedup_window_matches_a_seen_set() {
     }
     h.sim.run();  // the acks reach senders that are waiting for none
     EXPECT_GT(duplicates, 100u);
-    EXPECT_EQ(h.stat("dup_suppressed"), duplicates);
+    EXPECT_EQ(h.counter("chord.dup_suppressed"), duplicates);
     // The window keeps exactly the ids missing below each highest id.
     std::size_t missing = 0;
     for (const auto& [from, top] : highest) {
@@ -515,14 +414,6 @@ void check_dedup_window_matches_a_seen_set() {
     EXPECT_GT(missing, 0u);
     EXPECT_EQ(h.net->node(receiver)->dedup_state_size(), missing);
   }
-}
-
-TEST(ChordLossTest, DedupWindowMatchesASeenSet) {
-  check_dedup_window_matches_a_seen_set<ChordOverlay>();
-}
-
-TEST(PastryLossTest, DedupWindowMatchesASeenSet) {
-  check_dedup_window_matches_a_seen_set<PastryOverlay>();
 }
 
 TEST(ChordLossTest, RefusedSendGivesItsIdBack) {
@@ -539,7 +430,7 @@ TEST(ChordLossTest, RefusedSendGivesItsIdBack) {
   h.net->set_partition({{a}, {b}});
   h.node(0).send_to_successor(std::make_shared<TagPayload>(1));  // refused
   h.sim.run();
-  EXPECT_EQ(h.stat("net.partition_refused"), 1u);
+  EXPECT_EQ(h.counter("chord.net.partition_refused"), 1u);
   h.net->heal_partition();
   // `a` evicted `b`; hearing from it again puts it back as successor.
   h.node(1).send_to_successor(std::make_shared<TagPayload>(2));
@@ -551,41 +442,32 @@ TEST(ChordLossTest, RefusedSendGivesItsIdBack) {
   const std::vector<std::pair<Key, int>> want = {{b, 0}, {a, 1}, {a, 2},
                                                  {b, 3}};
   EXPECT_EQ(got, want);
-  EXPECT_EQ(h.stat("dup_suppressed"), 0u);
+  EXPECT_EQ(h.counter("chord.dup_suppressed"), 0u);
   EXPECT_EQ(h.net->node(b)->dedup_state_size(), 0u);
 }
 
-template <class Overlay>
-void check_dedup_state_stays_small_over_a_lossy_link() {
+TEST(ChordLossTest, DedupStateStaysSmallOverALossyLink) {
   // 10 000 reliable hops from one node to the other over a link that
   // drops a fifth of the data and a fifth of the acks. A seen-set would
   // hold 10 000 ids; the window holds only the ids that never arrived,
   // and an id can only stay missing if its send exhausted its retries.
-  typename Overlay::Config cfg;
+  chord::ChordConfig cfg;
   cfg.loss_rate = 0.2;
-  LossHarness<Overlay> h(2, cfg, 4);
+  ChordLossHarness h(2, cfg, 4);
   constexpr int kHops = 10'000;
   for (int i = 0; i < kHops; ++i) {
     h.node(0).send_to_successor(std::make_shared<TagPayload>(i));
     if (i % 100 == 99) h.sim.run();
   }
   h.sim.run();
-  const std::uint64_t failed = h.stat("send_failed");
+  const std::uint64_t failed = h.counter("chord.send_failed");
   EXPECT_LE(h.deliveries.size(), static_cast<std::size_t>(kHops));
   EXPECT_GE(h.deliveries.size() + failed, static_cast<std::size_t>(kHops));
-  EXPECT_GT(h.stat("dup_suppressed"), 100u);
+  EXPECT_GT(h.counter("chord.dup_suppressed"), 100u);
   EXPECT_EQ(h.pending_total(), 0u);
   const std::size_t state = h.net->node(h.ids[1])->dedup_state_size();
   EXPECT_LE(state, failed);
   EXPECT_LE(state, 8u);
-}
-
-TEST(ChordLossTest, DedupStateStaysSmallOverALossyLink) {
-  check_dedup_state_stays_small_over_a_lossy_link<ChordOverlay>();
-}
-
-TEST(PastryLossTest, DedupStateStaysSmallOverALossyLink) {
-  check_dedup_state_stays_small_over_a_lossy_link<PastryOverlay>();
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,28 +151,46 @@ TEST(SweepTest, ZeroPointsRunNoBodyAtEightJobs) {
 }
 
 TEST(SweepTest, TwoThrowingBodiesRethrowOneAndJoinEveryWorker) {
-  Sweep<SlowRow> sweep("sweep_two_throws_test");
-  SweepOptions opts;
-  opts.jobs = 4;
-  sweep.set_options(opts);
-  std::atomic<int> finished{0};
-  for (std::size_t i = 0; i < 8; ++i) {
-    if (i == 1 || i == 5) {
-      sweep.add("bad", []() -> SlowRow { throw std::runtime_error("boom"); });
-    } else {
-      sweep.add("ok", [i, &finished] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        finished.fetch_add(1);
-        return SlowRow{i};
-      });
+  // Points 1 and 5 throw; point 1 throws last in time. Both modes print
+  // the one row before point 1 and rethrow point 1's error, and the
+  // parallel mode joins every worker first.
+  for (const std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+    Sweep<SlowRow> sweep("sweep_two_throws_test");
+    SweepOptions opts;
+    opts.jobs = jobs;
+    sweep.set_options(opts);
+    std::atomic<int> finished{0};
+    for (std::size_t i = 0; i < 8; ++i) {
+      if (i == 1) {
+        sweep.add("bad", []() -> SlowRow {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("point 1");
+        });
+      } else if (i == 5) {
+        sweep.add("bad", []() -> SlowRow {
+          throw std::runtime_error("point 5");
+        });
+      } else {
+        sweep.add("ok", [i, &finished] {
+          std::this_thread::sleep_for(std::chrono::milliseconds(2));
+          finished.fetch_add(1);
+          return SlowRow{i};
+        });
+      }
     }
+    std::size_t rows = 0;
+    std::string error;
+    try {
+      sweep.run([&](std::size_t, const SlowRow&) { ++rows; });
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_EQ(error, "point 1") << "jobs " << jobs;
+    EXPECT_EQ(rows, 1u) << "jobs " << jobs;
+    // Serially the sweep stops at point 1; in parallel every body runs
+    // and every worker joins before the rethrow.
+    EXPECT_EQ(finished.load(), jobs == 1 ? 1 : 6) << "jobs " << jobs;
   }
-  std::size_t rows = 0;
-  EXPECT_THROW(sweep.run([&](std::size_t, const SlowRow&) { ++rows; }),
-               std::runtime_error);
-  // Every point was reported and every worker joined before the rethrow.
-  EXPECT_EQ(rows, 8u);
-  EXPECT_EQ(finished.load(), 6);
 }
 
 TEST(SweepTest, WritesJsonRecord) {
