@@ -13,7 +13,6 @@
 #include <deque>
 #include <memory>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <vector>
 

@@ -1,5 +1,6 @@
 #include "cbps/overlay/wire.hpp"
 
+#include <string>
 #include <utility>
 
 namespace cbps::overlay {
