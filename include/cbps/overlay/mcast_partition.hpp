@@ -1,8 +1,8 @@
 // Target-set partitioning for the m-cast primitive (paper §4.3.1,
-// Figure 4), shared by every overlay implementation.
+// Figure 4).
 //
 // Given the local node, the arc it covers and its routing candidates
-// (finger/routing-table/leaf-set nodes) sorted by ring distance, the
+// (finger and successor nodes) sorted by ring distance, the
 // partition assigns:
 //   - covered targets to local delivery,
 //   - targets in (self, candidates[0]] to the first candidate (the ring
